@@ -9,6 +9,7 @@ of host.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -39,26 +40,40 @@ def save_checkpoint(path: str | Path, arrays: dict[str, np.ndarray], meta: dict)
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
+    """Read a checkpoint; any malformed or truncated file, or trailing bytes
+    after the last array, raise DataError."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"checkpoint not found: {path}")
     raw = path.read_bytes()
     if raw[:4] != MAGIC:
         raise DataError(f"{path} is not a checkpoint (bad magic)")
+    if len(raw) < 16:
+        raise DataError(f"checkpoint {path} truncated in its preamble")
     version = struct.unpack("<I", raw[4:8])[0]
     if version != FORMAT_VERSION:
         raise DataError(f"unsupported checkpoint version {version}")
     hlen = struct.unpack("<Q", raw[8:16])[0]
-    header = json.loads(raw[16 : 16 + hlen].decode("utf-8"))
+    try:
+        header = json.loads(raw[16 : 16 + hlen].decode("utf-8"))
+        meta = header["meta"]
+        entries = [(entry["name"], tuple(entry["shape"])) for entry in header["arrays"]]
+        if not isinstance(meta, dict) or not all(
+            isinstance(name, str) and all(type(n) is int and n >= 0 for n in shape)
+            for name, shape in entries
+        ):
+            raise ValueError("meta must be an object, and every array a name and a shape")
+    except (KeyError, TypeError, ValueError) as exc:  # includes JSON and UTF-8 errors
+        raise DataError(f"checkpoint {path} has a malformed header: {exc}") from exc
     offset = 16 + hlen
     arrays: dict[str, np.ndarray] = {}
-    for entry in header["arrays"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * 8
+    for name, shape in entries:
+        nbytes = math.prod(shape) * 8
         buf = raw[offset : offset + nbytes]
         if len(buf) != nbytes:
-            raise DataError(f"checkpoint {path} truncated at array {entry['name']!r}")
-        arrays[entry["name"]] = np.frombuffer(buf, dtype="<f8").astype(np.float64).reshape(shape)
+            raise DataError(f"checkpoint {path} truncated at array {name!r}")
+        arrays[name] = np.frombuffer(buf, dtype="<f8").astype(np.float64).reshape(shape)
         offset += nbytes
-    return arrays, header["meta"]
+    if offset != len(raw):
+        raise DataError(f"checkpoint {path} has {len(raw) - offset} bytes after its last array")
+    return arrays, meta

@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -32,9 +33,11 @@ from .encoder import ModelConfig
 from .errors import ConfigError, DataError, NumericError, UsageError
 from .metrics import accuracy, bleu4, recall_at_k, temporal_nms, write_metrics_report
 from .pretrain import (
+    _SEED_FINETUNE,
     PretrainHypers,
     PretrainModel,
     TASK_NAMES,
+    _mean_terms,
     dropout_rng,
     make_batches,
     pretrain_step,
@@ -144,7 +147,7 @@ def _parse_tasks(task_list: str) -> dict[str, float]:
     return weights
 
 
-def _load_aligned_corpus(corpus_path: str, max_frames: int, threads: int = 1):
+def _load_aligned_corpus(corpus_path: str, max_frames: int):
     header, raws = read_corpus(corpus_path)
     vocab = load_corpus_vocab(corpus_path, header)
     for raw in raws:
@@ -153,14 +156,7 @@ def _load_aligned_corpus(corpus_path: str, max_frames: int, threads: int = 1):
                 f"clip {raw.clip_id!r} has {len(raw.frames)} frames, above the "
                 f"max_frames={max_frames} ingestion limit"
             )
-    if threads and threads > 1:
-        # alignment is pure per clip; executor map preserves corpus order
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            clips = list(pool.map(lambda r: align(r, vocab), raws))
-    else:
-        clips = [align(raw, vocab) for raw in raws]
+    clips = [align(raw, vocab) for raw in raws]
     return header, vocab, clips
 
 
@@ -193,9 +189,33 @@ def _save_model_checkpoint(path, model, optimizer, meta: dict) -> None:
     save_checkpoint(path, arrays, meta)
 
 
-def _guard_finite(loss: float, step: int) -> None:
-    if not math.isfinite(loss):
-        raise NumericError(f"non-finite loss at step {step}")
+def _train_loop(
+    out_dir: Path, echo: dict, model, optimizer, meta: dict, work, final_step: int,
+    checkpoint_every: int = 0,
+) -> Path:
+    """The training loop of both `pretrain` and `finetune`.
+
+    ``work`` yields ``(step, kind, take_step)``; ``take_step(train_rng)`` runs
+    one optimization step and returns its loss.  Each step appends one record
+    to ``train.log``; a non-finite loss stops the run (exit 3).  Checkpoints
+    go out every ``checkpoint_every`` steps and at the end, as ``final.ckpt``.
+    """
+    seed = meta["seed"]
+    with (out_dir / "train.log").open("a") as log_fh:
+        _echo_config(log_fh, echo)
+        for step, kind, take_step in work:
+            loss = take_step(dropout_rng(seed, step) if model.config.dropout > 0 else None)
+            if not math.isfinite(loss):
+                raise NumericError(f"non-finite loss at step {step}")
+            log_fh.write(f"{step}, {kind}, {loss:.10f}, {echo['lr']}, {seed}\n")
+            done = step + 1
+            if checkpoint_every and done % checkpoint_every == 0:
+                _save_model_checkpoint(
+                    out_dir / f"step{done:06d}.ckpt", model, optimizer, {**meta, "step": done}
+                )
+    final = out_dir / "final.ckpt"
+    _save_model_checkpoint(final, model, optimizer, {**meta, "step": final_step})
+    return final
 
 
 # -- commands -----------------------------------------------------------------
@@ -231,9 +251,7 @@ def cmd_pretrain(args) -> int:
         {k: getattr(args, k) for k in PRETRAIN_DEFAULTS},
     )
     weights = _parse_tasks(str(eff["tasks"]))
-    header, vocab, clips = _load_aligned_corpus(
-        args.corpus, int(eff["max_frames"]), threads=args.threads
-    )
+    header, vocab, clips = _load_aligned_corpus(args.corpus, int(eff["max_frames"]))
     config = _model_config(eff, vocab.size, header.feature_dim)
     hypers = PretrainHypers(
         margin=float(eff["margin"]),
@@ -253,6 +271,10 @@ def cmd_pretrain(args) -> int:
         arrays, meta = load_checkpoint(args.resume)
         load_params_into(model.params(), arrays)
         start_step = int(meta["step"])
+        if start_step > steps:
+            raise ConfigError(
+                f"checkpoint {args.resume} is at step {start_step}, past --steps {steps}"
+            )
         optimizer.load_state_arrays(arrays, start_step)
 
     out_dir = Path(args.out_dir)
@@ -264,25 +286,16 @@ def cmd_pretrain(args) -> int:
         "vocab_tokens": vocab.tokens,
         "tasks": sorted(weights),
     }
-    log_path = out_dir / "train.log"
-    with log_path.open("a") as log_fh:
-        _echo_config(log_fh, eff)
-        batches = make_batches(
-            clips, vocab, config, int(eff["batch_size"]), seed, weights, steps,
-            start_step=start_step,
-        )
-        for batch in batches:
-            rng = dropout_rng(seed, batch.step) if config.dropout > 0 else None
-            loss = pretrain_step(model, batch, optimizer, hypers, train_rng=rng)
-            _guard_finite(loss, batch.step)
-            log_fh.write(f"{batch.step}, {batch.kind}, {loss:.10f}, {eff['lr']}, {seed}\n")
-            done = batch.step + 1
-            if int(eff["checkpoint_every"]) and done % int(eff["checkpoint_every"]) == 0:
-                _save_model_checkpoint(
-                    out_dir / f"step{done:06d}.ckpt", model, optimizer, {**meta, "step": done}
-                )
-    _save_model_checkpoint(out_dir / "final.ckpt", model, optimizer, {**meta, "step": steps})
-    print(f"pre-training finished at step {steps}; checkpoint: {out_dir / 'final.ckpt'}")
+    batches = make_batches(
+        clips, vocab, config, int(eff["batch_size"]), seed, weights, steps, start_step=start_step
+    )
+    work = (
+        (b.step, b.kind, partial(pretrain_step, model, b, optimizer, hypers)) for b in batches
+    )
+    final = _train_loop(
+        out_dir, eff, model, optimizer, meta, work, steps, int(eff["checkpoint_every"])
+    )
+    print(f"pre-training finished at step {steps}; checkpoint: {final}")
     return EXIT_OK
 
 
@@ -317,7 +330,7 @@ def cmd_finetune(args) -> int:
         config = None
 
     max_frames = config.max_frames if config else PRETRAIN_DEFAULTS["max_frames"]
-    header, vocab, clips = _load_aligned_corpus(args.corpus, max_frames, threads=args.threads)
+    header, vocab, clips = _load_aligned_corpus(args.corpus, max_frames)
     if config is None:
         base = dict(PRETRAIN_DEFAULTS)
         base["dropout"] = 0.1
@@ -341,62 +354,41 @@ def cmd_finetune(args) -> int:
     batch_size = int(eff["batch_size"])
     qa_lambda = float(eff["qa_lambda"])
 
+    clip_ids = sorted(grouped)
+    if args.task == "retrieval" and len(clip_ids) < 2:
+        raise DataError("retrieval finetuning needs examples on at least 2 clips")
+    loss_options = {"lam": qa_lambda} if args.task == "qa" else {}
+
+    def take_step(step: int, train_rng) -> float:
+        rng = np.random.default_rng([seed, _SEED_FINETUNE, step])
+        if args.task == "retrieval":
+            picked = rng.choice(len(clip_ids), size=min(batch_size, len(clip_ids)), replace=False)
+            if len(picked) < 2:
+                picked = rng.choice(len(clip_ids), size=2, replace=False)
+            clips_picked = [by_id[clip_ids[i]] for i in sorted(int(x) for x in picked)]
+            batch = [(c, retrieval_targets(c, grouped[c.clip_id], vocab)) for c in clips_picked]
+            return retrieval_finetune_step(model, batch, optimizer, hypers, train_rng=train_rng)
+        picked = rng.choice(len(examples), size=min(batch_size, len(examples)), replace=False)
+        batch = [examples[i] for i in sorted(int(x) for x in picked)]
+        return T.train_step(optimizer, lambda: _mean_terms([
+            model.loss(by_id[ex.clip_id], ex, vocab, train_rng=train_rng, **loss_options)
+            for ex in batch
+        ]))
+
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    log_path = out_dir / "train.log"
-    with log_path.open("a") as log_fh:
-        _echo_config(log_fh, {**eff, "task": args.task, "init": args.init or "scratch"})
-        for step in range(steps):
-            rng = np.random.default_rng([seed, 21, step])
-            train_rng = dropout_rng(seed, step) if config.dropout > 0 else None
-            if args.task == "retrieval":
-                ids = sorted(grouped)
-                if len(ids) < 2:
-                    raise DataError("retrieval finetuning needs examples on at least 2 clips")
-                picked = rng.choice(len(ids), size=min(batch_size, len(ids)), replace=False)
-                if len(picked) < 2:
-                    picked = rng.choice(len(ids), size=2, replace=False)
-                batch = [
-                    (by_id[ids[i]], retrieval_targets(by_id[ids[i]], grouped[ids[i]], vocab))
-                    for i in sorted(int(x) for x in picked)
-                ]
-                loss = retrieval_finetune_step(model, batch, optimizer, hypers, train_rng=train_rng)
-            else:
-                picked = rng.choice(len(examples), size=min(batch_size, len(examples)), replace=False)
-                T.zero_grads(optimizer.params.values())
-                terms = []
-                for i in sorted(int(x) for x in picked):
-                    ex = examples[i]
-                    clip = by_id[ex.clip_id]
-                    if args.task == "qa":
-                        terms.append(model.loss(clip, ex, vocab, lam=qa_lambda, train_rng=train_rng))
-                    else:
-                        terms.append(model.loss(clip, ex, vocab, train_rng=train_rng))
-                total = terms[0]
-                for t in terms[1:]:
-                    total = total + t
-                total = total * (1.0 / len(terms))
-                loss = total.item()
-                T.backward(total)
-                optimizer.step()
-            _guard_finite(loss, step)
-            log_fh.write(f"{step}, {args.task}, {loss:.10f}, {eff['lr']}, {seed}\n")
-
-    ckpt = out_dir / "final.ckpt"
-    _save_model_checkpoint(
-        ckpt,
-        model,
-        optimizer,
-        {
-            "model_kind": args.task,
-            "config": config.to_dict(),
-            "seed": seed,
-            "vocab_tokens": vocab.tokens,
-            "step": steps,
-            "qa_lambda": qa_lambda,
-        },
-    )
-    print(f"finetuning ({args.task}) finished; checkpoint: {ckpt}")
+    meta = {
+        "model_kind": args.task,
+        "config": config.to_dict(),
+        "seed": seed,
+        "vocab_tokens": vocab.tokens,
+        "step": steps,
+        "qa_lambda": qa_lambda,
+    }
+    echo = {**eff, "task": args.task, "init": args.init or "scratch"}
+    work = ((step, args.task, partial(take_step, step)) for step in range(steps))
+    final = _train_loop(out_dir, echo, model, optimizer, meta, work, steps)
+    print(f"finetuning ({args.task}) finished; checkpoint: {final}")
     return EXIT_OK
 
 
@@ -426,9 +418,7 @@ def cmd_eval(args) -> int:
         raise UsageError("every K must be at least 1")
 
     model, config, vocab, meta = _restore_model(args.checkpoint)
-    header, corpus_vocab, clips = _load_aligned_corpus(
-        args.corpus, config.max_frames, threads=args.threads
-    )
+    header, corpus_vocab, clips = _load_aligned_corpus(args.corpus, config.max_frames)
     if corpus_vocab.tokens != vocab.tokens:
         raise DataError("corpus vocabulary does not match the checkpoint vocabulary")
     by_id = _clips_by_id(clips)
@@ -552,7 +542,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", dest="out_dir", required=True)
     p.add_argument("--config", default=None, help="flat key = value option file")
     p.add_argument("--resume", default=None, help="checkpoint to resume from")
-    p.add_argument("--threads", type=int, default=1, help="data-pipeline alignment workers")
     for key, default in PRETRAIN_DEFAULTS.items():
         flag = "--" + key.replace("_", "-")
         if key == "tasks":
@@ -571,7 +560,6 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--init", default=None, help="pre-trained checkpoint to start from")
     f.add_argument("--from-scratch", dest="from_scratch", action="store_true")
     f.add_argument("--config", default=None)
-    f.add_argument("--threads", type=int, default=1, help="data-pipeline alignment workers")
     for key, default in FINETUNE_DEFAULTS.items():
         flag = "--" + key.replace("_", "-")
         if key == "qa_lambda":
@@ -592,7 +580,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--nms", type=str, default=None, help="tIoU threshold or `off`")
     e.add_argument("--k", type=str, default=None, help="comma-separated recall cutoffs")
     e.add_argument("--spans-per-clip", dest="spans_per_clip", type=int, default=None)
-    e.add_argument("--threads", type=int, default=1, help="data-pipeline alignment workers")
     e.set_defaults(func=cmd_eval)
 
     a = sub.add_parser("inspect-attention", help="dump attention grids for one clip")

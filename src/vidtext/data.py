@@ -279,20 +279,22 @@ def read_corpus(path: str | Path) -> tuple[CorpusHeader, list[RawClip]]:
             continue
         try:
             rec = json.loads(line)
+            # one array per clip: ragged feature lists raise ValueError here
+            feats = np.array([f["feat"] for f in rec["frames"]], dtype=np.float64)
             frames = [
-                Frame(float(f["t0"]), float(f["t1"]), np.asarray(f["feat"], dtype=np.float64))
-                for f in rec["frames"]
+                Frame(float(f["t0"]), float(f["t1"]), feat) for f, feat in zip(rec["frames"], feats)
             ]
             subs = [Subtitle(float(s["t0"]), float(s["t1"]), str(s["text"])) for s in rec["subs"]]
             clip = RawClip(str(rec["id"]), frames, subs)
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise DataError(f"corpus record at {path}:{lineno} is malformed: {exc}") from exc
-        for f in clip.frames:
-            if f.feat.shape != (header.feature_dim,):
-                raise DataError(
-                    f"clip {clip.clip_id!r} frame feature length {f.feat.shape} "
-                    f"does not match header feature_dim {header.feature_dim}"
-                )
+        if frames and feats.shape[1:] != (header.feature_dim,):
+            raise DataError(
+                f"clip {clip.clip_id!r} frame features have shape {feats.shape[1:]}, "
+                f"not header feature_dim {header.feature_dim}"
+            )
+        if not np.isfinite(feats).all():
+            raise DataError(f"clip {clip.clip_id!r} has non-finite frame features")
         for a, b in zip(clip.frames, clip.frames[1:]):
             if b.t0 < a.t0 or a.t1 > b.t0 + 1e-9:
                 raise DataError(f"clip {clip.clip_id!r} frames are not sorted/non-overlapping")
@@ -406,33 +408,3 @@ def synth_corpus(
 def epoch_order(n_clips: int, seed: int, epoch: int) -> np.ndarray:
     """Deterministic per-epoch shuffle of clip indices."""
     return np.random.default_rng([seed, _SEED_EPOCH, epoch]).permutation(n_clips)
-
-
-def pad_frame_batch(clips: Sequence[AlignedClip]) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-pad clip frame features to a common length.
-
-    Returns (batch, n_max, feature_dim) features and a boolean (batch,
-    n_max) mask marking real frames.
-    """
-    n_max = max(c.n_frames for c in clips)
-    dim = clips[0].frame_features.shape[1]
-    feats = np.zeros((len(clips), n_max, dim))
-    mask = np.zeros((len(clips), n_max), dtype=bool)
-    for b, c in enumerate(clips):
-        feats[b, : c.n_frames] = c.frame_features
-        mask[b, : c.n_frames] = True
-    return feats, mask
-
-
-def pad_token_batch(clips: Sequence[AlignedClip]) -> tuple[np.ndarray, np.ndarray]:
-    """PAD-pad token ids to (batch, max_sentences, max_tokens) with a mask."""
-    s_max = max(len(c.sentences) for c in clips)
-    l_max = max((len(s.token_ids) for c in clips for s in c.sentences), default=1)
-    l_max = max(l_max, 1)
-    ids = np.full((len(clips), s_max, l_max), PAD_ID, dtype=np.intp)
-    mask = np.zeros((len(clips), s_max, l_max), dtype=bool)
-    for b, c in enumerate(clips):
-        for j, s in enumerate(c.sentences):
-            ids[b, j, : len(s.token_ids)] = s.token_ids
-            mask[b, j, : len(s.token_ids)] = True
-    return ids, mask

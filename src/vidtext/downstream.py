@@ -25,6 +25,7 @@ from .encoder import (
     LayerNorm,
     Linear,
     ModelConfig,
+    Module,
     MultiHeadAttention,
 )
 from .errors import ConfigError, DataError, UsageError
@@ -253,13 +254,12 @@ def retrieval_finetune_step(
     queries instead of sampled subtitles."""
     if len(batch) < 2:
         raise UsageError("retrieval finetuning needs a batch of at least 2 clips")
-    T.zero_grads(optimizer.params.values())
-    encoded = [model.encoder.encode_clip(clip, train_rng=train_rng) for clip, _ in batch]
-    loss = model.vsm_loss(encoded, [targets for _, targets in batch], hypers, train_rng=train_rng)
-    value = loss.item()
-    T.backward(loss)
-    optimizer.step()
-    return value
+
+    def loss() -> T.Tensor:
+        encoded = [model.encoder.encode_clip(clip, train_rng=train_rng) for clip, _ in batch]
+        return model.vsm_loss(encoded, [targets for _, targets in batch], hypers, train_rng=train_rng)
+
+    return T.train_step(optimizer, loss)
 
 
 def best_spans(p_st: np.ndarray, p_ed: np.ndarray, top_n: int = 5) -> list[tuple[int, int, float]]:
@@ -314,15 +314,11 @@ def rank_clips(
 # -- video question answering -------------------------------------------------------
 
 
-class QaModel:
-    """Encoder plus answer scoring and span heads for multiple-choice QA."""
+class QaHead(Module):
+    """Answer scoring over a pooled clip vector per candidate, plus start and
+    end scoring over the answer-weighted frame rows."""
 
-    def __init__(self, config: ModelConfig, seed: int = 0):
-        self.config = config
-        self.seed = seed
-        rng = np.random.default_rng([seed, 2])
-        self.encoder = HierarchicalEncoder(config, rng)
-        d = config.d
+    def __init__(self, rng: np.random.Generator, d: int):
         self.pool_query = T.Tensor(rng.normal(0.0, 0.02, size=(d, 1)), requires_grad=True)
         self.ans_hidden = Linear(rng, d, d)
         self.ans_out = Linear(rng, d, 1, init="small")
@@ -332,17 +328,16 @@ class QaModel:
         self.ed_hidden = Linear(rng, d, d)
         self.ed_out = Linear(rng, d, 1, init="small")
 
-    def params(self) -> dict[str, T.Tensor]:
-        out = self.encoder.params("encoder")
-        out["qa.pool_query"] = self.pool_query
-        out.update(self.ans_hidden.params("qa.ans_hidden"))
-        out.update(self.ans_out.params("qa.ans_out"))
-        out["qa.answer_attn_query"] = self.answer_attn_query
-        out.update(self.st_hidden.params("qa.st_hidden"))
-        out.update(self.st_out.params("qa.st_out"))
-        out.update(self.ed_hidden.params("qa.ed_hidden"))
-        out.update(self.ed_out.params("qa.ed_out"))
-        return out
+
+class QaModel(Module):
+    """Encoder plus answer scoring and span heads for multiple-choice QA."""
+
+    def __init__(self, config: ModelConfig, seed: int = 0):
+        self.config = config
+        self.seed = seed
+        rng = np.random.default_rng([seed, 2])
+        self.encoder = HierarchicalEncoder(config, rng)
+        self.qa = QaHead(rng, config.d)
 
     def forward(
         self,
@@ -357,12 +352,13 @@ class QaModel:
         """
         if len(answer_ids) < 2:
             raise UsageError(f"multiple choice needs at least 2 candidates, got {len(answer_ids)}")
+        head = self.qa
         pooled_list, frame_rows_list, logits = [], [], []
         for ans in answer_ids:
             qa_ids = list(question_ids) + [SEP_ID] + list(ans)
             frame_rows = encode_with_appended_text(self.encoder, clip, qa_ids, train_rng=train_rng)
-            pooled = attention_pool(frame_rows, self.pool_query, self.config.d)
-            logits.append(self.ans_out(T.gelu(self.ans_hidden(pooled))))
+            pooled = attention_pool(frame_rows, head.pool_query, self.config.d)
+            logits.append(head.ans_out(T.gelu(head.ans_hidden(pooled))))
             pooled_list.append(pooled)
             frame_rows_list.append(frame_rows)
         ans_logits = T.concat_cols(logits)  # (1, n_answers)
@@ -372,15 +368,15 @@ class QaModel:
         # weighted sum across answers -> one span-scoring sequence
         pooled_stack = T.concat_rows(pooled_list)  # (n_answers, d)
         beta = T.softmax(
-            T.matmul(pooled_stack, self.answer_attn_query) * (1.0 / math.sqrt(self.config.d)),
+            T.matmul(pooled_stack, head.answer_attn_query) * (1.0 / math.sqrt(self.config.d)),
             axis=0,
         )
         fused = None
         for a, rows in enumerate(frame_rows_list):
             term = rows * T.take_rows(beta, [a])
             fused = term if fused is None else fused + term
-        st_logits = T.reshape(self.st_out(T.gelu(self.st_hidden(fused))), (-1,))
-        ed_logits = T.reshape(self.ed_out(T.gelu(self.ed_hidden(fused))), (-1,))
+        st_logits = T.reshape(head.st_out(T.gelu(head.st_hidden(fused))), (-1,))
+        ed_logits = T.reshape(head.ed_out(T.gelu(head.ed_hidden(fused))), (-1,))
         return log_p_ans, p_ans, T.log_softmax(st_logits, axis=-1), T.log_softmax(ed_logits, axis=-1)
 
     def loss(
@@ -434,7 +430,21 @@ def qa_loss_from_outputs(
 # -- video-language inference ----------------------------------------------------------
 
 
-class NliModel:
+class NliHead(Module):
+    """Entail/contradict logits (1, 2) from attention-pooled frame rows."""
+
+    def __init__(self, rng: np.random.Generator, d: int):
+        self.d = d
+        self.pool_query = T.Tensor(rng.normal(0.0, 0.02, size=(d, 1)), requires_grad=True)
+        self.cls_hidden = Linear(rng, d, d)
+        self.cls_out = Linear(rng, d, 2, init="small")
+
+    def __call__(self, frame_rows: T.Tensor) -> T.Tensor:
+        pooled = attention_pool(frame_rows, self.pool_query, self.d)
+        return self.cls_out(T.gelu(self.cls_hidden(pooled)))
+
+
+class NliModel(Module):
     """Binary entail/contradict classifier over a hypothesis-aware pooled clip vector."""
 
     def __init__(self, config: ModelConfig, seed: int = 0):
@@ -442,22 +452,12 @@ class NliModel:
         self.seed = seed
         rng = np.random.default_rng([seed, 3])
         self.encoder = HierarchicalEncoder(config, rng)
-        d = config.d
-        self.pool_query = T.Tensor(rng.normal(0.0, 0.02, size=(d, 1)), requires_grad=True)
-        self.cls_hidden = Linear(rng, d, d)
-        self.cls_out = Linear(rng, d, 2, init="small")
-
-    def params(self) -> dict[str, T.Tensor]:
-        out = self.encoder.params("encoder")
-        out["nli.pool_query"] = self.pool_query
-        out.update(self.cls_hidden.params("nli.cls_hidden"))
-        out.update(self.cls_out.params("nli.cls_out"))
-        return out
+        self.nli = NliHead(rng, config.d)
 
     def _logits(self, clip: AlignedClip, hypothesis_ids: Sequence[int], train_rng=None) -> T.Tensor:
-        frame_rows = encode_with_appended_text(self.encoder, clip, hypothesis_ids, train_rng=train_rng)
-        pooled = attention_pool(frame_rows, self.pool_query, self.config.d)
-        return self.cls_out(T.gelu(self.cls_hidden(pooled)))  # (1, 2)
+        return self.nli(
+            encode_with_appended_text(self.encoder, clip, hypothesis_ids, train_rng=train_rng)
+        )
 
     def loss(self, clip: AlignedClip, example: NliExample, vocab: Vocab, train_rng=None) -> T.Tensor:
         logits = self._logits(clip, tokenize(example.hypothesis, vocab), train_rng=train_rng)
@@ -471,7 +471,7 @@ class NliModel:
 # -- captioning -------------------------------------------------------------------------
 
 
-class DecoderBlock:
+class DecoderBlock(Module):
     """Pre-LN decoder block: causal self-attention, cross-attention into the
     encoder rows, feed-forward."""
 
@@ -489,19 +489,35 @@ class DecoderBlock:
         x = x + self.cross_attn(self.ln2(x), kv=enc_rows, key_mask=enc_mask, capture=capture)
         return x + self.ffn2(T.gelu(self.ffn1(self.ln3(x))))
 
-    def params(self, prefix):
-        out = {}
-        out.update(self.ln1.params(f"{prefix}.ln1"))
-        out.update(self.self_attn.params(f"{prefix}.self_attn"))
-        out.update(self.ln2.params(f"{prefix}.ln2"))
-        out.update(self.cross_attn.params(f"{prefix}.cross_attn"))
-        out.update(self.ln3.params(f"{prefix}.ln3"))
-        out.update(self.ffn1.params(f"{prefix}.ffn1"))
-        out.update(self.ffn2.params(f"{prefix}.ffn2"))
-        return out
+
+class Decoder(Module):
+    """Token and position embeddings, decoder blocks and the output
+    projection: vocabulary logits for every input position."""
+
+    def __init__(self, rng, config: ModelConfig, layers: int, max_len: int):
+        d = config.d
+        self.token_emb = T.Tensor(
+            rng.normal(0.0, 0.02, size=(config.vocab_size, d)), requires_grad=True
+        )
+        self.pos_emb = T.Tensor(rng.normal(0.0, 0.02, size=(max_len + 1, d)), requires_grad=True)
+        self.blocks = [
+            DecoderBlock(rng, d, config.cross_heads, config.ffn_multiplier) for _ in range(layers)
+        ]
+        self.ln_out = LayerNorm(d)
+        self.lm_out = Linear(rng, d, config.vocab_size, init="small")
+
+    def __call__(
+        self, input_ids: Sequence[int], enc_rows: T.Tensor, enc_mask: np.ndarray, capture=None
+    ) -> T.Tensor:
+        n = len(input_ids)
+        x = T.embedding(self.token_emb, list(input_ids)) + T.embedding(self.pos_emb, np.arange(n))
+        causal = np.tril(np.ones((n, n), dtype=bool))
+        for block in self.blocks:
+            x = block(x, enc_rows, causal, enc_mask, capture=capture)
+        return self.lm_out(self.ln_out(x))
 
 
-class CaptionModel:
+class CaptionModel(Module):
     """Encoder plus a shallow (2-layer) left-to-right decoder whose
     cross-attention is restricted to the frames of the captioned moment."""
 
@@ -511,27 +527,7 @@ class CaptionModel:
         self.max_len = max_len
         rng = np.random.default_rng([seed, 4])
         self.encoder = HierarchicalEncoder(config, rng)
-        d = config.d
-        self.dec_token_emb = T.Tensor(
-            rng.normal(0.0, 0.02, size=(config.vocab_size, d)), requires_grad=True
-        )
-        self.dec_pos_emb = T.Tensor(rng.normal(0.0, 0.02, size=(max_len + 1, d)), requires_grad=True)
-        self.blocks = [
-            DecoderBlock(rng, d, config.cross_heads, config.ffn_multiplier)
-            for _ in range(decoder_layers)
-        ]
-        self.ln_out = LayerNorm(d)
-        self.lm_out = Linear(rng, d, config.vocab_size, init="small")
-
-    def params(self) -> dict[str, T.Tensor]:
-        out = self.encoder.params("encoder")
-        out["decoder.token_emb"] = self.dec_token_emb
-        out["decoder.pos_emb"] = self.dec_pos_emb
-        for i, b in enumerate(self.blocks):
-            out.update(b.params(f"decoder.{i}"))
-        out.update(self.ln_out.params("decoder.ln_out"))
-        out.update(self.lm_out.params("decoder.lm_out"))
-        return out
+        self.decoder = Decoder(rng, config, decoder_layers, max_len)
 
     def _moment_mask(self, clip: AlignedClip, moment: tuple[float, float]) -> np.ndarray:
         try:
@@ -541,19 +537,6 @@ class CaptionModel:
         mask = np.zeros(clip.n_frames, dtype=bool)
         mask[st : ed + 1] = True
         return mask
-
-    def _decode_logits(
-        self, input_ids: Sequence[int], enc_rows: T.Tensor, enc_mask: np.ndarray,
-        train_rng=None, capture=None,
-    ) -> T.Tensor:
-        n = len(input_ids)
-        x = T.embedding(self.dec_token_emb, list(input_ids)) + T.embedding(
-            self.dec_pos_emb, np.arange(n)
-        )
-        causal = np.tril(np.ones((n, n), dtype=bool))
-        for block in self.blocks:
-            x = block(x, enc_rows, causal, enc_mask, capture=capture)
-        return self.lm_out(self.ln_out(x))
 
     def loss(
         self, clip: AlignedClip, example: CaptionExample, vocab: Vocab, train_rng=None
@@ -566,7 +549,7 @@ class CaptionModel:
         enc_mask = self._moment_mask(clip, example.moment)
         input_ids = [CLS_ID] + target
         labels = target + [SEP_ID]
-        logits = self._decode_logits(input_ids, enc.v_temp, enc_mask, train_rng=train_rng)
+        logits = self.decoder(input_ids, enc.v_temp, enc_mask)
         return T.cross_entropy(logits, labels)
 
     def greedy_decode(
@@ -581,7 +564,7 @@ class CaptionModel:
             enc = self.encoder.encode_clip(clip)
             ids = [CLS_ID]
             for _ in range(max_len):
-                logits = self._decode_logits(ids, enc.v_temp, enc_mask, capture=capture)
+                logits = self.decoder(ids, enc.v_temp, enc_mask, capture=capture)
                 nxt = int(np.argmax(logits.data[-1]))
                 if nxt == SEP_ID:
                     break

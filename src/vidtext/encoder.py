@@ -67,7 +67,28 @@ class ModelConfig:
 # -- parameter containers ----------------------------------------------------
 
 
-class Linear:
+class Module:
+    """A parameter container whose checkpoint names are attribute paths.
+
+    A Tensor attribute is named by the attribute, a Module attribute nests
+    its names under the attribute, and each Module in a list attribute nests
+    under its index alone.  Names come out in attribute assignment order.
+    """
+
+    def params(self, prefix: str = "") -> dict[str, T.Tensor]:
+        out: dict[str, T.Tensor] = {}
+        for name, value in vars(self).items():
+            items = enumerate(value) if isinstance(value, list) else [(name, value)]
+            for key, item in items:
+                path = f"{prefix}.{key}" if prefix else str(key)
+                if isinstance(item, T.Tensor):
+                    out[path] = item
+                elif isinstance(item, Module):
+                    out.update(item.params(path))
+        return out
+
+
+class Linear(Module):
     def __init__(self, rng: np.random.Generator, fan_in: int, fan_out: int, init: str = "xavier"):
         if init == "xavier":
             bound = np.sqrt(6.0 / (fan_in + fan_out))
@@ -83,11 +104,9 @@ class Linear:
     def __call__(self, x: T.Tensor) -> T.Tensor:
         return T.matmul(x, self.w) + self.b
 
-    def params(self, prefix: str) -> dict[str, T.Tensor]:
-        return {f"{prefix}.w": self.w, f"{prefix}.b": self.b}
 
 
-class LayerNorm:
+class LayerNorm(Module):
     def __init__(self, d: int, eps: float = 1e-5):
         self.gain = T.Tensor(np.ones(d), requires_grad=True)
         self.bias = T.Tensor(np.zeros(d), requires_grad=True)
@@ -96,22 +115,18 @@ class LayerNorm:
     def __call__(self, x: T.Tensor) -> T.Tensor:
         return T.layer_norm(x, self.gain, self.bias, eps=self.eps)
 
-    def params(self, prefix: str) -> dict[str, T.Tensor]:
-        return {f"{prefix}.gain": self.gain, f"{prefix}.bias": self.bias}
 
 
-class EmbeddingTable:
+class EmbeddingTable(Module):
     def __init__(self, rng: np.random.Generator, rows: int, d: int):
         self.table = T.Tensor(rng.normal(0.0, 0.02, size=(rows, d)), requires_grad=True)
 
     def __call__(self, ids) -> T.Tensor:
         return T.embedding(self.table, ids)
 
-    def params(self, prefix: str) -> dict[str, T.Tensor]:
-        return {f"{prefix}.table": self.table}
 
 
-class MultiHeadAttention:
+class MultiHeadAttention(Module):
     """Multi-head attention; self-attention by default, cross-attention when
     ``kv`` rows are supplied.  ``key_mask`` is boolean over keys, either
     (n_keys,) or a full (n_queries, n_keys) grid (e.g. causal)."""
@@ -152,14 +167,9 @@ class MultiHeadAttention:
             outs.append(T.matmul(attn, vh))
         return self.wo(T.concat_cols(outs))
 
-    def params(self, prefix: str) -> dict[str, T.Tensor]:
-        out = {}
-        for name, lin in (("wq", self.wq), ("wk", self.wk), ("wv", self.wv), ("wo", self.wo)):
-            out.update(lin.params(f"{prefix}.{name}"))
-        return out
 
 
-class TransformerBlock:
+class TransformerBlock(Module):
     """Pre-LN block: x += attn(LN(x)); x += ffn(LN(x))."""
 
     def __init__(self, rng: np.random.Generator, d: int, heads: int, ffn_multiplier: int):
@@ -175,17 +185,9 @@ class TransformerBlock:
         f = self.ffn2(T.gelu(self.ffn1(self.ln2(x))))
         return x + T.dropout(f, dropout, train_rng)
 
-    def params(self, prefix: str) -> dict[str, T.Tensor]:
-        out = {}
-        out.update(self.ln1.params(f"{prefix}.ln1"))
-        out.update(self.attn.params(f"{prefix}.attn"))
-        out.update(self.ln2.params(f"{prefix}.ln2"))
-        out.update(self.ffn1.params(f"{prefix}.ffn1"))
-        out.update(self.ffn2.params(f"{prefix}.ffn2"))
-        return out
 
 
-class TransformerStack:
+class TransformerStack(Module):
     def __init__(self, rng, d: int, layers: int, heads: int, ffn_multiplier: int):
         self.blocks = [TransformerBlock(rng, d, heads, ffn_multiplier) for _ in range(layers)]
         self.ln_out = LayerNorm(d)
@@ -199,12 +201,6 @@ class TransformerStack:
             x = block(x, key_mask=key_mask, dropout=dropout, train_rng=train_rng, capture=layer_capture)
         return self.ln_out(x)
 
-    def params(self, prefix: str) -> dict[str, T.Tensor]:
-        out = {}
-        for i, block in enumerate(self.blocks):
-            out.update(block.params(f"{prefix}.{i}"))
-        out.update(self.ln_out.params(f"{prefix}.ln_out"))
-        return out
 
 
 # -- the encoder --------------------------------------------------------------
@@ -222,7 +218,7 @@ class EncodedClip:
     attention: dict = field(default_factory=dict)
 
 
-class HierarchicalEncoder:
+class HierarchicalEncoder(Module):
     """Embeds tokens and frames, fuses each sentence with its frame group,
     then contextualizes the reassembled clip with the temporal stack."""
 
@@ -240,17 +236,6 @@ class HierarchicalEncoder:
             rng, c.d, c.temporal_layers, c.temporal_heads, c.ffn_multiplier
         )
 
-    def params(self, prefix: str = "encoder") -> dict[str, T.Tensor]:
-        out = {}
-        out.update(self.token_emb.params(f"{prefix}.token_emb"))
-        out.update(self.text_pos.params(f"{prefix}.text_pos"))
-        out.update(self.text_ln.params(f"{prefix}.text_ln"))
-        out.update(self.frame_fc.params(f"{prefix}.frame_fc"))
-        out.update(self.frame_pos.params(f"{prefix}.frame_pos"))
-        out.update(self.frame_ln.params(f"{prefix}.frame_ln"))
-        out.update(self.cross.params(f"{prefix}.cross"))
-        out.update(self.temporal.params(f"{prefix}.temporal"))
-        return out
 
     # -- embedders -----------------------------------------------------------
 

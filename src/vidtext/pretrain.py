@@ -16,8 +16,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import tensor as T
-from .data import MASK_ID, AlignedClip, Vocab, epoch_order, pad_frame_batch
-from .encoder import HierarchicalEncoder, LayerNorm, Linear, ModelConfig
+from .data import MASK_ID, AlignedClip, Vocab, epoch_order
+from .encoder import HierarchicalEncoder, LayerNorm, Linear, ModelConfig, Module
 from .errors import ConfigError, UsageError
 
 TASK_NAMES = ("mlm", "mffr", "mnce", "vsm", "fom")
@@ -37,6 +37,7 @@ _SEED_TASK = 10
 _SEED_PLAN = 11
 _SEED_DROPOUT = 12
 _SEED_NEGATIVES = 13
+_SEED_FINETUNE = 21  # finetune example picks
 
 
 @dataclass
@@ -177,7 +178,7 @@ def sample_vsm_targets(clip: AlignedClip, rng: np.random.Generator) -> list[VsmT
 # -- model ---------------------------------------------------------------------
 
 
-class QueryEncoder:
+class QueryEncoder(Module):
     """Pools fused query-token rows into one vector: attention pooling with a
     learned query, then two linear layers and a layer norm."""
 
@@ -194,13 +195,6 @@ class QueryEncoder:
         pooled = T.matmul(alpha.T, w_cross)  # (1, d)
         return self.ln(self.lin2(T.gelu(self.lin1(pooled))))
 
-    def params(self, prefix: str) -> dict[str, T.Tensor]:
-        out = {f"{prefix}.pool": self.pool}
-        out.update(self.lin1.params(f"{prefix}.lin1"))
-        out.update(self.lin2.params(f"{prefix}.lin2"))
-        out.update(self.ln.params(f"{prefix}.ln"))
-        return out
-
 
 @dataclass
 class VsmScores:
@@ -212,7 +206,7 @@ class VsmScores:
     log_p_ed: T.Tensor
 
 
-class PretrainModel:
+class PretrainModel(Module):
     """Encoder plus every pre-training head."""
 
     def __init__(self, config: ModelConfig, seed: int = 0):
@@ -231,17 +225,6 @@ class PretrainModel:
         self.span_ed_filter = T.Tensor(
             rng.normal(0.0, 0.02, size=SPAN_FILTER_WIDTH), requires_grad=True
         )
-
-    def params(self) -> dict[str, T.Tensor]:
-        out = self.encoder.params("encoder")
-        out.update(self.lm_head.params("lm_head"))
-        out.update(self.mffr_head.params("mffr_head"))
-        out.update(self.mnce_proj.params("mnce_proj"))
-        out.update(self.fom_head.params("fom_head"))
-        out.update(self.query_encoder.params("query_encoder"))
-        out["span_st_filter"] = self.span_st_filter
-        out["span_ed_filter"] = self.span_ed_filter
-        return out
 
     # -- masked-input encoding -------------------------------------------------
 
@@ -469,9 +452,6 @@ class TaskBatch:
     reorder_plans: list[ReorderPlan] | None = None
     vsm_targets: list[list[VsmTarget]] | None = None
 
-    def padded_frames(self) -> tuple[np.ndarray, np.ndarray]:
-        return pad_frame_batch(self.clips)
-
 
 def make_batches(
     clips: Sequence[AlignedClip],
@@ -610,10 +590,5 @@ def pretrain_step(
     hypers: PretrainHypers,
     train_rng: np.random.Generator | None = None,
 ) -> float:
-    """One optimization step: forward, task loss, backward, parameter update."""
-    T.zero_grads(optimizer.params.values())
-    loss = task_loss(model, batch, hypers, train_rng=train_rng)
-    value = loss.item()
-    T.backward(loss)
-    optimizer.step()
-    return value
+    """One optimization step on the batch's task loss."""
+    return T.train_step(optimizer, lambda: task_loss(model, batch, hypers, train_rng=train_rng))

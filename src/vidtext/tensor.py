@@ -567,3 +567,18 @@ class AdamW:
             self.m[name] = np.array(arrays[f"adam.m.{name}"], dtype=np.float64)
             self.v[name] = np.array(arrays[f"adam.v.{name}"], dtype=np.float64)
         self.step_count = step_count
+
+
+def train_step(optimizer: AdamW, loss_fn: Callable[[], Tensor]) -> float:
+    """One optimization step: zero grads, forward (``loss_fn``), backward,
+    parameter update.  A forward or backward pass that raises leaves no ops
+    on the tape, so it cannot leak into the next step."""
+    zero_grads(optimizer.params.values())
+    try:
+        loss = loss_fn()
+        value = loss.item()
+        backward(loss)
+    finally:
+        reset_tape()  # a no-op after backward; drops a failed pass's ops
+    optimizer.step()
+    return value

@@ -72,3 +72,55 @@ class TestCorruption:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(DataError, match="truncated"):
             load_checkpoint(path)
+
+    def test_short_preamble(self, sample):
+        path, _, _ = sample
+        path.write_bytes(path.read_bytes()[:10])
+        with pytest.raises(DataError, match="truncated"):
+            load_checkpoint(path)
+
+    def test_trailing_bytes(self, sample):
+        path, _, _ = sample
+        path.write_bytes(path.read_bytes() + b"\0" * 8)
+        with pytest.raises(DataError, match="after its last array"):
+            load_checkpoint(path)
+
+
+def with_header(path, header: bytes, payload: bytes = b"") -> None:
+    path.write_bytes(
+        MAGIC + struct.pack("<I", FORMAT_VERSION) + struct.pack("<Q", len(header)) + header + payload
+    )
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        b"{not json",
+        b"\xff\xfe\x00",
+        b"[]",
+        b'{"meta": {}}',
+        b'{"arrays": []}',
+        b'{"meta": [], "arrays": []}',
+        b'{"meta": {}, "arrays": [{"name": "w"}]}',
+        b'{"meta": {}, "arrays": [{"shape": [2]}]}',
+        b'{"meta": {}, "arrays": ["w"]}',
+        b'{"meta": {}, "arrays": [{"name": 3, "shape": [1]}]}',
+        b'{"meta": {}, "arrays": [{"name": "w", "shape": [-1]}]}',
+        b'{"meta": {}, "arrays": [{"name": "w", "shape": [1.5]}]}',
+        b'{"meta": {}, "arrays": [{"name": "w", "shape": 2}]}',
+    ],
+)
+def test_malformed_header_is_a_data_error(tmp_path, header):
+    path = tmp_path / "bad.ckpt"
+    with_header(path, header, b"\0" * 16)
+    with pytest.raises(DataError, match="malformed header"):
+        load_checkpoint(path)
+
+
+def test_well_formed_header_still_loads(tmp_path):
+    path = tmp_path / "ok.ckpt"
+    with_header(path, b'{"meta": {"step": 1}, "arrays": [{"name": "w", "shape": [2]}]}',
+                struct.pack("<2d", 1.0, 2.0))
+    arrays, meta = load_checkpoint(path)
+    assert meta == {"step": 1}
+    np.testing.assert_array_equal(arrays["w"], [1.0, 2.0])

@@ -189,6 +189,23 @@ class TestPretrain:
         assert a == b  # identical per-step loss trajectory after resume
 
 
+    def test_resume_past_steps_is_refused(self, corpus, tmp_path, capsys):
+        base = [
+            "pretrain", "--corpus", str(corpus), "--batch-size", "2", "--dropout", "0.0",
+            *SMALL_MODEL,
+        ]
+        first = tmp_path / "first"
+        assert main([*base, "--out-dir", str(first), "--steps", "4", "--checkpoint-every", "4"]) == EXIT_OK
+        resumed = tmp_path / "resumed"
+        rc = main([
+            *base, "--out-dir", str(resumed), "--steps", "2",
+            "--resume", str(first / "step000004.ckpt"),
+        ])
+        assert rc == EXIT_USAGE
+        assert "past --steps 2" in capsys.readouterr().err
+        assert not (resumed / "final.ckpt").exists()
+
+
 class TestFinetuneAndEval:
     def test_each_task_runs_and_evaluates(self, corpus, pretrained, tmp_path, capsys):
         tasks = write_toy_tasks(corpus, tmp_path)
@@ -275,6 +292,20 @@ class TestFinetuneAndEval:
             "--corpus", str(corpus), "--checkpoint", str(pretrained),
         ])
         assert rc == EXIT_DATA
+
+
+    def test_malformed_checkpoint_exits_two(self, corpus, pretrained, tmp_path, capsys):
+        tasks = write_toy_tasks(corpus, tmp_path)
+        raw = pretrained.read_bytes()
+        bad = tmp_path / "bad.ckpt"
+        for corrupt in (raw[:16] + b"\xff" + raw[17:], raw + b"\0"):
+            bad.write_bytes(corrupt)
+            rc = main([
+                "eval", "--task", "retrieval", "--data", str(tasks["retrieval"]),
+                "--corpus", str(corpus), "--checkpoint", str(bad),
+            ])
+            assert rc == EXIT_DATA
+            assert "error: checkpoint" in capsys.readouterr().err
 
 
 class TestInspectAttention:

@@ -1,12 +1,12 @@
 """Corpus pipeline tests: tokenizer, alignment vs brute force, file formats."""
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
 from vidtext.data import (
-    PAD_ID,
     UNK_ID,
     Frame,
     RawClip,
@@ -16,16 +16,12 @@ from vidtext.data import (
     detokenize,
     epoch_order,
     load_corpus_vocab,
-    pad_frame_batch,
-    pad_token_batch,
     read_corpus,
     synth_corpus,
     tokenize,
     write_corpus,
 )
 from vidtext.errors import ConfigError, DataError
-
-from conftest import make_clip
 
 
 def clip_of(frames, subs, feat_dim=2, clip_id="c"):
@@ -240,6 +236,17 @@ class TestSynthCorpus:
         with pytest.raises(DataError):
             read_corpus(p)
 
+    @pytest.mark.parametrize("bad", ["NaN", "1e999", "-Infinity"])
+    def test_non_finite_features_rejected(self, tmp_path, bad):
+        path, _ = synth_corpus(tmp_path / "c.jsonl", num_clips=2, seed=3)
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[2])
+        rec["frames"][1]["feat"][0] = "BAD"
+        lines[2] = json.dumps(rec).replace('"BAD"', bad)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=repr(rec["id"])):
+            read_corpus(path)
+
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(DataError):
             read_corpus(tmp_path / "nope.jsonl")
@@ -255,26 +262,6 @@ class TestSynthCorpus:
 
 
 class TestBatching:
-    def test_padding_shapes_and_mask(self, small_vocab):
-        rng = np.random.default_rng(11)
-        clips = [
-            make_clip(rng, small_vocab, groups=(3, 4), tokens=(3, 3), clip_id="a"),
-            make_clip(rng, small_vocab, groups=(4, 5), tokens=(2, 4), clip_id="b"),
-        ]
-        feats, mask = pad_frame_batch(clips)
-        assert feats.shape == (2, 9, 8)
-        assert mask.sum() == 16
-        assert not mask[0, 7:].any()
-        np.testing.assert_array_equal(feats[0, 7:], 0.0)
-
-    def test_token_padding_uses_pad_id(self, small_vocab):
-        rng = np.random.default_rng(12)
-        clips = [make_clip(rng, small_vocab, groups=(2, 2), tokens=(2, 5))]
-        ids, mask = pad_token_batch(clips)
-        assert ids.shape == (1, 2, 5)
-        assert (ids[0, 0, 2:] == PAD_ID).all()
-        assert mask[0, 1].all()
-
     def test_epoch_order_is_a_deterministic_partition(self):
         a = epoch_order(10, seed=3, epoch=0)
         b = epoch_order(10, seed=3, epoch=0)

@@ -134,10 +134,10 @@ class TestQa:
             qa_model.forward(toy_clip, [5, 6], [[7]])
 
     def test_uniform_answers_give_log_n(self, qa_model, toy_clip, small_vocab):
-        qa_model.ans_hidden.w.data[:] = 0.0
-        qa_model.ans_hidden.b.data[:] = 0.0
-        qa_model.ans_out.w.data[:] = 0.0
-        qa_model.ans_out.b.data[:] = 0.0
+        qa_model.qa.ans_hidden.w.data[:] = 0.0
+        qa_model.qa.ans_hidden.b.data[:] = 0.0
+        qa_model.qa.ans_out.w.data[:] = 0.0
+        qa_model.qa.ans_out.b.data[:] = 0.0
         ex = qa_example(toy_clip, small_vocab, label=3, n_answers=5)
         loss = qa_model.loss(toy_clip, ex, small_vocab, lam=QA_LAMBDA_DEFAULT)
         assert loss.item() == pytest.approx(math.log(5), abs=1e-12)
@@ -196,8 +196,8 @@ class TestNli:
 
     def test_rigged_logits_zero_the_loss(self, tiny_config, toy_clip, small_vocab):
         model = NliModel(tiny_config, seed=0)
-        model.cls_out.w.data[:] = 0.0
-        model.cls_out.b.data[:] = np.array([0.0, 60.0])
+        model.nli.cls_out.w.data[:] = 0.0
+        model.nli.cls_out.b.data[:] = np.array([0.0, 60.0])
         ex = NliExample(toy_clip.clip_id, "w003 w004", 1)
         assert model.loss(toy_clip, ex, small_vocab).item() < 1e-6
         T.reset_tape()
@@ -228,13 +228,13 @@ class TestNli:
 
 class TestCaption:
     def test_decoder_defaults_to_two_layers(self, tiny_config):
-        assert len(CaptionModel(tiny_config, seed=0).blocks) == 2
+        assert len(CaptionModel(tiny_config, seed=0).decoder.blocks) == 2
 
     def test_rigged_head_copies_one_token(self, tiny_config, toy_clip, small_vocab):
         model = CaptionModel(tiny_config, seed=0, max_len=6)
-        model.lm_out.w.data[:] = 0.0
-        model.lm_out.b.data[:] = 0.0
-        model.lm_out.b.data[9] = 50.0
+        model.decoder.lm_out.w.data[:] = 0.0
+        model.decoder.lm_out.b.data[:] = 0.0
+        model.decoder.lm_out.b.data[9] = 50.0
         out = model.greedy_decode(toy_clip, (0.0, 7.0))
         assert out == [9] * 6  # repeats to max_len, never emits the end token
 

@@ -439,17 +439,6 @@ class TestBatching:
             if b.kind in ("mffr", "mnce"):
                 assert b.token_plans is None
 
-    def test_padded_frames_contract(self, small_vocab, tiny_config):
-        rng = np.random.default_rng(18)
-        clips = [
-            make_clip(rng, small_vocab, groups=(3, 4), clip_id="a"),
-            make_clip(rng, small_vocab, groups=(4, 5), clip_id="b"),
-        ]
-        batch = P.build_task_batch("mlm", clips, small_vocab, tiny_config, np.random.default_rng(0))
-        feats, mask = batch.padded_frames()
-        assert feats.shape[1] == 9
-        assert mask[0].sum() == 7 and mask[1].sum() == 9
-
     def test_epoch_covers_every_clip_exactly_once(self, small_vocab, tiny_config):
         clips = self._corpus(small_vocab, n=4)
         batches = list(
@@ -557,3 +546,30 @@ class TestPretrainStep:
             T.backward(loss)
             grads = [p.grad for p in shared.values() if p.grad is not None]
             assert any(np.abs(g).max() > 0 for g in grads), kind
+
+    def test_failed_forward_leaves_no_ops_on_the_tape(self, small_vocab, tiny_config):
+        rng = np.random.default_rng(30)
+        clips = [make_clip(rng, small_vocab, clip_id=f"c{i}") for i in range(2)]
+        batch = P.build_task_batch("mffr", clips, small_vocab, tiny_config,
+                                   np.random.default_rng(0), step=0, seed=0)
+        hypers = P.PretrainHypers()
+
+        def grads_of_one_step(fail_first):
+            model = P.PretrainModel(tiny_config, seed=3)
+            opt = T.AdamW(model.params(), lr=1e-3)
+            if fail_first:
+                def failing_loss(encoded, plan):
+                    raise RuntimeError("head failed after the encoder ran")
+
+                model.mffr_loss = failing_loss
+                with pytest.raises(RuntimeError):
+                    P.pretrain_step(model, batch, opt, hypers)
+                assert T.tape_size() == 0
+                del model.mffr_loss
+            P.pretrain_step(model, batch, opt, hypers)
+            return {k: p.grad for k, p in model.params().items()}
+
+        fresh, after_failure = grads_of_one_step(False), grads_of_one_step(True)
+        assert fresh.keys() == after_failure.keys()
+        for name in fresh:
+            np.testing.assert_array_equal(after_failure[name], fresh[name], err_msg=name)

@@ -334,3 +334,36 @@ class TestGradcheckHelper:
         ana = np.array([1.0, 2.0])
         num = np.array([1.0, np.nan])
         assert max_rel_err(ana, num) == 0.0
+
+
+class TestTrainStep:
+    def test_step_matches_the_manual_sequence(self):
+        def run(manual):
+            p = T.Tensor(np.array([1.0, -2.0]), requires_grad=True)
+            opt = T.AdamW({"p": p}, lr=0.1)
+            if manual:
+                T.zero_grads([p])
+                loss = (p * p).sum()
+                value = loss.item()
+                T.backward(loss)
+                opt.step()
+            else:
+                value = T.train_step(opt, lambda: (p * p).sum())
+            return value, p.data.copy()
+
+        assert run(True)[0] == run(False)[0] == 5.0
+        np.testing.assert_array_equal(run(True)[1], run(False)[1])
+
+    def test_raising_loss_clears_the_tape_and_skips_the_update(self):
+        p = T.Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        opt = T.AdamW({"p": p}, lr=0.1)
+
+        def failing_loss():
+            (p * p).sum()
+            raise ValueError("forward failed")
+
+        with pytest.raises(ValueError):
+            T.train_step(opt, failing_loss)
+        assert T.tape_size() == 0
+        assert opt.step_count == 0
+        np.testing.assert_array_equal(p.data, [1.0, -2.0])
