@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -22,7 +23,12 @@ FORMAT_VERSION = 1
 
 
 def save_checkpoint(path: str | Path, arrays: dict[str, np.ndarray], meta: dict) -> None:
-    """Write named float arrays plus a JSON-serializable metadata dict."""
+    """Write named float arrays plus a JSON-serializable metadata dict.
+
+    The bytes go to a temporary file in the same directory, which then
+    replaces ``path`` in one rename, so a save that fails partway leaves any
+    earlier file at ``path`` as it was.
+    """
     entries = []
     blobs = []
     for name in sorted(arrays):
@@ -30,13 +36,20 @@ def save_checkpoint(path: str | Path, arrays: dict[str, np.ndarray], meta: dict)
         entries.append({"name": name, "shape": list(arr.shape)})
         blobs.append(arr.tobytes())
     header = json.dumps({"meta": meta, "arrays": entries}).encode("utf-8")
-    with Path(path).open("wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", FORMAT_VERSION))
-        fh.write(struct.pack("<Q", len(header)))
-        fh.write(header)
-        for blob in blobs:
-            fh.write(blob)
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", FORMAT_VERSION))
+            fh.write(struct.pack("<Q", len(header)))
+            fh.write(header)
+            for blob in blobs:
+                fh.write(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:

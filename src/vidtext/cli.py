@@ -224,6 +224,7 @@ def _train_loop(
 def cmd_gen_data(args) -> int:
     if args.fps is not None and args.fps <= 0:
         raise UsageError(f"--fps must be positive, got {args.fps}")
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     path, vocab = synth_corpus(
         args.out,
         num_clips=args.clips,
@@ -270,7 +271,7 @@ def cmd_pretrain(args) -> int:
     if args.resume:
         arrays, meta = load_checkpoint(args.resume)
         load_params_into(model.params(), arrays)
-        start_step = int(meta["step"])
+        start_step = int(_meta_fields(meta, args.resume, "step")[0])
         if start_step > steps:
             raise ConfigError(
                 f"checkpoint {args.resume} is at step {start_step}, past --steps {steps}"
@@ -324,7 +325,7 @@ def cmd_finetune(args) -> int:
 
     if args.init:
         arrays, meta = load_checkpoint(args.init)
-        config = ModelConfig.from_dict(meta["config"])
+        config = _meta_config(meta, args.init)
     else:
         arrays, meta = None, None
         config = None
@@ -392,17 +393,32 @@ def cmd_finetune(args) -> int:
     return EXIT_OK
 
 
+def _meta_fields(meta: dict, path, *keys) -> list:
+    """The values of the named checkpoint meta keys; a missing key is a
+    DataError (exit 2) that names it."""
+    for key in keys:
+        if key not in meta:
+            raise DataError(f"checkpoint {path} has no {key!r} in its meta")
+    return [meta[key] for key in keys]
+
+
+def _meta_config(meta: dict, path) -> ModelConfig:
+    (raw,) = _meta_fields(meta, path, "config")
+    try:
+        return ModelConfig.from_dict(raw)
+    except TypeError as exc:
+        raise DataError(f"checkpoint {path} has a malformed config: {exc}") from exc
+
+
 def _restore_model(checkpoint_path: str):
     from .data import Vocab
 
     arrays, meta = load_checkpoint(checkpoint_path)
-    config = ModelConfig.from_dict(meta["config"])
-    kind = meta["model_kind"]
-    model = finetune_model_for(
-        kind if kind != "pretrain" else "retrieval", config, int(meta.get("seed", 0))
-    )
+    config = _meta_config(meta, checkpoint_path)
+    kind, seed, tokens = _meta_fields(meta, checkpoint_path, "model_kind", "seed", "vocab_tokens")
+    model = finetune_model_for(kind if kind != "pretrain" else "retrieval", config, int(seed))
     load_params_into(model.params(), arrays)
-    vocab = Vocab.from_tokens(meta["vocab_tokens"])
+    vocab = Vocab.from_tokens(tokens)
     return model, config, vocab, meta
 
 

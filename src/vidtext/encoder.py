@@ -127,9 +127,11 @@ class EmbeddingTable(Module):
 
 
 class MultiHeadAttention(Module):
-    """Multi-head attention; self-attention by default, cross-attention when
-    ``kv`` rows are supplied.  ``key_mask`` is boolean over keys, either
-    (n_keys,) or a full (n_queries, n_keys) grid (e.g. causal)."""
+    """Multi-head attention over the last two axes of ``x`` (..., n, d);
+    leading axes are batch axes.  Self-attention by default, cross-attention
+    when ``kv`` rows are supplied.  ``key_mask`` is boolean and broadcasts
+    against each head's (..., n_queries, n_keys) score grid: (n_keys,), a
+    full (n_queries, n_keys) grid (e.g. causal), or (batch, 1, n_keys)."""
 
     def __init__(self, rng: np.random.Generator, d: int, heads: int):
         self.d = d
@@ -140,6 +142,13 @@ class MultiHeadAttention(Module):
         self.wv = Linear(rng, d, d)
         self.wo = Linear(rng, d, d)
 
+    def _split_heads(self, x: T.Tensor, order: tuple[int, int, int]) -> T.Tensor:
+        """Reshape (..., n, d) to (..., n, heads, dh), then put those three
+        axes in ``order`` (0 = n, 1 = heads, 2 = dh)."""
+        lead = x.data.ndim - 2
+        split = T.reshape(x, x.shape[:-1] + (self.heads, self.dh))
+        return T.permute(split, tuple(range(lead)) + tuple(lead + a for a in order))
+
     def __call__(
         self,
         x: T.Tensor,
@@ -148,24 +157,22 @@ class MultiHeadAttention(Module):
         kv: T.Tensor | None = None,
     ) -> T.Tensor:
         source = x if kv is None else kv
-        q, k, v = self.wq(x), self.wk(source), self.wv(source)
+        q = self._split_heads(self.wq(x) * (1.0 / np.sqrt(self.dh)), (1, 0, 2))  # (..., h, n, dh)
+        k_t = self._split_heads(self.wk(source), (1, 2, 0))  # (..., h, dh, m)
+        v = self._split_heads(self.wv(source), (1, 0, 2))  # (..., h, m, dh)
+        scores = T.matmul(q, k_t)
         if key_mask is not None:
-            bias = T.Tensor(np.where(key_mask, 0.0, ATTENTION_MASK_BIAS))
-        outs = []
-        scale = 1.0 / np.sqrt(self.dh)
-        for h in range(self.heads):
-            lo, hi = h * self.dh, (h + 1) * self.dh
-            qh = T.slice_cols(q, lo, hi)
-            kh = T.slice_cols(k, lo, hi)
-            vh = T.slice_cols(v, lo, hi)
-            scores = T.matmul(qh, kh.T) * scale
-            if key_mask is not None:
-                scores = scores + bias
-            attn = T.softmax(scores, axis=-1)
-            if capture is not None:
-                capture.append(attn.data.copy())
-            outs.append(T.matmul(attn, vh))
-        return self.wo(T.concat_cols(outs))
+            bias = np.where(key_mask, 0.0, ATTENTION_MASK_BIAS)
+            if bias.ndim >= 2:
+                bias = np.expand_dims(bias, -3)  # the same mask for every head
+            scores = scores + T.Tensor(bias)
+        attn = T.softmax(scores, axis=-1)
+        if capture is not None:
+            capture.extend(attn.data.copy())  # one entry per head, or per batch entry
+        lead = x.data.ndim - 2
+        out = T.matmul(attn, v)  # (..., h, n, dh) -> (..., n, h, dh) -> (..., n, d)
+        out = T.permute(out, tuple(range(lead)) + (lead + 1, lead, lead + 2))
+        return self.wo(T.reshape(out, x.shape))
 
 
 
@@ -239,20 +246,32 @@ class HierarchicalEncoder(Module):
 
     # -- embedders -----------------------------------------------------------
 
-    def embed_text(self, token_ids: Sequence[int]) -> T.Tensor:
-        """LN(token embedding + position embedding), truncating overlong input."""
+    def _truncated(self, token_ids: Sequence[int]) -> list[int]:
         ids = list(token_ids)
         if len(ids) > self.config.max_tokens:
             log.warning(
                 "sentence of %d tokens truncated to max_tokens=%d", len(ids), self.config.max_tokens
             )
             ids = ids[: self.config.max_tokens]
+        return ids
+
+    def embed_text(self, token_ids: Sequence[int], positions=None) -> T.Tensor:
+        """LN(token embedding + position embedding).
+
+        Without ``positions`` the ids are one sentence at positions 0, 1, ...,
+        truncated to max_tokens with a warning; explicit per-id positions
+        embed several sentences in one call.
+        """
+        if positions is None:
+            token_ids = self._truncated(token_ids)
+            positions = np.arange(len(token_ids))
+        ids = list(token_ids)
         if not ids:
             raise UsageError("embed_text needs at least one token")
         if max(ids) >= self.config.vocab_size or min(ids) < 0:
             raise IndexError(f"token id out of range [0, {self.config.vocab_size})")
         tok = self.token_emb(ids)
-        pos = self.text_pos(np.arange(len(ids)))
+        pos = self.text_pos(positions)
         return self.text_ln(tok + pos)
 
     def embed_video(self, features: np.ndarray, positions) -> T.Tensor:
@@ -284,24 +303,59 @@ class HierarchicalEncoder(Module):
         self,
         v_emb: T.Tensor | None,
         w_emb: T.Tensor | None,
+        segments: Sequence[tuple[np.ndarray, np.ndarray]] | None = None,
         train_rng: np.random.Generator | None = None,
         capture: list | None = None,
     ) -> tuple[T.Tensor | None, T.Tensor | None]:
-        """Self-attention over the joint [frames | tokens] sequence, split back
-        by modality afterwards.  Either side may be absent (the query path
-        passes no frames)."""
+        """Self-attention within each segment's joint [frames | tokens]
+        sequence, returning fused rows in input order.
+
+        ``segments`` lists each segment's frame rows (into ``v_emb``) and
+        token rows (into ``w_emb``) and must use every row exactly once; the
+        default is a single segment of all rows.  All segments run as one
+        padded (S, L, d) batch whose key mask hides the padding.  Either side
+        may be absent (the query path passes no frames).  ``capture``
+        receives, per segment, a list per layer of per-head (L_j, L_j) grids.
+        """
         if v_emb is None and w_emb is None:
             raise UsageError("cross_modal_forward needs at least one modality")
         parts = [p for p in (v_emb, w_emb) if p is not None]
-        joint = parts[0] if len(parts) == 1 else T.concat_rows(parts)
+        n_v = v_emb.shape[0] if v_emb is not None else 0
+        n_rows = sum(p.shape[0] for p in parts)
+        if segments is None:
+            segments = [(np.arange(n_v), np.arange(n_rows - n_v))]
+        lengths = [len(frames) + len(tokens) for frames, tokens in segments]
+        if min(lengths) == 0:
+            raise UsageError("cross_modal_forward needs at least one row in every segment")
+        # grid[j, i] is the joint row at position i of segment j; n_rows, a
+        # zero row appended below, fills the padding
+        grid = np.full((len(segments), max(lengths)), n_rows, dtype=np.intp)
+        for j, (frames, tokens) in enumerate(segments):
+            grid[j, : len(frames)] = frames
+            grid[j, len(frames) : lengths[j]] = n_v + np.asarray(tokens, dtype=np.intp)
+        real = grid < n_rows
+        if not np.array_equal(np.sort(grid[real]), np.arange(n_rows)):
+            raise ShapeError("cross_modal_forward segments must use every frame and token row once")
+        zero_row = T.Tensor(np.zeros((1, parts[0].shape[1])))
+        batch = T.take_rows(T.concat_rows(parts + [zero_row]), grid)
+        layers = [] if capture is not None else None
         out = self.cross(
-            joint, dropout=self.config.dropout, train_rng=train_rng, capture=capture
+            batch,
+            key_mask=None if real.all() else real[:, None, :],
+            dropout=self.config.dropout,
+            train_rng=train_rng,
+            capture=layers,
         )
-        k = v_emb.shape[0] if v_emb is not None else 0
-        v_cross = T.take_rows(out, np.arange(k)) if v_emb is not None else None
-        w_cross = (
-            T.take_rows(out, np.arange(k, out.shape[0])) if w_emb is not None else None
-        )
+        if capture is not None:
+            capture.extend(
+                [[heads[:n, :n] for heads in layer[j]] for layer in layers]
+                for j, n in enumerate(lengths)
+            )
+        flat = T.reshape(out, (-1, out.shape[-1]))
+        where = np.empty(n_rows, dtype=np.intp)
+        where[grid[real]] = np.flatnonzero(real)
+        v_cross = T.take_rows(flat, where[:n_v]) if v_emb is not None else None
+        w_cross = T.take_rows(flat, where[n_v:]) if w_emb is not None else None
         return v_cross, w_cross
 
     def temporal_apply(
@@ -338,10 +392,10 @@ class HierarchicalEncoder(Module):
         frame_features_override: np.ndarray | None = None,
         train_rng: np.random.Generator | None = None,
         capture_attention: bool = False,
-    ) -> tuple[T.Tensor, T.Tensor, list[T.Tensor], dict]:
-        """Run embedders and per-sentence fusion; reassemble frame rows in
-        timestamp order.  Overrides substitute masked inputs without
-        touching the clip itself."""
+    ) -> tuple[T.Tensor, T.Tensor, list[T.Tensor | None], dict]:
+        """Embed all frames (in timestamp order) and all tokens once, then
+        fuse every sentence with its frame group in one cross-modal pass.
+        Overrides substitute masked inputs without touching the clip itself."""
         if clip.n_frames > self.config.max_frames:
             raise ShapeError(
                 f"clip {clip.clip_id!r} has {clip.n_frames} frames, "
@@ -350,31 +404,31 @@ class HierarchicalEncoder(Module):
         features = (
             clip.frame_features if frame_features_override is None else frame_features_override
         )
-        attention: dict = {}
-        v_emb_parts, v_cross_parts, w_cross_list = [], [], []
-        order = []
-        for j, sent in enumerate(clip.sentences):
-            ids = sent.token_ids if token_ids_override is None else token_ids_override[j]
-            group = np.asarray(sent.frame_indices, dtype=np.intp)
-            w_emb = self.embed_text(ids) if len(ids) else None
-            v_emb = self.embed_video(features[group], group) if len(group) else None
-            capture = [] if capture_attention else None
-            v_cross, w_cross = self.cross_modal_forward(
-                v_emb, w_emb, train_rng=train_rng, capture=capture
-            )
-            if capture_attention:
-                attention[("cross", j)] = capture
-            if v_emb is not None:
-                v_emb_parts.append(v_emb)
-                v_cross_parts.append(v_cross)
-                order.extend(sent.frame_indices)
-            w_cross_list.append(w_cross)
-
-        # scatter sentence groups back into global timestamp order
-        perm = np.argsort(np.asarray(order, dtype=np.intp), kind="stable")
-        v_emb_full = T.take_rows(T.concat_rows(v_emb_parts), perm)
-        v_cross_full = T.take_rows(T.concat_rows(v_cross_parts), perm)
-        return v_emb_full, v_cross_full, w_cross_list, attention
+        token_ids = [
+            self._truncated(sent.token_ids if token_ids_override is None else token_ids_override[j])
+            for j, sent in enumerate(clip.sentences)
+        ]
+        lengths = [len(ids) for ids in token_ids]
+        bounds = np.cumsum([0] + lengths)
+        segments = [
+            (np.asarray(sent.frame_indices, dtype=np.intp), np.arange(lo, hi))
+            for sent, lo, hi in zip(clip.sentences, bounds[:-1], bounds[1:])
+        ]
+        v_emb = self.embed_video(features, 0)
+        w_emb = None
+        if bounds[-1]:
+            positions = np.concatenate([np.arange(n) for n in lengths])
+            w_emb = self.embed_text([i for ids in token_ids for i in ids], positions)
+        capture = [] if capture_attention else None
+        v_cross, w_cross = self.cross_modal_forward(
+            v_emb, w_emb, segments, train_rng=train_rng, capture=capture
+        )
+        w_cross_list = [
+            T.take_rows(w_cross, np.arange(lo, hi)) if hi > lo else None
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+        ]
+        attention = {("cross", j): layers for j, layers in enumerate(capture or [])}
+        return v_emb, v_cross, w_cross_list, attention
 
     def encode_clip(
         self,

@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, UsageError
+from .errors import ConfigError, DataError, ShapeError, UsageError
 
 # Ordered record of op outputs from the current forward pass(es).  Reverse
 # iteration over this list visits each recorded operation exactly once,
@@ -217,27 +217,51 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.data.shape[1] != b.data.shape[0]:
+    """Matrix product over the last two axes; leading axes are batch axes
+    and broadcast as in numpy."""
+    if a.data.ndim < 2 or b.data.ndim < 2:
+        raise ShapeError(f"matmul expects operands of 2+ dimensions, got {a.shape} and {b.shape}")
+    if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} vs {b.shape}")
-    data = a.data @ b.data
+    if b.data.ndim == 2:
+        # one GEMM over all leading rows instead of one per batch entry
+        a2 = a.data.reshape(-1, a.data.shape[-1])
+        data = (a2 @ b.data).reshape(a.data.shape[:-1] + b.data.shape[1:])
 
-    def bw(g):
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
+        def bw(g):
+            g2 = g.reshape(-1, g.shape[-1])
+            _accum(a, (g2 @ b.data.T).reshape(a.data.shape))
+            _accum(b, a2.T @ g2)
+
+    else:
+        data = a.data @ b.data
+
+        def bw(g):
+            _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
+            _accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
 
     return _make(data, (a, b), bw)
 
 
 def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose expects a 2-D tensor, got {a.shape}")
+    """Swap the last two axes."""
+    if a.data.ndim < 2:
+        raise ShapeError(f"transpose expects 2 or more dimensions, got {a.shape}")
+    axes = tuple(range(a.data.ndim - 2)) + (a.data.ndim - 1, a.data.ndim - 2)
+    return permute(a, axes)
+
+
+def permute(a: Tensor, axes: Sequence[int]) -> Tensor:
+    """Reorder the axes of ``a`` (numpy ``transpose`` with explicit axes)."""
+    axes = tuple(axes)
+    if sorted(axes) != list(range(a.data.ndim)):
+        raise ShapeError(f"permute axes {axes} do not match a {a.data.ndim}-D tensor")
+    inverse = tuple(np.argsort(axes))
 
     def bw(g):
-        _accum(a, g.T)
+        _accum(a, g.transpose(inverse))
 
-    return _make(a.data.T.copy(), (a,), bw)
+    return _make(np.ascontiguousarray(a.data.transpose(axes)), (a,), bw)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -323,7 +347,8 @@ def slice_cols(a: Tensor, lo: int, hi: int) -> Tensor:
 
 
 def take_rows(a: Tensor, idx) -> Tensor:
-    """Gather rows by index; the adjoint scatter-adds back."""
+    """Gather rows by index; the adjoint scatter-adds back.  An N-D ``idx``
+    gives an output of shape ``idx.shape + a.shape[1:]``."""
     idx = np.asarray(idx, dtype=np.intp)
     data = a.data[idx]
 
@@ -358,13 +383,14 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 def gelu(a: Tensor) -> Tensor:
     """tanh-approximated GELU (smooth, erf-free)."""
     x = a.data
-    inner = _GELU_C * (x + 0.044715 * x**3)
+    # products, not numpy's much slower float ``**``
+    inner = _GELU_C * (x + 0.044715 * x * x * x)
     t = np.tanh(inner)
     data = 0.5 * x * (1.0 + t)
 
     def bw(g):
-        dinner = _GELU_C * (1.0 + 3 * 0.044715 * x**2)
-        local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * dinner
+        dinner = _GELU_C * (1.0 + 3 * 0.044715 * x * x)
+        local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
         _accum(a, g * local)
 
     return _make(data, (a,), bw)
@@ -563,6 +589,9 @@ class AdamW:
         return out
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray], step_count: int) -> None:
+        missing = [k for k in self.state_arrays() if k not in arrays]
+        if missing:
+            raise DataError(f"optimizer state lacks {len(missing)} arrays, first {missing[0]!r}")
         for name in self.params:
             self.m[name] = np.array(arrays[f"adam.m.{name}"], dtype=np.float64)
             self.v[name] = np.array(arrays[f"adam.v.{name}"], dtype=np.float64)

@@ -1,6 +1,7 @@
 """Checkpoint container tests: layout, endianness, corruption handling."""
 
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -124,3 +125,43 @@ def test_well_formed_header_still_loads(tmp_path):
     arrays, meta = load_checkpoint(path)
     assert meta == {"step": 1}
     np.testing.assert_array_equal(arrays["w"], [1.0, 2.0])
+
+
+class TestAtomicSave:
+    def test_failed_save_leaves_previous_file_and_no_temp(self, sample, monkeypatch):
+        path, arrays, meta = sample
+        before = path.read_bytes()
+        real_open = Path.open
+
+        class FailingWriter:
+            """Raises on the fifth write, after the preamble and header."""
+
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes == 5:
+                    raise OSError("no space left on device")
+                return self.fh.write(data)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+                return False
+
+        monkeypatch.setattr(Path, "open", lambda self, *a, **k: FailingWriter(real_open(self, *a, **k)))
+        with pytest.raises(OSError, match="no space"):
+            save_checkpoint(path, {**arrays, "w": arrays["w"] + 1.0}, {**meta, "step": 8})
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in path.parent.iterdir()) == [path.name]
+
+    def test_save_replaces_an_existing_file(self, sample):
+        path, arrays, meta = sample
+        save_checkpoint(path, {"x": np.ones(2)}, {"step": 9})
+        loaded, loaded_meta = load_checkpoint(path)
+        assert loaded_meta == {"step": 9} and list(loaded) == ["x"]
+        assert sorted(p.name for p in path.parent.iterdir()) == [path.name]

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from vidtext.checkpoint import load_checkpoint, save_checkpoint
 from vidtext.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from vidtext.cli import EVAL_DEFAULTS, FINETUNE_DEFAULTS, PRETRAIN_DEFAULTS
 
@@ -83,6 +84,12 @@ class TestGenData:
         main(["gen-data", "--out", str(tmp_path / "r2" / "c.jsonl"), *flags])
         h = lambda p: hashlib.sha256(p.read_bytes()).hexdigest()
         assert h(tmp_path / "r1" / "c.jsonl") == h(tmp_path / "r2" / "c.jsonl")
+
+    def test_creates_missing_output_directory(self, tmp_path):
+        out = tmp_path / "fresh" / "nested" / "c.jsonl"
+        rc = main(["gen-data", "--out", str(out), "--clips", "2", "--seconds", "21", "--seed", "3"])
+        assert rc == EXIT_OK
+        assert out.exists()
 
     def test_zero_fps_is_a_usage_error(self, tmp_path):
         rc = main(["gen-data", "--out", str(tmp_path / "c.jsonl"), "--fps", "0"])
@@ -306,6 +313,60 @@ class TestFinetuneAndEval:
             ])
             assert rc == EXIT_DATA
             assert "error: checkpoint" in capsys.readouterr().err
+
+
+class TestIncompleteCheckpoints:
+    """A checkpoint that loads but lacks a meta key or the optimizer state
+    ends in exit 2 naming what is missing, not in a traceback."""
+
+    @staticmethod
+    def _resave(src, dst, drop_meta=(), drop_arrays=""):
+        arrays, meta = load_checkpoint(src)
+        arrays = {k: v for k, v in arrays.items() if not (drop_arrays and k.startswith(drop_arrays))}
+        save_checkpoint(dst, arrays, {k: v for k, v in meta.items() if k not in drop_meta})
+        return dst
+
+    @pytest.mark.parametrize("key", ["config", "model_kind", "vocab_tokens", "seed"])
+    def test_eval_names_the_missing_meta_key(self, corpus, pretrained, tmp_path, capsys, key):
+        tasks = write_toy_tasks(corpus, tmp_path)
+        bad = self._resave(pretrained, tmp_path / "bad.ckpt", drop_meta=(key,))
+        rc = main([
+            "eval", "--task", "retrieval", "--data", str(tasks["retrieval"]),
+            "--corpus", str(corpus), "--checkpoint", str(bad),
+        ])
+        assert rc == EXIT_DATA
+        assert repr(key) in capsys.readouterr().err
+
+    def test_resume_without_step_exits_two(self, corpus, pretrained, tmp_path, capsys):
+        bad = self._resave(pretrained, tmp_path / "bad.ckpt", drop_meta=("step",))
+        rc = main([
+            "pretrain", "--corpus", str(corpus), "--out-dir", str(tmp_path / "run"),
+            "--steps", "8", "--batch-size", "2", "--dropout", "0.0", *SMALL_MODEL,
+            "--resume", str(bad),
+        ])
+        assert rc == EXIT_DATA
+        assert "'step'" in capsys.readouterr().err
+
+    def test_resume_without_optimizer_state_exits_two(self, corpus, pretrained, tmp_path, capsys):
+        bad = self._resave(pretrained, tmp_path / "bad.ckpt", drop_arrays="adam.")
+        rc = main([
+            "pretrain", "--corpus", str(corpus), "--out-dir", str(tmp_path / "run"),
+            "--steps", "8", "--batch-size", "2", "--dropout", "0.0", *SMALL_MODEL,
+            "--resume", str(bad),
+        ])
+        assert rc == EXIT_DATA
+        assert "adam." in capsys.readouterr().err
+        assert not (tmp_path / "run" / "final.ckpt").exists()
+
+    def test_finetune_init_without_config_exits_two(self, corpus, pretrained, tmp_path, capsys):
+        tasks = write_toy_tasks(corpus, tmp_path)
+        bad = self._resave(pretrained, tmp_path / "bad.ckpt", drop_meta=("config",))
+        rc = main([
+            "finetune", "--task", "qa", "--data", str(tasks["qa"]), "--corpus", str(corpus),
+            "--init", str(bad), "--out-dir", str(tmp_path / "ft"), "--steps", "1",
+        ])
+        assert rc == EXIT_DATA
+        assert "'config'" in capsys.readouterr().err
 
 
 class TestInspectAttention:

@@ -5,7 +5,7 @@ import pytest
 
 from vidtext import tensor as T
 from vidtext.data import AlignedClip, Sentence
-from vidtext.encoder import HierarchicalEncoder, ModelConfig
+from vidtext.encoder import ATTENTION_MASK_BIAS, HierarchicalEncoder, ModelConfig
 from vidtext.errors import ConfigError, ShapeError, UsageError
 from vidtext.gradcheck import check_gradients
 
@@ -249,3 +249,156 @@ class TestEncoderGradients:
         errs = check_gradients(loss, enc.params(), max_coords_per_tensor=6, seed=2)
         worst = max(errs.values())
         assert worst < 1e-4, f"worst rel err {worst:.2e}"
+
+
+# -- reference path: one cross-modal call per sentence, one loop step per head --
+
+
+def _ref_attention(mha, x, key_mask=None, capture=None):
+    q, k, v = mha.wq(x), mha.wk(x), mha.wv(x)
+    outs = []
+    for h in range(mha.heads):
+        lo, hi = h * mha.dh, (h + 1) * mha.dh
+        scores = T.matmul(T.slice_cols(q, lo, hi), T.slice_cols(k, lo, hi).T) * (1.0 / np.sqrt(mha.dh))
+        if key_mask is not None:
+            scores = scores + T.Tensor(np.where(key_mask, 0.0, ATTENTION_MASK_BIAS))
+        attn = T.softmax(scores, axis=-1)
+        if capture is not None:
+            capture.append(attn.data)
+        outs.append(T.matmul(attn, T.slice_cols(v, lo, hi)))
+    return mha.wo(T.concat_cols(outs))
+
+
+def _ref_stack(stack, x, capture=None):
+    for block in stack.blocks:
+        heads = None
+        if capture is not None:
+            capture.append([])
+            heads = capture[-1]
+        x = x + _ref_attention(block.attn, block.ln1(x), capture=heads)
+        x = x + block.ffn2(T.gelu(block.ffn1(block.ln2(x))))
+    return stack.ln_out(x)
+
+
+def _ref_cross(enc, v_emb, w_emb, capture=None):
+    parts = [p for p in (v_emb, w_emb) if p is not None]
+    joint = parts[0] if len(parts) == 1 else T.concat_rows(parts)
+    out = _ref_stack(enc.cross, joint, capture)
+    k = v_emb.shape[0] if v_emb is not None else 0
+    v_cross = T.take_rows(out, np.arange(k)) if v_emb is not None else None
+    w_cross = T.take_rows(out, np.arange(k, out.shape[0])) if w_emb is not None else None
+    return v_cross, w_cross
+
+
+def _ref_encode_clip(enc, clip):
+    v_emb_parts, v_cross_parts, w_cross_list, order, attention = [], [], [], [], {}
+    for j, sent in enumerate(clip.sentences):
+        group = np.asarray(sent.frame_indices, dtype=np.intp)
+        w_emb = enc.embed_text(sent.token_ids) if sent.token_ids else None
+        v_emb = enc.embed_video(clip.frame_features[group], group)
+        attention[("cross", j)] = []
+        v_cross, w_cross = _ref_cross(enc, v_emb, w_emb, attention[("cross", j)])
+        v_emb_parts.append(v_emb)
+        v_cross_parts.append(v_cross)
+        order.extend(sent.frame_indices)
+        w_cross_list.append(w_cross)
+    perm = np.argsort(np.asarray(order), kind="stable")
+    v_emb = T.take_rows(T.concat_rows(v_emb_parts), perm)
+    v_cross = T.take_rows(T.concat_rows(v_cross_parts), perm)
+    v_temp = _ref_stack(enc.temporal, v_emb + v_cross)
+    return v_emb, v_cross, w_cross_list, v_temp, attention
+
+
+class TestPaddedFusionMatchesPerSentence:
+    """The padded one-call-per-clip fusion with batched heads against the
+    per-sentence, per-head reference above (dropout off)."""
+
+    @pytest.fixture
+    def setup(self, small_vocab):
+        config = ModelConfig(
+            d=16, cross_layers=2, cross_heads=4, temporal_layers=1, temporal_heads=2,
+            vocab_size=30, frame_feature_dim=8, max_frames=16, max_tokens=12,
+            ffn_multiplier=2, dropout=0.0,
+        )
+        enc = HierarchicalEncoder(config, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        clip = make_clip(rng, small_vocab, groups=(2, 5, 3, 1), tokens=(4, 0, 7, 2))
+        # interleave the frame groups so the packing gather is not contiguous
+        groups = [[0, 4], [1, 2, 3, 8, 9], [5, 6, 10], [7]]
+        for sent, group in zip(clip.sentences, groups):
+            sent.frame_indices = group
+        query = [int(t) for t in rng.integers(small_vocab.num_specials, small_vocab.size, 5)]
+        return enc, clip, query, rng
+
+    @staticmethod
+    def _loss(v_emb, v_cross, w_cross, v_temp, q_cross, rng_seed=2):
+        rng = np.random.default_rng(rng_seed)
+        total = (v_temp * T.Tensor(rng.standard_normal(v_temp.shape))).sum()
+        for rows in [v_emb, v_cross, q_cross] + [w for w in w_cross if w is not None]:
+            total = total + (rows * T.Tensor(rng.standard_normal(rows.shape))).sum()
+        return total
+
+    def test_outputs_and_gradients_match(self, setup):
+        enc, clip, query, _ = setup
+        params = enc.params()
+
+        def run(fast):
+            T.zero_grads(params.values())
+            if fast:
+                e = enc.encode_clip(clip, capture_attention=True)
+                outs = [e.v_emb, e.v_cross, e.w_cross, e.v_temp, e.attention]
+                _, q_cross = enc.cross_modal_forward(None, enc.embed_text(query))
+            else:
+                outs = list(_ref_encode_clip(enc, clip))
+                _, q_cross = _ref_cross(enc, None, enc.embed_text(query))
+            T.backward(self._loss(*outs[:4], q_cross))
+            return outs, q_cross, {k: p.grad.copy() for k, p in params.items()}
+
+        (f_outs, f_q, f_grads), (r_outs, r_q, r_grads) = run(True), run(False)
+        for fast, ref in zip(f_outs[:2] + [f_outs[3], f_q], r_outs[:2] + [r_outs[3], r_q]):
+            np.testing.assert_allclose(fast.data, ref.data, rtol=0, atol=1e-10)
+        assert [w is None for w in f_outs[2]] == [False, True, False, False]
+        for fast, ref in zip(f_outs[2], r_outs[2]):
+            if ref is not None:
+                np.testing.assert_allclose(fast.data, ref.data, rtol=0, atol=1e-10)
+        assert f_grads.keys() == r_grads.keys()
+        for name in r_grads:
+            np.testing.assert_allclose(f_grads[name], r_grads[name], rtol=0, atol=1e-10, err_msg=name)
+        # capture format: per sentence, layer and head, an (L_j, L_j) grid
+        assert f_outs[4].keys() - {("temporal",)} == r_outs[4].keys()
+        for key, ref_layers in r_outs[4].items():
+            assert len(f_outs[4][key]) == len(ref_layers) == 2
+            for fast_heads, ref_heads in zip(f_outs[4][key], ref_layers):
+                assert len(fast_heads) == len(ref_heads) == 4
+                for a, b in zip(fast_heads, ref_heads):
+                    assert a.shape == b.shape
+                    np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+    def test_one_cross_modal_call_per_clip(self, setup, monkeypatch):
+        enc, clip, _, _ = setup
+        calls = []
+        original = HierarchicalEncoder.cross_modal_forward
+
+        def counting(self, *args, **kwargs):
+            calls.append(sum(a.shape[0] for a in args[:2] if a is not None))
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(HierarchicalEncoder, "cross_modal_forward", counting)
+        enc.encode_clip(clip)
+        assert calls == [clip.n_frames + sum(len(s.token_ids) for s in clip.sentences)]
+
+    def test_segments_must_cover_every_row_once(self, setup):
+        enc, _, _, _ = setup
+        v = T.Tensor(np.zeros((3, 16)))
+        w = T.Tensor(np.zeros((2, 16)))
+        with pytest.raises(ShapeError):
+            enc.cross_modal_forward(v, w, [(np.array([0, 1]), np.array([0, 1]))])
+        with pytest.raises(ShapeError):
+            enc.cross_modal_forward(v, w, [(np.array([0, 1, 1]), np.array([0, 1]))])
+
+    def test_empty_segment_rejected(self, setup):
+        enc, _, _, _ = setup
+        w = T.Tensor(np.zeros((2, 16)))
+        with pytest.raises(UsageError):
+            enc.cross_modal_forward(None, w, [(np.array([], dtype=int), np.array([0, 1])),
+                                              (np.array([], dtype=int), np.array([], dtype=int))])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from vidtext import tensor as T
+from vidtext.encoder import ATTENTION_MASK_BIAS
 from vidtext.errors import ConfigError, ShapeError, UsageError
 from vidtext.gradcheck import check_gradients, max_rel_err, numeric_grad
 
@@ -36,6 +37,67 @@ class TestMatmul:
         a, b = rand(rng, 3, 4), rand(rng, 4, 2)
         errs = check_gradients(lambda: T.matmul(a, b).sum(), {"a": a, "b": b})
         assert max(errs.values()) < 1e-6
+
+
+    def test_batch_at_batch_gradient(self):
+        rng = np.random.default_rng(10)
+        a, b = rand(rng, 2, 3, 4, 5), rand(rng, 2, 3, 5, 2)
+        w = rng.standard_normal((2, 3, 4, 2))
+        errs = check_gradients(lambda: (T.matmul(a, b) * T.Tensor(w)).sum(), {"a": a, "b": b})
+        assert max(errs.values()) < 1e-6
+
+    def test_batch_at_matrix_gradient(self):
+        rng = np.random.default_rng(11)
+        a, b = rand(rng, 3, 4, 5), rand(rng, 5, 2)
+        w = rng.standard_normal((3, 4, 2))
+        errs = check_gradients(lambda: (T.matmul(a, b) * T.Tensor(w)).sum(), {"a": a, "b": b})
+        assert max(errs.values()) < 1e-6
+
+    def test_broadcast_batch_gradient(self):
+        rng = np.random.default_rng(12)
+        a, b = rand(rng, 3, 1, 4, 5), rand(rng, 2, 5, 2)
+        w = rng.standard_normal((3, 2, 4, 2))
+        errs = check_gradients(lambda: (T.matmul(a, b) * T.Tensor(w)).sum(), {"a": a, "b": b})
+        assert max(errs.values()) < 1e-6
+
+    def test_batched_forward_matches_per_entry_products(self):
+        rng = np.random.default_rng(13)
+        a, b = rng.standard_normal((3, 4, 5)), rng.standard_normal((5, 2))
+        out = T.matmul(T.Tensor(a), T.Tensor(b)).data
+        for i in range(3):
+            np.testing.assert_allclose(out[i], a[i] @ b, atol=1e-13)
+
+    def test_one_dimensional_operand_rejected(self):
+        with pytest.raises(ShapeError):
+            T.matmul(T.Tensor(np.zeros(3)), T.Tensor(np.zeros((3, 2))))
+
+
+class TestTransposeAndPermute:
+    def test_transpose_swaps_the_last_two_axes(self):
+        x = np.arange(24.0).reshape(2, 3, 4)
+        np.testing.assert_array_equal(T.transpose(T.Tensor(x)).data, x.transpose(0, 2, 1))
+
+    def test_transpose_gradient(self):
+        rng = np.random.default_rng(14)
+        x = rand(rng, 2, 3, 4)
+        w = rng.standard_normal((2, 4, 3))
+        errs = check_gradients(lambda: (T.transpose(x) * T.Tensor(w)).sum(), {"x": x})
+        assert errs["x"] < 1e-6
+
+    def test_permute_matches_numpy(self):
+        x = np.arange(24.0).reshape(2, 3, 4)
+        np.testing.assert_array_equal(T.permute(T.Tensor(x), (1, 2, 0)).data, x.transpose(1, 2, 0))
+
+    def test_permute_gradient(self):
+        rng = np.random.default_rng(15)
+        x = rand(rng, 2, 3, 4, 2)
+        w = rng.standard_normal((4, 2, 2, 3))
+        errs = check_gradients(lambda: (T.permute(x, (2, 0, 3, 1)) * T.Tensor(w)).sum(), {"x": x})
+        assert errs["x"] < 1e-6
+
+    def test_permute_rejects_axes_of_the_wrong_length(self):
+        with pytest.raises(ShapeError):
+            T.permute(T.Tensor(np.zeros((2, 3))), (0, 1, 2))
 
 
 class TestSoftmax:
@@ -74,6 +136,27 @@ class TestSoftmax:
         errs = check_gradients(lambda: (T.softmax(x, axis=-1) * T.Tensor(w)).sum(), {"x": x})
         assert errs["x"] < FD_TOL
 
+
+    def test_masked_keys_get_exactly_zero_weight(self):
+        rng = np.random.default_rng(16)
+        scores = rng.standard_normal((2, 3, 4, 5)) * 10
+        mask = np.ones((2, 1, 5), dtype=bool)
+        mask[0, 0, 3:] = False
+        mask[1, 0, 1:] = False
+        bias = np.expand_dims(np.where(mask, 0.0, ATTENTION_MASK_BIAS), -3)
+        p = T.softmax(T.Tensor(scores) + T.Tensor(bias), axis=-1).data
+        assert (p[0, ..., 3:] == 0.0).all() and (p[1, ..., 1:] == 0.0).all()
+        np.testing.assert_allclose(p.sum(axis=-1), 1.0, atol=1e-12)
+        np.testing.assert_allclose(p[0, ..., :3], T.softmax(T.Tensor(scores[0, ..., :3])).data, atol=1e-15)
+
+    def test_all_padding_query_rows_stay_finite(self):
+        rng = np.random.default_rng(17)
+        x = T.Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        bias = T.Tensor(np.full(4, ATTENTION_MASK_BIAS))
+        p = T.softmax(x + bias, axis=-1)
+        assert np.isfinite(p.data).all()
+        T.backward((p * T.Tensor(rng.standard_normal((3, 4)))).sum())
+        assert np.isfinite(x.grad).all()
 
 class TestLayerNorm:
     def test_constant_slice_maps_to_bias(self):
@@ -188,6 +271,22 @@ class TestBackward:
         assert T.tape_size() == 0
         with pytest.raises(UsageError):
             T.backward(y)
+
+
+class TestGelu:
+    def test_matches_the_cubic_formula(self):
+        x = np.linspace(-8.0, 8.0, 401)
+        c = math.sqrt(2.0 / math.pi)
+        expected = 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * x**3)))
+        np.testing.assert_allclose(T.gelu(T.Tensor(x)).data, expected, rtol=0, atol=1e-12)
+
+    def test_gradient_matches_the_cubic_formula(self):
+        x = T.Tensor(np.linspace(-8.0, 8.0, 401), requires_grad=True)
+        T.backward(T.gelu(x).sum())
+        c = math.sqrt(2.0 / math.pi)
+        t = np.tanh(c * (x.data + 0.044715 * x.data**3))
+        expected = 0.5 * (1.0 + t) + 0.5 * x.data * (1.0 - t**2) * c * (1.0 + 3 * 0.044715 * x.data**2)
+        np.testing.assert_allclose(x.grad, expected, rtol=0, atol=1e-12)
 
 
 class TestElementwiseGradients:
