@@ -270,8 +270,9 @@ def cmd_pretrain(args) -> int:
     start_step = 0
     if args.resume:
         arrays, meta = load_checkpoint(args.resume)
-        load_params_into(model.params(), arrays)
         start_step = int(_meta_fields(meta, args.resume, "step")[0])
+        _check_resume_meta(meta, args.resume, seed, sorted(weights), config)
+        _load_model_arrays(model, arrays, args.resume)
         if start_step > steps:
             raise ConfigError(
                 f"checkpoint {args.resume} is at step {start_step}, past --steps {steps}"
@@ -342,7 +343,13 @@ def cmd_finetune(args) -> int:
 
     model = finetune_model_for(args.task, config, seed)
     if arrays is not None:
-        load_params_into(model.params(), arrays)
+        fresh = _load_model_arrays(model, arrays, args.init, required_prefix="encoder.")
+        if fresh:
+            print(
+                f"note: {len(fresh)} head arrays not in {args.init} keep their initial values: "
+                + ", ".join(fresh),
+                file=sys.stderr,
+            )
     optimizer = T.AdamW(
         model.params(), lr=float(eff["lr"]), weight_decay=float(eff["weight_decay"])
     )
@@ -410,6 +417,41 @@ def _meta_config(meta: dict, path) -> ModelConfig:
         raise DataError(f"checkpoint {path} has a malformed config: {exc}") from exc
 
 
+def _load_model_arrays(model, arrays: dict, path, required_prefix: str = "") -> list[str]:
+    """Copy checkpoint arrays into ``model``'s parameters.  A parameter whose
+    name starts with ``required_prefix`` (by default, every parameter) and
+    that the checkpoint lacks is a DataError (exit 2) naming the first one.
+    Returns the names of the parameters left at their initial values."""
+    params = model.params()
+    fresh = [name for name in params if name not in arrays]
+    required = [name for name in fresh if name.startswith(required_prefix)]
+    if required:
+        raise DataError(
+            f"checkpoint {path} lacks {len(required)} model arrays, first {required[0]!r}"
+        )
+    load_params_into(params, arrays)
+    return fresh
+
+
+def _check_resume_meta(meta: dict, path, seed: int, tasks: list, config: ModelConfig) -> None:
+    """A resumed run must have the seed, tasks and model config that wrote
+    its checkpoint; a mismatch is a ConfigError (exit 1) naming each one."""
+    saved_seed, saved_tasks = _meta_fields(meta, path, "seed", "tasks")
+    saved_config = _meta_config(meta, path).to_dict()
+    diffs = [f"seed {saved_seed} != {seed}"] if saved_seed != seed else []
+    if saved_tasks != tasks:
+        diffs.append(f"tasks {saved_tasks} != {tasks}")
+    diffs += [
+        f"{key} {saved_config[key]} != {value}"
+        for key, value in config.to_dict().items()
+        if saved_config[key] != value
+    ]
+    if diffs:
+        raise ConfigError(
+            f"checkpoint {path} does not match this run (checkpoint != run): " + "; ".join(diffs)
+        )
+
+
 def _restore_model(checkpoint_path: str):
     from .data import Vocab
 
@@ -417,7 +459,7 @@ def _restore_model(checkpoint_path: str):
     config = _meta_config(meta, checkpoint_path)
     kind, seed, tokens = _meta_fields(meta, checkpoint_path, "model_kind", "seed", "vocab_tokens")
     model = finetune_model_for(kind if kind != "pretrain" else "retrieval", config, int(seed))
-    load_params_into(model.params(), arrays)
+    _load_model_arrays(model, arrays, checkpoint_path)
     vocab = Vocab.from_tokens(tokens)
     return model, config, vocab, meta
 

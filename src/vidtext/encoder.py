@@ -102,7 +102,7 @@ class Linear(Module):
         self.b = T.Tensor(np.zeros(fan_out), requires_grad=True)
 
     def __call__(self, x: T.Tensor) -> T.Tensor:
-        return T.matmul(x, self.w) + self.b
+        return T.linear(x, self.w, self.b)
 
 
 
@@ -142,13 +142,6 @@ class MultiHeadAttention(Module):
         self.wv = Linear(rng, d, d)
         self.wo = Linear(rng, d, d)
 
-    def _split_heads(self, x: T.Tensor, order: tuple[int, int, int]) -> T.Tensor:
-        """Reshape (..., n, d) to (..., n, heads, dh), then put those three
-        axes in ``order`` (0 = n, 1 = heads, 2 = dh)."""
-        lead = x.data.ndim - 2
-        split = T.reshape(x, x.shape[:-1] + (self.heads, self.dh))
-        return T.permute(split, tuple(range(lead)) + tuple(lead + a for a in order))
-
     def __call__(
         self,
         x: T.Tensor,
@@ -157,22 +150,11 @@ class MultiHeadAttention(Module):
         kv: T.Tensor | None = None,
     ) -> T.Tensor:
         source = x if kv is None else kv
-        q = self._split_heads(self.wq(x) * (1.0 / np.sqrt(self.dh)), (1, 0, 2))  # (..., h, n, dh)
-        k_t = self._split_heads(self.wk(source), (1, 2, 0))  # (..., h, dh, m)
-        v = self._split_heads(self.wv(source), (1, 0, 2))  # (..., h, m, dh)
-        scores = T.matmul(q, k_t)
-        if key_mask is not None:
-            bias = np.where(key_mask, 0.0, ATTENTION_MASK_BIAS)
-            if bias.ndim >= 2:
-                bias = np.expand_dims(bias, -3)  # the same mask for every head
-            scores = scores + T.Tensor(bias)
-        attn = T.softmax(scores, axis=-1)
+        bias = None if key_mask is None else np.where(key_mask, 0.0, ATTENTION_MASK_BIAS)
+        out, weights = T.attention(self.wq(x), self.wk(source), self.wv(source), self.heads, bias)
         if capture is not None:
-            capture.extend(attn.data.copy())  # one entry per head, or per batch entry
-        lead = x.data.ndim - 2
-        out = T.matmul(attn, v)  # (..., h, n, dh) -> (..., n, h, dh) -> (..., n, d)
-        out = T.permute(out, tuple(range(lead)) + (lead + 1, lead, lead + 2))
-        return self.wo(T.reshape(out, x.shape))
+            capture.extend(weights.copy())  # one entry per head, or per batch entry
+        return self.wo(out)
 
 
 

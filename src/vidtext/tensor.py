@@ -5,6 +5,17 @@ executes.  ``backward(loss)`` walks that tape once, in reverse execution
 order, accumulating adjoints into ``.grad`` buffers, then clears the tape.
 All kernels are pure numpy and deterministic: identical inputs give
 bit-identical outputs.
+
+The transformer's hot paths are fused ops with hand-written adjoints:
+``linear`` (one GEMM plus bias), ``attention`` (head split, scale, key mask,
+softmax and value product for all heads) and the single-pass ``layer_norm``
+and ``gelu``.  An op computes no adjoint for an operand that is off the tape
+(constants, input features).
+
+Gradients are never written in place.  ``.grad`` adopts the first adjoint
+array it receives, which may be a read-only view shared with another
+tensor's gradient, and later adjoints are added out of place; adjoint
+functions likewise only read their upstream gradient.
 """
 
 from __future__ import annotations
@@ -149,7 +160,7 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
     if not t._track:
         return
     if t.grad is None:
-        t.grad = np.array(g, dtype=np.float64, copy=True)
+        t.grad = g  # adopted, not copied: see the module docstring
     else:
         t.grad = t.grad + g
 
@@ -193,8 +204,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     data = a.data + b.data
 
     def bw(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(g, b.data.shape))
+        if a._track:
+            _accum(a, _unbroadcast(g, a.data.shape))
+        if b._track:
+            _accum(b, _unbroadcast(g, b.data.shape))
 
     return _make(data, (a, b), bw)
 
@@ -210,8 +223,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data * b.data
 
     def bw(g):
-        _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        _accum(b, _unbroadcast(g * a.data, b.data.shape))
+        if a._track:
+            _accum(a, _unbroadcast(g * b.data, a.data.shape))
+        if b._track:
+            _accum(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _make(data, (a, b), bw)
 
@@ -230,17 +245,97 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
         def bw(g):
             g2 = g.reshape(-1, g.shape[-1])
-            _accum(a, (g2 @ b.data.T).reshape(a.data.shape))
-            _accum(b, a2.T @ g2)
+            if a._track:
+                _accum(a, (g2 @ b.data.T).reshape(a.data.shape))
+            if b._track:
+                _accum(b, a2.T @ g2)
 
     else:
         data = a.data @ b.data
 
         def bw(g):
-            _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
-            _accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
+            if a._track:
+                _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
+            if b._track:
+                _accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
 
     return _make(data, (a, b), bw)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` over the last axis of ``x`` (..., fan_in): one GEMM over
+    all leading rows with the bias added in place."""
+    if x.data.ndim < 2 or w.data.ndim != 2 or b.data.shape != w.data.shape[1:]:
+        raise ShapeError(
+            f"linear expects (..., n, k) @ (k, m) + (m,), got {x.shape}, {w.shape}, {b.shape}"
+        )
+    fan_in, fan_out = w.data.shape
+    if x.data.shape[-1] != fan_in:
+        raise ShapeError(f"linear inner dimensions disagree: {x.shape} vs {w.shape}")
+    x2 = x.data.reshape(-1, fan_in)
+    out = x2 @ w.data
+    out += b.data
+
+    def bw(g):
+        g2 = g.reshape(-1, fan_out)
+        if x._track:
+            _accum(x, (g2 @ w.data.T).reshape(x.data.shape))
+        if w._track:
+            _accum(w, x2.T @ g2)
+        if b._track:
+            _accum(b, g2.sum(axis=0))
+
+    return _make(out.reshape(x.data.shape[:-1] + (fan_out,)), (x, w, b), bw)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, bias: np.ndarray | None = None):
+    """Scaled dot-product attention for all heads in one op.
+
+    ``q`` is (..., n, d) and ``k``, ``v`` are (..., m, d) with the same
+    leading batch axes; each is split into ``heads`` column blocks of width
+    dh = d / heads as numpy views.  ``bias`` is added to every
+    head's (..., n, m) score grid, so a key mask is a bias of 0 or a large
+    negative number; a 2+-D bias gets the head axis inserted before its last
+    two.  Returns the (..., n, d) output, heads concatenated, and the
+    (..., heads, n, m) attention weights (read-only: the adjoint uses them).
+    """
+    lead, (n, d), m = q.data.shape[:-2], q.data.shape[-2:], k.data.shape[-2]
+    if k.data.shape != lead + (m, d) or v.data.shape != k.data.shape:
+        raise ShapeError(f"attention got q {q.shape}, k {k.shape}, v {v.shape}")
+    if d % heads:
+        raise ShapeError(f"attention width {d} is not divisible by {heads} heads")
+    dh = d // heads
+    scale = 1.0 / math.sqrt(dh)
+
+    def split(a):  # (..., r, d) -> (..., heads, r, dh)
+        return a.reshape(a.shape[:-1] + (heads, dh)).swapaxes(-2, -3)
+
+    qs = q.data * scale
+    k_h, v_h = split(k.data), split(v.data)
+    p = split(qs) @ k_h.swapaxes(-1, -2)  # (..., heads, n, m)
+    if bias is not None:
+        p += bias if bias.ndim < 2 else np.expand_dims(bias, -3)
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    out = (p @ v_h).swapaxes(-2, -3).reshape(lead + (n, d))
+
+    def bw(g):
+        g_h = split(g)
+        if v._track:
+            _accum(v, (p.swapaxes(-1, -2) @ g_h).swapaxes(-2, -3).reshape(v.data.shape))
+        ds = g_h @ v_h.swapaxes(-1, -2)  # softmax adjoint, in place: p * (ds - <ds, p>)
+        ds -= (ds * p).sum(axis=-1, keepdims=True)
+        ds *= p
+        if q._track:
+            dq = (ds @ k_h).swapaxes(-2, -3).reshape(q.data.shape)
+            dq *= scale
+            _accum(q, dq)
+        if k._track:
+            _accum(k, (ds.swapaxes(-1, -2) @ split(qs)).swapaxes(-2, -3).reshape(k.data.shape))
+
+    p.flags.writeable = False
+    return _make(out, (q, k, v), bw), p
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -314,7 +409,8 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
 
     def bw(g):
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            _accum(p, g[lo:hi])
+            if p._track:
+                _accum(p, g[lo:hi])
 
     return _make(data, tuple(parts), bw)
 
@@ -329,7 +425,8 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
 
     def bw(g):
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            _accum(p, g[:, lo:hi])
+            if p._track:
+                _accum(p, g[:, lo:hi])
 
     return _make(data, tuple(parts), bw)
 
@@ -383,15 +480,32 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 def gelu(a: Tensor) -> Tensor:
     """tanh-approximated GELU (smooth, erf-free)."""
     x = a.data
-    # products, not numpy's much slower float ``**``
-    inner = _GELU_C * (x + 0.044715 * x * x * x)
-    t = np.tanh(inner)
-    data = 0.5 * x * (1.0 + t)
+    # products, not numpy's much slower float ``**``; temporaries reused in place
+    t = 0.044715 * x
+    t *= x
+    t *= x
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    data = t + 1.0
+    data *= x
+    data *= 0.5
 
     def bw(g):
-        dinner = _GELU_C * (1.0 + 3 * 0.044715 * x * x)
-        local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
-        _accum(a, g * local)
+        # d/dx = 0.5 * ((1 + t) + x (1 - t^2) c (1 + 3 * 0.044715 x^2))
+        r = (3 * 0.044715) * x
+        r *= x
+        r += 1.0
+        r *= _GELU_C
+        s = t * t
+        np.subtract(1.0, s, out=s)
+        s *= x
+        s *= r
+        np.add(t, 1.0, out=r)
+        r += s
+        r *= 0.5
+        r *= g
+        _accum(a, r)
 
     return _make(data, (a,), bw)
 
@@ -451,19 +565,28 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         raise ShapeError(
             f"layer_norm affine shapes {gain.shape}/{bias.shape} do not match feature dim {d}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    data = xhat * gain.data + bias.data
+    # one mean and one centred copy, with the float operations of np.mean and
+    # np.var (a sum, then a division by d) minus their Python overhead
+    xhat = x.data - x.data.sum(axis=-1, keepdims=True) / d
+    var = (xhat * xhat).sum(axis=-1, keepdims=True) / d
+    var += eps
+    inv = 1.0 / np.sqrt(var)
+    xhat *= inv
+    data = xhat * gain.data
+    data += bias.data
 
     def bw(g):
-        _accum(gain, (g * xhat).reshape(-1, d).sum(axis=0))
-        _accum(bias, g.reshape(-1, d).sum(axis=0))
-        gh = g * gain.data
-        gh_mean = gh.mean(axis=-1, keepdims=True)
-        ghx_mean = (gh * xhat).mean(axis=-1, keepdims=True)
-        _accum(x, (gh - gh_mean - xhat * ghx_mean) * inv)
+        if gain._track:
+            _accum(gain, (g * xhat).reshape(-1, d).sum(axis=0))
+        if bias._track:
+            _accum(bias, g.reshape(-1, d).sum(axis=0))
+        if x._track:
+            gh = g * gain.data
+            ghx_mean = (gh * xhat).sum(axis=-1, keepdims=True) / d
+            gh -= gh.sum(axis=-1, keepdims=True) / d
+            gh -= xhat * ghx_mean
+            gh *= inv
+            _accum(x, gh)
 
     return _make(data, (x, gain, bias), bw)
 

@@ -369,6 +369,79 @@ class TestIncompleteCheckpoints:
         assert "'config'" in capsys.readouterr().err
 
 
+class TestCheckpointArrays:
+    """Eval and resume need every model array; finetune init needs the
+    encoder's and says which head arrays start fresh."""
+
+    _resave = staticmethod(TestIncompleteCheckpoints._resave)
+    RESUME = ["--steps", "8", "--batch-size", "2", "--dropout", "0.0", *SMALL_MODEL]
+
+    @pytest.mark.parametrize("drop,first", [
+        ("lm_head.b", "lm_head.b"),
+        ("encoder.", "encoder.token_emb.table"),
+    ])
+    def test_eval_names_the_first_missing_array(self, corpus, pretrained, tmp_path, capsys, drop, first):
+        tasks = write_toy_tasks(corpus, tmp_path)
+        bad = self._resave(pretrained, tmp_path / "bad.ckpt", drop_arrays=drop)
+        rc = main([
+            "eval", "--task", "retrieval", "--data", str(tasks["retrieval"]),
+            "--corpus", str(corpus), "--checkpoint", str(bad),
+        ])
+        assert rc == EXIT_DATA
+        assert f"first {first!r}" in capsys.readouterr().err
+
+    def test_resume_names_the_first_missing_array(self, corpus, pretrained, tmp_path, capsys):
+        bad = self._resave(pretrained, tmp_path / "bad.ckpt", drop_arrays="encoder.frame_fc.w")
+        run = tmp_path / "run"
+        rc = main(["pretrain", "--corpus", str(corpus), "--out-dir", str(run), *self.RESUME,
+                   "--resume", str(bad)])
+        assert rc == EXIT_DATA
+        assert "'encoder.frame_fc.w'" in capsys.readouterr().err
+        assert not (run / "final.ckpt").exists()
+
+    @pytest.mark.parametrize("flags,named", [
+        (["--seed", "3"], "seed 0 != 3"),
+        (["--tasks", "mlm,fom"], "tasks ['fom', 'mlm', 'mnce', 'vsm'] != ['fom', 'mlm']"),
+        (["--dropout", "0.1"], "dropout 0.0 != 0.1"),
+    ])
+    def test_resume_refuses_other_options(self, corpus, pretrained, tmp_path, capsys, flags, named):
+        run = tmp_path / "run"
+        rc = main(["pretrain", "--corpus", str(corpus), "--out-dir", str(run), *self.RESUME,
+                   *flags, "--resume", str(pretrained)])
+        assert rc == EXIT_USAGE
+        assert named in capsys.readouterr().err
+        assert not (run / "final.ckpt").exists()
+
+    def test_finetune_init_needs_the_encoder_arrays(self, corpus, pretrained, tmp_path, capsys):
+        tasks = write_toy_tasks(corpus, tmp_path)
+        bad = self._resave(pretrained, tmp_path / "bad.ckpt", drop_arrays="encoder.text_ln.")
+        rc = main([
+            "finetune", "--task", "qa", "--data", str(tasks["qa"]), "--corpus", str(corpus),
+            "--init", str(bad), "--out-dir", str(tmp_path / "ft"), "--steps", "1",
+        ])
+        assert rc == EXIT_DATA
+        assert "first 'encoder.text_ln.gain'" in capsys.readouterr().err
+
+    def test_finetune_init_names_the_fresh_head_arrays(self, corpus, pretrained, tmp_path, capsys):
+        from vidtext.downstream import QaModel
+        from vidtext.encoder import ModelConfig
+
+        tasks = write_toy_tasks(corpus, tmp_path)
+        for task, out in (("retrieval", "ft-ret"), ("qa", "ft-qa")):
+            rc = main([
+                "finetune", "--task", task, "--data", str(tasks[task]), "--corpus", str(corpus),
+                "--init", str(pretrained), "--out-dir", str(tmp_path / out), "--steps", "1",
+            ])
+            assert rc == EXIT_OK
+            err = capsys.readouterr().err
+            if task == "retrieval":
+                assert "head arrays" not in err  # a pretrain checkpoint has them all
+        head = [n for n in QaModel(ModelConfig(d=16, cross_heads=2, temporal_heads=2)).params()
+                if not n.startswith("encoder.")]
+        assert f"{len(head)} head arrays not in {pretrained}" in err
+        assert ", ".join(head) in err
+
+
 class TestInspectAttention:
     def test_grids_are_stochastic_and_deterministic(self, corpus, pretrained, tmp_path):
         out1, out2 = tmp_path / "a1", tmp_path / "a2"

@@ -5,7 +5,7 @@ import pytest
 
 from vidtext import tensor as T
 from vidtext.data import AlignedClip, Sentence
-from vidtext.encoder import ATTENTION_MASK_BIAS, HierarchicalEncoder, ModelConfig
+from vidtext.encoder import ATTENTION_MASK_BIAS, HierarchicalEncoder, ModelConfig, TransformerBlock
 from vidtext.errors import ConfigError, ShapeError, UsageError
 from vidtext.gradcheck import check_gradients
 
@@ -254,8 +254,9 @@ class TestEncoderGradients:
 # -- reference path: one cross-modal call per sentence, one loop step per head --
 
 
-def _ref_attention(mha, x, key_mask=None, capture=None):
-    q, k, v = mha.wq(x), mha.wk(x), mha.wv(x)
+def _ref_attention(mha, x, key_mask=None, capture=None, kv=None):
+    source = x if kv is None else kv
+    q, k, v = mha.wq(x), mha.wk(source), mha.wv(source)
     outs = []
     for h in range(mha.heads):
         lo, hi = h * mha.dh, (h + 1) * mha.dh
@@ -387,6 +388,16 @@ class TestPaddedFusionMatchesPerSentence:
         enc.encode_clip(clip)
         assert calls == [clip.n_frames + sum(len(s.token_ids) for s in clip.sentences)]
 
+    def test_untracked_inputs_get_no_adjoint(self, setup, monkeypatch):
+        """Frame features, the padding row and the key mask are constants:
+        backward computes no adjoint for them."""
+        enc, clip, _, _ = setup
+        reached = []
+        accum = T._accum
+        monkeypatch.setattr(T, "_accum", lambda t, g: (reached.append(t), accum(t, g)))
+        T.backward(enc.encode_clip(clip).v_temp.sum())
+        assert reached and all(t._track for t in reached)
+
     def test_segments_must_cover_every_row_once(self, setup):
         enc, _, _, _ = setup
         v = T.Tensor(np.zeros((3, 16)))
@@ -402,3 +413,50 @@ class TestPaddedFusionMatchesPerSentence:
         with pytest.raises(UsageError):
             enc.cross_modal_forward(None, w, [(np.array([], dtype=int), np.array([0, 1])),
                                               (np.array([], dtype=int), np.array([], dtype=int))])
+
+
+class TestFusedAttention:
+    def test_decoder_block_matches_per_head_reference(self):
+        """Causal self-attention and masked kv cross-attention of a decoder
+        block against the per-head reference: output, capture grids and
+        every gradient within 1e-10."""
+        from vidtext.downstream import DecoderBlock
+
+        rng = np.random.default_rng(3)
+        block = DecoderBlock(rng, 16, 4, 2)
+        x0, enc0, upstream = (rng.standard_normal(s) for s in ((5, 16), (7, 16), (5, 16)))
+        causal = np.tril(np.ones((5, 5), dtype=bool))
+        enc_mask = np.array([True, True, False, True, True, True, False])
+        params = block.params()
+
+        def run(fused):
+            T.zero_grads(params.values())
+            x, enc = T.Tensor(x0, requires_grad=True), T.Tensor(enc0, requires_grad=True)
+            capture = []
+            if fused:
+                out = block(x, enc, causal, enc_mask, capture=capture)
+            else:
+                h = x + _ref_attention(block.self_attn, block.ln1(x), key_mask=causal)
+                h = h + _ref_attention(block.cross_attn, block.ln2(h), enc_mask, capture, kv=enc)
+                out = h + block.ffn2(T.gelu(block.ffn1(block.ln3(h))))
+            T.backward((out * T.Tensor(upstream)).sum())
+            grads = {k: p.grad.copy() for k, p in params.items()}
+            return [out.data, x.grad, enc.grad, *capture], grads
+
+        (fused, f_grads), (ref, r_grads) = run(True), run(False)
+        assert len(fused) == len(ref) == 3 + 4 and fused[3].shape == (5, 7)
+        for a, b in zip(fused, ref):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-10)
+        for name in r_grads:
+            np.testing.assert_allclose(f_grads[name], r_grads[name], rtol=0, atol=1e-10, err_msg=name)
+
+    def test_transformer_block_forward_records_twelve_ops(self):
+        rng = np.random.default_rng(4)
+        block = TransformerBlock(rng, 16, 4, 2)
+        mask = np.ones((3, 1, 5), dtype=bool)
+        mask[1, 0, 2:] = False
+        T.reset_tape()
+        block(T.Tensor(rng.standard_normal((3, 5, 16))), key_mask=mask)
+        # ln1, wq, wk, wv, attention, wo, residual add, ln2, ffn1, gelu, ffn2, residual add
+        assert T.tape_size() == 12
+        T.reset_tape()

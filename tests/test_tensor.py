@@ -179,6 +179,153 @@ class TestLayerNorm:
         )
         assert max(errs.values()) < 1e-5
 
+    def test_matches_the_composed_ops(self):
+        """Against mean / centre / variance / rsqrt / affine as separate tape ops."""
+        upstream = T.Tensor(np.random.default_rng(40).standard_normal((3, 4, 8)))
+
+        def run(fused):
+            rng = np.random.default_rng(41)
+            x = T.Tensor(rng.standard_normal((3, 4, 8)) * 3 + 1, requires_grad=True)
+            g, b = rand(rng, 8), rand(rng, 8)
+            if fused:
+                y = T.layer_norm(x, g, b)
+            else:
+                xc = x - x.mean(axis=-1, keepdims=True)
+                var = (xc * xc).mean(axis=-1, keepdims=True)
+                y = xc * T.reciprocal(T.sqrt(var + 1e-5)) * g + b
+            T.backward((y * upstream).sum())
+            return [y.data, x.grad, g.grad, b.grad]
+
+        for a, b in zip(run(True), run(False)):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-10)
+
+
+class TestLinear:
+    """The fused op against the matmul + add composition it replaced."""
+
+    @pytest.mark.parametrize("shape", [(5, 6), (2, 3, 6)])
+    def test_matches_matmul_plus_bias(self, shape):
+        rng = np.random.default_rng(20)
+        upstream = T.Tensor(rng.standard_normal(shape[:-1] + (4,)))
+
+        def run(fused):
+            x, w, b = rand(np.random.default_rng(21), *shape), rand(rng, 6, 4), rand(rng, 4)
+            y = T.linear(x, w, b) if fused else T.matmul(x, w) + b
+            T.backward((y * upstream).sum())
+            return [y.data, x.grad, w.grad, b.grad]
+
+        rng = np.random.default_rng(22)
+        fused = run(True)
+        rng = np.random.default_rng(22)
+        for a, b in zip(fused, run(False)):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-10)
+
+    def test_gradient(self):
+        rng = np.random.default_rng(23)
+        x, w, b = rand(rng, 2, 3, 5), rand(rng, 5, 4), rand(rng, 4)
+        u = rng.standard_normal((2, 3, 4))
+        errs = check_gradients(lambda: (T.linear(x, w, b) * T.Tensor(u)).sum(), {"x": x, "w": w, "b": b})
+        assert max(errs.values()) < 1e-6
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ShapeError):
+            T.linear(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((4, 2))), T.Tensor(np.zeros(2)))
+        with pytest.raises(ShapeError):
+            T.linear(T.Tensor(np.zeros((2, 4))), T.Tensor(np.zeros((4, 2))), T.Tensor(np.zeros(3)))
+
+
+def _composed_attention(q, k, v, heads, key_mask=None):
+    """Reference: attention as the reshape/permute/scale/matmul/mask-add/
+    softmax/matmul/permute/reshape chain of tape ops that the fused op replaced."""
+    lead, dh = q.data.ndim - 2, q.shape[-1] // heads
+
+    def split(x, order):
+        x = T.reshape(x, x.shape[:-1] + (heads, dh))
+        return T.permute(x, tuple(range(lead)) + tuple(lead + a for a in order))
+
+    scores = T.matmul(split(q * (1.0 / np.sqrt(dh)), (1, 0, 2)), split(k, (1, 2, 0)))
+    if key_mask is not None:
+        bias = np.where(key_mask, 0.0, ATTENTION_MASK_BIAS)
+        if bias.ndim >= 2:
+            bias = np.expand_dims(bias, -3)
+        scores = scores + T.Tensor(bias)
+    attn = T.softmax(scores, axis=-1)
+    out = T.permute(T.matmul(attn, split(v, (1, 0, 2))), tuple(range(lead)) + (lead + 1, lead, lead + 2))
+    return T.reshape(out, q.shape), attn.data
+
+
+def _attention_cases():
+    padded = np.ones((3, 1, 5), dtype=bool)
+    padded[0, 0, 3:] = False
+    padded[2, 0, :] = False  # every key of entry 2 is padding
+    grid = np.tril(np.ones((5, 5), dtype=bool))
+    grid[3] = False  # query row 3 sees only padding
+    return {
+        "self": ((5, 8), (5, 8), None),
+        "padded": ((3, 5, 8), (3, 5, 8), padded),
+        "causal": ((5, 8), (5, 8), np.tril(np.ones((5, 5), dtype=bool))),
+        "all-padding-row": ((2, 5, 8), (2, 5, 8), grid),
+        "kv-cross": ((4, 8), (6, 8), np.array([True, True, False, True, True, False])),
+    }
+
+
+class TestAttention:
+    """The fused op against the composition above: values, weights and
+    gradients of q, k and v within 1e-10."""
+
+    @pytest.mark.parametrize("case", list(_attention_cases()))
+    def test_matches_the_composed_ops(self, case):
+        q_shape, kv_shape, mask = _attention_cases()[case]
+        upstream = T.Tensor(np.random.default_rng(30).standard_normal(q_shape))
+
+        def run(fused):
+            rng = np.random.default_rng(31)
+            q, k, v = rand(rng, *q_shape), rand(rng, *kv_shape), rand(rng, *kv_shape)
+            if fused:
+                bias = None if mask is None else np.where(mask, 0.0, ATTENTION_MASK_BIAS)
+                out, weights = T.attention(q, k, v, 2, bias)
+            else:
+                out, weights = _composed_attention(q, k, v, 2, mask)
+            T.backward((out * upstream).sum())
+            return [out.data, weights, q.grad, k.grad, v.grad]
+
+        fused, ref = run(True), run(False)
+        assert fused[1].shape == ref[1].shape == q_shape[:-2] + (2, q_shape[-2], kv_shape[-2])
+        for name, a, b in zip(["out", "weights", "dq", "dk", "dv"], fused, ref):
+            assert np.isfinite(a).all(), name
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-10, err_msg=name)
+
+    def test_padded_keys_get_exactly_zero_weight(self):
+        q_shape, kv_shape, mask = _attention_cases()["padded"]
+        rng = np.random.default_rng(32)
+        bias = np.where(mask, 0.0, ATTENTION_MASK_BIAS)
+        q, k, v = rand(rng, *q_shape), rand(rng, *kv_shape), rand(rng, *kv_shape)
+        _, weights = T.attention(q, k, v, 2, bias)
+        T.reset_tape()
+        assert (weights[0, ..., 3:] == 0.0).all()
+        np.testing.assert_allclose(weights[2], 1 / 5, atol=1e-15)  # all padding: uniform
+        assert not weights.flags.writeable
+
+    def test_gradient(self):
+        rng = np.random.default_rng(33)
+        q, k, v = rand(rng, 2, 3, 4), rand(rng, 2, 5, 4), rand(rng, 2, 5, 4)
+        bias = np.where(rng.random((2, 1, 5)) < 0.7, 0.0, ATTENTION_MASK_BIAS)
+        bias[:, :, 0] = 0.0
+        u = rng.standard_normal((2, 3, 4))
+        errs = check_gradients(
+            lambda: (T.attention(q, k, v, 2, bias)[0] * T.Tensor(u)).sum(), {"q": q, "k": k, "v": v}
+        )
+        assert max(errs.values()) < 1e-6
+
+    def test_shape_mismatch_rejected(self):
+        def zeros(*shape):
+            return T.Tensor(np.zeros(shape))
+
+        with pytest.raises(ShapeError):  # batch axes differ
+            T.attention(zeros(2, 3, 4), zeros(3, 4), zeros(3, 4), 2)
+        with pytest.raises(ShapeError):  # width 6 over 4 heads
+            T.attention(zeros(3, 6), zeros(3, 6), zeros(3, 6), 4)
+
 
 class TestCrossEntropy:
     def test_uniform_logits(self):
@@ -287,6 +434,47 @@ class TestGelu:
         t = np.tanh(c * (x.data + 0.044715 * x.data**3))
         expected = 0.5 * (1.0 + t) + 0.5 * x.data * (1.0 - t**2) * c * (1.0 + 3 * 0.044715 * x.data**2)
         np.testing.assert_allclose(x.grad, expected, rtol=0, atol=1e-12)
+
+
+    def test_batched_gradient_matches_the_cubic_formula(self):
+        rng = np.random.default_rng(42)
+        x = T.Tensor(rng.standard_normal((2, 3, 16)) * 3, requires_grad=True)
+        u = rng.standard_normal((2, 3, 16))
+        T.backward((T.gelu(x) * T.Tensor(u)).sum())
+        c, xd = math.sqrt(2.0 / math.pi), x.data
+        t = np.tanh(c * (xd + 0.044715 * xd**3))
+        local = 0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t**2) * c * (1.0 + 3 * 0.044715 * xd**2)
+        np.testing.assert_allclose(x.grad, u * local, rtol=0, atol=1e-10)
+
+
+class TestTapeInvariants:
+    def test_untracked_operands_get_no_adjoint(self, monkeypatch):
+        reached = []
+        accum = T._accum
+        monkeypatch.setattr(T, "_accum", lambda t, g: (reached.append(t), accum(t, g)))
+        rng = np.random.default_rng(43)
+        x, w, b = rand(rng, 4, 6), rand(rng, 6, 6), rand(rng, 6)
+        features = T.Tensor(rng.standard_normal((4, 6)))  # input features: off the tape
+        mask = T.Tensor(np.where(rng.random((4, 6)) < 0.5, 0.0, ATTENTION_MASK_BIAS))
+        scale = T.Tensor(0.5)
+        h = T.linear(features, w, b) + T.matmul(x, w) * scale + mask
+        kv = T.concat_rows([h, features])
+        out, _ = T.attention(h, kv, kv, 2)
+        out2, _ = T.attention(h, features, h, 2)
+        T.backward(out.sum() + out2.sum())
+        assert reached and all(t._track for t in reached)
+        assert features.grad is None and mask.grad is None and scale.grad is None
+
+    def test_backward_never_writes_an_upstream_gradient(self):
+        rng = np.random.default_rng(44)
+        u = rng.standard_normal((2, 3))
+        x = rand(rng, 2, 3)
+        y = x + x
+        z = x.reshape(3, 2).reshape(2, 3) + x
+        T.backward((y * T.Tensor(u)).sum() + (z * T.Tensor(u)).sum())
+        np.testing.assert_array_equal(y.grad, u)
+        np.testing.assert_array_equal(z.grad, u)
+        np.testing.assert_array_equal(x.grad, 4 * u)
 
 
 class TestElementwiseGradients:
