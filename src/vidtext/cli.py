@@ -262,6 +262,7 @@ def cmd_pretrain(args) -> int:
     )
     seed = int(eff["seed"])
     steps = int(eff["steps"])
+    batch_size = int(eff["batch_size"])
 
     model = PretrainModel(config, seed=seed)
     optimizer = T.AdamW(
@@ -271,7 +272,7 @@ def cmd_pretrain(args) -> int:
     if args.resume:
         arrays, meta = load_checkpoint(args.resume)
         start_step = int(_meta_fields(meta, args.resume, "step")[0])
-        _check_resume_meta(meta, args.resume, seed, sorted(weights), config)
+        _check_resume_meta(meta, args.resume, seed, sorted(weights), batch_size, config)
         _load_model_arrays(model, arrays, args.resume)
         if start_step > steps:
             raise ConfigError(
@@ -287,9 +288,10 @@ def cmd_pretrain(args) -> int:
         "seed": seed,
         "vocab_tokens": vocab.tokens,
         "tasks": sorted(weights),
+        "batch_size": batch_size,
     }
     batches = make_batches(
-        clips, vocab, config, int(eff["batch_size"]), seed, weights, steps, start_step=start_step
+        clips, vocab, config, batch_size, seed, weights, steps, start_step=start_step
     )
     work = (
         (b.step, b.kind, partial(pretrain_step, model, b, optimizer, hypers)) for b in batches
@@ -433,14 +435,19 @@ def _load_model_arrays(model, arrays: dict, path, required_prefix: str = "") -> 
     return fresh
 
 
-def _check_resume_meta(meta: dict, path, seed: int, tasks: list, config: ModelConfig) -> None:
-    """A resumed run must have the seed, tasks and model config that wrote
-    its checkpoint; a mismatch is a ConfigError (exit 1) naming each one."""
-    saved_seed, saved_tasks = _meta_fields(meta, path, "seed", "tasks")
+def _check_resume_meta(
+    meta: dict, path, seed: int, tasks: list, batch_size: int, config: ModelConfig
+) -> None:
+    """A resumed run must have the seed, tasks, batch size and model config
+    that wrote its checkpoint; a mismatch is a ConfigError (exit 1) naming
+    each one."""
+    saved_seed, saved_tasks, saved_batch = _meta_fields(meta, path, "seed", "tasks", "batch_size")
     saved_config = _meta_config(meta, path).to_dict()
     diffs = [f"seed {saved_seed} != {seed}"] if saved_seed != seed else []
     if saved_tasks != tasks:
         diffs.append(f"tasks {saved_tasks} != {tasks}")
+    if saved_batch != batch_size:
+        diffs.append(f"batch_size {saved_batch} != {batch_size}")
     diffs += [
         f"{key} {saved_config[key]} != {value}"
         for key, value in config.to_dict().items()

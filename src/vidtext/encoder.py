@@ -17,7 +17,7 @@ from .errors import ConfigError, ShapeError, UsageError
 
 log = logging.getLogger(__name__)
 
-ATTENTION_MASK_BIAS = -1e30
+ATTENTION_MASK_BIAS = T.ATTENTION_MASK_BIAS
 
 
 @dataclass
@@ -131,7 +131,9 @@ class MultiHeadAttention(Module):
     leading axes are batch axes.  Self-attention by default, cross-attention
     when ``kv`` rows are supplied.  ``key_mask`` is boolean and broadcasts
     against each head's (..., n_queries, n_keys) score grid: (n_keys,), a
-    full (n_queries, n_keys) grid (e.g. causal), or (batch, 1, n_keys)."""
+    full (n_queries, n_keys) grid (e.g. causal), or (batch, 1, n_keys).
+    With a row ``grid`` (see ``tensor.attention``), ``x`` is packed (N, d)
+    rows of several sequences and only the attention op sees padding."""
 
     def __init__(self, rng: np.random.Generator, d: int, heads: int):
         self.d = d
@@ -148,10 +150,13 @@ class MultiHeadAttention(Module):
         key_mask: np.ndarray | None = None,
         capture: list | None = None,
         kv: T.Tensor | None = None,
+        grid: np.ndarray | None = None,
     ) -> T.Tensor:
         source = x if kv is None else kv
         bias = None if key_mask is None else np.where(key_mask, 0.0, ATTENTION_MASK_BIAS)
-        out, weights = T.attention(self.wq(x), self.wk(source), self.wv(source), self.heads, bias)
+        out, weights = T.attention(
+            self.wq(x), self.wk(source), self.wv(source), self.heads, bias, grid=grid
+        )
         if capture is not None:
             capture.extend(weights.copy())  # one entry per head, or per batch entry
         return self.wo(out)
@@ -168,8 +173,8 @@ class TransformerBlock(Module):
         self.ffn1 = Linear(rng, d, d * ffn_multiplier)
         self.ffn2 = Linear(rng, d * ffn_multiplier, d)
 
-    def __call__(self, x, key_mask=None, dropout=0.0, train_rng=None, capture=None):
-        a = self.attn(self.ln1(x), key_mask=key_mask, capture=capture)
+    def __call__(self, x, key_mask=None, dropout=0.0, train_rng=None, capture=None, grid=None):
+        a = self.attn(self.ln1(x), key_mask=key_mask, capture=capture, grid=grid)
         x = x + T.dropout(a, dropout, train_rng)
         f = self.ffn2(T.gelu(self.ffn1(self.ln2(x))))
         return x + T.dropout(f, dropout, train_rng)
@@ -181,13 +186,16 @@ class TransformerStack(Module):
         self.blocks = [TransformerBlock(rng, d, heads, ffn_multiplier) for _ in range(layers)]
         self.ln_out = LayerNorm(d)
 
-    def __call__(self, x, key_mask=None, dropout=0.0, train_rng=None, capture=None):
-        for i, block in enumerate(self.blocks):
+    def __call__(self, x, key_mask=None, dropout=0.0, train_rng=None, capture=None, grid=None):
+        for block in self.blocks:
             layer_capture = None
             if capture is not None:
                 capture.append([])
                 layer_capture = capture[-1]
-            x = block(x, key_mask=key_mask, dropout=dropout, train_rng=train_rng, capture=layer_capture)
+            x = block(
+                x, key_mask=key_mask, dropout=dropout, train_rng=train_rng,
+                capture=layer_capture, grid=grid,
+            )
         return self.ln_out(x)
 
 
@@ -294,10 +302,11 @@ class HierarchicalEncoder(Module):
 
         ``segments`` lists each segment's frame rows (into ``v_emb``) and
         token rows (into ``w_emb``) and must use every row exactly once; the
-        default is a single segment of all rows.  All segments run as one
-        padded (S, L, d) batch whose key mask hides the padding.  Either side
-        may be absent (the query path passes no frames).  ``capture``
-        receives, per segment, a list per layer of per-head (L_j, L_j) grids.
+        default is a single segment of all rows.  The stack runs on the
+        packed rows ``[v_emb; w_emb]``; only attention sees the segments, as
+        an (S, L) row grid padded to the longest segment.  Either side may
+        be absent (the query path passes no frames).  ``capture`` receives,
+        per segment, a list per layer of per-head (L_j, L_j) grids.
         """
         if v_emb is None and w_emb is None:
             raise UsageError("cross_modal_forward needs at least one modality")
@@ -306,39 +315,33 @@ class HierarchicalEncoder(Module):
         n_rows = sum(p.shape[0] for p in parts)
         if segments is None:
             segments = [(np.arange(n_v), np.arange(n_rows - n_v))]
-        lengths = [len(frames) + len(tokens) for frames, tokens in segments]
+        joint = [  # each segment's packed rows: frames, then tokens after all frames
+            np.concatenate([np.asarray(f, dtype=np.intp), n_v + np.asarray(t, dtype=np.intp)])
+            for f, t in segments
+        ]
+        lengths = [len(rows) for rows in joint]
         if min(lengths) == 0:
             raise UsageError("cross_modal_forward needs at least one row in every segment")
-        # grid[j, i] is the joint row at position i of segment j; n_rows, a
-        # zero row appended below, fills the padding
-        grid = np.full((len(segments), max(lengths)), n_rows, dtype=np.intp)
-        for j, (frames, tokens) in enumerate(segments):
-            grid[j, : len(frames)] = frames
-            grid[j, len(frames) : lengths[j]] = n_v + np.asarray(tokens, dtype=np.intp)
-        real = grid < n_rows
-        if not np.array_equal(np.sort(grid[real]), np.arange(n_rows)):
+        if not np.array_equal(np.sort(np.concatenate(joint)), np.arange(n_rows)):
             raise ShapeError("cross_modal_forward segments must use every frame and token row once")
-        zero_row = T.Tensor(np.zeros((1, parts[0].shape[1])))
-        batch = T.take_rows(T.concat_rows(parts + [zero_row]), grid)
         layers = [] if capture is not None else None
         out = self.cross(
-            batch,
-            key_mask=None if real.all() else real[:, None, :],
+            parts[0] if len(parts) == 1 else T.concat_rows(parts),
             dropout=self.config.dropout,
             train_rng=train_rng,
             capture=layers,
+            grid=T.row_grid(joint, n_rows),
         )
         if capture is not None:
             capture.extend(
                 [[heads[:n, :n] for heads in layer[j]] for layer in layers]
                 for j, n in enumerate(lengths)
             )
-        flat = T.reshape(out, (-1, out.shape[-1]))
-        where = np.empty(n_rows, dtype=np.intp)
-        where[grid[real]] = np.flatnonzero(real)
-        v_cross = T.take_rows(flat, where[:n_v]) if v_emb is not None else None
-        w_cross = T.take_rows(flat, where[n_v:]) if w_emb is not None else None
-        return v_cross, w_cross
+        if w_emb is None:
+            return out, None
+        if v_emb is None:
+            return None, out
+        return T.slice_rows(out, 0, n_v), T.slice_rows(out, n_v, n_rows)
 
     def temporal_apply(
         self,
@@ -346,16 +349,19 @@ class HierarchicalEncoder(Module):
         key_mask: np.ndarray | None = None,
         train_rng: np.random.Generator | None = None,
         capture: list | None = None,
+        grid: np.ndarray | None = None,
     ) -> T.Tensor:
+        """The temporal stack over ``rows``; with a row ``grid``, ``rows``
+        packs several sequences (see ``tensor.attention``)."""
         return self.temporal(
-            rows, key_mask=key_mask, dropout=self.config.dropout, train_rng=train_rng, capture=capture
+            rows, key_mask=key_mask, dropout=self.config.dropout, train_rng=train_rng,
+            capture=capture, grid=grid,
         )
 
     def temporal_forward(
         self,
         v_emb: T.Tensor,
         v_cross: T.Tensor,
-        pad_mask: np.ndarray | None = None,
         train_rng: np.random.Generator | None = None,
         capture: list | None = None,
     ) -> T.Tensor:
@@ -363,7 +369,7 @@ class HierarchicalEncoder(Module):
         information into the temporal stack."""
         if v_emb.shape != v_cross.shape:
             raise ShapeError(f"residual shape {v_emb.shape} != fused shape {v_cross.shape}")
-        return self.temporal_apply(v_emb + v_cross, key_mask=pad_mask, train_rng=train_rng, capture=capture)
+        return self.temporal_apply(v_emb + v_cross, train_rng=train_rng, capture=capture)
 
     # -- whole-clip pipeline -----------------------------------------------------
 
@@ -406,7 +412,7 @@ class HierarchicalEncoder(Module):
             v_emb, w_emb, segments, train_rng=train_rng, capture=capture
         )
         w_cross_list = [
-            T.take_rows(w_cross, np.arange(lo, hi)) if hi > lo else None
+            T.slice_rows(w_cross, lo, hi) if hi > lo else None
             for lo, hi in zip(bounds[:-1], bounds[1:])
         ]
         attention = {("cross", j): layers for j, layers in enumerate(capture or [])}

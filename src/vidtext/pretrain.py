@@ -317,14 +317,10 @@ class PretrainModel(Module):
         return self.query_encoder(w_cross)
 
     def span_distributions(self, s_local: T.Tensor) -> tuple[T.Tensor, T.Tensor, T.Tensor, T.Tensor]:
-        st_logits = T.conv1d(s_local, self.span_st_filter)
-        ed_logits = T.conv1d(s_local, self.span_ed_filter)
-        return (
-            T.softmax(st_logits, axis=-1),
-            T.softmax(ed_logits, axis=-1),
-            T.log_softmax(st_logits, axis=-1),
-            T.log_softmax(ed_logits, axis=-1),
-        )
+        """(p_st, p_ed, log_p_st, log_p_ed); each p is exp of its log-softmax."""
+        log_p_st = T.log_softmax(T.conv1d(s_local, self.span_st_filter), axis=-1)
+        log_p_ed = T.log_softmax(T.conv1d(s_local, self.span_ed_filter), axis=-1)
+        return T.exp(log_p_st), T.exp(log_p_ed), log_p_st, log_p_ed
 
     def vsm_scores(self, encoded, query_token_ids: Sequence[int], train_rng=None) -> VsmScores:
         if encoded.clip.n_frames == 0:

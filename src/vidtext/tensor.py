@@ -9,8 +9,10 @@ bit-identical outputs.
 The transformer's hot paths are fused ops with hand-written adjoints:
 ``linear`` (one GEMM plus bias), ``attention`` (head split, scale, key mask,
 softmax and value product for all heads) and the single-pass ``layer_norm``
-and ``gelu``.  An op computes no adjoint for an operand that is off the tape
-(constants, input features).
+and ``gelu``.  ``attention`` also takes packed rows with a row grid, so
+every other op of a transformer runs on real rows only and only attention
+sees padding.  An op computes no adjoint for an operand that is off the
+tape (constants, input features).
 
 Gradients are never written in place.  ``.grad`` adopts the first adjoint
 array it receives, which may be a read-only view shared with another
@@ -288,7 +290,13 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _make(out.reshape(x.data.shape[:-1] + (fan_out,)), (x, w, b), bw)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, bias: np.ndarray | None = None):
+ATTENTION_MASK_BIAS = -1e30  # score bias of a masked key: exp() of it is exactly 0
+
+
+def attention(
+    q: Tensor, k: Tensor, v: Tensor, heads: int, bias: np.ndarray | None = None,
+    grid: np.ndarray | None = None,
+):
     """Scaled dot-product attention for all heads in one op.
 
     ``q`` is (..., n, d) and ``k``, ``v`` are (..., m, d) with the same
@@ -298,9 +306,43 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, bias: np.ndarray | No
     negative number; a 2+-D bias gets the head axis inserted before its last
     two.  Returns the (..., n, d) output, heads concatenated, and the
     (..., heads, n, m) attention weights (read-only: the adjoint uses them).
+
+    With a (B, L) integer ``grid``, ``q``, ``k`` and ``v`` are packed (N, d)
+    rows and ``grid[b, i]`` is the packed row at position i of sequence b,
+    with N marking padding; every packed row appears exactly once.  The rows
+    are gathered into a (B, L, d) batch whose padding keys are masked, and
+    the output is scattered back to (N, d); the adjoint does the reverse.
+    The weights are the (B, heads, L, L) grids.  ``bias`` must then be None.
     """
-    lead, (n, d), m = q.data.shape[:-2], q.data.shape[-2:], k.data.shape[-2]
-    if k.data.shape != lead + (m, d) or v.data.shape != k.data.shape:
+    qd, kd, vd = q.data, k.data, v.data
+    if grid is not None:
+        grid = np.asarray(grid, dtype=np.intp)
+        n_rows = qd.shape[0]
+        if qd.ndim != 2 or kd.shape != qd.shape or vd.shape != qd.shape or bias is not None:
+            raise ShapeError(f"packed attention needs (N, d) q, k, v and no bias, got {q.shape}")
+        if grid.ndim != 2 or grid.min(initial=0) < 0 or grid.max(initial=0) > n_rows:
+            raise ShapeError(f"attention grid of shape {grid.shape} does not index {n_rows} rows")
+        real = grid < n_rows
+        # where[r] is the flat grid slot of packed row r
+        where = np.full(n_rows, -1, dtype=np.intp)
+        where[grid[real]] = np.flatnonzero(real)
+        if np.count_nonzero(real) != n_rows or (where < 0).any():
+            raise ShapeError("attention grid must hold every packed row exactly once")
+
+        def gather(a):  # (N, d) -> (B, L, d), zero rows at the padding
+            out = np.zeros((grid.size, a.shape[-1]))
+            out[where] = a
+            return out.reshape(grid.shape + a.shape[-1:])
+
+        def scatter(a):  # (B, L, d) -> (N, d)
+            return a.reshape(-1, a.shape[-1])[where]
+
+        qd, kd, vd = gather(qd), gather(kd), gather(vd)
+        bias = np.where(real, 0.0, ATTENTION_MASK_BIAS)[:, None, :]
+    else:
+        gather = scatter = lambda a: a
+    lead, (n, d), m = qd.shape[:-2], qd.shape[-2:], kd.shape[-2]
+    if kd.shape != lead + (m, d) or vd.shape != kd.shape:
         raise ShapeError(f"attention got q {q.shape}, k {k.shape}, v {v.shape}")
     if d % heads:
         raise ShapeError(f"attention width {d} is not divisible by {heads} heads")
@@ -310,8 +352,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, bias: np.ndarray | No
     def split(a):  # (..., r, d) -> (..., heads, r, dh)
         return a.reshape(a.shape[:-1] + (heads, dh)).swapaxes(-2, -3)
 
-    qs = q.data * scale
-    k_h, v_h = split(k.data), split(v.data)
+    qs = qd * scale
+    k_h, v_h = split(kd), split(vd)
     p = split(qs) @ k_h.swapaxes(-1, -2)  # (..., heads, n, m)
     if bias is not None:
         p += bias if bias.ndim < 2 else np.expand_dims(bias, -3)
@@ -321,21 +363,30 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, bias: np.ndarray | No
     out = (p @ v_h).swapaxes(-2, -3).reshape(lead + (n, d))
 
     def bw(g):
-        g_h = split(g)
+        g_h = split(gather(g))
         if v._track:
-            _accum(v, (p.swapaxes(-1, -2) @ g_h).swapaxes(-2, -3).reshape(v.data.shape))
+            _accum(v, scatter((p.swapaxes(-1, -2) @ g_h).swapaxes(-2, -3).reshape(vd.shape)))
         ds = g_h @ v_h.swapaxes(-1, -2)  # softmax adjoint, in place: p * (ds - <ds, p>)
         ds -= (ds * p).sum(axis=-1, keepdims=True)
         ds *= p
         if q._track:
-            dq = (ds @ k_h).swapaxes(-2, -3).reshape(q.data.shape)
+            dq = (ds @ k_h).swapaxes(-2, -3).reshape(qd.shape)
             dq *= scale
-            _accum(q, dq)
+            _accum(q, scatter(dq))
         if k._track:
-            _accum(k, (ds.swapaxes(-1, -2) @ split(qs)).swapaxes(-2, -3).reshape(k.data.shape))
+            _accum(k, scatter((ds.swapaxes(-1, -2) @ split(qs)).swapaxes(-2, -3).reshape(kd.shape)))
 
     p.flags.writeable = False
-    return _make(out, (q, k, v), bw), p
+    return _make(scatter(out), (q, k, v), bw), p
+
+
+def row_grid(sequences: Sequence[np.ndarray], n_rows: int) -> np.ndarray:
+    """The (B, L) row grid of ``attention`` for B sequences of packed row
+    indices: row b lists sequence b, padded with ``n_rows`` to the longest."""
+    grid = np.full((len(sequences), max(len(rows) for rows in sequences)), n_rows, dtype=np.intp)
+    for b, rows in enumerate(sequences):
+        grid[b, : len(rows)] = rows
+    return grid
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -443,6 +494,17 @@ def slice_cols(a: Tensor, lo: int, hi: int) -> Tensor:
     return _make(a.data[:, lo:hi].copy(), (a,), bw)
 
 
+def slice_rows(a: Tensor, lo: int, hi: int) -> Tensor:
+    """Rows ``lo:hi`` along the first axis, as a view; the adjoint pads with zeros."""
+
+    def bw(g):
+        acc = np.zeros_like(a.data)
+        acc[lo:hi] = g
+        _accum(a, acc)
+
+    return _make(a.data[lo:hi], (a,), bw)
+
+
 def take_rows(a: Tensor, idx) -> Tensor:
     """Gather rows by index; the adjoint scatter-adds back.  An N-D ``idx``
     gives an output of shape ``idx.shape + a.shape[1:]``."""
@@ -506,6 +568,15 @@ def gelu(a: Tensor) -> Tensor:
         r *= 0.5
         r *= g
         _accum(a, r)
+
+    return _make(data, (a,), bw)
+
+
+def exp(a: Tensor) -> Tensor:
+    data = np.exp(a.data)
+
+    def bw(g):
+        _accum(a, g * data)
 
     return _make(data, (a,), bw)
 

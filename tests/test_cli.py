@@ -235,6 +235,20 @@ class TestFinetuneAndEval:
             assert payload["task"] == task
             assert payload["metrics"]
 
+    @pytest.mark.parametrize("hypothesis", ["", "!!! ???"])
+    def test_empty_nli_hypothesis_exits_two(self, corpus, tmp_path, capsys, hypothesis):
+        from vidtext.downstream import NliExample, read_task_file, write_task_file
+
+        clip_id = read_task_file(write_toy_tasks(corpus, tmp_path)["nli"], "nli")[0].clip_id
+        path = tmp_path / "empty-nli.jsonl"
+        write_task_file(path, "nli", [NliExample(clip_id, hypothesis, 1)])
+        rc = main([
+            "finetune", "--task", "nli", "--data", str(path), "--corpus", str(corpus),
+            "--out-dir", str(tmp_path / "ft"), "--steps", "1",
+        ])
+        assert rc == EXIT_DATA
+        assert f"hypothesis {hypothesis!r} tokenizes to nothing" in capsys.readouterr().err
+
     def test_eval_defaults_match_reporting_contract(self):
         assert EVAL_DEFAULTS["tiou"] == 0.7
         assert EVAL_DEFAULTS["nms"] == "0.5"
@@ -347,6 +361,16 @@ class TestIncompleteCheckpoints:
         assert rc == EXIT_DATA
         assert "'step'" in capsys.readouterr().err
 
+    def test_resume_without_batch_size_exits_two(self, corpus, pretrained, tmp_path, capsys):
+        bad = self._resave(pretrained, tmp_path / "bad.ckpt", drop_meta=("batch_size",))
+        rc = main([
+            "pretrain", "--corpus", str(corpus), "--out-dir", str(tmp_path / "run"),
+            "--steps", "8", "--batch-size", "2", "--dropout", "0.0", *SMALL_MODEL,
+            "--resume", str(bad),
+        ])
+        assert rc == EXIT_DATA
+        assert "'batch_size'" in capsys.readouterr().err
+
     def test_resume_without_optimizer_state_exits_two(self, corpus, pretrained, tmp_path, capsys):
         bad = self._resave(pretrained, tmp_path / "bad.ckpt", drop_arrays="adam.")
         rc = main([
@@ -403,6 +427,7 @@ class TestCheckpointArrays:
         (["--seed", "3"], "seed 0 != 3"),
         (["--tasks", "mlm,fom"], "tasks ['fom', 'mlm', 'mnce', 'vsm'] != ['fom', 'mlm']"),
         (["--dropout", "0.1"], "dropout 0.0 != 0.1"),
+        (["--batch-size", "3"], "batch_size 2 != 3"),
     ])
     def test_resume_refuses_other_options(self, corpus, pretrained, tmp_path, capsys, flags, named):
         run = tmp_path / "run"

@@ -28,6 +28,7 @@ from vidtext.downstream import (
     write_task_file,
     QA_LAMBDA_DEFAULT,
 )
+from vidtext.encoder import HierarchicalEncoder, ModelConfig
 from vidtext.errors import ConfigError, DataError, UsageError
 from vidtext.pretrain import PretrainHypers, PretrainModel
 
@@ -186,7 +187,153 @@ class TestQa:
         assert ids[:3] == [5, 6, SEP_ID]
 
 
+# -- reference path: one encoder pass per candidate ------------------------------
+
+
+def _ref_encode_with_appended_text(encoder, clip, extra_ids):
+    """One candidate: its own fuse_clip over the augmented sentences, its own
+    cross-modal pass of the pseudo-sentence and its own temporal pass."""
+    max_tokens = encoder.config.max_tokens
+    override = [
+        qa_augmented_token_ids(s.token_ids, extra_ids, None, max_tokens) for s in clip.sentences
+    ]
+    v_emb, v_cross, _, _ = encoder.fuse_clip(clip, token_ids_override=override)
+    w_emb = encoder.embed_text(list(extra_ids)[:max_tokens])
+    _, w_cross = encoder.cross_modal_forward(None, w_emb)
+    h = encoder.temporal_apply(T.concat_rows([v_emb + v_cross, w_emb + w_cross]))
+    return T.take_rows(h, np.arange(clip.n_frames))
+
+
+def _ref_pool(rows, query, d):
+    alpha = T.softmax(T.matmul(rows, query) * (1.0 / math.sqrt(d)), axis=0)
+    return T.matmul(alpha.T, rows)  # (1, d)
+
+
+def _ref_qa_forward(model, clip, question_ids, answer_ids):
+    head, d = model.qa, model.config.d
+    pooled_list, rows_list, logits = [], [], []
+    for ans in answer_ids:
+        rows = _ref_encode_with_appended_text(
+            model.encoder, clip, list(question_ids) + [SEP_ID] + list(ans)
+        )
+        pooled = _ref_pool(rows, head.pool_query, d)
+        logits.append(head.ans_out(T.gelu(head.ans_hidden(pooled))))
+        pooled_list.append(pooled)
+        rows_list.append(rows)
+    ans_logits = T.concat_cols(logits)
+    log_p_ans = T.reshape(T.log_softmax(ans_logits, axis=-1), (-1,))
+    p_ans = T.reshape(T.softmax(ans_logits, axis=-1), (-1,))
+    beta = T.softmax(
+        T.matmul(T.concat_rows(pooled_list), head.answer_attn_query) * (1.0 / math.sqrt(d)), axis=0
+    )
+    fused = None
+    for a, rows in enumerate(rows_list):
+        term = rows * T.take_rows(beta, [a])
+        fused = term if fused is None else fused + term
+    st = T.reshape(head.st_out(T.gelu(head.st_hidden(fused))), (-1,))
+    ed = T.reshape(head.ed_out(T.gelu(head.ed_hidden(fused))), (-1,))
+    return log_p_ans, p_ans, T.log_softmax(st, axis=-1), T.log_softmax(ed, axis=-1)
+
+
+class TestBatchedCandidatesMatchPerCandidate:
+    """One packed encoder pass for all candidates against one pass per
+    candidate (dropout off): every output and parameter gradient within 1e-10."""
+
+    @pytest.fixture
+    def setup(self, small_vocab):
+        config = ModelConfig(
+            d=16, cross_layers=2, cross_heads=4, temporal_layers=1, temporal_heads=2,
+            vocab_size=30, frame_feature_dim=8, max_frames=16, max_tokens=12,
+            ffn_multiplier=2, dropout=0.0,
+        )
+        rng = np.random.default_rng(11)
+        # a tokenless sentence, interleaved frame groups and a sentence long
+        # enough that appending the question and answer truncates it
+        clip = make_clip(rng, small_vocab, groups=(2, 5, 3), tokens=(4, 0, 9))
+        for sent, group in zip(clip.sentences, [[0, 4], [1, 2, 3, 8, 9], [5, 6, 7]]):
+            sent.frame_indices = group
+        def words(n):
+            return [int(t) for t in rng.integers(small_vocab.num_specials, small_vocab.size, n)]
+
+        question = words(3)
+        answers = [words(n) for n in (2, 1, 4, 3, 2)]  # uneven lengths
+        return config, clip, question, answers
+
+    @staticmethod
+    def _weighted_sum(outputs, seed=12):
+        rng = np.random.default_rng(seed)
+        total = None
+        for out in outputs:
+            term = (out * T.Tensor(rng.standard_normal(out.shape))).sum()
+            total = term if total is None else total + term
+        return total
+
+    def _run(self, model, fn):
+        params = model.params()
+        T.zero_grads(params.values())
+        outs = fn()
+        T.backward(self._weighted_sum(outs))
+        return [o.data for o in outs], {k: p.grad.copy() for k, p in params.items()}
+
+    @staticmethod
+    def _assert_close(fast, ref):
+        (f_outs, f_grads), (r_outs, r_grads) = fast, ref
+        for i, (a, b) in enumerate(zip(f_outs, r_outs)):
+            assert a.shape == b.shape, i
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-10, err_msg=f"output {i}")
+        assert f_grads.keys() == r_grads.keys()
+        for name in r_grads:
+            np.testing.assert_allclose(f_grads[name], r_grads[name], rtol=0, atol=1e-10, err_msg=name)
+
+    def test_qa_forward(self, setup):
+        config, clip, question, answers = setup
+        model = QaModel(config, seed=0)
+        fast = self._run(model, lambda: model.forward(clip, question, answers))
+        ref = self._run(model, lambda: _ref_qa_forward(model, clip, question, answers))
+        self._assert_close(fast, ref)
+
+    def test_nli_logits(self, setup, small_vocab):
+        config, clip, _, answers = setup
+        model = NliModel(config, seed=0)
+        example = NliExample(clip.clip_id, detokenize(answers[2], small_vocab), 1)
+        ids = tokenize(example.hypothesis, small_vocab)
+
+        def ref():
+            rows = _ref_encode_with_appended_text(model.encoder, clip, ids)
+            pooled = _ref_pool(rows, model.nli.pool_query, config.d)
+            return [model.nli.cls_out(T.gelu(model.nli.cls_hidden(pooled)))]
+
+        fast = self._run(model, lambda: [model._logits(clip, example, small_vocab)])
+        self._assert_close(fast, self._run(model, ref))
+
+    def test_one_cross_modal_and_one_temporal_call_per_example(self, setup, monkeypatch):
+        config, clip, question, answers = setup
+        model = QaModel(config, seed=0)
+        calls = []
+        for name in ("cross_modal_forward", "temporal_apply", "embed_video", "embed_text"):
+            original = getattr(HierarchicalEncoder, name)
+
+            def counting(self, *args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(HierarchicalEncoder, name, counting)
+        model.forward(clip, question, answers)
+        T.reset_tape()
+        assert sorted(calls) == ["cross_modal_forward", "embed_text", "embed_video", "temporal_apply"]
+
+
 class TestNli:
+    @pytest.mark.parametrize("hypothesis", ["", "!!! ???"])
+    def test_empty_hypothesis_is_a_data_error(self, tiny_config, toy_clip, small_vocab, hypothesis):
+        model = NliModel(tiny_config, seed=0)
+        ex = NliExample(toy_clip.clip_id, hypothesis, 1)
+        with pytest.raises(DataError, match=r"hypothesis .* tokenizes to nothing"):
+            model.loss(toy_clip, ex, small_vocab)
+        with pytest.raises(DataError, match="tokenizes to nothing"):
+            model.predict(toy_clip, ex, small_vocab)
+        T.reset_tape()
+
     def test_untrained_loss_near_log_two(self, tiny_config, toy_clip, small_vocab):
         model = NliModel(tiny_config, seed=0)
         ex = NliExample(toy_clip.clip_id, "w003 w004", 1)

@@ -327,6 +327,88 @@ class TestAttention:
             T.attention(zeros(3, 6), zeros(3, 6), zeros(3, 6), 4)
 
 
+# packed rows 0..6 of two sequences, interleaved; 7 marks the padding
+_GRID = np.array([[0, 4, 5, 7], [1, 2, 6, 3]])
+_SEQUENCES = [[0, 4, 5], [1, 2, 6, 3]]
+
+
+def _padded_then_packed(q, k, v, heads, grid):
+    """Reference for packed attention: gather the rows into a zero-padded
+    (B, L, d) batch, attend under the padding key mask, gather the real
+    positions back."""
+    n, d = q.shape
+    zero = T.Tensor(np.zeros((1, d)))
+    batch = [T.take_rows(T.concat_rows([x, zero]), grid) for x in (q, k, v)]
+    real = grid < n
+    out, weights = _composed_attention(*batch, heads, real[:, None, :])
+    where = np.empty(n, dtype=np.intp)
+    where[grid[real]] = np.flatnonzero(real)
+    return T.take_rows(T.reshape(out, (-1, d)), where), weights
+
+
+class TestPackedAttention:
+    """``attention`` over packed (N, d) rows and a (B, L) row grid."""
+
+    def test_matches_the_padded_composition(self):
+        upstream = T.Tensor(np.random.default_rng(40).standard_normal((7, 8)))
+
+        def run(packed):
+            rng = np.random.default_rng(41)
+            q, k, v = rand(rng, 7, 8), rand(rng, 7, 8), rand(rng, 7, 8)
+            if packed:
+                out, weights = T.attention(q, k, v, 2, grid=_GRID)
+            else:
+                out, weights = _padded_then_packed(q, k, v, 2, _GRID)
+            T.backward((out * upstream).sum())
+            return [out.data, weights, q.grad, k.grad, v.grad]
+
+        packed, ref = run(True), run(False)
+        assert packed[0].shape == (7, 8) and packed[1].shape == (2, 2, 4, 4)
+        for name, a, b in zip(["out", "weights", "dq", "dk", "dv"], packed, ref):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-10, err_msg=name)
+
+    def test_padding_gets_zero_weight_and_no_gradient(self):
+        """Padded keys get exactly zero weight, and every sequence's output
+        and gradients equal attention over that sequence alone."""
+        rng = np.random.default_rng(42)
+        q, k, v = rand(rng, 7, 8), rand(rng, 7, 8), rand(rng, 7, 8)
+        upstream = rng.standard_normal((7, 8))
+        out, weights = T.attention(q, k, v, 2, grid=_GRID)
+        assert (weights[0, :, :, 3] == 0.0).all()
+        T.backward((out * T.Tensor(upstream)).sum())
+        packed = [out.data, q.grad, k.grad, v.grad]
+        alone = [np.zeros((7, 8)) for _ in range(4)]
+        for rows in _SEQUENCES:
+            qs, ks, vs = (T.Tensor(x.data[rows], requires_grad=True) for x in (q, k, v))
+            o, _ = T.attention(qs, ks, vs, 2)
+            T.backward((o * T.Tensor(upstream[rows])).sum())
+            for acc, part in zip(alone, [o.data, qs.grad, ks.grad, vs.grad]):
+                acc[rows] = part
+        for name, a, b in zip(["out", "dq", "dk", "dv"], packed, alone):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12, err_msg=name)
+
+    def test_gradient(self):
+        rng = np.random.default_rng(43)
+        q, k, v = rand(rng, 7, 4), rand(rng, 7, 4), rand(rng, 7, 4)
+        u = rng.standard_normal((7, 4))
+        errs = check_gradients(
+            lambda: (T.attention(q, k, v, 2, grid=_GRID)[0] * T.Tensor(u)).sum(),
+            {"q": q, "k": k, "v": v},
+        )
+        assert max(errs.values()) < 1e-6
+
+    def test_malformed_grid_rejected(self):
+        x = T.Tensor(np.zeros((3, 4)))
+        for grid in ([[0, 1, 1]], [[0, 1, 3]], [[0, 1, 2, 4]], [[0, -1, 2]], [0, 1, 2]):
+            with pytest.raises(ShapeError):
+                T.attention(x, x, x, 2, grid=np.array(grid))
+        with pytest.raises(ShapeError):  # the grid makes its own key mask
+            T.attention(x, x, x, 2, np.zeros(3), grid=np.array([[0, 1, 2]]))
+        with pytest.raises(ShapeError):  # packed rows are 2-D
+            y = T.Tensor(np.zeros((1, 3, 4)))
+            T.attention(y, y, y, 2, grid=np.array([[0, 1, 2]]))
+
+
 class TestCrossEntropy:
     def test_uniform_logits(self):
         out = T.cross_entropy(T.Tensor(np.zeros((3, 7))), [0, 3, 6])
@@ -485,6 +567,7 @@ class TestElementwiseGradients:
             ("gelu", T.gelu),
             ("neg", T.neg),
             ("log_softmax", lambda t: T.log_softmax(t, axis=-1)),
+            ("exp", T.exp),
         ],
     )
     def test_unary_ops(self, name, fn):
@@ -518,6 +601,20 @@ class TestElementwiseGradients:
 
         errs = check_gradients(loss, {"a": a, "b": b})
         assert max(errs.values()) < FD_TOL
+
+    def test_slice_rows(self):
+        rng = np.random.default_rng(16)
+        a = rand(rng, 5, 3)
+        w = rng.standard_normal((2, 3))
+        np.testing.assert_array_equal(T.slice_rows(a, 1, 3).data, a.data[1:3])
+        errs = check_gradients(lambda: (T.slice_rows(a, 1, 3) * T.Tensor(w)).sum(), {"a": a})
+        assert errs["a"] < FD_TOL
+
+    def test_exp_of_log_softmax_is_softmax(self):
+        x = T.Tensor(np.random.default_rng(17).standard_normal((3, 6)) * 20)
+        np.testing.assert_allclose(
+            T.exp(T.log_softmax(x, axis=-1)).data, T.softmax(x, axis=-1).data, rtol=0, atol=1e-15
+        )
 
     def test_embedding_lookup(self):
         rng = np.random.default_rng(14)
