@@ -19,7 +19,7 @@ import numpy as np
 
 from . import tensor as T
 from .checkpoint import load_checkpoint, save_checkpoint
-from .data import align, load_corpus_vocab, read_corpus, synth_corpus
+from .data import Vocab, align, load_corpus_vocab, read_corpus, synth_corpus, tokenize
 from .downstream import (
     finetune_model_for,
     load_params_into,
@@ -106,7 +106,11 @@ def _read_config_file(path: str) -> dict:
     p = Path(path)
     if not p.exists():
         raise DataError(f"config file not found: {path}")
-    for lineno, line in enumerate(p.read_text().splitlines(), start=1):
+    try:
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read config file {path}: {exc}") from exc
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -116,9 +120,19 @@ def _read_config_file(path: str) -> dict:
         value = value.strip()
         try:
             out[key.strip()] = json.loads(value)
-        except json.JSONDecodeError:
+        except (json.JSONDecodeError, RecursionError):
             out[key.strip()] = value
     return out
+
+
+def _check_option_type(key: str, value, default) -> None:
+    """A config-file value must have its default's type; an int is also a
+    float.  A mismatch is a ConfigError (exit 1) naming the key."""
+    expected = (int, float) if isinstance(default, float) else type(default)
+    if isinstance(value, bool) or not isinstance(value, expected):
+        raise ConfigError(
+            f"config key {key!r} needs a {type(default).__name__} value, got {value!r}"
+        )
 
 
 def _effective_options(defaults: dict, config_path: str | None, cli_values: dict) -> dict:
@@ -128,6 +142,8 @@ def _effective_options(defaults: dict, config_path: str | None, cli_values: dict
         unknown = set(file_values) - set(defaults)
         if unknown:
             raise ConfigError(f"config file sets unknown keys: {sorted(unknown)}")
+        for key, value in file_values.items():
+            _check_option_type(key, value, defaults[key])
         eff.update(file_values)
     eff.update({k: v for k, v in cli_values.items() if v is not None})
     return eff
@@ -336,9 +352,7 @@ def cmd_finetune(args) -> int:
     max_frames = config.max_frames if config else PRETRAIN_DEFAULTS["max_frames"]
     header, vocab, clips = _load_aligned_corpus(args.corpus, max_frames)
     if config is None:
-        base = dict(PRETRAIN_DEFAULTS)
-        base["dropout"] = 0.1
-        config = _model_config(base, vocab.size, header.feature_dim)
+        config = _model_config(PRETRAIN_DEFAULTS, vocab.size, header.feature_dim)
     examples = read_task_file(args.data, args.task)
     by_id = _clips_by_id(clips)
     grouped = _examples_by_clip(examples, by_id, args.task)
@@ -460,8 +474,6 @@ def _check_resume_meta(
 
 
 def _restore_model(checkpoint_path: str):
-    from .data import Vocab
-
     arrays, meta = load_checkpoint(checkpoint_path)
     config = _meta_config(meta, checkpoint_path)
     kind, seed, tokens = _meta_fields(meta, checkpoint_path, "model_kind", "seed", "vocab_tokens")
@@ -477,8 +489,14 @@ def cmd_eval(args) -> int:
     })
     tiou_threshold = float(eff["tiou"])
     nms_setting = str(eff["nms"])
-    nms_threshold = None if nms_setting == "off" else float(nms_setting)
-    k_values = [int(x) for x in str(eff["k"]).split(",") if x.strip()]
+    try:
+        nms_threshold = None if nms_setting == "off" else float(nms_setting)
+    except ValueError:
+        raise UsageError(f"--nms must be a tIoU threshold or `off`, got {nms_setting!r}") from None
+    try:
+        k_values = [int(x) for x in str(eff["k"]).split(",") if x.strip()]
+    except ValueError:
+        raise UsageError(f"--k must be comma-separated integers, got {eff['k']!r}") from None
     if any(k < 1 for k in k_values):
         raise UsageError("every K must be at least 1")
 
@@ -488,6 +506,7 @@ def cmd_eval(args) -> int:
         raise DataError("corpus vocabulary does not match the checkpoint vocabulary")
     by_id = _clips_by_id(clips)
     examples = read_task_file(args.data, args.task)
+    _examples_by_clip(examples, by_id, args.task)
     settings = {
         "tiou_threshold": tiou_threshold,
         "nms": nms_threshold if nms_threshold is not None else "off",
@@ -500,14 +519,10 @@ def cmd_eval(args) -> int:
     if args.task == "retrieval":
         if not isinstance(model, PretrainModel):
             raise DataError("retrieval evaluation needs a pretrain/retrieval checkpoint")
-        from .data import tokenize
-
         with T.no_grad():
             encoded = [model.encoder.encode_clip(c) for c in clips]
         predictions, ground_truth = [], []
         for ex in examples:
-            if ex.clip_id not in by_id:
-                raise DataError(f"retrieval example references unknown clip {ex.clip_id!r}")
             ranked = rank_moments(
                 model, encoded, tokenize(ex.query, vocab), spans_per_clip=int(eff["spans_per_clip"])
             )
@@ -530,20 +545,14 @@ def cmd_eval(args) -> int:
             raise DataError(f"{args.task} evaluation needs a {expected_kind} checkpoint")
         preds, golds = [], []
         for ex in examples:
-            if ex.clip_id not in by_id:
-                raise DataError(f"{args.task} example references unknown clip {ex.clip_id!r}")
             preds.append(model.predict(by_id[ex.clip_id], ex, vocab))
             golds.append(ex.label)
         metrics["accuracy"] = accuracy(preds, golds)
     elif args.task == "caption":
         if meta["model_kind"] != "caption":
             raise DataError("caption evaluation needs a caption checkpoint")
-        from .data import tokenize
-
         scores = []
         for ex in examples:
-            if ex.clip_id not in by_id:
-                raise DataError(f"caption example references unknown clip {ex.clip_id!r}")
             hyp = model.greedy_decode(by_id[ex.clip_id], ex.moment)
             ref = tokenize(ex.caption, vocab)
             scores.append(bleu4(hyp, ref))

@@ -17,8 +17,6 @@ from .errors import ConfigError, ShapeError, UsageError
 
 log = logging.getLogger(__name__)
 
-ATTENTION_MASK_BIAS = T.ATTENTION_MASK_BIAS
-
 
 @dataclass
 class ModelConfig:
@@ -153,7 +151,7 @@ class MultiHeadAttention(Module):
         grid: np.ndarray | None = None,
     ) -> T.Tensor:
         source = x if kv is None else kv
-        bias = None if key_mask is None else np.where(key_mask, 0.0, ATTENTION_MASK_BIAS)
+        bias = None if key_mask is None else np.where(key_mask, 0.0, T.ATTENTION_MASK_BIAS)
         out, weights = T.attention(
             self.wq(x), self.wk(source), self.wv(source), self.heads, bias, grid=grid
         )
@@ -173,8 +171,8 @@ class TransformerBlock(Module):
         self.ffn1 = Linear(rng, d, d * ffn_multiplier)
         self.ffn2 = Linear(rng, d * ffn_multiplier, d)
 
-    def __call__(self, x, key_mask=None, dropout=0.0, train_rng=None, capture=None, grid=None):
-        a = self.attn(self.ln1(x), key_mask=key_mask, capture=capture, grid=grid)
+    def __call__(self, x, dropout=0.0, train_rng=None, capture=None, grid=None):
+        a = self.attn(self.ln1(x), capture=capture, grid=grid)
         x = x + T.dropout(a, dropout, train_rng)
         f = self.ffn2(T.gelu(self.ffn1(self.ln2(x))))
         return x + T.dropout(f, dropout, train_rng)
@@ -186,16 +184,13 @@ class TransformerStack(Module):
         self.blocks = [TransformerBlock(rng, d, heads, ffn_multiplier) for _ in range(layers)]
         self.ln_out = LayerNorm(d)
 
-    def __call__(self, x, key_mask=None, dropout=0.0, train_rng=None, capture=None, grid=None):
+    def __call__(self, x, dropout=0.0, train_rng=None, capture=None, grid=None):
         for block in self.blocks:
             layer_capture = None
             if capture is not None:
                 capture.append([])
                 layer_capture = capture[-1]
-            x = block(
-                x, key_mask=key_mask, dropout=dropout, train_rng=train_rng,
-                capture=layer_capture, grid=grid,
-            )
+            x = block(x, dropout=dropout, train_rng=train_rng, capture=layer_capture, grid=grid)
         return self.ln_out(x)
 
 
@@ -346,7 +341,6 @@ class HierarchicalEncoder(Module):
     def temporal_apply(
         self,
         rows: T.Tensor,
-        key_mask: np.ndarray | None = None,
         train_rng: np.random.Generator | None = None,
         capture: list | None = None,
         grid: np.ndarray | None = None,
@@ -354,8 +348,7 @@ class HierarchicalEncoder(Module):
         """The temporal stack over ``rows``; with a row ``grid``, ``rows``
         packs several sequences (see ``tensor.attention``)."""
         return self.temporal(
-            rows, key_mask=key_mask, dropout=self.config.dropout, train_rng=train_rng,
-            capture=capture, grid=grid,
+            rows, dropout=self.config.dropout, train_rng=train_rng, capture=capture, grid=grid
         )
 
     def temporal_forward(

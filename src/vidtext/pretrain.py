@@ -285,9 +285,11 @@ class PretrainModel(Module):
         num_negatives: int = 15,
         positive_targets: np.ndarray | None = None,
     ) -> T.Tensor:
-        """Contrastive softmax: each masked frame's projection must score its
-        own clean-pass projection above projections of sampled unmasked
-        frames from the same clip."""
+        """Contrastive softmax (InfoNCE): each masked frame's projection must
+        score its own clean-pass projection above projections of sampled
+        unmasked frames from the same clip.  One cross-entropy over a (P, 1+K)
+        logit matrix whose candidate 0 is the positive; the negatives are
+        drawn one masked position at a time, in plan order."""
         if not plan.positions:
             raise UsageError("mnce_loss needs at least one masked frame")
         if positive_targets is None:
@@ -297,17 +299,17 @@ class PretrainModel(Module):
         if unmasked.size == 0:
             raise UsageError("mnce_loss needs at least one unmasked frame")
         replace = unmasked.size < num_negatives
-        total = None
-        for i, pos in enumerate(plan.positions):
-            anchor = self.mnce_proj(T.take_rows(encoded.v_temp, [pos]))  # (1, d)
-            neg_idx = rng.choice(unmasked, size=num_negatives, replace=replace)
-            negs = self.mnce_proj(T.take_rows(encoded.v_temp, neg_idx))  # (K, d)
-            pos_score = T.matmul(anchor, T.Tensor(positive_targets[i : i + 1]).T)  # (1, 1)
-            neg_scores = T.matmul(anchor, negs.T)  # (1, K)
-            logits = T.concat_cols([pos_score, neg_scores])
-            nll = -T.slice_cols(T.log_softmax(logits, axis=-1), 0, 1).sum()
-            total = nll if total is None else total + nll
-        return total * (1.0 / len(plan.positions))
+        n_pos = len(plan.positions)
+        # rows 0..n-1 project v_temp; row n + i is masked frame i's target
+        candidates = np.empty((n_pos, 1 + num_negatives), dtype=np.intp)
+        candidates[:, 0] = n + np.arange(n_pos)
+        for i in range(n_pos):
+            candidates[i, 1:] = rng.choice(unmasked, size=num_negatives, replace=replace)
+        proj = self.mnce_proj(encoded.v_temp)  # (n, d)
+        pool = T.concat_rows([proj, T.Tensor(positive_targets)])
+        anchors = T.reshape(T.take_rows(proj, plan.positions), (n_pos, -1, 1))
+        logits = T.matmul(T.take_rows(pool, candidates), anchors)  # (P, 1+K, 1)
+        return T.cross_entropy(T.reshape(logits, (n_pos, -1)), [0] * n_pos)
 
     def encode_query(self, query_token_ids: Sequence[int], train_rng=None) -> T.Tensor:
         """Fused-token query vector: cross-modal pass with no frames, then
@@ -417,10 +419,7 @@ def span_nll(log_p_st: T.Tensor, log_p_ed: T.Tensor, span: tuple[int, int]) -> T
 
 def timestamp_nll(logits: T.Tensor, labels: Sequence[int]) -> T.Tensor:
     """-sum_j log softmax(logits[j])[labels[j]] (sum, not mean)."""
-    n_rows, n_classes = logits.shape
-    lsm = T.log_softmax(logits, axis=-1)
-    flat_idx = [j * n_classes + int(t) for j, t in enumerate(labels)]
-    return -T.take_rows(T.reshape(lsm, (-1,)), flat_idx).sum()
+    return T.cross_entropy(logits, labels) * len(labels)
 
 
 def _mean_terms(terms: list[T.Tensor]) -> T.Tensor:

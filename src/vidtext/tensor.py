@@ -390,24 +390,14 @@ def row_grid(sequences: Sequence[np.ndarray], n_rows: int) -> np.ndarray:
 
 
 def transpose(a: Tensor) -> Tensor:
-    """Swap the last two axes."""
+    """Swap the last two axes (a contiguous copy)."""
     if a.data.ndim < 2:
         raise ShapeError(f"transpose expects 2 or more dimensions, got {a.shape}")
-    axes = tuple(range(a.data.ndim - 2)) + (a.data.ndim - 1, a.data.ndim - 2)
-    return permute(a, axes)
-
-
-def permute(a: Tensor, axes: Sequence[int]) -> Tensor:
-    """Reorder the axes of ``a`` (numpy ``transpose`` with explicit axes)."""
-    axes = tuple(axes)
-    if sorted(axes) != list(range(a.data.ndim)):
-        raise ShapeError(f"permute axes {axes} do not match a {a.data.ndim}-D tensor")
-    inverse = tuple(np.argsort(axes))
 
     def bw(g):
-        _accum(a, g.transpose(inverse))
+        _accum(a, g.swapaxes(-1, -2))
 
-    return _make(np.ascontiguousarray(a.data.transpose(axes)), (a,), bw)
+    return _make(np.ascontiguousarray(a.data.swapaxes(-1, -2)), (a,), bw)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -462,22 +452,6 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
             if p._track:
                 _accum(p, g[lo:hi])
-
-    return _make(data, tuple(parts), bw)
-
-
-def concat_cols(parts: Sequence[Tensor]) -> Tensor:
-    """Stack 2-D tensors along axis 1."""
-    parts = list(parts)
-    if not parts:
-        raise ShapeError("concat_cols needs at least one part")
-    data = np.concatenate([p.data for p in parts], axis=1)
-    offsets = np.cumsum([0] + [p.data.shape[1] for p in parts])
-
-    def bw(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if p._track:
-                _accum(p, g[:, lo:hi])
 
     return _make(data, tuple(parts), bw)
 

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from vidtext.data import AlignedClip, Sentence, Vocab, detokenize
 from vidtext.encoder import HierarchicalEncoder, ModelConfig
+
+
+# property tests draw the same examples on every run and keep no example database
+settings.register_profile("vidtext", derandomize=True, database=None, deadline=None)
+settings.load_profile("vidtext")
 
 
 @pytest.fixture

@@ -5,10 +5,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from vidtext.checkpoint import load_checkpoint, save_checkpoint
 from vidtext.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
-from vidtext.cli import EVAL_DEFAULTS, FINETUNE_DEFAULTS, PRETRAIN_DEFAULTS
+from vidtext.cli import EVAL_DEFAULTS, FINETUNE_DEFAULTS, PRETRAIN_DEFAULTS, _effective_options
+from vidtext.errors import ConfigError, DataError
 
 SMALL_MODEL = [
     "--d", "16", "--cross-heads", "2", "--temporal-heads", "2",
@@ -507,3 +510,83 @@ class TestInspectAttention:
             "--corpus", str(corpus), "--clip-id", "nope", "--out", str(tmp_path / "x"),
         ])
         assert rc == EXIT_DATA
+
+
+class TestMalformedOptionValues:
+    """A malformed option value is a usage error (exit 1) naming the key,
+    never a traceback."""
+
+    @pytest.mark.parametrize("text, key", [("lr = abc\n", "lr"), ("steps = [1]\n", "steps")])
+    def test_config_value_of_the_wrong_type(self, corpus, tmp_path, capsys, text, key):
+        cfg = tmp_path / "opts.cfg"
+        cfg.write_text(text)
+        rc = main([
+            "pretrain", "--corpus", str(corpus), "--out-dir", str(tmp_path / "x"),
+            "--config", str(cfg),
+        ])
+        assert rc == EXIT_USAGE
+        assert f"config key {key!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [("--nms", "abc"), ("--k", "a,b")])
+    def test_eval_flag_value(self, corpus, pretrained, tmp_path, capsys, flag, value):
+        tasks = write_toy_tasks(corpus, tmp_path)
+        rc = main([
+            "eval", "--task", "retrieval", "--data", str(tasks["retrieval"]),
+            "--corpus", str(corpus), "--checkpoint", str(pretrained), flag, value,
+        ])
+        assert rc == EXIT_USAGE
+        assert f"{flag} must be" in capsys.readouterr().err
+
+    def test_eval_unknown_clip_exits_two(self, corpus, pretrained, tmp_path, capsys):
+        from vidtext.downstream import RetrievalExample, write_task_file
+
+        path = tmp_path / "unknown.jsonl"
+        write_task_file(path, "retrieval", [RetrievalExample("nope", "w001 w002", (0.0, 1.5))])
+        rc = main([
+            "eval", "--task", "retrieval", "--data", str(path),
+            "--corpus", str(corpus), "--checkpoint", str(pretrained),
+        ])
+        assert rc == EXIT_DATA
+        assert "retrieval example references unknown clip 'nope'" in capsys.readouterr().err
+
+
+_TEXT = st.characters(blacklist_categories=("Cs",))
+_CONFIG_VALUES = st.one_of(
+    st.text(_TEXT, max_size=12),
+    st.integers().map(str),
+    st.floats().map(repr),
+    st.sampled_from(["true", "null", "[1]", "{}", '"mlm,fom"', "NaN", "-Infinity", "1e400", "2.0"]),
+    st.just("[" * 5000 + "]" * 5000),  # nested past json's recursion limit
+)
+_TYPED_VALUES = {  # values that parse to each default's type
+    int: st.integers().map(str),
+    float: st.one_of(st.integers().map(str), st.floats().map(repr)),
+    str: st.text(_TEXT, max_size=12).map(json.dumps),
+}
+_KNOWN_KEY_LINES = st.sampled_from(sorted(PRETRAIN_DEFAULTS)).flatmap(
+    lambda key: st.one_of(_TYPED_VALUES[type(PRETRAIN_DEFAULTS[key])], _CONFIG_VALUES).map(
+        f"{key} = {{}}".format
+    )
+)
+_OTHER_LINES = st.one_of(
+    st.builds("{}={}".format, st.text(_TEXT, max_size=8), _CONFIG_VALUES),
+    st.text(_TEXT, max_size=20),
+)
+_CONFIG_TEXTS = st.builds(
+    lambda known, other: "\n".join(known + other),
+    st.lists(_KNOWN_KEY_LINES, max_size=5),
+    st.lists(_OTHER_LINES, max_size=1),
+)
+
+
+@given(text=_CONFIG_TEXTS)
+def test_any_config_text_gives_typed_options_or_a_documented_error(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "property.cfg"
+    path.write_text(text, encoding="utf-8")
+    try:
+        eff = _effective_options(PRETRAIN_DEFAULTS, str(path), {})
+    except (ConfigError, DataError):
+        return
+    for key, default in PRETRAIN_DEFAULTS.items():
+        expected = (int, float) if isinstance(default, float) else type(default)
+        assert isinstance(eff[key], expected) and not isinstance(eff[key], bool), key

@@ -220,7 +220,7 @@ def _ref_qa_forward(model, clip, question_ids, answer_ids):
         logits.append(head.ans_out(T.gelu(head.ans_hidden(pooled))))
         pooled_list.append(pooled)
         rows_list.append(rows)
-    ans_logits = T.concat_cols(logits)
+    ans_logits = T.concat_rows(logits).T  # (1, C)
     log_p_ans = T.reshape(T.log_softmax(ans_logits, axis=-1), (-1,))
     p_ans = T.reshape(T.softmax(ans_logits, axis=-1), (-1,))
     beta = T.softmax(

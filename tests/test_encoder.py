@@ -5,7 +5,7 @@ import pytest
 
 from vidtext import tensor as T
 from vidtext.data import AlignedClip, Sentence
-from vidtext.encoder import ATTENTION_MASK_BIAS, HierarchicalEncoder, ModelConfig, TransformerBlock
+from vidtext.encoder import HierarchicalEncoder, ModelConfig, TransformerBlock
 from vidtext.errors import ConfigError, ShapeError, UsageError
 from vidtext.gradcheck import check_gradients
 
@@ -117,12 +117,14 @@ class TestTemporalForward:
     def test_padded_keys_get_no_attention(self, tiny_encoder):
         rng = np.random.default_rng(3)
         rows = T.Tensor(rng.standard_normal((6, 16)))
-        mask = np.array([True, True, True, True, False, False])
+        # two packed sequences, rows [0, 2, 3, 5] and [1, 4]: the second has two padding slots
+        grid = T.row_grid([np.array([0, 2, 3, 5]), np.array([1, 4])], 6)
         capture = []
-        tiny_encoder.temporal_apply(rows, key_mask=mask, capture=capture)
+        out = tiny_encoder.temporal_apply(rows, capture=capture, grid=grid).data
         for layer in capture:
-            for attn in layer:
-                assert attn[:4, 4:].max() < 1e-12
+            assert np.all(layer[1][:, :, 2:] == 0.0)
+        alone = tiny_encoder.temporal_apply(T.Tensor(rows.data[[1, 4]])).data
+        np.testing.assert_allclose(out[[1, 4]], alone, rtol=0, atol=1e-12)
 
     def test_dropping_residual_changes_output(self, tiny_encoder):
         rng = np.random.default_rng(4)
@@ -262,12 +264,12 @@ def _ref_attention(mha, x, key_mask=None, capture=None, kv=None):
         lo, hi = h * mha.dh, (h + 1) * mha.dh
         scores = T.matmul(T.slice_cols(q, lo, hi), T.slice_cols(k, lo, hi).T) * (1.0 / np.sqrt(mha.dh))
         if key_mask is not None:
-            scores = scores + T.Tensor(np.where(key_mask, 0.0, ATTENTION_MASK_BIAS))
+            scores = scores + T.Tensor(np.where(key_mask, 0.0, T.ATTENTION_MASK_BIAS))
         attn = T.softmax(scores, axis=-1)
         if capture is not None:
             capture.append(attn.data)
         outs.append(T.matmul(attn, T.slice_cols(v, lo, hi)))
-    return mha.wo(T.concat_cols(outs))
+    return mha.wo(T.concat_rows([out.T for out in outs]).T)  # heads side by side
 
 
 def _ref_stack(stack, x, capture=None):
@@ -453,10 +455,9 @@ class TestFusedAttention:
     def test_transformer_block_forward_records_twelve_ops(self):
         rng = np.random.default_rng(4)
         block = TransformerBlock(rng, 16, 4, 2)
-        mask = np.ones((3, 1, 5), dtype=bool)
-        mask[1, 0, 2:] = False
+        grid = T.row_grid([np.arange(5), np.arange(5, 7), np.arange(7, 12)], 12)  # (3, 5)
         T.reset_tape()
-        block(T.Tensor(rng.standard_normal((3, 5, 16))), key_mask=mask)
+        block(T.Tensor(rng.standard_normal((12, 16))), grid=grid)
         # ln1, wq, wk, wv, attention, wo, residual add, ln2, ffn1, gelu, ffn2, residual add
         assert T.tape_size() == 12
         T.reset_tape()

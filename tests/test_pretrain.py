@@ -267,6 +267,101 @@ class TestMnce:
         T.reset_tape()
 
 
+def _ref_mnce_loss(model, encoded, plan, rng, num_negatives, positive_targets):
+    """The per-position loop the batched head replaced: one projection, one
+    negative draw and one (1+K)-way log-softmax per masked frame."""
+    unmasked = np.setdiff1d(np.arange(encoded.clip.n_frames), np.asarray(plan.positions))
+    replace = unmasked.size < num_negatives
+    total = None
+    for i, pos in enumerate(plan.positions):
+        anchor = model.mnce_proj(T.take_rows(encoded.v_temp, [pos]))  # (1, d)
+        neg_idx = rng.choice(unmasked, size=num_negatives, replace=replace)
+        negs = model.mnce_proj(T.take_rows(encoded.v_temp, neg_idx))  # (K, d)
+        pos_score = T.matmul(anchor, T.Tensor(positive_targets[i : i + 1]).T)  # (1, 1)
+        neg_scores = T.matmul(anchor, negs.T)  # (1, K)
+        logits = T.concat_rows([pos_score, neg_scores.T])  # (1+K, 1), the positive first
+        nll = -T.take_rows(T.log_softmax(logits, axis=0), [0]).sum()
+        total = nll if total is None else total + nll
+    return total * (1.0 / len(plan.positions))
+
+
+def _ref_fom_loss(model, v_temp, plan):
+    """One timestamp log-softmax per reordered position, summed."""
+    n = v_temp.shape[0]
+    total = None
+    for pos, src in zip(plan.positions, plan.sources):
+        logits = T.slice_cols(model.fom_head(T.take_rows(v_temp, [pos])), 0, n)
+        nll = -T.take_rows(T.reshape(T.log_softmax(logits, axis=-1), (-1,)), [src]).sum()
+        total = nll if total is None else total + nll
+    return total
+
+
+def _loss_and_grads(model, loss_fn):
+    params = model.params()
+    T.zero_grads(params.values())
+    loss = loss_fn()
+    T.backward(loss)
+    return loss.item(), {k: p.grad.copy() for k, p in params.items() if p.grad is not None}
+
+
+class TestHeadsMatchPerPositionReference:
+    """The one-cross-entropy mnce and fom heads against the per-position
+    loops they replaced: loss and every parameter gradient within 1e-10."""
+
+    def _assert_same(self, a, b):
+        (loss_a, grads_a), (loss_b, grads_b) = a, b
+        assert loss_a == pytest.approx(loss_b, abs=1e-10)
+        assert sorted(grads_a) == sorted(grads_b)
+        for name in grads_b:
+            np.testing.assert_allclose(
+                grads_a[name], grads_b[name], rtol=0, atol=1e-10, err_msg=name
+            )
+
+    @pytest.mark.parametrize("groups, positions, k", [
+        ((6, 6), [1, 4, 5, 9], 5),
+        ((3, 4), [0, 2, 3, 6], 7),  # 3 unmasked frames for 7 negatives: drawn with replacement
+        ((5,), [2], 15),
+    ])
+    def test_mnce(self, model, small_vocab, groups, positions, k):
+        rng = np.random.default_rng(31)
+        clip = make_clip(rng, small_vocab, groups=groups, tokens=(4,) * len(groups))
+        plan = P.FrameMaskPlan(positions)
+        targets = model.mnce_positive_targets(clip, plan)
+        rngs = [np.random.default_rng([5, 13, 2]) for _ in range(2)]
+        batched = _loss_and_grads(model, lambda: model.mnce_loss(
+            model.encode_mfm(clip, plan), plan, rngs[0], num_negatives=k, positive_targets=targets
+        ))
+        ref = _loss_and_grads(model, lambda: _ref_mnce_loss(
+            model, model.encode_mfm(clip, plan), plan, rngs[1], k, targets
+        ))
+        self._assert_same(batched, ref)
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+    def test_fom(self, model, small_vocab):
+        clip = make_clip(np.random.default_rng(32), small_vocab, groups=(5, 6), tokens=(3, 4))
+        plan = P.ReorderPlan([1, 4, 7, 10], [7, 1, 10, 4])
+        batched = _loss_and_grads(
+            model, lambda: model.fom_loss(model.encode_reordered(clip, plan), plan)
+        )
+        ref = _loss_and_grads(
+            model, lambda: _ref_fom_loss(model, model.encode_reordered(clip, plan), plan)
+        )
+        self._assert_same(batched, ref)
+
+    def test_mnce_op_count_does_not_grow_with_masked_frames(self, model, small_vocab):
+        clip = make_clip(np.random.default_rng(33), small_vocab, groups=(6, 6), tokens=(4, 4))
+        counts = []
+        for positions in ([3], [0, 2, 5, 7, 8, 11]):
+            plan = P.FrameMaskPlan(positions)
+            targets = model.mnce_positive_targets(clip, plan)
+            encoded = model.encode_mfm(clip, plan)
+            before = T.tape_size()
+            model.mnce_loss(encoded, plan, np.random.default_rng(0), positive_targets=targets)
+            counts.append(T.tape_size() - before)
+            T.reset_tape()
+        assert counts[0] == counts[1]
+
+
 class TestVsmScores:
     def test_probability_vectors_sum_to_one(self, model, toy_clip):
         encoded = model.encoder.encode_clip(toy_clip)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from vidtext import tensor as T
-from vidtext.encoder import ATTENTION_MASK_BIAS
+from vidtext.tensor import ATTENTION_MASK_BIAS
 from vidtext.errors import ConfigError, ShapeError, UsageError
 from vidtext.gradcheck import check_gradients, max_rel_err, numeric_grad
 
@@ -84,20 +84,6 @@ class TestTransposeAndPermute:
         errs = check_gradients(lambda: (T.transpose(x) * T.Tensor(w)).sum(), {"x": x})
         assert errs["x"] < 1e-6
 
-    def test_permute_matches_numpy(self):
-        x = np.arange(24.0).reshape(2, 3, 4)
-        np.testing.assert_array_equal(T.permute(T.Tensor(x), (1, 2, 0)).data, x.transpose(1, 2, 0))
-
-    def test_permute_gradient(self):
-        rng = np.random.default_rng(15)
-        x = rand(rng, 2, 3, 4, 2)
-        w = rng.standard_normal((4, 2, 2, 3))
-        errs = check_gradients(lambda: (T.permute(x, (2, 0, 3, 1)) * T.Tensor(w)).sum(), {"x": x})
-        assert errs["x"] < 1e-6
-
-    def test_permute_rejects_axes_of_the_wrong_length(self):
-        with pytest.raises(ShapeError):
-            T.permute(T.Tensor(np.zeros((2, 3))), (0, 1, 2))
 
 
 class TestSoftmax:
@@ -235,23 +221,23 @@ class TestLinear:
 
 
 def _composed_attention(q, k, v, heads, key_mask=None):
-    """Reference: attention as the reshape/permute/scale/matmul/mask-add/
-    softmax/matmul/permute/reshape chain of tape ops that the fused op replaced."""
-    lead, dh = q.data.ndim - 2, q.shape[-1] // heads
+    """Reference: attention as the transpose/reshape/scale/matmul/mask-add/
+    softmax/matmul/transpose/reshape chain of tape ops that the fused op
+    replaced."""
+    lead, dh = q.shape[:-2], q.shape[-1] // heads
 
-    def split(x, order):
-        x = T.reshape(x, x.shape[:-1] + (heads, dh))
-        return T.permute(x, tuple(range(lead)) + tuple(lead + a for a in order))
+    def split_t(x):  # (..., r, d) -> (..., heads, dh, r): head h is rows h*dh..(h+1)*dh of x.T
+        return T.reshape(T.transpose(x), lead + (heads, dh, x.shape[-2]))
 
-    scores = T.matmul(split(q * (1.0 / np.sqrt(dh)), (1, 0, 2)), split(k, (1, 2, 0)))
+    scores = T.matmul(T.transpose(split_t(q * (1.0 / np.sqrt(dh)))), split_t(k))
     if key_mask is not None:
         bias = np.where(key_mask, 0.0, ATTENTION_MASK_BIAS)
         if bias.ndim >= 2:
             bias = np.expand_dims(bias, -3)
         scores = scores + T.Tensor(bias)
     attn = T.softmax(scores, axis=-1)
-    out = T.permute(T.matmul(attn, split(v, (1, 0, 2))), tuple(range(lead)) + (lead + 1, lead, lead + 2))
-    return T.reshape(out, q.shape), attn.data
+    out = T.transpose(T.matmul(attn, T.transpose(split_t(v))))  # (..., heads, dh, n)
+    return T.transpose(T.reshape(out, lead + (q.shape[-1], q.shape[-2]))), attn.data
 
 
 def _attention_cases():
