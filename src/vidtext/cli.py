@@ -192,6 +192,13 @@ def _model_config(eff: dict, vocab_size: int, feature_dim: int) -> ModelConfig:
     )
 
 
+def _steps(eff: dict) -> int:
+    steps = int(eff["steps"])
+    if steps < 0:
+        raise ConfigError(f"steps must be nonnegative, got {steps}")
+    return steps
+
+
 def _echo_config(log_fh, eff: dict) -> None:
     for key in sorted(eff):
         log_fh.write(f"# config {key} = {eff[key]}\n")
@@ -277,7 +284,7 @@ def cmd_pretrain(args) -> int:
         num_negatives=int(eff["num_negatives"]),
     )
     seed = int(eff["seed"])
-    steps = int(eff["steps"])
+    steps = _steps(eff)
     batch_size = int(eff["batch_size"])
 
     model = PretrainModel(config, seed=seed)
@@ -374,7 +381,7 @@ def cmd_finetune(args) -> int:
         lambda_local=float(eff["lambda_local"]),
         lambda_global=float(eff["lambda_global"]),
     )
-    steps = int(eff["steps"])
+    steps = _steps(eff)
     batch_size = int(eff["batch_size"])
     qa_lambda = float(eff["qa_lambda"])
 

@@ -200,7 +200,8 @@ class TransformerStack(Module):
 
 @dataclass
 class EncodedClip:
-    """Per-clip encoder outputs, with frame rows in timestamp order."""
+    """Per-clip encoder outputs, with frame rows in timestamp order (but
+    see ``EncodedBatch`` for ``v_temp``)."""
 
     clip: AlignedClip
     w_cross: list[T.Tensor]  # per sentence, (L_i, d)
@@ -208,6 +209,60 @@ class EncodedClip:
     v_cross: T.Tensor  # (N_v, d) fused frame rows
     v_temp: T.Tensor  # (N_v, d) temporally contextualized rows
     attention: dict = field(default_factory=dict)
+
+
+def _rows(t: T.Tensor, lo: int, hi: int) -> T.Tensor:
+    """Rows ``lo:hi`` of ``t``, or ``t`` itself when they are all of it."""
+    return t if lo == 0 and hi == t.shape[0] else T.slice_rows(t, lo, hi)
+
+
+@dataclass
+class EncodedBatch:
+    """Encoder outputs of a batch of clips as packed rows.
+
+    Clip b owns rows ``frame_bounds[b]:frame_bounds[b + 1]`` of ``v_emb``,
+    ``v_cross`` and ``v_temp``; sentence j of clip b owns rows
+    ``token_bounds[b][j]:token_bounds[b][j + 1]`` of ``w_cross``.  Frame rows
+    are in timestamp order, except that ``v_temp`` follows the frame orders
+    ``encode_clips`` was given.  ``batch[b]`` is clip b's EncodedClip, whose
+    tensors are row slices of the packed ones.
+    """
+
+    clips: list[AlignedClip]
+    v_emb: T.Tensor
+    v_cross: T.Tensor
+    w_cross: T.Tensor | None  # None when no clip has a token
+    frame_bounds: np.ndarray  # (B + 1,)
+    token_bounds: list[np.ndarray]  # per clip, (S_b + 1,)
+    attention: list[dict]  # per clip
+    v_temp: T.Tensor | None = None  # None until the temporal stage ran
+
+    def __len__(self) -> int:
+        return len(self.clips)
+
+    def __getitem__(self, b: int) -> EncodedClip:
+        lo, hi = self.frame_bounds[b], self.frame_bounds[b + 1]
+        starts = self.token_bounds[b]
+        return EncodedClip(
+            clip=self.clips[b],
+            w_cross=[
+                _rows(self.w_cross, s, e) if e > s else None
+                for s, e in zip(starts[:-1], starts[1:])
+            ],
+            v_emb=_rows(self.v_emb, lo, hi),
+            v_cross=_rows(self.v_cross, lo, hi),
+            v_temp=_rows(self.v_temp, lo, hi),
+            attention=self.attention[b],
+        )
+
+    def __iter__(self):
+        return (self[b] for b in range(len(self)))
+
+    def frame_rows(self, positions: Sequence[Sequence[int]]) -> np.ndarray:
+        """Packed row indices of each clip's frame ``positions``, clip by clip."""
+        return np.concatenate([
+            lo + np.asarray(p, dtype=np.intp) for lo, p in zip(self.frame_bounds, positions)
+        ])
 
 
 class HierarchicalEncoder(Module):
@@ -357,59 +412,118 @@ class HierarchicalEncoder(Module):
         v_cross: T.Tensor,
         train_rng: np.random.Generator | None = None,
         capture: list | None = None,
+        grid: np.ndarray | None = None,
+        order: np.ndarray | None = None,
     ) -> T.Tensor:
         """f_temp(V_emb + V_cross): the embedder residual carries position
-        information into the temporal stack."""
+        information into the temporal stack.  ``order`` gathers the summed
+        rows before the stack (frame order modeling's shuffle); ``grid`` is
+        ``temporal_apply``'s."""
         if v_emb.shape != v_cross.shape:
             raise ShapeError(f"residual shape {v_emb.shape} != fused shape {v_cross.shape}")
-        return self.temporal_apply(v_emb + v_cross, train_rng=train_rng, capture=capture)
+        rows = v_emb + v_cross
+        if order is not None:
+            rows = T.take_rows(rows, order)
+        return self.temporal_apply(rows, train_rng=train_rng, capture=capture, grid=grid)
 
     # -- whole-clip pipeline -----------------------------------------------------
 
     def fuse_clip(
         self,
-        clip: AlignedClip,
-        token_ids_override: Sequence[Sequence[int]] | None = None,
-        frame_features_override: np.ndarray | None = None,
+        clips: Sequence[AlignedClip],
+        token_ids_overrides: Sequence[Sequence[Sequence[int]] | None] | None = None,
+        frame_features_overrides: Sequence[np.ndarray | None] | None = None,
         train_rng: np.random.Generator | None = None,
         capture_attention: bool = False,
-    ) -> tuple[T.Tensor, T.Tensor, list[T.Tensor | None], dict]:
-        """Embed all frames (in timestamp order) and all tokens once, then
-        fuse every sentence with its frame group in one cross-modal pass.
-        Overrides substitute masked inputs without touching the clip itself."""
-        if clip.n_frames > self.config.max_frames:
-            raise ShapeError(
-                f"clip {clip.clip_id!r} has {clip.n_frames} frames, "
-                f"max_frames={self.config.max_frames}"
-            )
-        features = (
-            clip.frame_features if frame_features_override is None else frame_features_override
-        )
+    ) -> EncodedBatch:
+        """The cross-modal stage of ``encode_clips``: embed every frame (in
+        timestamp order) and every token of every clip once, then fuse every
+        sentence with its frame group in one cross-modal pass.  Per-clip
+        overrides (None keeps the clip's own) substitute masked inputs
+        without touching the clips.  The result has no ``v_temp`` yet."""
+        for clip in clips:
+            if clip.n_frames > self.config.max_frames:
+                raise ShapeError(
+                    f"clip {clip.clip_id!r} has {clip.n_frames} frames, "
+                    f"max_frames={self.config.max_frames}"
+                )
+        no_overrides = [None] * len(clips)
+        features = [
+            clip.frame_features if f is None else f
+            for clip, f in zip(clips, frame_features_overrides or no_overrides)
+        ]
         token_ids = [
-            self._truncated(sent.token_ids if token_ids_override is None else token_ids_override[j])
+            self._truncated(sent.token_ids if ids is None else ids[j])
+            for clip, ids in zip(clips, token_ids_overrides or no_overrides)
             for j, sent in enumerate(clip.sentences)
         ]
         lengths = [len(ids) for ids in token_ids]
-        bounds = np.cumsum([0] + lengths)
+        token_lo = np.cumsum([0] + lengths)  # packed token rows, sentence by sentence
+        frame_bounds = np.cumsum([0] + [clip.n_frames for clip in clips])
+        sentence_lo = np.cumsum([0] + [len(clip.sentences) for clip in clips])
+        sentences_of_clip = list(zip(sentence_lo[:-1], sentence_lo[1:]))
         segments = [
-            (np.asarray(sent.frame_indices, dtype=np.intp), np.arange(lo, hi))
-            for sent, lo, hi in zip(clip.sentences, bounds[:-1], bounds[1:])
+            (lo + np.asarray(sent.frame_indices, dtype=np.intp), np.arange(*token_lo[k : k + 2]))
+            for clip, lo, k0 in zip(clips, frame_bounds, sentence_lo)
+            for k, sent in enumerate(clip.sentences, start=k0)
         ]
-        v_emb = self.embed_video(features, 0)
+        v_emb = self.embed_video(
+            np.concatenate(features), np.concatenate([np.arange(clip.n_frames) for clip in clips])
+        )
         w_emb = None
-        if bounds[-1]:
+        if token_lo[-1]:
             positions = np.concatenate([np.arange(n) for n in lengths])
             w_emb = self.embed_text([i for ids in token_ids for i in ids], positions)
         capture = [] if capture_attention else None
         v_cross, w_cross = self.cross_modal_forward(
             v_emb, w_emb, segments, train_rng=train_rng, capture=capture
         )
-        w_cross_list = [
-            T.slice_rows(w_cross, lo, hi) if hi > lo else None
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-        ]
-        attention = {("cross", j): layers for j, layers in enumerate(capture or [])}
-        return v_emb, v_cross, w_cross_list, attention
+        return EncodedBatch(
+            clips=list(clips),
+            v_emb=v_emb,
+            v_cross=v_cross,
+            w_cross=w_cross,
+            frame_bounds=frame_bounds,
+            token_bounds=[token_lo[lo : hi + 1] for lo, hi in sentences_of_clip],
+            attention=[
+                {("cross", j): layers for j, layers in enumerate(capture[lo:hi])} if capture else {}
+                for lo, hi in sentences_of_clip
+            ],
+        )
+
+    def encode_clips(
+        self,
+        clips: Sequence[AlignedClip],
+        token_ids_overrides: Sequence[Sequence[Sequence[int]] | None] | None = None,
+        frame_features_overrides: Sequence[np.ndarray | None] | None = None,
+        frame_orders: Sequence[np.ndarray] | None = None,
+        train_rng: np.random.Generator | None = None,
+        capture_attention: bool = False,
+    ) -> EncodedBatch:
+        """Encode a batch of clips in one packed pass: one ``fuse_clip`` over
+        all clips, then one ``temporal_forward`` over a (B, longest clip) row
+        grid.  ``frame_orders[b]`` lists the fused frame rows clip b's
+        temporal stack reads, in order (see ``ReorderPlan.permutation``)."""
+        batch = self.fuse_clip(
+            clips, token_ids_overrides, frame_features_overrides, train_rng, capture_attention
+        )
+        bounds = batch.frame_bounds
+        order = None if frame_orders is None else batch.frame_rows(frame_orders)
+        grid = None  # a single clip needs no row grid
+        if len(clips) > 1:
+            frames = [np.arange(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+            grid = T.row_grid(frames, bounds[-1])
+        capture = [] if capture_attention else None
+        batch.v_temp = self.temporal_forward(
+            batch.v_emb, batch.v_cross, train_rng=train_rng, capture=capture, grid=grid, order=order
+        )
+        if capture is not None:
+            for b, (attention, n) in enumerate(zip(batch.attention, np.diff(bounds))):
+                attention[("temporal",)] = [
+                    [heads[:n, :n] for heads in (layer if grid is None else layer[b])]
+                    for layer in capture
+                ]
+        return batch
 
     def encode_clip(
         self,
@@ -419,22 +533,11 @@ class HierarchicalEncoder(Module):
         train_rng: np.random.Generator | None = None,
         capture_attention: bool = False,
     ) -> EncodedClip:
-        v_emb, v_cross, w_cross_list, attention = self.fuse_clip(
-            clip,
-            token_ids_override=token_ids_override,
-            frame_features_override=frame_features_override,
+        """``encode_clips`` of a batch of one."""
+        return self.encode_clips(
+            [clip],
+            [token_ids_override],
+            [frame_features_override],
             train_rng=train_rng,
             capture_attention=capture_attention,
-        )
-        capture = [] if capture_attention else None
-        v_temp = self.temporal_forward(v_emb, v_cross, train_rng=train_rng, capture=capture)
-        if capture_attention:
-            attention[("temporal",)] = capture
-        return EncodedClip(
-            clip=clip,
-            w_cross=w_cross_list,
-            v_emb=v_emb,
-            v_cross=v_cross,
-            v_temp=v_temp,
-            attention=attention,
-        )
+        )[0]

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import MASK_ID, AlignedClip, Vocab, epoch_order
-from .encoder import HierarchicalEncoder, LayerNorm, Linear, ModelConfig, Module
+from .encoder import EncodedBatch, HierarchicalEncoder, LayerNorm, Linear, ModelConfig, Module
 from .errors import ConfigError, UsageError
 
 TASK_NAMES = ("mlm", "mffr", "mnce", "vsm", "fom")
@@ -48,8 +48,10 @@ class PretrainHypers:
     num_negatives: int = 15
 
     def __post_init__(self):
-        if self.margin < 0 or self.lambda_local < 0 or self.lambda_global < 0:
-            raise ConfigError("hinge margin and loss weights must be nonnegative")
+        for name in ("margin", "lambda_local", "lambda_global"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{name} must be nonnegative and finite, got {value}")
         if self.num_negatives < 1:
             raise ConfigError("num_negatives must be at least 1")
 
@@ -226,61 +228,78 @@ class PretrainModel(Module):
             rng.normal(0.0, 0.02, size=SPAN_FILTER_WIDTH), requires_grad=True
         )
 
-    # -- masked-input encoding -------------------------------------------------
+    # -- masked-input encoding: one packed pass per batch -----------------------
 
-    def encode_mlm(self, clip, masked_ids, train_rng=None):
-        return self.encoder.encode_clip(clip, token_ids_override=masked_ids, train_rng=train_rng)
+    def encode_mlm(self, clips, masked_ids, train_rng=None) -> EncodedBatch:
+        return self.encoder.encode_clips(clips, token_ids_overrides=masked_ids, train_rng=train_rng)
 
-    def encode_mfm(self, clip, plan: FrameMaskPlan, train_rng=None):
-        feats = clip.frame_features.copy()
-        feats[plan.positions] = 0.0  # masked frame features are replaced by zeros
-        return self.encoder.encode_clip(clip, frame_features_override=feats, train_rng=train_rng)
+    def encode_mfm(self, clips, plans: Sequence[FrameMaskPlan], train_rng=None) -> EncodedBatch:
+        features = []
+        for clip, plan in zip(clips, plans):
+            feats = clip.frame_features.copy()
+            feats[plan.positions] = 0.0  # masked frame features are replaced by zeros
+            features.append(feats)
+        return self.encoder.encode_clips(
+            clips, frame_features_overrides=features, train_rng=train_rng
+        )
 
-    def encode_reordered(self, clip, plan: ReorderPlan, train_rng=None):
-        """Shuffle fused frame rows (and the positional residual with them),
-        then re-run the temporal stack."""
-        v_emb, v_cross, _, _ = self.encoder.fuse_clip(clip, train_rng=train_rng)
-        perm = plan.permutation(clip.n_frames)
-        v_emb_r = T.take_rows(v_emb, perm)
-        v_cross_r = T.take_rows(v_cross, perm)
-        return self.encoder.temporal_forward(v_emb_r, v_cross_r, train_rng=train_rng)
+    def encode_reordered(self, clips, plans: Sequence[ReorderPlan], train_rng=None) -> EncodedBatch:
+        """Shuffle each clip's fused frame rows (and the positional residual
+        with them) before the temporal stack; ``v_temp`` rows come out in the
+        shuffled order."""
+        orders = [plan.permutation(clip.n_frames) for clip, plan in zip(clips, plans)]
+        return self.encoder.encode_clips(clips, frame_orders=orders, train_rng=train_rng)
 
-    # -- losses ------------------------------------------------------------------
+    # -- losses: each is the mean over the batch's clips --------------------------
 
-    def mlm_loss(self, encoded, plans: Sequence[TokenMaskPlan | None]) -> T.Tensor:
+    def mlm_loss(
+        self, encoded: EncodedBatch, plans: Sequence[Sequence[TokenMaskPlan | None]]
+    ) -> T.Tensor:
         """Cross-entropy of the original ids at masked positions, read from
-        the per-sentence fused token rows (local context)."""
-        rows, labels = [], []
-        for w_cross, plan in zip(encoded.w_cross, plans):
-            if plan is None:
-                continue
-            rows.append(T.take_rows(w_cross, plan.positions))
-            labels.extend(plan.originals)
-        if not rows:
-            raise UsageError("mlm_loss needs at least one masked position")
-        logits = self.lm_head(T.concat_rows(rows))
-        return T.cross_entropy(logits, labels)
+        the per-sentence fused token rows (local context).  One ``lm_head``
+        pass over every clip's masked rows; row weights 1 / (clips x the
+        clip's masked positions) make it the mean over clips of each clip's
+        mean."""
+        rows, labels, counts = [], [], []
+        for starts, clip_plans in zip(encoded.token_bounds, plans):
+            clip_rows = [
+                starts[j] + pos
+                for j, plan in enumerate(clip_plans) if plan is not None
+                for pos in plan.positions
+            ]
+            if not clip_rows:
+                raise UsageError("mlm_loss needs at least one masked position in every clip")
+            rows.extend(clip_rows)
+            labels.extend(i for plan in clip_plans if plan is not None for i in plan.originals)
+            counts.append(len(clip_rows))
+        logits = self.lm_head(T.take_rows(encoded.w_cross, rows))
+        return T.cross_entropy(logits, labels, _mean_of_clip_means(counts))
 
-    def mffr_loss(self, encoded, plan: FrameMaskPlan) -> T.Tensor:
-        """Summed squared L2 between regressed and original features of the
-        masked frames, read from the temporal rows (global context)."""
-        if not plan.positions:
-            raise UsageError("mffr_loss needs at least one masked frame")
-        pred = self.mffr_head(T.take_rows(encoded.v_temp, plan.positions))
-        target = encoded.clip.frame_features[plan.positions]
-        return l2_regression_loss(pred, target)
+    def mffr_loss(self, encoded: EncodedBatch, plans: Sequence[FrameMaskPlan]) -> T.Tensor:
+        """Summed squared L2 between regressed and original features of each
+        clip's masked frames, read from the temporal rows (global context)."""
+        if any(not plan.positions for plan in plans):
+            raise UsageError("mffr_loss needs at least one masked frame in every clip")
+        rows = encoded.frame_rows([plan.positions for plan in plans])
+        pred = self.mffr_head(T.take_rows(encoded.v_temp, rows))
+        target = np.concatenate(
+            [clip.frame_features[plan.positions] for clip, plan in zip(encoded.clips, plans)]
+        )
+        return l2_regression_loss(pred, target) * (1.0 / len(plans))
 
-    def mnce_positive_targets(self, clip, plan: FrameMaskPlan) -> np.ndarray:
-        """Projections of the masked frames from a clean (unmasked) pass,
-        detached so they act as fixed contrastive targets."""
+    def mnce_positive_targets(self, clips, plans: Sequence[FrameMaskPlan]) -> np.ndarray:
+        """Projections of every clip's masked frames, clip by clip, from one
+        clean (unmasked) packed pass, detached so they act as fixed
+        contrastive targets."""
         with T.no_grad():
-            clean = self.encoder.encode_clip(clip)
-            return self.mnce_proj(T.take_rows(clean.v_temp, plan.positions)).data
+            clean = self.encoder.encode_clips(clips)
+            rows = clean.frame_rows([plan.positions for plan in plans])
+            return self.mnce_proj(T.take_rows(clean.v_temp, rows)).data
 
     def mnce_loss(
         self,
-        encoded,
-        plan: FrameMaskPlan,
+        encoded: EncodedBatch,
+        plans: Sequence[FrameMaskPlan],
         rng: np.random.Generator,
         num_negatives: int = 15,
         positive_targets: np.ndarray | None = None,
@@ -288,28 +307,33 @@ class PretrainModel(Module):
         """Contrastive softmax (InfoNCE): each masked frame's projection must
         score its own clean-pass projection above projections of sampled
         unmasked frames from the same clip.  One cross-entropy over a (P, 1+K)
-        logit matrix whose candidate 0 is the positive; the negatives are
-        drawn one masked position at a time, in plan order."""
-        if not plan.positions:
-            raise UsageError("mnce_loss needs at least one masked frame")
+        logit matrix whose candidate 0 is the positive, weighted like
+        ``mlm_loss``; the negatives are drawn one masked position at a time,
+        clip by clip in plan order."""
+        if any(not plan.positions for plan in plans):
+            raise UsageError("mnce_loss needs at least one masked frame in every clip")
         if positive_targets is None:
-            positive_targets = self.mnce_positive_targets(encoded.clip, plan)
-        n = encoded.clip.n_frames
-        unmasked = np.setdiff1d(np.arange(n), np.asarray(plan.positions))
-        if unmasked.size == 0:
-            raise UsageError("mnce_loss needs at least one unmasked frame")
-        replace = unmasked.size < num_negatives
-        n_pos = len(plan.positions)
-        # rows 0..n-1 project v_temp; row n + i is masked frame i's target
+            positive_targets = self.mnce_positive_targets(encoded.clips, plans)
+        anchors = encoded.frame_rows([plan.positions for plan in plans])
+        n_rows, n_pos = encoded.v_temp.shape[0], len(anchors)
+        # rows 0..n_rows-1 project v_temp; row n_rows + i is masked frame i's target
         candidates = np.empty((n_pos, 1 + num_negatives), dtype=np.intp)
-        candidates[:, 0] = n + np.arange(n_pos)
-        for i in range(n_pos):
-            candidates[i, 1:] = rng.choice(unmasked, size=num_negatives, replace=replace)
-        proj = self.mnce_proj(encoded.v_temp)  # (n, d)
+        candidates[:, 0] = n_rows + np.arange(n_pos)
+        i = 0
+        for lo, clip, plan in zip(encoded.frame_bounds, encoded.clips, plans):
+            unmasked = np.setdiff1d(np.arange(clip.n_frames), np.asarray(plan.positions))
+            if unmasked.size == 0:
+                raise UsageError("mnce_loss needs at least one unmasked frame")
+            replace = unmasked.size < num_negatives
+            for _ in plan.positions:
+                candidates[i, 1:] = lo + rng.choice(unmasked, size=num_negatives, replace=replace)
+                i += 1
+        proj = self.mnce_proj(encoded.v_temp)
         pool = T.concat_rows([proj, T.Tensor(positive_targets)])
-        anchors = T.reshape(T.take_rows(proj, plan.positions), (n_pos, -1, 1))
-        logits = T.matmul(T.take_rows(pool, candidates), anchors)  # (P, 1+K, 1)
-        return T.cross_entropy(T.reshape(logits, (n_pos, -1)), [0] * n_pos)
+        anchor_rows = T.reshape(T.take_rows(proj, anchors), (n_pos, -1, 1))
+        logits = T.matmul(T.take_rows(pool, candidates), anchor_rows)  # (P, 1+K, 1)
+        weights = _mean_of_clip_means([len(plan.positions) for plan in plans])
+        return T.cross_entropy(T.reshape(logits, (n_pos, -1)), [0] * n_pos, weights)
 
     def encode_query(self, query_token_ids: Sequence[int], train_rng=None) -> T.Tensor:
         """Fused-token query vector: cross-modal pass with no frames, then
@@ -375,17 +399,22 @@ class PretrainModel(Module):
         l_global = _mean_terms(global_terms)
         return hypers.lambda_local * l_local + hypers.lambda_global * l_global
 
-    def fom_loss(self, v_temp_reordered: T.Tensor, plan: ReorderPlan) -> T.Tensor:
+    def fom_loss(self, encoded: EncodedBatch, plans: Sequence[ReorderPlan]) -> T.Tensor:
         """Negative log-likelihood of each reordered row's original
-        timestamp, summed over the reordered positions only."""
-        if sorted(plan.positions) != sorted(set(plan.positions)) or sorted(
-            plan.sources
-        ) != sorted(plan.positions):
-            raise UsageError("reorder plan is not a permutation of its positions")
-        n = v_temp_reordered.shape[0]
-        rows = T.take_rows(v_temp_reordered, plan.positions)
-        logits = T.slice_cols(self.fom_head(rows), 0, n)
-        return timestamp_nll(logits, plan.sources)
+        timestamp, summed over a clip's reordered positions only; a clip's
+        timestamps past its last frame get no probability."""
+        for plan in plans:
+            if sorted(plan.positions) != sorted(set(plan.positions)) or sorted(
+                plan.sources
+            ) != sorted(plan.positions):
+                raise UsageError("reorder plan is not a permutation of its positions")
+        rows = encoded.frame_rows([plan.positions for plan in plans])
+        logits = self.fom_head(T.take_rows(encoded.v_temp, rows))
+        n_frames = np.repeat([c.n_frames for c in encoded.clips], [len(p.positions) for p in plans])
+        past_end = np.arange(logits.shape[1]) >= n_frames[:, None]
+        logits = logits + np.where(past_end, T.ATTENTION_MASK_BIAS, 0.0)  # exp() of it is 0
+        sources = [s for plan in plans for s in plan.sources]
+        return timestamp_nll(logits, sources) * (1.0 / len(plans))
 
 
 # -- loss helpers ----------------------------------------------------------------
@@ -420,6 +449,13 @@ def span_nll(log_p_st: T.Tensor, log_p_ed: T.Tensor, span: tuple[int, int]) -> T
 def timestamp_nll(logits: T.Tensor, labels: Sequence[int]) -> T.Tensor:
     """-sum_j log softmax(logits[j])[labels[j]] (sum, not mean)."""
     return T.cross_entropy(logits, labels) * len(labels)
+
+
+def _mean_of_clip_means(counts: Sequence[int]) -> np.ndarray:
+    """Row weights for the rows of all clips, clip b owning the next
+    ``counts[b]`` rows, under which a weighted sum is the mean over clips of
+    each clip's mean."""
+    return np.repeat([1.0 / (len(counts) * n) for n in counts], counts)
 
 
 def _mean_terms(terms: list[T.Tensor]) -> T.Tensor:
@@ -537,41 +573,27 @@ def task_loss(
     hypers: PretrainHypers,
     train_rng: np.random.Generator | None = None,
 ) -> T.Tensor:
-    """Forward pass and loss for the batch's single task (mean over clips)."""
+    """Forward pass and loss for the batch's single task (mean over clips):
+    one packed encoder pass over the batch's clips, then the task's head."""
     if batch.kind == "mlm":
-        terms = [
-            model.mlm_loss(
-                model.encode_mlm(clip, masked, train_rng=train_rng), plans
-            )
-            for clip, masked, plans in zip(batch.clips, batch.masked_token_ids, batch.token_plans)
-        ]
-    elif batch.kind == "mffr":
-        terms = [
-            model.mffr_loss(model.encode_mfm(clip, plan, train_rng=train_rng), plan)
-            for clip, plan in zip(batch.clips, batch.frame_plans)
-        ]
-    elif batch.kind == "mnce":
+        encoded = model.encode_mlm(batch.clips, batch.masked_token_ids, train_rng=train_rng)
+        return model.mlm_loss(encoded, batch.token_plans)
+    if batch.kind == "mffr":
+        encoded = model.encode_mfm(batch.clips, batch.frame_plans, train_rng=train_rng)
+        return model.mffr_loss(encoded, batch.frame_plans)
+    if batch.kind == "mnce":
         neg_rng = np.random.default_rng([batch.seed, _SEED_NEGATIVES, batch.step])
-        terms = [
-            model.mnce_loss(
-                model.encode_mfm(clip, plan, train_rng=train_rng),
-                plan,
-                neg_rng,
-                num_negatives=hypers.num_negatives,
-            )
-            for clip, plan in zip(batch.clips, batch.frame_plans)
-        ]
-    elif batch.kind == "fom":
-        terms = [
-            model.fom_loss(model.encode_reordered(clip, plan, train_rng=train_rng), plan)
-            for clip, plan in zip(batch.clips, batch.reorder_plans)
-        ]
-    elif batch.kind == "vsm":
-        encoded = [model.encoder.encode_clip(c, train_rng=train_rng) for c in batch.clips]
+        encoded = model.encode_mfm(batch.clips, batch.frame_plans, train_rng=train_rng)
+        return model.mnce_loss(
+            encoded, batch.frame_plans, neg_rng, num_negatives=hypers.num_negatives
+        )
+    if batch.kind == "fom":
+        encoded = model.encode_reordered(batch.clips, batch.reorder_plans, train_rng=train_rng)
+        return model.fom_loss(encoded, batch.reorder_plans)
+    if batch.kind == "vsm":
+        encoded = list(model.encoder.encode_clips(batch.clips, train_rng=train_rng))
         return model.vsm_loss(encoded, batch.vsm_targets, hypers, train_rng=train_rng)
-    else:
-        raise ConfigError(f"unknown task {batch.kind!r}")
-    return _mean_terms(terms)
+    raise ConfigError(f"unknown task {batch.kind!r}")
 
 
 def dropout_rng(seed: int, step: int) -> np.random.Generator:

@@ -456,18 +456,6 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
     return _make(data, tuple(parts), bw)
 
 
-def slice_cols(a: Tensor, lo: int, hi: int) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"slice_cols expects a 2-D tensor, got {a.shape}")
-
-    def bw(g):
-        acc = np.zeros_like(a.data)
-        acc[:, lo:hi] = g
-        _accum(a, acc)
-
-    return _make(a.data[:, lo:hi].copy(), (a,), bw)
-
-
 def slice_rows(a: Tensor, lo: int, hi: int) -> Tensor:
     """Rows ``lo:hi`` along the first axis, as a view; the adjoint pads with zeros."""
 
@@ -486,8 +474,16 @@ def take_rows(a: Tensor, idx) -> Tensor:
     data = a.data[idx]
 
     def bw(g):
+        # sum the rows of each repeated index with one reduceat over a stable
+        # sort of the indices (np.add.at does the same sums an element at a time)
+        flat = idx.reshape(-1) % a.data.shape[0]
         acc = np.zeros_like(a.data)
-        np.add.at(acc, idx, g)
+        if flat.size:
+            order = np.argsort(flat, kind="stable")
+            rows = flat[order]
+            starts = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
+            g = g.reshape((flat.size,) + a.data.shape[1:])
+            acc[rows[starts]] = np.add.reduceat(g[order], starts, axis=0)
         _accum(a, acc)
 
     return _make(data, (a,), bw)
@@ -636,8 +632,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _make(data, (x, gain, bias), bw)
 
 
-def cross_entropy(logits: Tensor, labels) -> Tensor:
-    """Mean negative log-likelihood of ``labels`` under softmax(logits).
+def cross_entropy(logits: Tensor, labels, weights=None) -> Tensor:
+    """Mean negative log-likelihood of ``labels`` under softmax(logits), or
+    with per-row ``weights`` their weighted sum.
 
     ``logits`` is (n, C); ``labels`` is a length-n index sequence.  Fused
     with log-softmax for stability.
@@ -650,15 +647,21 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
         raise ShapeError(f"cross_entropy got {n} rows but {labels.shape} labels")
     if labels.size and (labels.min() < 0 or labels.max() >= c):
         raise IndexError(f"label out of range [0, {c})")
+    if weights is not None:
+        weights = np.asarray(weights, dtype=np.float64)
+        if weights.shape != (n,):
+            raise ShapeError(f"cross_entropy got {n} rows but {weights.shape} weights")
     shifted = logits.data - logits.data.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     logp = shifted - lse
-    data = np.asarray(-logp[np.arange(n), labels].mean())
+    picked = logp[np.arange(n), labels]
+    data = np.asarray(-picked.mean() if weights is None else -(weights @ picked))
 
     def bw(g):
         p = np.exp(logp)
         p[np.arange(n), labels] -= 1.0
-        _accum(logits, p * (np.asarray(g).reshape(-1)[0] / n))
+        g = np.asarray(g).reshape(-1)[0]
+        _accum(logits, p * (g / n) if weights is None else p * (g * weights)[:, None])
 
     return _make(data, (logits,), bw)
 
@@ -723,10 +726,12 @@ class AdamW:
         betas: tuple[float, float] = (0.9, 0.999),
         eps: float = 1e-8,
     ):
-        if lr <= 0:
-            raise ConfigError(f"learning rate must be positive, got {lr}")
-        if weight_decay < 0:
-            raise ConfigError(f"weight decay must be nonnegative, got {weight_decay}")
+        if not (math.isfinite(lr) and lr > 0):
+            raise ConfigError(f"learning rate (lr) must be positive and finite, got {lr}")
+        if not (math.isfinite(weight_decay) and weight_decay >= 0):
+            raise ConfigError(
+                f"weight decay (weight_decay) must be nonnegative and finite, got {weight_decay}"
+            )
         self.params = dict(params)
         self.lr = lr
         self.weight_decay = weight_decay

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from vidtext import tensor as T
 from vidtext.data import AlignedClip, Sentence, Vocab, detokenize
 from vidtext.encoder import HierarchicalEncoder, ModelConfig
 
@@ -73,3 +74,9 @@ def toy_clip(tiny_config, small_vocab):
 @pytest.fixture
 def tiny_encoder(tiny_config):
     return HierarchicalEncoder(tiny_config, np.random.default_rng(0))
+
+
+def slice_cols(a, lo, hi):
+    """Columns ``lo:hi`` of a 2-D tensor, for the per-head and per-position
+    test references."""
+    return T.transpose(T.slice_rows(T.transpose(a), lo, hi))

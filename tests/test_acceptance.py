@@ -163,20 +163,22 @@ def test_criterion_1_gradient_suite():
     vsm_targets = [P.sample_vsm_targets(c, np.random.default_rng(3)) for c in (clip_a, clip_b)]
     # contrastive targets frozen so the finite-difference view matches the
     # detached positives the analytic loss optimizes against
-    frozen_pos = model.mnce_positive_targets(clip_a, frame_plan)
+    frozen_pos = model.mnce_positive_targets([clip_a], [frame_plan])
 
     compositions = {
-        "loss.mlm": lambda: model.mlm_loss(model.encode_mlm(clip_a, masked_ids), plans),
-        "loss.mffr": lambda: model.mffr_loss(model.encode_mfm(clip_a, frame_plan), frame_plan),
+        "loss.mlm": lambda: model.mlm_loss(model.encode_mlm([clip_a], [masked_ids]), [plans]),
+        "loss.mffr": lambda: model.mffr_loss(
+            model.encode_mfm([clip_a], [frame_plan]), [frame_plan]
+        ),
         "loss.mnce": lambda: model.mnce_loss(
-            model.encode_mfm(clip_a, frame_plan), frame_plan,
+            model.encode_mfm([clip_a], [frame_plan]), [frame_plan],
             np.random.default_rng(7), num_negatives=3, positive_targets=frozen_pos,
         ),
         "loss.vsm": lambda: model.vsm_loss(
             [model.encoder.encode_clip(c) for c in (clip_a, clip_b)], vsm_targets, hypers
         ),
         "loss.fom": lambda: model.fom_loss(
-            model.encode_reordered(clip_a, reorder_plan), reorder_plan
+            model.encode_reordered([clip_a], [reorder_plan]), [reorder_plan]
         ),
     }
     for name, fn in compositions.items():
@@ -207,7 +209,7 @@ def test_criterion_2_closed_form_losses():
         m, plan = P.apply_mlm_mask(s.token_ids, mask_rng, vocab)
         masked.append(m)
         plans.append(plan)
-    mlm = model.mlm_loss(model.encode_mlm(clip, masked), plans).item()
+    mlm = model.mlm_loss(model.encode_mlm([clip], [masked]), [plans]).item()
     T.reset_tape()
     checks.append(("mlm~ln(100)", abs(mlm - math.log(100)) < 0.3))
 
@@ -216,7 +218,7 @@ def test_criterion_2_closed_form_losses():
     model.mnce_proj.b.data[:] = 0.0
     plan = P.FrameMaskPlan([2])
     mnce = model.mnce_loss(
-        model.encode_mfm(clip, plan), plan, np.random.default_rng(2), num_negatives=15
+        model.encode_mfm([clip], [plan]), [plan], np.random.default_rng(2), num_negatives=15
     ).item()
     T.reset_tape()
     checks.append(("mnce=ln(16)", abs(mnce - math.log(16)) < 1e-12))
@@ -225,7 +227,7 @@ def test_criterion_2_closed_form_losses():
     model.fom_head.w.data[:] = 0.0
     model.fom_head.b.data[:] = 0.0
     rplan = P.make_reorder_plan(clip.n_frames, np.random.default_rng(3))
-    fom = model.fom_loss(model.encode_reordered(clip, rplan), rplan).item()
+    fom = model.fom_loss(model.encode_reordered([clip], [rplan]), [rplan]).item()
     T.reset_tape()
     checks.append(
         ("fom/R=ln(N_v)", abs(fom / len(rplan.positions) - math.log(clip.n_frames)) < 1e-12)

@@ -537,6 +537,49 @@ class TestMalformedOptionValues:
         assert rc == EXIT_USAGE
         assert f"{flag} must be" in capsys.readouterr().err
 
+    def test_nan_learning_rate_exits_one(self, corpus, tmp_path, capsys):
+        out = tmp_path / "x"
+        rc = main([
+            "pretrain", "--corpus", str(corpus), "--out-dir", str(out),
+            "--steps", "3", "--lr", "nan", *SMALL_MODEL,
+        ])
+        assert rc == EXIT_USAGE
+        assert "learning rate (lr) must be positive and finite, got nan" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nan_margin_in_a_config_file_exits_one(self, corpus, tmp_path, capsys):
+        cfg = tmp_path / "opts.cfg"
+        cfg.write_text("margin = NaN\n")  # json reads NaN as a float
+        out = tmp_path / "x"
+        rc = main([
+            "pretrain", "--corpus", str(corpus), "--out-dir", str(out),
+            "--config", str(cfg), "--steps", "3", *SMALL_MODEL,
+        ])
+        assert rc == EXIT_USAGE
+        assert "margin must be nonnegative and finite, got nan" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_pretrain_steps_exits_one(self, corpus, tmp_path, capsys):
+        out = tmp_path / "x"
+        rc = main([
+            "pretrain", "--corpus", str(corpus), "--out-dir", str(out), "--steps", "-2",
+            *SMALL_MODEL,
+        ])
+        assert rc == EXIT_USAGE
+        assert "steps must be nonnegative, got -2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_finetune_steps_exits_one(self, corpus, tmp_path, capsys):
+        tasks = write_toy_tasks(corpus, tmp_path)
+        out = tmp_path / "x"
+        rc = main([
+            "finetune", "--task", "nli", "--data", str(tasks["nli"]), "--corpus", str(corpus),
+            "--out-dir", str(out), "--from-scratch", "--steps", "-2",
+        ])
+        assert rc == EXIT_USAGE
+        assert "steps must be nonnegative, got -2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_eval_unknown_clip_exits_two(self, corpus, pretrained, tmp_path, capsys):
         from vidtext.downstream import RetrievalExample, write_task_file
 

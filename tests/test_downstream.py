@@ -197,7 +197,8 @@ def _ref_encode_with_appended_text(encoder, clip, extra_ids):
     override = [
         qa_augmented_token_ids(s.token_ids, extra_ids, None, max_tokens) for s in clip.sentences
     ]
-    v_emb, v_cross, _, _ = encoder.fuse_clip(clip, token_ids_override=override)
+    fused = encoder.fuse_clip([clip], [override])
+    v_emb, v_cross = fused.v_emb, fused.v_cross
     w_emb = encoder.embed_text(list(extra_ids)[:max_tokens])
     _, w_cross = encoder.cross_modal_forward(None, w_emb)
     h = encoder.temporal_apply(T.concat_rows([v_emb + v_cross, w_emb + w_cross]))

@@ -9,7 +9,7 @@ from vidtext.encoder import HierarchicalEncoder, ModelConfig, TransformerBlock
 from vidtext.errors import ConfigError, ShapeError, UsageError
 from vidtext.gradcheck import check_gradients
 
-from conftest import make_clip
+from conftest import make_clip, slice_cols
 
 
 class TestModelConfig:
@@ -262,13 +262,13 @@ def _ref_attention(mha, x, key_mask=None, capture=None, kv=None):
     outs = []
     for h in range(mha.heads):
         lo, hi = h * mha.dh, (h + 1) * mha.dh
-        scores = T.matmul(T.slice_cols(q, lo, hi), T.slice_cols(k, lo, hi).T) * (1.0 / np.sqrt(mha.dh))
+        scores = T.matmul(slice_cols(q, lo, hi), slice_cols(k, lo, hi).T) * (1.0 / np.sqrt(mha.dh))
         if key_mask is not None:
             scores = scores + T.Tensor(np.where(key_mask, 0.0, T.ATTENTION_MASK_BIAS))
         attn = T.softmax(scores, axis=-1)
         if capture is not None:
             capture.append(attn.data)
-        outs.append(T.matmul(attn, T.slice_cols(v, lo, hi)))
+        outs.append(T.matmul(attn, slice_cols(v, lo, hi)))
     return mha.wo(T.concat_rows([out.T for out in outs]).T)  # heads side by side
 
 
@@ -415,6 +415,63 @@ class TestPaddedFusionMatchesPerSentence:
         with pytest.raises(UsageError):
             enc.cross_modal_forward(None, w, [(np.array([], dtype=int), np.array([0, 1])),
                                               (np.array([], dtype=int), np.array([], dtype=int))])
+
+
+class TestEncodeClipsPacksTheBatch:
+    """``encode_clips`` runs a batch as one packed pass; each clip's slice
+    of it equals that clip's own pass (dropout off)."""
+
+    @pytest.fixture
+    def setup(self, small_vocab):
+        config = ModelConfig(
+            d=16, cross_layers=2, cross_heads=4, temporal_layers=1, temporal_heads=2,
+            vocab_size=30, frame_feature_dim=8, max_frames=16, max_tokens=12,
+            ffn_multiplier=2, dropout=0.0,
+        )
+        enc = HierarchicalEncoder(config, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        a = make_clip(rng, small_vocab, groups=(2, 5, 3, 1), tokens=(4, 0, 7, 2), clip_id="a")
+        for sent, group in zip(a.sentences, ([0, 4], [1, 2, 3, 8, 9], [5, 6, 10], [7])):
+            sent.frame_indices = group
+        b = make_clip(rng, small_vocab, groups=(3,), tokens=(5,), clip_id="b")
+        c = make_clip(rng, small_vocab, groups=(4, 2), tokens=(0, 3), clip_id="c")
+        return enc, [a, b, c]
+
+    @staticmethod
+    def _arrays(e):
+        rows = [e.v_emb, e.v_cross, e.v_temp] + [w for w in e.w_cross if w is not None]
+        grids = [g for layers in e.attention.values() for heads in layers for g in heads]
+        return [t.data for t in rows] + grids, [w is None for w in e.w_cross], sorted(e.attention)
+
+    def test_encode_clip_is_the_batch_of_one(self, setup):
+        enc, clips = setup
+        for clip in clips:
+            one = self._arrays(enc.encode_clip(clip, capture_attention=True))
+            batch = self._arrays(enc.encode_clips([clip], capture_attention=True)[0])
+            assert one[1:] == batch[1:]
+            assert len(one[0]) == len(batch[0])
+            for x, y in zip(one[0], batch[0]):
+                np.testing.assert_array_equal(x, y)
+
+    def test_each_clip_matches_its_own_pass(self, setup):
+        enc, clips = setup
+        packed = enc.encode_clips(clips, capture_attention=True)
+        assert len(packed) == len(clips)
+        for clip, e in zip(clips, packed):
+            alone = self._arrays(enc.encode_clip(clip, capture_attention=True))
+            mine = self._arrays(e)
+            assert mine[1:] == alone[1:]
+            for x, y in zip(mine[0], alone[0]):
+                assert x.shape == y.shape
+                np.testing.assert_allclose(x, y, rtol=0, atol=1e-12)
+
+    def test_frame_orders_shuffle_the_temporal_input(self, setup):
+        enc, clips = setup
+        orders = [np.random.default_rng(i).permutation(c.n_frames) for i, c in enumerate(clips)]
+        packed = enc.encode_clips(clips, frame_orders=orders)
+        for e, order in zip(packed, orders):
+            alone = enc.temporal_forward(T.take_rows(e.v_emb, order), T.take_rows(e.v_cross, order))
+            np.testing.assert_allclose(e.v_temp.data, alone.data, rtol=0, atol=1e-12)
 
 
 class TestFusedAttention:

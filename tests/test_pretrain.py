@@ -8,10 +8,10 @@ import pytest
 from vidtext import pretrain as P
 from vidtext import tensor as T
 from vidtext.data import MASK_ID, Vocab
-from vidtext.encoder import ModelConfig
+from vidtext.encoder import HierarchicalEncoder, ModelConfig
 from vidtext.errors import ConfigError, UsageError
 
-from conftest import make_clip
+from conftest import make_clip, slice_cols
 
 UNIFORM = {"mlm": 1.0, "mffr": 1.0, "mnce": 1.0, "vsm": 1.0, "fom": 1.0}
 
@@ -116,7 +116,7 @@ class TestMlmLoss:
             m, plan = P.apply_mlm_mask(s.token_ids, rng_mask, vocab)
             masked.append(m)
             plans.append(plan)
-        loss = model.mlm_loss(model.encode_mlm(clip, masked), plans)
+        loss = model.mlm_loss(model.encode_mlm([clip], [masked]), [plans])
         assert abs(loss.item() - math.log(100)) < 0.3
 
     def test_rigged_one_hot_logits_drive_loss_to_zero(self, model, small_vocab, toy_clip):
@@ -127,38 +127,38 @@ class TestMlmLoss:
         model.lm_head.w.data[:] = 0.0
         model.lm_head.b.data[:] = 0.0
         model.lm_head.b.data[plan.originals[0]] = 60.0
-        loss = model.mlm_loss(model.encode_mlm(toy_clip, masked), [plan, None])
+        loss = model.mlm_loss(model.encode_mlm([toy_clip], [masked]), [[plan, None]])
         assert loss.item() < 1e-6
 
     def test_loss_reads_only_masked_rows(self, model, toy_clip):
         masked = [list(s.token_ids) for s in toy_clip.sentences]
         masked[0][1] = MASK_ID
         plan = P.TokenMaskPlan([1], [P.ACTION_MASK], [toy_clip.sentences[0].token_ids[1]])
-        encoded = model.encode_mlm(toy_clip, masked)
-        base = model.mlm_loss(encoded, [plan, None]).item()
+        encoded = model.encode_mlm([toy_clip], [masked])
+        base = model.mlm_loss(encoded, [[plan, None]]).item()
 
         # perturbing fused rows at unmasked positions must not move the loss
-        encoded2 = model.encode_mlm(toy_clip, masked)
-        for j, w in enumerate(encoded2.w_cross):
+        encoded2 = model.encode_mlm([toy_clip], [masked])
+        for j, w in enumerate(encoded2[0].w_cross):
             keep = {1} if j == 0 else set()
             for row in range(w.shape[0]):
                 if row not in keep:
                     w.data[row] += 17.0
         T.reset_tape()
-        assert model.mlm_loss(encoded2, [plan, None]).item() == base
+        assert model.mlm_loss(encoded2, [[plan, None]]).item() == base
 
     def test_empty_plan_rejected(self, model, toy_clip):
-        encoded = model.encode_mlm(toy_clip, [list(s.token_ids) for s in toy_clip.sentences])
+        encoded = model.encode_mlm([toy_clip], [[list(s.token_ids) for s in toy_clip.sentences]])
         with pytest.raises(UsageError):
-            model.mlm_loss(encoded, [None, None])
+            model.mlm_loss(encoded, [[None, None]])
 
 
 class TestMaskingNeverLeaks:
     def test_mfm_input_is_invariant_to_masked_originals(self, model, toy_clip):
         plan = P.FrameMaskPlan([1, 4])
-        before = model.encode_mfm(toy_clip, plan).v_temp.data.copy()
+        before = model.encode_mfm([toy_clip], [plan]).v_temp.data.copy()
         toy_clip.frame_features[plan.positions] += 99.0
-        after = model.encode_mfm(toy_clip, plan).v_temp.data
+        after = model.encode_mfm([toy_clip], [plan]).v_temp.data
         np.testing.assert_array_equal(before, after)
         T.reset_tape()
 
@@ -196,15 +196,15 @@ class TestMffr:
 
     def test_reads_global_rows(self, model, toy_clip):
         plan = P.FrameMaskPlan([0, 3])
-        encoded = model.encode_mfm(toy_clip, plan)
-        loss = model.mffr_loss(encoded, plan)
+        encoded = model.encode_mfm([toy_clip], [plan])
+        loss = model.mffr_loss(encoded, [plan])
         assert loss.item() > 0
         T.reset_tape()
 
     def test_empty_plan_rejected(self, model, toy_clip):
-        encoded = model.encode_mfm(toy_clip, P.FrameMaskPlan([0]))
+        encoded = model.encode_mfm([toy_clip], [P.FrameMaskPlan([0])])
         with pytest.raises(UsageError):
-            model.mffr_loss(encoded, P.FrameMaskPlan([]))
+            model.mffr_loss(encoded, [P.FrameMaskPlan([])])
 
 
 class _FixedChoiceRng:
@@ -223,36 +223,36 @@ class TestMnce:
         model.mnce_proj.w.data[:] = 0.0
         model.mnce_proj.b.data[:] = 0.0  # every projection collapses to zero
         plan = P.FrameMaskPlan([2])
-        encoded = model.encode_mfm(toy_clip, plan)
-        loss = model.mnce_loss(encoded, plan, np.random.default_rng(0), num_negatives=7)
+        encoded = model.encode_mfm([toy_clip], [plan])
+        loss = model.mnce_loss(encoded, [plan], np.random.default_rng(0), num_negatives=7)
         assert loss.item() == pytest.approx(math.log(8), abs=1e-12)
         T.reset_tape()
 
     def test_loss_invariant_to_negative_ordering(self, model, toy_clip):
         plan = P.FrameMaskPlan([2])
-        pos = model.mnce_positive_targets(toy_clip, plan)
-        encoded = model.encode_mfm(toy_clip, plan)
+        pos = model.mnce_positive_targets([toy_clip], [plan])
+        encoded = model.encode_mfm([toy_clip], [plan])
         a = model.mnce_loss(
-            encoded, plan, _FixedChoiceRng([0, 1, 3]), num_negatives=3, positive_targets=pos
+            encoded, [plan], _FixedChoiceRng([0, 1, 3]), num_negatives=3, positive_targets=pos
         ).item()
         T.reset_tape()
-        encoded = model.encode_mfm(toy_clip, plan)
+        encoded = model.encode_mfm([toy_clip], [plan])
         b = model.mnce_loss(
-            encoded, plan, _FixedChoiceRng([3, 0, 1]), num_negatives=3, positive_targets=pos
+            encoded, [plan], _FixedChoiceRng([3, 0, 1]), num_negatives=3, positive_targets=pos
         ).item()
         T.reset_tape()
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_positive_50_above_negatives_saturates(self, model, toy_clip):
         plan = P.FrameMaskPlan([2])
-        encoded = model.encode_mfm(toy_clip, plan)
+        encoded = model.encode_mfm([toy_clip], [plan])
         anchor = model.mnce_proj(T.take_rows(encoded.v_temp, [2])).data
         others = model.mnce_proj(encoded.v_temp).data
         max_neg = float(np.max(others @ anchor[0]))
         # positive target scaled so its score sits exactly 50 above any negative
         pos = anchor * ((max_neg + 50.0) / (np.linalg.norm(anchor) ** 2))
         loss = model.mnce_loss(
-            encoded, plan, np.random.default_rng(1), num_negatives=7, positive_targets=pos
+            encoded, [plan], np.random.default_rng(1), num_negatives=7, positive_targets=pos
         )
         assert loss.item() < 1e-20
         T.reset_tape()
@@ -261,8 +261,8 @@ class TestMnce:
         rng = np.random.default_rng(9)
         clip = make_clip(rng, small_vocab, groups=(3,), tokens=(4,))
         plan = P.FrameMaskPlan([0])  # only 2 unmasked frames, 5 negatives wanted
-        encoded = model.encode_mfm(clip, plan)
-        loss = model.mnce_loss(encoded, plan, np.random.default_rng(2), num_negatives=5)
+        encoded = model.encode_mfm([clip], [plan])
+        loss = model.mnce_loss(encoded, [plan], np.random.default_rng(2), num_negatives=5)
         assert np.isfinite(loss.item())
         T.reset_tape()
 
@@ -290,7 +290,7 @@ def _ref_fom_loss(model, v_temp, plan):
     n = v_temp.shape[0]
     total = None
     for pos, src in zip(plan.positions, plan.sources):
-        logits = T.slice_cols(model.fom_head(T.take_rows(v_temp, [pos])), 0, n)
+        logits = slice_cols(model.fom_head(T.take_rows(v_temp, [pos])), 0, n)
         nll = -T.take_rows(T.reshape(T.log_softmax(logits, axis=-1), (-1,)), [src]).sum()
         total = nll if total is None else total + nll
     return total
@@ -304,18 +304,18 @@ def _loss_and_grads(model, loss_fn):
     return loss.item(), {k: p.grad.copy() for k, p in params.items() if p.grad is not None}
 
 
+def _assert_same(a, b):
+    """Two ``_loss_and_grads`` results agree within 1e-10."""
+    (loss_a, grads_a), (loss_b, grads_b) = a, b
+    assert loss_a == pytest.approx(loss_b, abs=1e-10)
+    assert sorted(grads_a) == sorted(grads_b)
+    for name in grads_b:
+        np.testing.assert_allclose(grads_a[name], grads_b[name], rtol=0, atol=1e-10, err_msg=name)
+
+
 class TestHeadsMatchPerPositionReference:
     """The one-cross-entropy mnce and fom heads against the per-position
     loops they replaced: loss and every parameter gradient within 1e-10."""
-
-    def _assert_same(self, a, b):
-        (loss_a, grads_a), (loss_b, grads_b) = a, b
-        assert loss_a == pytest.approx(loss_b, abs=1e-10)
-        assert sorted(grads_a) == sorted(grads_b)
-        for name in grads_b:
-            np.testing.assert_allclose(
-                grads_a[name], grads_b[name], rtol=0, atol=1e-10, err_msg=name
-            )
 
     @pytest.mark.parametrize("groups, positions, k", [
         ((6, 6), [1, 4, 5, 9], 5),
@@ -326,40 +326,153 @@ class TestHeadsMatchPerPositionReference:
         rng = np.random.default_rng(31)
         clip = make_clip(rng, small_vocab, groups=groups, tokens=(4,) * len(groups))
         plan = P.FrameMaskPlan(positions)
-        targets = model.mnce_positive_targets(clip, plan)
+        targets = model.mnce_positive_targets([clip], [plan])
         rngs = [np.random.default_rng([5, 13, 2]) for _ in range(2)]
         batched = _loss_and_grads(model, lambda: model.mnce_loss(
-            model.encode_mfm(clip, plan), plan, rngs[0], num_negatives=k, positive_targets=targets
+            model.encode_mfm([clip], [plan]), [plan], rngs[0], num_negatives=k,
+            positive_targets=targets,
         ))
         ref = _loss_and_grads(model, lambda: _ref_mnce_loss(
-            model, model.encode_mfm(clip, plan), plan, rngs[1], k, targets
+            model, model.encode_mfm([clip], [plan])[0], plan, rngs[1], k, targets
         ))
-        self._assert_same(batched, ref)
+        _assert_same(batched, ref)
         assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
     def test_fom(self, model, small_vocab):
         clip = make_clip(np.random.default_rng(32), small_vocab, groups=(5, 6), tokens=(3, 4))
         plan = P.ReorderPlan([1, 4, 7, 10], [7, 1, 10, 4])
         batched = _loss_and_grads(
-            model, lambda: model.fom_loss(model.encode_reordered(clip, plan), plan)
+            model, lambda: model.fom_loss(model.encode_reordered([clip], [plan]), [plan])
         )
         ref = _loss_and_grads(
-            model, lambda: _ref_fom_loss(model, model.encode_reordered(clip, plan), plan)
+            model, lambda: _ref_fom_loss(model, model.encode_reordered([clip], [plan]).v_temp, plan)
         )
-        self._assert_same(batched, ref)
+        _assert_same(batched, ref)
 
     def test_mnce_op_count_does_not_grow_with_masked_frames(self, model, small_vocab):
         clip = make_clip(np.random.default_rng(33), small_vocab, groups=(6, 6), tokens=(4, 4))
         counts = []
         for positions in ([3], [0, 2, 5, 7, 8, 11]):
             plan = P.FrameMaskPlan(positions)
-            targets = model.mnce_positive_targets(clip, plan)
-            encoded = model.encode_mfm(clip, plan)
+            targets = model.mnce_positive_targets([clip], [plan])
+            encoded = model.encode_mfm([clip], [plan])
             before = T.tape_size()
-            model.mnce_loss(encoded, plan, np.random.default_rng(0), positive_targets=targets)
+            model.mnce_loss(encoded, [plan], np.random.default_rng(0), positive_targets=targets)
             counts.append(T.tape_size() - before)
             T.reset_tape()
         assert counts[0] == counts[1]
+
+
+def _uneven_clips(vocab):
+    """Three clips of 11, 7 and 6 frames; the first has a tokenless sentence
+    and interleaved frame groups."""
+    rng = np.random.default_rng(40)
+    a = make_clip(rng, vocab, groups=(2, 5, 3, 1), tokens=(4, 0, 7, 2), clip_id="a")
+    for sent, group in zip(a.sentences, ([0, 4], [1, 2, 3, 8, 9], [5, 6, 10], [7])):
+        sent.frame_indices = group
+    b = make_clip(rng, vocab, groups=(4, 3), tokens=(5, 3), clip_id="b")
+    c = make_clip(rng, vocab, groups=(6,), tokens=(3,), clip_id="c")
+    return [a, b, c]
+
+
+def _ref_task_loss(model, batch, hypers, neg_rng):
+    """The per-clip path the packed pass replaced: one ``encode_clip`` and
+    one head per clip, then the mean over clips."""
+    enc, terms = model.encoder, []
+    if batch.kind == "mlm":
+        for clip, masked, plans in zip(batch.clips, batch.masked_token_ids, batch.token_plans):
+            e = enc.encode_clip(clip, token_ids_override=masked)
+            rows = [T.take_rows(w, p.positions) for w, p in zip(e.w_cross, plans) if p is not None]
+            labels = [i for p in plans if p is not None for i in p.originals]
+            terms.append(T.cross_entropy(model.lm_head(T.concat_rows(rows)), labels))
+    elif batch.kind in ("mffr", "mnce"):
+        for clip, plan in zip(batch.clips, batch.frame_plans):
+            feats = clip.frame_features.copy()
+            feats[plan.positions] = 0.0
+            e = enc.encode_clip(clip, frame_features_override=feats)
+            if batch.kind == "mffr":
+                pred = model.mffr_head(T.take_rows(e.v_temp, plan.positions))
+                terms.append(P.l2_regression_loss(pred, clip.frame_features[plan.positions]))
+                continue
+            with T.no_grad():
+                clean = enc.encode_clip(clip)
+                targets = model.mnce_proj(T.take_rows(clean.v_temp, plan.positions)).data
+            terms.append(_ref_mnce_loss(model, e, plan, neg_rng, hypers.num_negatives, targets))
+    elif batch.kind == "fom":
+        for clip, plan in zip(batch.clips, batch.reorder_plans):
+            e = enc.encode_clip(clip)
+            perm = plan.permutation(clip.n_frames)
+            v_temp = enc.temporal_forward(T.take_rows(e.v_emb, perm), T.take_rows(e.v_cross, perm))
+            terms.append(_ref_fom_loss(model, v_temp, plan))
+    else:
+        encoded = [enc.encode_clip(c) for c in batch.clips]
+        return model.vsm_loss(encoded, batch.vsm_targets, hypers)
+    return P._mean_terms(terms)
+
+
+class TestPackedBatchMatchesPerClip:
+    """``task_loss`` encodes a batch in one packed pass; with dropout off it
+    must equal the per-clip reference above: loss and every parameter
+    gradient within 1e-10."""
+
+    @pytest.fixture
+    def setup(self, tiny_config, small_vocab):
+        model = P.PretrainModel(tiny_config, seed=2)
+        return model, _uneven_clips(small_vocab), P.PretrainHypers(num_negatives=5)
+
+    def _batch(self, kind, clips, vocab, config):
+        return P.build_task_batch(kind, clips, vocab, config, np.random.default_rng(41),
+                                  step=3, seed=5)
+
+    @pytest.mark.parametrize("kind", P.TASK_NAMES)
+    def test_loss_and_gradients(self, setup, small_vocab, tiny_config, kind):
+        model, clips, hypers = setup
+        batch = self._batch(kind, clips, small_vocab, tiny_config)
+        neg_rng = np.random.default_rng([batch.seed, P._SEED_NEGATIVES, batch.step])
+        packed = _loss_and_grads(model, lambda: P.task_loss(model, batch, hypers))
+        ref = _loss_and_grads(model, lambda: _ref_task_loss(model, batch, hypers, neg_rng))
+        _assert_same(packed, ref)
+
+    def test_mnce_draws_negatives_in_the_per_clip_order(self, setup, small_vocab, tiny_config):
+        model, clips, hypers = setup
+        batch = self._batch("mnce", clips, small_vocab, tiny_config)
+        rngs = [np.random.default_rng(42) for _ in range(2)]
+        packed = _loss_and_grads(model, lambda: model.mnce_loss(
+            model.encode_mfm(clips, batch.frame_plans), batch.frame_plans, rngs[0],
+            num_negatives=hypers.num_negatives,
+        ))
+        ref = _loss_and_grads(model, lambda: _ref_task_loss(model, batch, hypers, rngs[1]))
+        _assert_same(packed, ref)
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+    @pytest.mark.parametrize("n_clips", [1, 2, 3])
+    def test_one_cross_modal_and_one_temporal_call_per_pass(
+        self, setup, small_vocab, tiny_config, monkeypatch, n_clips
+    ):
+        model, clips, hypers = setup
+        calls = []
+        for name in ("cross_modal_forward", "temporal_apply"):
+            original = getattr(HierarchicalEncoder, name)
+
+            def counting(self, *args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(HierarchicalEncoder, name, counting)
+        expected = {  # one pass, plus mnce's clean pass and vsm's query passes
+            "mlm": (1, 1), "mffr": (1, 1), "mnce": (2, 2), "fom": (1, 1),
+        }
+        for kind in P.TASK_NAMES:
+            if kind == "vsm" and n_clips < 2:
+                continue
+            batch = self._batch(kind, clips[:n_clips], small_vocab, tiny_config)
+            calls.clear()
+            P.task_loss(model, batch, hypers)
+            T.reset_tape()
+            queries = sum(len(t) for t in batch.vsm_targets or [])
+            cross, temporal = expected.get(kind, (1 + queries, 1))
+            assert calls.count("cross_modal_forward") == cross, kind
+            assert calls.count("temporal_apply") == temporal, kind
 
 
 class TestVsmScores:
@@ -462,8 +575,7 @@ class TestFom:
         model.fom_head.w.data[:] = 0.0
         model.fom_head.b.data[:] = 0.0
         plan = P.make_reorder_plan(12, np.random.default_rng(1))
-        v_temp = model.encode_reordered(clip, plan)
-        loss = model.fom_loss(v_temp, plan)
+        loss = model.fom_loss(model.encode_reordered([clip], [plan]), [plan])
         assert loss.item() / len(plan.positions) == pytest.approx(math.log(12), abs=1e-12)
         T.reset_tape()
 
@@ -479,24 +591,23 @@ class TestFom:
         rng = np.random.default_rng(15)
         clip = make_clip(rng, small_vocab, groups=(5, 5), tokens=(3, 3))
         plan = P.ReorderPlan([2, 7], [7, 2])
-        v_temp = model.encode_reordered(clip, plan)
-        base = model.fom_loss(v_temp, plan).item()
+        base = model.fom_loss(model.encode_reordered([clip], [plan]), [plan]).item()
         T.reset_tape()
 
-        v_temp2 = model.encode_reordered(clip, plan)
+        encoded2 = model.encode_reordered([clip], [plan])
         for row in range(10):
             if row not in plan.positions:
-                v_temp2.data[row] += 13.0
-        again = model.fom_loss(v_temp2, plan).item()
+                encoded2.v_temp.data[row] += 13.0
+        again = model.fom_loss(encoded2, [plan]).item()
         T.reset_tape()
         assert again == base
 
     def test_non_permutation_plan_rejected(self, model, small_vocab):
         rng = np.random.default_rng(16)
         clip = make_clip(rng, small_vocab, groups=(4,), tokens=(3,))
-        v_temp = model.encoder.encode_clip(clip).v_temp
+        encoded = model.encoder.encode_clips([clip])
         with pytest.raises(UsageError):
-            model.fom_loss(v_temp, P.ReorderPlan([0, 1], [2, 3]))
+            model.fom_loss(encoded, [P.ReorderPlan([0, 1], [2, 3])])
         T.reset_tape()
 
 

@@ -423,6 +423,21 @@ class TestCrossEntropy:
         assert errs["x"] < FD_TOL
 
 
+    def test_weighted_rows_are_a_weighted_sum(self):
+        rng = np.random.default_rng(19)
+        x = rand(rng, 5, 4)
+        labels, weights = [0, 1, 2, 3, 0], np.array([0.5, 0.1, 0.0, 0.25, 0.15])
+        nll = [T.cross_entropy(T.Tensor(x.data[i : i + 1]), [labels[i]]).item() for i in range(5)]
+        out = T.cross_entropy(x, labels, weights)
+        assert out.item() == pytest.approx(float(weights @ nll), abs=1e-12)
+        uniform = T.cross_entropy(T.Tensor(x.data), labels, np.full(5, 0.2)).item()
+        assert uniform == pytest.approx(T.cross_entropy(T.Tensor(x.data), labels).item(), abs=1e-15)
+        errs = check_gradients(lambda: T.cross_entropy(x, labels, weights), {"x": x})
+        assert errs["x"] < FD_TOL
+        with pytest.raises(ShapeError):
+            T.cross_entropy(x, labels, weights[:4])
+
+
 class TestConv1d:
     def test_unit_kernel_is_identity(self):
         x = T.Tensor([1.0, -2.0, 3.0])
@@ -601,6 +616,22 @@ class TestElementwiseGradients:
         np.testing.assert_allclose(
             T.exp(T.log_softmax(x, axis=-1)).data, T.softmax(x, axis=-1).data, rtol=0, atol=1e-15
         )
+
+    @pytest.mark.parametrize("idx", [
+        [3, 0, 3, 7, 3, 1, 0],  # repeated and unsorted
+        [[2, 5, 2], [0, 5, 9], [9, 9, 1]],  # 2-D, as mnce's candidate matrix
+        [-1, 9, 4],  # a negative index and its positive twin
+        np.zeros((0,), dtype=int),
+    ], ids=["repeated", "2d", "negative", "empty"])
+    def test_take_rows_adjoint_matches_add_at(self, idx):
+        rng = np.random.default_rng(18)
+        a = rand(rng, 10, 4)
+        idx = np.asarray(idx, dtype=np.intp)
+        g = rng.standard_normal(idx.shape + (4,))
+        T.backward((T.take_rows(a, idx) * T.Tensor(g)).sum())
+        ref = np.zeros((10, 4))
+        np.add.at(ref, idx, g)  # the element-at-a-time scatter-add reference
+        np.testing.assert_allclose(a.grad, ref, rtol=0, atol=1e-12)
 
     def test_embedding_lookup(self):
         rng = np.random.default_rng(14)
