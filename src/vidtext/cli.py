@@ -495,11 +495,17 @@ def cmd_eval(args) -> int:
         "tiou": args.tiou, "nms": args.nms, "k": args.k, "spans_per_clip": args.spans_per_clip,
     })
     tiou_threshold = float(eff["tiou"])
+    if not 0.0 <= tiou_threshold <= 1.0:  # also false for NaN
+        raise UsageError(f"--tiou must be a finite number in [0, 1], got {tiou_threshold}")
     nms_setting = str(eff["nms"])
     try:
         nms_threshold = None if nms_setting == "off" else float(nms_setting)
     except ValueError:
-        raise UsageError(f"--nms must be a tIoU threshold or `off`, got {nms_setting!r}") from None
+        nms_threshold = math.nan  # rejected just below, with the range message
+    if nms_threshold is not None and not 0.0 <= nms_threshold <= 1.0:
+        raise UsageError(f"--nms must be a tIoU threshold in [0, 1] or `off`, got {nms_setting!r}")
+    if int(eff["spans_per_clip"]) < 1:
+        raise UsageError(f"--spans-per-clip must be at least 1, got {eff['spans_per_clip']}")
     try:
         k_values = [int(x) for x in str(eff["k"]).split(",") if x.strip()]
     except ValueError:

@@ -30,7 +30,7 @@ from .encoder import (
 )
 from .errors import ConfigError, DataError, UsageError
 from .metrics import Moment
-from .pretrain import PretrainHypers, PretrainModel, VsmTarget, span_nll
+from .pretrain import PretrainHypers, PretrainModel, VsmScores, VsmTarget, attention_pool, span_nll
 
 QA_LAMBDA_DEFAULT = 0.5
 NLI_LABELS = {"contradict": 0, "entail": 1}
@@ -81,6 +81,15 @@ _TASK_FIELDS = {
 }
 
 
+def _interval(value, field: str) -> tuple[float, float]:
+    """A task file's [start, end] seconds: two finite numbers, start <= end."""
+    pair = isinstance(value, list) and len(value) == 2
+    start, end = map(float, value) if pair else (math.nan, math.nan)
+    if not -math.inf < start <= end < math.inf:  # also false for NaN
+        raise ValueError(f"{field} {value!r} is not [start, end], two finite numbers, start <= end")
+    return start, end
+
+
 def read_task_file(path: str | Path, task: str):
     """Parse one task's examples, naming the offending record on mismatch."""
     if task not in _TASK_FIELDS:
@@ -96,9 +105,9 @@ def read_task_file(path: str | Path, task: str):
             rec = json.loads(line)
             clip_id = str(rec["clip_id"])
             if task == "retrieval":
-                out.append(RetrievalExample(clip_id, str(rec["query"]), tuple(map(float, rec["span"]))))
+                out.append(RetrievalExample(clip_id, str(rec["query"]), _interval(rec["span"], "span")))
             elif task == "qa":
-                span = tuple(map(float, rec["span"])) if rec.get("span") is not None else None
+                span = _interval(rec["span"], "span") if rec.get("span") is not None else None
                 out.append(
                     QaExample(clip_id, str(rec["q"]), [str(a) for a in rec["answers"]],
                               int(rec["label"]), span)
@@ -110,7 +119,7 @@ def read_task_file(path: str | Path, task: str):
                 out.append(NliExample(clip_id, str(rec["hypothesis"]), int(label)))
             else:
                 out.append(
-                    CaptionExample(clip_id, tuple(map(float, rec["moment"])), str(rec["caption"]))
+                    CaptionExample(clip_id, _interval(rec["moment"], "moment"), str(rec["caption"]))
                 )
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise DataError(
@@ -197,11 +206,7 @@ def encode_with_appended_text(
     rows tiled C times by one gather (so every segment still uses each row
     once), one ``cross_modal_forward`` over C x (S + 1) segments and one
     ``temporal_apply`` over a (C, n_frames + longest pseudo-sentence) row
-    grid.  Linear, LayerNorm, GELU and dropout see only real rows.  Against
-    one encoder pass per candidate, on the qa-finetune benchmark (5
-    candidates, 2-core x86 box): tape ops per step 1,199 -> 210,
-    cross-modal calls per 8 steps 160 -> 16, step time 0.89x in reference
-    units (0.84x wall clock).
+    grid.  Linear, LayerNorm, GELU and dropout see only real rows.
     """
     max_tokens = encoder.config.max_tokens
     n_f, n_c = clip.n_frames, len(candidates)
@@ -236,14 +241,6 @@ def encode_with_appended_text(
     return T.reshape(T.slice_rows(h, 0, n_c * n_f), (n_c, n_f, encoder.config.d))
 
 
-def attention_pool(rows: T.Tensor, query: T.Tensor, d: int) -> T.Tensor:
-    """Softmax-weighted sum of each candidate's rows under a learned query
-    vector: (C, n, d) rows give (C, d)."""
-    scores = T.matmul(rows, query) * (1.0 / math.sqrt(d))  # (C, n, 1)
-    alpha = T.softmax(scores, axis=-2)
-    return T.reshape(T.matmul(T.transpose(alpha), rows), (rows.shape[0], d))
-
-
 def load_params_into(params: dict[str, T.Tensor], arrays: dict[str, np.ndarray]) -> list[str]:
     """Copy intersecting arrays into parameters; returns loaded names."""
     loaded = []
@@ -271,7 +268,7 @@ def retrieval_targets(
         ids = tokenize(ex.query, vocab)
         if not ids:
             raise DataError(f"query {ex.query!r} tokenizes to nothing")
-        out.append(VsmTarget(-1, ids, seconds_to_frame_span(clip, *ex.span)))
+        out.append(VsmTarget(ids, seconds_to_frame_span(clip, *ex.span)))
     return out
 
 
@@ -288,7 +285,7 @@ def retrieval_finetune_step(
         raise UsageError("retrieval finetuning needs a batch of at least 2 clips")
 
     def loss() -> T.Tensor:
-        encoded = [model.encoder.encode_clip(clip, train_rng=train_rng) for clip, _ in batch]
+        encoded = model.encoder.encode_clips([clip for clip, _ in batch], train_rng=train_rng)
         return model.vsm_loss(encoded, [targets for _, targets in batch], hypers, train_rng=train_rng)
 
     return T.train_step(optimizer, loss)
@@ -304,6 +301,14 @@ def best_spans(p_st: np.ndarray, p_ed: np.ndarray, top_n: int = 5) -> list[tuple
     return scored[:top_n]
 
 
+def _score_clips(model: PretrainModel, encoded_clips: Sequence, query_token_ids) -> VsmScores:
+    """One query against every clip: one ``encode_query`` and one scorer call."""
+    with T.no_grad():
+        v_temp = T.Tensor(np.concatenate([enc.v_temp.data for enc in encoded_clips]))
+        bounds = np.cumsum([0] + [enc.v_temp.shape[0] for enc in encoded_clips])
+        return model.vsm_scores_for_query(v_temp, bounds, model.encode_query([query_token_ids]))
+
+
 def rank_moments(
     model: PretrainModel,
     encoded_clips: Sequence,
@@ -315,32 +320,25 @@ def rank_moments(
     A moment's score blends the clip-level cosine (shifted to [0, 1]) with
     the span probability, so both levels must agree for a high rank.
     """
-    with T.no_grad():
-        q = model.encode_query(query_token_ids)
-        out = []
-        for enc in encoded_clips:
-            scores = model.vsm_scores_for_query(enc.v_temp, q)
-            clip_score = (1.0 + scores.s_global.item()) / 2.0
-            for st, ed, p in best_spans(scores.p_st.data, scores.p_ed.data, spans_per_clip):
-                span_sec = enc.clip.frame_seconds((st, ed))
-                out.append(Moment(enc.clip.clip_id, span_sec, clip_score * p))
-        out.sort(key=lambda m: -m.score)
-        return out
+    scores = _score_clips(model, encoded_clips, query_token_ids)
+    s_global, p_st, p_ed = (x.data[:, 0] for x in (scores.s_global, scores.p_st, scores.p_ed))
+    out = []
+    for enc, s, st_row, ed_row in zip(encoded_clips, s_global, p_st, p_ed):
+        clip_score, n = (1.0 + float(s)) / 2.0, enc.clip.n_frames
+        for st, ed, p in best_spans(st_row[:n], ed_row[:n], spans_per_clip):
+            out.append(Moment(enc.clip.clip_id, enc.clip.frame_seconds((st, ed)), clip_score * p))
+    return sorted(out, key=lambda m: -m.score)
 
 
 def rank_clips(
     model: PretrainModel, encoded_clips: Sequence, query_token_ids: Sequence[int]
 ) -> list[Moment]:
     """Clip-level ranking only (single-channel video retrieval)."""
-    with T.no_grad():
-        q = model.encode_query(query_token_ids)
-        out = []
-        for enc in encoded_clips:
-            s = model.vsm_scores_for_query(enc.v_temp, q).s_global.item()
-            span = (enc.clip.frame_times[0][0], enc.clip.frame_times[-1][1])
-            out.append(Moment(enc.clip.clip_id, span, s))
-        out.sort(key=lambda m: -m.score)
-        return out
+    s_global = _score_clips(model, encoded_clips, query_token_ids).s_global.data[:, 0].tolist()
+    return sorted((
+        Moment(enc.clip.clip_id, (enc.clip.frame_times[0][0], enc.clip.frame_times[-1][1]), s)
+        for enc, s in zip(encoded_clips, s_global)
+    ), key=lambda m: -m.score)
 
 
 # -- video question answering -------------------------------------------------------

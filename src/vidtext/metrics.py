@@ -138,7 +138,3 @@ def write_metrics_report(path: str | Path, task: str, metrics: dict, settings: d
     """Persist metric values alongside the exact thresholds that produced them."""
     payload = {"task": task, "settings": settings, "metrics": metrics}
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def read_metrics_report(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text())

@@ -1,10 +1,10 @@
-"""The four pre-training objectives and their one-task-per-batch scheduler.
+"""The five pre-training objectives and their one-task-per-batch scheduler.
 
-Masked token prediction reads local fused context (per-sentence rows),
-masked frame objectives read global temporal context, span/clip matching
-scores a query against the temporal rows, and order modeling classifies the
-original timestamps of post-fusion shuffled frames.  Every mini-batch
-carries exactly one task so tasks never corrupt each other's inputs.
+Masked token prediction reads local fused context (per-sentence rows), the
+two masked frame objectives read global temporal context, span/clip matching
+scores every query of a batch against every clip at once, and order modeling
+classifies the original timestamps of post-fusion shuffled frames.  Every
+mini-batch carries exactly one task so tasks never corrupt each other's inputs.
 """
 
 from __future__ import annotations
@@ -93,7 +93,6 @@ class ReorderPlan:
 
 @dataclass
 class VsmTarget:
-    query_sentence: int
     query_token_ids: list[int]
     span: tuple[int, int]
 
@@ -169,15 +168,28 @@ def sample_vsm_targets(clip: AlignedClip, rng: np.random.Generator) -> list[VsmT
     n_q = max(1, round(QUERY_FRACTION * len(clip.sentences)))
     n_q = min(n_q, len(candidates))
     picks = rng.choice(len(candidates), size=n_q, replace=False)
-    out = []
-    for p in sorted(int(x) for x in picks):
-        j = candidates[p]
-        sent = clip.sentences[j]
-        out.append(VsmTarget(j, list(sent.token_ids), sent.span()))
-    return out
+    sentences = [clip.sentences[candidates[p]] for p in sorted(int(x) for x in picks)]
+    return [VsmTarget(list(sent.token_ids), sent.span()) for sent in sentences]
 
 
 # -- model ---------------------------------------------------------------------
+
+
+def attention_pool(rows: T.Tensor, query: T.Tensor, d: int, bias=None) -> T.Tensor:
+    """Softmax-weighted sum of each sequence's rows under a learned query vector:
+    (C, n, d) rows give (C, d); a (C, n, 1) ``bias`` of -1e30 masks a row out."""
+    scores = T.matmul(rows, query) * (1.0 / math.sqrt(d))  # (C, n, 1)
+    alpha = T.softmax(scores if bias is None else scores + bias, axis=-2)
+    return T.reshape(T.matmul(T.transpose(alpha), rows), (rows.shape[0], d))
+
+
+def gather_padded(rows: T.Tensor, bounds) -> tuple[T.Tensor, np.ndarray]:
+    """Packed rows, sequence b owning ``bounds[b]:bounds[b + 1]``, as a (B, longest, ...)
+    tensor, and its (B, longest) mask of real slots (padding repeats row 0)."""
+    lengths = np.diff(bounds)
+    slots = np.arange(lengths.max())
+    real = slots < lengths[:, None]
+    return T.take_rows(rows, np.where(real, np.asarray(bounds)[:-1, None] + slots, 0)), real
 
 
 class QueryEncoder(Module):
@@ -191,21 +203,23 @@ class QueryEncoder(Module):
         self.lin2 = Linear(rng, d, d)
         self.ln = LayerNorm(d)
 
-    def __call__(self, w_cross: T.Tensor) -> T.Tensor:
-        scores = T.matmul(w_cross, self.pool) * (1.0 / math.sqrt(self.d))
-        alpha = T.softmax(scores, axis=0)
-        pooled = T.matmul(alpha.T, w_cross)  # (1, d)
-        return self.ln(self.lin2(T.gelu(self.lin1(pooled))))
+    def __call__(self, w_cross: T.Tensor, bounds: np.ndarray) -> T.Tensor:
+        """(Q, d) from packed token rows, query q owning ``bounds[q]:bounds[q + 1]``."""
+        rows, real = gather_padded(w_cross, bounds)
+        bias = np.where(real, 0.0, T.ATTENTION_MASK_BIAS)[..., None]
+        return self.ln(self.lin2(T.gelu(self.lin1(attention_pool(rows, self.pool, self.d, bias)))))
 
 
 @dataclass
 class VsmScores:
-    s_local: T.Tensor  # (N_v,) dot-product frame scores
-    s_global: T.Tensor  # scalar max cosine
-    p_st: T.Tensor  # (N_v,)
-    p_ed: T.Tensor
-    log_p_st: T.Tensor
+    """Q queries against B clips; clip b fills the first n_b of L frame slots."""
+
+    s_local: T.Tensor  # (B, Q, L) dot-product frame scores, 0 at the padding
+    s_global: T.Tensor  # (B, Q) max cosine over each clip's frames
+    log_p_st: T.Tensor  # (B, Q, L) span start log-probabilities; exp() is 0 at the padding
     log_p_ed: T.Tensor
+    p_st = property(lambda self: T.exp(self.log_p_st))
+    p_ed = property(lambda self: T.exp(self.log_p_ed))
 
 
 class PretrainModel(Module):
@@ -335,68 +349,73 @@ class PretrainModel(Module):
         weights = _mean_of_clip_means([len(plan.positions) for plan in plans])
         return T.cross_entropy(T.reshape(logits, (n_pos, -1)), [0] * n_pos, weights)
 
-    def encode_query(self, query_token_ids: Sequence[int], train_rng=None) -> T.Tensor:
-        """Fused-token query vector: cross-modal pass with no frames, then
-        the query encoder."""
-        w_emb = self.encoder.embed_text(query_token_ids)
-        _, w_cross = self.encoder.cross_modal_forward(None, w_emb, train_rng=train_rng)
-        return self.query_encoder(w_cross)
+    def encode_query(self, queries: Sequence[Sequence[int]], train_rng=None) -> T.Tensor:
+        """(Q, d) vectors of Q token-id lists: one ``embed_text`` call, one frameless
+        cross-modal pass whose segments are the queries, then the query encoder."""
+        ids = [self.encoder._truncated(q) for q in queries]
+        bounds = np.cumsum([0] + [len(q) for q in ids])
+        positions = np.concatenate([np.arange(len(q)) for q in ids])
+        w_emb = self.encoder.embed_text([i for q in ids for i in q], positions)
+        segments = [(np.arange(0), np.arange(lo, hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        _, w_cross = self.encoder.cross_modal_forward(None, w_emb, segments, train_rng=train_rng)
+        return self.query_encoder(w_cross, bounds)
 
-    def span_distributions(self, s_local: T.Tensor) -> tuple[T.Tensor, T.Tensor, T.Tensor, T.Tensor]:
-        """(p_st, p_ed, log_p_st, log_p_ed); each p is exp of its log-softmax."""
-        log_p_st = T.log_softmax(T.conv1d(s_local, self.span_st_filter), axis=-1)
-        log_p_ed = T.log_softmax(T.conv1d(s_local, self.span_ed_filter), axis=-1)
-        return T.exp(log_p_st), T.exp(log_p_ed), log_p_st, log_p_ed
-
-    def vsm_scores(self, encoded, query_token_ids: Sequence[int], train_rng=None) -> VsmScores:
-        if encoded.clip.n_frames == 0:
-            raise UsageError("vsm_scores needs at least one frame")
-        q = self.encode_query(query_token_ids, train_rng=train_rng)
-        return self.vsm_scores_for_query(encoded.v_temp, q)
-
-    def vsm_scores_for_query(self, v_temp: T.Tensor, q: T.Tensor) -> VsmScores:
-        s_local = T.reshape(T.matmul(v_temp, q.T), (-1,))
-        p_st, p_ed, log_p_st, log_p_ed = self.span_distributions(s_local)
-        s_global = global_alignment_score(v_temp, q)
-        return VsmScores(s_local, s_global, p_st, p_ed, log_p_st, log_p_ed)
+    def vsm_scores_for_query(self, v_temp: T.Tensor, frame_bounds, q: T.Tensor) -> VsmScores:
+        """All (clip, query) scores: Q query vectors ``q`` (Q, d) against B clips of
+        packed rows ``v_temp``, clip b owning ``frame_bounds[b]:frame_bounds[b + 1]``.
+        Dot products and cosines are (N, Q) matrices gathered into per-clip grids."""
+        if (np.diff(frame_bounds) < 1).any():
+            raise UsageError("vsm scoring needs at least one frame in every clip")
+        dots = T.matmul(v_temp, T.transpose(q))  # (N, Q)
+        n, d = v_temp.shape  # squared row norms as N (1, d) @ (d, 1) products: no (N, d) temporary
+        squares = T.matmul(T.reshape(v_temp, (n, 1, d)), T.reshape(v_temp, (n, d, 1)))
+        row_norms = T.sqrt(T.reshape(squares, (n, 1)) + 1e-24)
+        cos = dots * T.reciprocal(row_norms * T.sqrt((q * q).sum(axis=1) + 1e-24))
+        dots, real = gather_padded(dots, frame_bounds)  # (B, L, Q)
+        cos, _ = gather_padded(cos, frame_bounds)
+        pad = np.where(real, 0.0, T.ATTENTION_MASK_BIAS)
+        s_local = T.transpose(dots * real[..., None])  # (B, Q, L), zeros past each clip's end
+        log_p_st, log_p_ed = (
+            T.log_softmax(T.conv1d(s_local, f) + pad[:, None], axis=-1)
+            for f in (self.span_st_filter, self.span_ed_filter)
+        )
+        return VsmScores(s_local, T.vmax(cos + pad[..., None], axis=1), log_p_st, log_p_ed)
 
     def vsm_loss(
         self,
-        encoded_clips: Sequence,
+        encoded: EncodedBatch,
         targets_per_clip: Sequence[Sequence[VsmTarget]],
         hypers: PretrainHypers,
         train_rng=None,
     ) -> T.Tensor:
         """Span cross-entropy on positive pairs plus hinge losses against one
-        in-batch negative query and one in-batch negative clip."""
-        n_clips = len(encoded_clips)
-        if n_clips < 2:
-            raise UsageError("vsm_loss needs a batch of at least 2 clips for negatives")
+        in-batch negative query and one in-batch negative clip, means over all
+        targets.  Target m of clip b takes clip b + 1 (wrapping) as its negative
+        clip and that clip's query m (modulo its query count) as its negative query."""
+        counts = np.array([len(targets) for targets in targets_per_clip])
+        if len(counts) < 2 or counts.min() < 1:
+            raise UsageError("vsm_loss needs at least 2 clips for negatives, each with a target")
+        targets = [t for clip_targets in targets_per_clip for t in clip_targets]
+        q = self.encode_query([t.query_token_ids for t in targets], train_rng=train_rng)
+        scores = self.vsm_scores_for_query(encoded.v_temp, encoded.frame_bounds, q)
 
-        queries = [
-            [self.encode_query(t.query_token_ids, train_rng=train_rng) for t in targets]
-            for targets in targets_per_clip
-        ]
-        local_terms, global_terms = [], []
-        for b, targets in enumerate(targets_per_clip):
-            other = (b + 1) % n_clips
-            v_own = encoded_clips[b].v_temp
-            v_other = encoded_clips[other].v_temp
-            for m, target in enumerate(targets):
-                q = queries[b][m]
-                scores = self.vsm_scores_for_query(v_own, q)
-                local_terms.append(span_nll(scores.log_p_st, scores.log_p_ed, target.span))
-                neg_queries = queries[other]
-                q_hat = neg_queries[m % len(neg_queries)]
-                s_pos = scores.s_global
-                s_neg_query = global_alignment_score(v_own, q_hat)
-                s_neg_clip = global_alignment_score(v_other, q)
-                global_terms.append(
-                    hinge_loss(s_pos, s_neg_query, hypers.margin)
-                    + hinge_loss(s_pos, s_neg_clip, hypers.margin)
-                )
-        l_local = _mean_terms(local_terms)
-        l_global = _mean_terms(global_terms)
+        n_q, query = len(targets), np.arange(len(targets))
+        own = np.repeat(np.arange(len(counts)), counts)  # each query's clip
+        other = (own + 1) % len(counts)
+        starts = np.cumsum(counts) - counts
+        neg_query = starts[other] + (query - starts[own]) % counts[other]
+        st, ed = np.array([t.span for t in targets]).T
+        if st.min() < 0 or (ed >= np.diff(encoded.frame_bounds)[own]).any():
+            raise UsageError("vsm_loss got a target span outside its clip's frames")
+        pair = (own * n_q + query) * scores.log_p_st.shape[-1]  # (own clip, own query, 0)
+        flat = [T.reshape(log_p, (-1,)) for log_p in (scores.log_p_st, scores.log_p_ed)]
+        l_local = span_nll(*flat, (pair + st, pair + ed)) * (1.0 / n_q)
+        s_global = T.reshape(scores.s_global, (-1,))  # (B * Q,)
+        s_pos = T.take_rows(s_global, own * n_q + query)
+        l_global = (
+            hinge_loss(s_pos, T.take_rows(s_global, own * n_q + neg_query), hypers.margin)
+            + hinge_loss(s_pos, T.take_rows(s_global, other * n_q + query), hypers.margin)
+        ).sum() * (1.0 / n_q)
         return hypers.lambda_local * l_local + hypers.lambda_global * l_global
 
     def fom_loss(self, encoded: EncodedBatch, plans: Sequence[ReorderPlan]) -> T.Tensor:
@@ -431,17 +450,8 @@ def hinge_loss(s_pos: T.Tensor, s_neg: T.Tensor, margin: float) -> T.Tensor:
     return T.relu(margin + s_neg - s_pos)
 
 
-def global_alignment_score(v_temp: T.Tensor, q: T.Tensor) -> T.Tensor:
-    """Max over frames of cosine(frame row, query)."""
-    dots = T.reshape(T.matmul(v_temp, q.T), (-1,))
-    row_norms = T.sqrt((v_temp * v_temp).sum(axis=1) + 1e-24)
-    q_norm = T.sqrt((q * q).sum() + 1e-24)
-    cos = dots * T.reciprocal(row_norms * q_norm)
-    return T.vmax(cos)
-
-
-def span_nll(log_p_st: T.Tensor, log_p_ed: T.Tensor, span: tuple[int, int]) -> T.Tensor:
-    """-(log p_st[y_st] + log p_ed[y_ed]) for one ground-truth span."""
+def span_nll(log_p_st: T.Tensor, log_p_ed: T.Tensor, span) -> T.Tensor:
+    """-(log p_st[y_st] + log p_ed[y_ed]), summed when y_st, y_ed are index arrays."""
     y_st, y_ed = span
     return -(T.take_rows(log_p_st, [y_st]).sum() + T.take_rows(log_p_ed, [y_ed]).sum())
 
@@ -591,7 +601,7 @@ def task_loss(
         encoded = model.encode_reordered(batch.clips, batch.reorder_plans, train_rng=train_rng)
         return model.fom_loss(encoded, batch.reorder_plans)
     if batch.kind == "vsm":
-        encoded = list(model.encoder.encode_clips(batch.clips, train_rng=train_rng))
+        encoded = model.encoder.encode_clips(batch.clips, train_rng=train_rng)
         return model.vsm_loss(encoded, batch.vsm_targets, hypers, train_rng=train_rng)
     raise ConfigError(f"unknown task {batch.kind!r}")
 

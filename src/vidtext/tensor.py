@@ -87,13 +87,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def detach(self) -> "Tensor":
-        """A constant view of this tensor's value, cut off from the tape."""
-        return Tensor(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
@@ -425,16 +418,16 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return mul(tsum(a, axis=axis, keepdims=keepdims), _as_tensor(1.0 / n))
 
 
-def vmax(a: Tensor) -> Tensor:
-    """Maximum over all elements; gradient routes to the first argmax."""
-    if a.data.size == 0:
-        raise ShapeError("vmax of an empty tensor")
-    idx = int(np.argmax(a.data))
-    data = np.asarray(a.data.reshape(-1)[idx])
+def vmax(a: Tensor, axis: int) -> Tensor:
+    """Maximum along ``axis``; the gradient routes to the first argmax."""
+    if a.data.ndim == 0 or a.data.shape[axis] == 0:
+        raise ShapeError(f"vmax over an empty axis: shape {a.shape}")
+    idx = np.expand_dims(np.argmax(a.data, axis=axis), axis)
+    data = np.take_along_axis(a.data, idx, axis).squeeze(axis)
 
     def bw(g):
         gfull = np.zeros_like(a.data)
-        gfull.reshape(-1)[idx] = np.asarray(g).reshape(-1)[0]
+        np.put_along_axis(gfull, idx, np.expand_dims(g, axis), axis)
         _accum(a, gfull)
 
     return _make(data, (a,), bw)
@@ -667,28 +660,23 @@ def cross_entropy(logits: Tensor, labels, weights=None) -> Tensor:
 
 
 def conv1d(x: Tensor, kernel: Tensor) -> Tensor:
-    """Same-padded 1-D cross-correlation of a length-n signal.
-
-    The kernel length must be odd so the zero padding is symmetric.
-    """
-    if x.data.ndim != 1 or kernel.data.ndim != 1:
-        raise ShapeError(f"conv1d expects 1-D operands, got {x.shape} and {kernel.shape}")
+    """Same-padded 1-D cross-correlation along the last axis of ``x`` (..., n);
+    the kernel length must be odd so the zero padding is symmetric."""
+    if x.data.ndim < 1 or kernel.data.ndim != 1:
+        raise ShapeError(f"conv1d expects (..., n) and (k,) inputs, got {x.shape}, {kernel.shape}")
     k = kernel.data.shape[0]
     if k % 2 == 0:
         raise ConfigError(f"conv1d kernel length must be odd, got {k}")
-    n = x.data.shape[0]
-    half = k // 2
-    xp = np.concatenate([np.zeros(half), x.data, np.zeros(half)])
-    data = np.array([xp[i : i + k] @ kernel.data for i in range(n)])
+    pad = [(0, 0)] * (x.data.ndim - 1) + [(k // 2, k // 2)]
+    windows = np.lib.stride_tricks.sliding_window_view(np.pad(x.data, pad), k, axis=-1)
+    data = windows @ kernel.data  # (..., n, k) windows times the kernel
 
     def bw(g):
-        gp = np.concatenate([np.zeros(half), g, np.zeros(half)])
         # cross-correlation adjoint: correlate the upstream grad with the
         # flipped kernel for dx, and with the padded input for dk
-        dx = np.array([gp[i : i + k] @ kernel.data[::-1] for i in range(n)])
-        dk = np.array([xp[j : j + n] @ g for j in range(k)])
-        _accum(x, dx)
-        _accum(kernel, dk)
+        g_windows = np.lib.stride_tricks.sliding_window_view(np.pad(g, pad), k, axis=-1)
+        _accum(x, g_windows @ kernel.data[::-1])
+        _accum(kernel, g.reshape(-1) @ windows.reshape(-1, k))
 
     return _make(data, (x, kernel), bw)
 

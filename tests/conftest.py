@@ -4,7 +4,10 @@ from hypothesis import settings
 
 from vidtext import tensor as T
 from vidtext.data import AlignedClip, Sentence, Vocab, detokenize
+from vidtext.downstream import best_spans
 from vidtext.encoder import HierarchicalEncoder, ModelConfig
+from vidtext.metrics import Moment
+from vidtext.pretrain import _mean_terms, hinge_loss, span_nll
 
 
 # property tests draw the same examples on every run and keep no example database
@@ -80,3 +83,96 @@ def slice_cols(a, lo, hi):
     """Columns ``lo:hi`` of a 2-D tensor, for the per-head and per-position
     test references."""
     return T.transpose(T.slice_rows(T.transpose(a), lo, hi))
+
+
+# -- the per-target span-matching path, kept as the reference of the batched one --
+
+
+def loop_conv1d(x, kernel):
+    """Same-padded 1-D cross-correlation of a length-n signal, one window
+    at a time (the reference of ``tensor.conv1d``)."""
+    k = kernel.data.shape[0]
+    n = x.data.shape[0]
+    half = k // 2
+    xp = np.concatenate([np.zeros(half), x.data, np.zeros(half)])
+    data = np.array([xp[i : i + k] @ kernel.data for i in range(n)])
+
+    def bw(g):
+        gp = np.concatenate([np.zeros(half), g, np.zeros(half)])
+        dx = np.array([gp[i : i + k] @ kernel.data[::-1] for i in range(n)])
+        dk = np.array([xp[j : j + n] @ g for j in range(k)])
+        T._accum(x, dx)
+        T._accum(kernel, dk)
+
+    return T._make(data, (x, kernel), bw)
+
+
+def ref_encode_query(model, query_token_ids, train_rng=None):
+    """One query's (1, d) vector from its own frameless cross-modal pass."""
+    w_emb = model.encoder.embed_text(query_token_ids)
+    _, w_cross = model.encoder.cross_modal_forward(None, w_emb, train_rng=train_rng)
+    qe = model.query_encoder
+    alpha = T.softmax(T.matmul(w_cross, qe.pool) * (1.0 / np.sqrt(qe.d)), axis=0)
+    pooled = T.matmul(alpha.T, w_cross)  # (1, d)
+    return qe.ln(qe.lin2(T.gelu(qe.lin1(pooled))))
+
+
+def ref_global_alignment_score(v_temp, q):
+    """Max over one clip's frames of cosine(frame row, query)."""
+    dots = T.reshape(T.matmul(v_temp, q.T), (-1,))
+    row_norms = T.sqrt((v_temp * v_temp).sum(axis=1) + 1e-24)
+    q_norm = T.sqrt((q * q).sum() + 1e-24)
+    return T.vmax(dots * T.reciprocal(row_norms * q_norm), axis=0)
+
+
+def ref_vsm_scores(model, v_temp, q):
+    """One clip's (N_v, d) rows against one query: (s_global, log_p_st, log_p_ed)."""
+    s_local = T.reshape(T.matmul(v_temp, q.T), (-1,))
+    log_p_st = T.log_softmax(loop_conv1d(s_local, model.span_st_filter), axis=-1)
+    log_p_ed = T.log_softmax(loop_conv1d(s_local, model.span_ed_filter), axis=-1)
+    return ref_global_alignment_score(v_temp, q), log_p_st, log_p_ed
+
+
+def ref_vsm_loss(model, encoded_clips, targets_per_clip, hypers, train_rng=None):
+    """Per-target span matching: one query pass, one score call and one
+    pair of hinges per target, then the mean over targets."""
+    n_clips = len(encoded_clips)
+    queries = [
+        [ref_encode_query(model, t.query_token_ids, train_rng=train_rng) for t in targets]
+        for targets in targets_per_clip
+    ]
+    local_terms, global_terms = [], []
+    for b, targets in enumerate(targets_per_clip):
+        other = (b + 1) % n_clips
+        v_own = encoded_clips[b].v_temp
+        v_other = encoded_clips[other].v_temp
+        for m, target in enumerate(targets):
+            q = queries[b][m]
+            s_pos, log_p_st, log_p_ed = ref_vsm_scores(model, v_own, q)
+            local_terms.append(span_nll(log_p_st, log_p_ed, target.span))
+            neg_queries = queries[other]
+            q_hat = neg_queries[m % len(neg_queries)]
+            s_neg_query = ref_global_alignment_score(v_own, q_hat)
+            s_neg_clip = ref_global_alignment_score(v_other, q)
+            global_terms.append(
+                hinge_loss(s_pos, s_neg_query, hypers.margin)
+                + hinge_loss(s_pos, s_neg_clip, hypers.margin)
+            )
+    l_local = _mean_terms(local_terms)
+    l_global = _mean_terms(global_terms)
+    return hypers.lambda_local * l_local + hypers.lambda_global * l_global
+
+
+def ref_rank_moments(model, encoded_clips, query_token_ids, spans_per_clip=5):
+    """Per-clip ranking: one score call per clip."""
+    with T.no_grad():
+        q = ref_encode_query(model, query_token_ids)
+        out = []
+        for enc in encoded_clips:
+            s_global, log_p_st, log_p_ed = ref_vsm_scores(model, enc.v_temp, q)
+            clip_score = (1.0 + s_global.item()) / 2.0
+            p_st, p_ed = np.exp(log_p_st.data), np.exp(log_p_ed.data)
+            for st, ed, p in best_spans(p_st, p_ed, spans_per_clip):
+                out.append(Moment(enc.clip.clip_id, enc.clip.frame_seconds((st, ed)), clip_score * p))
+        out.sort(key=lambda m: -m.score)
+        return out

@@ -78,9 +78,10 @@ def vsm_retrieval_accuracy(model, eval_clips) -> tuple[float, int]:
             for sent in clip.sentences:
                 if not sent.token_ids:
                     continue
-                q = model.encode_query(sent.token_ids)
+                q = model.encode_query([sent.token_ids])
                 scores = [
-                    model.vsm_scores_for_query(e.v_temp, q).s_global.item() for e in encoded
+                    model.vsm_scores_for_query(e.v_temp, [0, e.v_temp.shape[0]], q).s_global.item()
+                    for e in encoded
                 ]
                 hits += int(np.argmax(scores) == i)
                 total += 1
@@ -175,7 +176,7 @@ def test_criterion_1_gradient_suite():
             np.random.default_rng(7), num_negatives=3, positive_targets=frozen_pos,
         ),
         "loss.vsm": lambda: model.vsm_loss(
-            [model.encoder.encode_clip(c) for c in (clip_a, clip_b)], vsm_targets, hypers
+            model.encoder.encode_clips([clip_a, clip_b]), vsm_targets, hypers
         ),
         "loss.fom": lambda: model.fom_loss(
             model.encode_reordered([clip_a], [reorder_plan]), [reorder_plan]

@@ -527,7 +527,10 @@ class TestMalformedOptionValues:
         assert rc == EXIT_USAGE
         assert f"config key {key!r}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag, value", [("--nms", "abc"), ("--k", "a,b")])
+    @pytest.mark.parametrize("flag, value", [
+        ("--nms", "abc"), ("--k", "a,b"), ("--nms", "nan"), ("--nms", "2"), ("--tiou", "nan"),
+        ("--tiou", "-3"), ("--tiou", "2"), ("--spans-per-clip", "-1"), ("--spans-per-clip", "0"),
+    ])
     def test_eval_flag_value(self, corpus, pretrained, tmp_path, capsys, flag, value):
         tasks = write_toy_tasks(corpus, tmp_path)
         rc = main([
@@ -536,6 +539,22 @@ class TestMalformedOptionValues:
         ])
         assert rc == EXIT_USAGE
         assert f"{flag} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("span", ["[5]", "[1, 2, 3]", "[NaN, 5]"])
+    def test_eval_task_file_with_a_malformed_span_exits_two(
+        self, corpus, pretrained, tmp_path, capsys, span
+    ):
+        tasks = write_toy_tasks(corpus, tmp_path)
+        lines = tasks["retrieval"].read_text().splitlines()
+        record = json.loads(lines[1])
+        lines[1] = json.dumps(record).replace(json.dumps(record["span"]), span)
+        tasks["retrieval"].write_text("\n".join(lines) + "\n")
+        rc = main([
+            "eval", "--task", "retrieval", "--data", str(tasks["retrieval"]),
+            "--corpus", str(corpus), "--checkpoint", str(pretrained),
+        ])
+        assert rc == EXIT_DATA
+        assert "retrieval.jsonl:2 does not match schema" in capsys.readouterr().err
 
     def test_nan_learning_rate_exits_one(self, corpus, tmp_path, capsys):
         out = tmp_path / "x"

@@ -32,7 +32,7 @@ from vidtext.encoder import HierarchicalEncoder, ModelConfig
 from vidtext.errors import ConfigError, DataError, UsageError
 from vidtext.pretrain import PretrainHypers, PretrainModel
 
-from conftest import make_clip
+from conftest import make_clip, ref_encode_query, ref_global_alignment_score, ref_rank_moments
 
 
 @pytest.fixture
@@ -77,6 +77,22 @@ class TestTaskFiles:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             read_task_file(tmp_path / "none.jsonl", "qa")
+
+    @pytest.mark.parametrize("task, record", [
+        ("retrieval", '"query": "q", "span": [5]'),
+        ("retrieval", '"query": "q", "span": [1, 2, 3]'),
+        ("retrieval", '"query": "q", "span": [NaN, 5]'),
+        ("retrieval", '"query": "q", "span": [1, Infinity]'),
+        ("retrieval", '"query": "q", "span": [5, 1]'),
+        ("retrieval", '"query": "q", "span": "12"'),
+        ("qa", '"q": "q", "answers": ["a", "b"], "label": 0, "span": [2]'),
+        ("caption", '"moment": [NaN, NaN], "caption": "c"'),
+    ])
+    def test_interval_must_be_two_ordered_finite_numbers(self, tmp_path, task, record):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('\n{"clip_id": "c1", ' + record + "}\n")  # line 1 is blank
+        with pytest.raises(DataError, match=r"bad\.jsonl:2"):
+            read_task_file(path, task)
 
 
 class TestSingleChannelWrap:
@@ -422,6 +438,45 @@ class TestCaption:
         assert last < first
 
 
+class TestRankingMatchesPerClipReference:
+    """One scorer call over all clips ranks exactly as one call per clip:
+    the same (clip, span) order and scores within 1e-12."""
+
+    @pytest.fixture
+    def setup(self, small_vocab):
+        config = ModelConfig(
+            d=16, cross_layers=1, cross_heads=2, temporal_layers=1, temporal_heads=2,
+            vocab_size=30, frame_feature_dim=8, max_frames=48, max_tokens=12,
+            ffn_multiplier=2, dropout=0.0,
+        )
+        model = PretrainModel(config, seed=3)
+        rng = np.random.default_rng(12)
+        clips = [
+            make_clip(rng, small_vocab, groups=groups, tokens=(3,) * len(groups), clip_id=f"c{i}")
+            for i, groups in enumerate([(20, 20), (11, 12), (31,), (4, 5), (9, 8)])
+        ]
+        with T.no_grad():
+            encoded = [model.encoder.encode_clip(c) for c in clips]
+        return model, encoded
+
+    @pytest.mark.parametrize("query, spans_per_clip", [([5, 6, 7], 5), ([9], 1), ([12, 13, 29, 8], 60)])
+    def test_rank_moments(self, setup, query, spans_per_clip):
+        model, encoded = setup
+        got = rank_moments(model, encoded, query, spans_per_clip=spans_per_clip)
+        want = ref_rank_moments(model, encoded, query, spans_per_clip=spans_per_clip)
+        assert [(m.clip_id, m.span) for m in got] == [(m.clip_id, m.span) for m in want]
+        np.testing.assert_allclose([m.score for m in got], [m.score for m in want], rtol=0, atol=1e-12)
+        assert all(type(m.score) is float for m in got)
+
+    def test_rank_clips(self, setup):
+        model, encoded = setup
+        with T.no_grad():
+            q = ref_encode_query(model, [5, 6, 7])
+            want = [ref_global_alignment_score(e.v_temp, q).item() for e in encoded]
+        got = {m.clip_id: m.score for m in rank_clips(model, encoded, [5, 6, 7])}
+        np.testing.assert_allclose([got[e.clip.clip_id] for e in encoded], want, rtol=0, atol=1e-12)
+
+
 class TestRetrievalAdaptation:
     def test_targets_from_annotation(self, small_vocab):
         rng = np.random.default_rng(4)
@@ -442,6 +497,30 @@ class TestRetrievalAdaptation:
         with pytest.raises(UsageError):
             retrieval_finetune_step(model, [(clip, targets)], opt, PretrainHypers())
         T.reset_tape()
+
+    def test_one_packed_encoder_pass_and_one_query_pass_per_step(
+        self, tiny_config, small_vocab, monkeypatch
+    ):
+        rng = np.random.default_rng(7)
+        clips = [make_clip(rng, small_vocab, groups=(3, 2 + i), clip_id=f"c{i}") for i in range(4)]
+        batch = [
+            (c, retrieval_targets(c, [RetrievalExample(c.clip_id, "w001 w002", (0.0, 2.0))] * (1 + i % 2),
+                                  small_vocab))
+            for i, c in enumerate(clips)
+        ]
+        calls = []
+        for name in ("cross_modal_forward", "temporal_apply"):
+            original = getattr(HierarchicalEncoder, name)
+
+            def counting(self, *args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(HierarchicalEncoder, name, counting)
+        model = PretrainModel(tiny_config, seed=0)
+        retrieval_finetune_step(model, batch, T.AdamW(model.params(), lr=1e-3), PretrainHypers())
+        assert calls.count("cross_modal_forward") == 2  # the clips' pass and the queries' pass
+        assert calls.count("temporal_apply") == 1
 
     def test_loss_decreases_over_steps(self, tiny_config, small_vocab):
         rng = np.random.default_rng(6)

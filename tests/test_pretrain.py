@@ -11,7 +11,7 @@ from vidtext.data import MASK_ID, Vocab
 from vidtext.encoder import HierarchicalEncoder, ModelConfig
 from vidtext.errors import ConfigError, UsageError
 
-from conftest import make_clip, slice_cols
+from conftest import make_clip, ref_encode_query, ref_vsm_loss, slice_cols
 
 UNIFORM = {"mlm": 1.0, "mffr": 1.0, "mnce": 1.0, "vsm": 1.0, "fom": 1.0}
 
@@ -406,7 +406,7 @@ def _ref_task_loss(model, batch, hypers, neg_rng):
             terms.append(_ref_fom_loss(model, v_temp, plan))
     else:
         encoded = [enc.encode_clip(c) for c in batch.clips]
-        return model.vsm_loss(encoded, batch.vsm_targets, hypers)
+        return ref_vsm_loss(model, encoded, batch.vsm_targets, hypers)
     return P._mean_terms(terms)
 
 
@@ -459,8 +459,8 @@ class TestPackedBatchMatchesPerClip:
                 return _original(self, *args, **kwargs)
 
             monkeypatch.setattr(HierarchicalEncoder, name, counting)
-        expected = {  # one pass, plus mnce's clean pass and vsm's query passes
-            "mlm": (1, 1), "mffr": (1, 1), "mnce": (2, 2), "fom": (1, 1),
+        expected = {  # one pass, plus mnce's clean pass and vsm's query pass
+            "mlm": (1, 1), "mffr": (1, 1), "mnce": (2, 2), "fom": (1, 1), "vsm": (2, 1),
         }
         for kind in P.TASK_NAMES:
             if kind == "vsm" and n_clips < 2:
@@ -469,16 +469,90 @@ class TestPackedBatchMatchesPerClip:
             calls.clear()
             P.task_loss(model, batch, hypers)
             T.reset_tape()
-            queries = sum(len(t) for t in batch.vsm_targets or [])
-            cross, temporal = expected.get(kind, (1 + queries, 1))
+            cross, temporal = expected[kind]
             assert calls.count("cross_modal_forward") == cross, kind
             assert calls.count("temporal_apply") == temporal, kind
+
+
+def _targets(clips, counts, seed):
+    """``counts[b]`` span queries on clip b: random token ids of 1 to 6
+    tokens and a random frame span."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for clip, n in zip(clips, counts):
+        targets = []
+        for _ in range(n):
+            ids = [int(i) for i in rng.integers(5, 30, size=rng.integers(1, 7))]
+            st = int(rng.integers(clip.n_frames))
+            targets.append(P.VsmTarget(ids, (st, int(rng.integers(st, clip.n_frames)))))
+        out.append(targets)
+    return out
+
+
+class TestBatchedVsmMatchesPerTarget:
+    """``vsm_loss`` scores every query of a batch against every clip at once;
+    it must equal the per-target path (one query pass, one score call and
+    one pair of hinges per target) in loss and every parameter gradient
+    within 1e-10."""
+
+    @pytest.mark.parametrize("counts", [(1, 1, 1), (1, 2, 3), (3, 1, 2), (2, 3)])
+    def test_loss_and_gradients(self, small_vocab, tiny_config, counts):
+        model = P.PretrainModel(tiny_config, seed=4)
+        clips = _uneven_clips(small_vocab)[: len(counts)]
+        targets = _targets(clips, counts, seed=sum(counts))
+        hypers = P.PretrainHypers(margin=0.5)  # wide enough that hinges are active
+        batched = _loss_and_grads(
+            model, lambda: model.vsm_loss(model.encoder.encode_clips(clips), targets, hypers)
+        )
+        ref = _loss_and_grads(model, lambda: ref_vsm_loss(
+            model, [model.encoder.encode_clip(c) for c in clips], targets, hypers
+        ))
+        _assert_same(batched, ref)
+
+    def test_one_query_pass_and_one_scorer_call(self, model, small_vocab, monkeypatch):
+        clips = _uneven_clips(small_vocab)
+        calls = []
+        for name in ("encode_query", "vsm_scores_for_query"):
+            original = getattr(P.PretrainModel, name)
+
+            def counting(self, *args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(P.PretrainModel, name, counting)
+        ops = []
+        for counts in ((1, 1, 1), (3, 2, 3)):
+            encoded = model.encoder.encode_clips(clips)
+            before = T.tape_size()
+            model.vsm_loss(encoded, _targets(clips, counts, seed=1), P.PretrainHypers())
+            ops.append(T.tape_size() - before)
+            T.reset_tape()
+        assert calls == ["encode_query", "vsm_scores_for_query"] * 2
+        assert ops[0] == ops[1]  # the tape does not grow with the number of targets
+
+    def test_encode_query_matches_one_pass_per_query(self, model):
+        queries = [[5, 6, 7], [9], [10, 11, 12, 13, 14, 15], list(range(5, 20))]  # the last truncated
+        batched = model.encode_query(queries).data
+        for q, row in zip(queries, batched):
+            np.testing.assert_allclose(row, ref_encode_query(model, q).data[0], rtol=0, atol=1e-12)
+        with pytest.raises(UsageError):
+            model.encode_query([[5, 6], []])
+
+    def test_span_outside_its_clip_and_clip_without_target_rejected(self, model, small_vocab):
+        clips = _uneven_clips(small_vocab)[1:]
+        encoded = model.encoder.encode_clips(clips)
+        far = [[P.VsmTarget([5, 6], (0, 2))], [P.VsmTarget([7], (1, clips[1].n_frames))]]
+        for targets in (far, [[P.VsmTarget([5], (0, 1))], []]):
+            with pytest.raises(UsageError):
+                model.vsm_loss(encoded, targets, P.PretrainHypers())
+            T.reset_tape()
 
 
 class TestVsmScores:
     def test_probability_vectors_sum_to_one(self, model, toy_clip):
         encoded = model.encoder.encode_clip(toy_clip)
-        scores = model.vsm_scores(encoded, toy_clip.sentences[0].token_ids)
+        q = model.encode_query([toy_clip.sentences[0].token_ids])
+        scores = model.vsm_scores_for_query(encoded.v_temp, [0, toy_clip.n_frames], q)
         assert abs(scores.p_st.data.sum() - 1.0) < 1e-12
         assert abs(scores.p_ed.data.sum() - 1.0) < 1e-12
         assert -1.0 <= scores.s_global.item() <= 1.0
@@ -492,7 +566,7 @@ class TestVsmScores:
         rows[3] = 3.0 * q[0]  # positive multiple of the query
         for i, other_axis in zip((0, 1, 2, 4), (1, 2, 3, 4)):
             rows[i, other_axis] = 1.0  # orthogonal to q
-        scores = model.vsm_scores_for_query(T.Tensor(rows), T.Tensor(q))
+        scores = model.vsm_scores_for_query(T.Tensor(rows), [0, 5], T.Tensor(q))
         assert scores.s_global.item() == pytest.approx(1.0, abs=1e-9)
         cos = rows @ q[0] / (np.linalg.norm(rows, axis=1) * np.linalg.norm(q))
         assert int(np.argmax(cos)) == 3
@@ -500,9 +574,10 @@ class TestVsmScores:
 
     def test_positive_query_scaling_leaves_argmaxes(self, model, toy_clip):
         encoded = model.encoder.encode_clip(toy_clip)
-        q = model.encode_query(toy_clip.sentences[0].token_ids)
-        a = model.vsm_scores_for_query(encoded.v_temp, q)
-        b = model.vsm_scores_for_query(encoded.v_temp, q * 3.0)
+        q = model.encode_query([toy_clip.sentences[0].token_ids])
+        bounds = [0, toy_clip.n_frames]
+        a = model.vsm_scores_for_query(encoded.v_temp, bounds, q)
+        b = model.vsm_scores_for_query(encoded.v_temp, bounds, q * 3.0)
         assert int(np.argmax(a.s_local.data)) == int(np.argmax(b.s_local.data))
         assert int(np.argmax(a.p_st.data)) == int(np.argmax(b.p_st.data))
         assert int(np.argmax(a.p_ed.data)) == int(np.argmax(b.p_ed.data))
@@ -535,7 +610,7 @@ class TestVsmLoss:
         assert (h.margin, h.lambda_local, h.lambda_global) == (0.1, 0.01, 8.0)
 
     def test_single_clip_batch_rejected(self, model, toy_clip):
-        encoded = [model.encoder.encode_clip(toy_clip)]
+        encoded = model.encoder.encode_clips([toy_clip])
         targets = [P.sample_vsm_targets(toy_clip, np.random.default_rng(0))]
         with pytest.raises(UsageError):
             model.vsm_loss(encoded, targets, P.PretrainHypers())
@@ -544,7 +619,7 @@ class TestVsmLoss:
     def test_runs_on_a_pair_of_clips(self, model, small_vocab):
         rng = np.random.default_rng(11)
         clips = [make_clip(rng, small_vocab, clip_id=f"c{i}") for i in range(2)]
-        encoded = [model.encoder.encode_clip(c) for c in clips]
+        encoded = model.encoder.encode_clips(clips)
         targets = [P.sample_vsm_targets(c, np.random.default_rng(i)) for i, c in enumerate(clips)]
         loss = model.vsm_loss(encoded, targets, P.PretrainHypers())
         assert np.isfinite(loss.item())

@@ -10,6 +10,8 @@ from vidtext.tensor import ATTENTION_MASK_BIAS
 from vidtext.errors import ConfigError, ShapeError, UsageError
 from vidtext.gradcheck import check_gradients, max_rel_err, numeric_grad
 
+from conftest import loop_conv1d
+
 FD_TOL = 1e-4
 
 
@@ -463,6 +465,35 @@ class TestConv1d:
         errs = check_gradients(lambda: (T.conv1d(x, k) * T.Tensor(w)).sum(), {"x": x, "k": k})
         assert max(errs.values()) < FD_TOL
 
+    @pytest.mark.parametrize("shape, k", [((9,), 5), ((3, 9), 5), ((2, 3, 7), 3), ((2, 1, 4), 5)])
+    def test_matches_the_window_loop(self, shape, k):
+        """Along the last axis, value and both gradients equal the
+        per-position loop applied to each signal (within 1e-12)."""
+        rng = np.random.default_rng(16)
+        x, kernel = rand(rng, *shape), rand(rng, k)
+        w = rng.standard_normal(shape)
+        T.backward((T.conv1d(x, kernel) * T.Tensor(w)).sum())
+        got = (T.conv1d(T.Tensor(x.data), kernel).data, x.grad, kernel.grad)
+        x.grad = kernel.grad = None
+        w_rows = w.reshape(-1, shape[-1])
+        rows = T.reshape(x, w_rows.shape)
+        outs = [
+            loop_conv1d(T.reshape(T.take_rows(rows, [r]), (-1,)), kernel)
+            for r in range(len(w_rows))
+        ]
+        terms = [(o * T.Tensor(wr)).sum() for o, wr in zip(outs, w_rows)]
+        T.backward(sum(terms[1:], terms[0]))
+        want = np.stack([o.data for o in outs]).reshape(shape), x.grad, kernel.grad
+        for a, b in zip(got, want):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+    def test_batched_gradient(self):
+        rng = np.random.default_rng(17)
+        x, k = rand(rng, 2, 3, 6), rand(rng, 5)
+        w = rng.standard_normal((2, 3, 6))
+        errs = check_gradients(lambda: (T.conv1d(x, k) * T.Tensor(w)).sum(), {"x": x, "k": k})
+        assert max(errs.values()) < FD_TOL
+
 
 class TestBackward:
     def test_sum_grad_is_ones(self):
@@ -641,8 +672,24 @@ class TestElementwiseGradients:
 
     def test_vmax_routes_to_argmax(self):
         x = T.Tensor([1.0, 5.0, 3.0], requires_grad=True)
-        T.backward(T.vmax(x))
+        T.backward(T.vmax(x, axis=0))
         np.testing.assert_array_equal(x.grad, [0.0, 1.0, 0.0])
+
+    @pytest.mark.parametrize("axis", [0, 1, -1])
+    def test_vmax_along_an_axis(self, axis):
+        rng = np.random.default_rng(18)
+        x = rand(rng, 3, 4, 5)
+        w = rng.standard_normal(np.delete(x.shape, axis % 3))
+        np.testing.assert_array_equal(T.vmax(x, axis).data, x.data.max(axis=axis))
+        errs = check_gradients(lambda: (T.vmax(x, axis) * T.Tensor(w)).sum(), {"x": x})
+        assert errs["x"] < FD_TOL
+
+    def test_vmax_ties_route_to_the_first_argmax(self):
+        x = T.Tensor([[2.0, 7.0], [2.0, 7.0], [1.0, 0.0]], requires_grad=True)
+        T.backward(T.vmax(x, axis=0).sum())
+        np.testing.assert_array_equal(x.grad, [[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
+        with pytest.raises(ShapeError):
+            T.vmax(T.Tensor(np.zeros((2, 0))), axis=1)
 
     def test_mean_and_reshape(self):
         rng = np.random.default_rng(15)
