@@ -2,7 +2,11 @@
 
 Every differentiable operation records itself on a module-level tape as it
 executes.  ``backward(loss)`` walks that tape once, in reverse execution
-order, accumulating adjoints into ``.grad`` buffers, then clears the tape.
+order, accumulating adjoints into ``.grad`` buffers, and releases the graph
+as it goes: each op leaves the tape and is unlinked before its adjoint runs,
+so activations, saved arrays and intermediate gradients are freed during
+the walk instead of all at its end.  A graph can be walked once, and
+afterwards an intermediate keeps its ``.grad`` only if the caller holds it.
 All kernels are pure numpy and deterministic: identical inputs give
 bit-identical outputs.
 
@@ -173,7 +177,11 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def backward(loss: Tensor) -> None:
     """Populate ``.grad`` on everything the scalar ``loss`` depends on.
 
-    Walks the tape in reverse execution order, then clears it.  Raises
+    Walks the tape in reverse execution order, popping each op and dropping
+    its adjoint and parents before the adjoint runs, so each op's memory is
+    freed once nothing else refers to it and the graph cannot be walked
+    again.  Leaves and intermediates the caller holds keep their ``.grad``.
+    The tape is empty afterwards, also when an adjoint raises.  Raises
     UsageError when ``loss`` is not a scalar or was produced off-tape.
     """
     if loss.data.size != 1:
@@ -181,10 +189,14 @@ def backward(loss: Tensor) -> None:
     if loss._bw is None and not loss.requires_grad:
         raise UsageError("loss is not connected to the gradient tape")
     loss.grad = np.ones_like(loss.data)
-    for t in reversed(_TAPE):
-        if t.grad is not None and t._bw is not None:
-            t._bw(t.grad)
-    reset_tape()
+    try:
+        while _TAPE:
+            t = _TAPE.pop()
+            bw, t._bw, t._parents = t._bw, None, ()
+            if t.grad is not None:
+                bw(t.grad)
+    finally:
+        reset_tape()  # empty after a full walk; unlinks the rest if an adjoint raised
 
 
 def zero_grads(params: Iterable[Tensor]) -> None:
@@ -753,6 +765,12 @@ class AdamW:
         missing = [k for k in self.state_arrays() if k not in arrays]
         if missing:
             raise DataError(f"optimizer state lacks {len(missing)} arrays, first {missing[0]!r}")
+        for key, buf in self.state_arrays().items():  # every buffer has its parameter's shape
+            if np.shape(arrays[key]) != buf.shape:
+                raise DataError(
+                    f"optimizer array {key!r} has shape {np.shape(arrays[key])}, "
+                    f"its parameter {buf.shape}"
+                )
         for name in self.params:
             self.m[name] = np.array(arrays[f"adam.m.{name}"], dtype=np.float64)
             self.v[name] = np.array(arrays[f"adam.v.{name}"], dtype=np.float64)

@@ -85,6 +85,17 @@ def slice_cols(a, lo, hi):
     return T.transpose(T.slice_rows(T.transpose(a), lo, hi))
 
 
+def ref_backward(loss):
+    """The whole reverse walk with the graph kept linked, then one
+    ``reset_tape``: the reference of ``tensor.backward``, which unlinks each
+    op before its adjoint runs."""
+    loss.grad = np.ones_like(loss.data)
+    for t in reversed(T._TAPE):
+        if t.grad is not None and t._bw is not None:
+            t._bw(t.grad)
+    T.reset_tape()
+
+
 # -- the per-target span-matching path, kept as the reference of the batched one --
 
 

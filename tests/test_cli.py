@@ -417,6 +417,19 @@ class TestCheckpointArrays:
         assert rc == EXIT_DATA
         assert f"first {first!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("misshape", ["broadcastable", "transposed"])
+    def test_resume_with_a_misshapen_moment_exits_two(self, corpus, pretrained, tmp_path, capsys, misshape):
+        arrays, meta = load_checkpoint(pretrained)
+        key = next(k for k, a in arrays.items()
+                   if k.startswith("adam.m.") and a.ndim == 2 and a.shape[0] != a.shape[1])
+        arrays[key] = arrays[key].reshape(-1)[:1] if misshape == "broadcastable" else arrays[key].T
+        save_checkpoint(tmp_path / "bad.ckpt", arrays, meta)
+        rc = main(["pretrain", "--corpus", str(corpus), "--out-dir", str(tmp_path / "run"),
+                   *self.RESUME, "--resume", str(tmp_path / "bad.ckpt")])
+        assert rc == EXIT_DATA
+        assert f"{key!r} has shape" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_resume_names_the_first_missing_array(self, corpus, pretrained, tmp_path, capsys):
         bad = self._resave(pretrained, tmp_path / "bad.ckpt", drop_arrays="encoder.frame_fc.w")
         run = tmp_path / "run"

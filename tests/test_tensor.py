@@ -7,7 +7,7 @@ import pytest
 
 from vidtext import tensor as T
 from vidtext.tensor import ATTENTION_MASK_BIAS
-from vidtext.errors import ConfigError, ShapeError, UsageError
+from vidtext.errors import ConfigError, DataError, ShapeError, UsageError
 from vidtext.gradcheck import check_gradients, max_rel_err, numeric_grad
 
 from conftest import loop_conv1d
@@ -770,6 +770,19 @@ class TestAdamW:
     def test_nonpositive_lr_rejected(self):
         with pytest.raises(ConfigError):
             T.AdamW(self._param([1.0]), lr=0.0)
+
+    @pytest.mark.parametrize("bad", [np.ones(1), np.ones((3, 2))], ids=["broadcastable", "transposed"])
+    def test_misshapen_moment_rejected_before_any_is_loaded(self, bad):
+        params = {"p": T.Tensor(np.ones(4), requires_grad=True),
+                  "q": T.Tensor(np.ones((2, 3)), requires_grad=True)}
+        opt = T.AdamW(params, lr=0.1)
+        arrays = {k: np.full_like(a, 0.5) for k, a in opt.state_arrays().items()}
+        arrays["adam.v.q"] = bad
+        with pytest.raises(DataError, match=r"'adam\.v\.q' has shape"):
+            opt.load_state_arrays(arrays, 7)
+        assert opt.step_count == 0
+        for buf in opt.state_arrays().values():
+            np.testing.assert_array_equal(buf, 0.0)
 
 
 class TestGradcheckHelper:
