@@ -541,7 +541,7 @@ def cmd_eval(args) -> int:
             )
             if nms_threshold is not None:
                 ranked = temporal_nms(ranked, nms_threshold)
-            predictions.append(ranked)
+            predictions.append(ranked[: max(k_values, default=0)])  # recall_at_k reads no further
             gt_clip = by_id[ex.clip_id]
             st, ed = seconds_to_frame_span(gt_clip, *ex.span)
             ground_truth.append((ex.clip_id, gt_clip.frame_seconds((st, ed))))

@@ -10,6 +10,7 @@ captioning).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -29,7 +30,7 @@ from .encoder import (
     MultiHeadAttention,
 )
 from .errors import ConfigError, DataError, UsageError
-from .metrics import Moment
+from .metrics import Ranking
 from .pretrain import PretrainHypers, PretrainModel, VsmScores, VsmTarget, attention_pool, span_nll
 
 QA_LAMBDA_DEFAULT = 0.5
@@ -291,14 +292,30 @@ def retrieval_finetune_step(
     return T.train_step(optimizer, loss)
 
 
-def best_spans(p_st: np.ndarray, p_ed: np.ndarray, top_n: int = 5) -> list[tuple[int, int, float]]:
-    """Highest-probability (start, end, p_st*p_ed) pairs with start <= end."""
-    n = len(p_st)
-    scored = [
-        (st, ed, float(p_st[st] * p_ed[ed])) for st in range(n) for ed in range(st, n)
-    ]
-    scored.sort(key=lambda x: (-x[2], x[0], x[1]))
-    return scored[:top_n]
+def best_spans(
+    p_st: np.ndarray, p_ed: np.ndarray, lengths: Sequence[int], top_n: int = 5
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Each clip's highest-probability spans, from (B, L) start and end
+    probabilities whose row b is real up to ``lengths[b]``.
+
+    Returns parallel arrays (clip, start, end, p_st * p_ed): clip by clip,
+    at most ``top_n`` spans with start <= end each, ordered by (-p, start, end).
+    """
+    st, ed = np.triu_indices(p_st.shape[1])  # every pair with start <= end, in (start, end) order
+    neg = p_st[:, st]
+    neg *= p_ed[:, ed]
+    np.negative(neg, out=neg)
+    neg[ed >= np.asarray(lengths)[:, None]] = np.inf  # past the clip's last frame
+    # every span at or above each clip's top_n-th probability
+    k = min(top_n, neg.shape[1])
+    clip, pair = np.nonzero(neg <= np.partition(neg, k - 1, axis=1)[:, k - 1 : k])
+    neg = neg[clip, pair]
+    order = np.lexsort((neg, clip))  # stable: ties stay in (start, end) order
+    clip, pair, neg = clip[order], pair[order], neg[order]
+    rank = np.arange(len(clip)) - np.searchsorted(clip, clip)
+    keep = (rank < top_n) & (neg < np.inf)
+    clip, pair = clip[keep], pair[keep]
+    return clip, st[pair], ed[pair], -neg[keep]
 
 
 def _score_clips(model: PretrainModel, encoded_clips: Sequence, query_token_ids) -> VsmScores:
@@ -309,12 +326,26 @@ def _score_clips(model: PretrainModel, encoded_clips: Sequence, query_token_ids)
         return model.vsm_scores_for_query(v_temp, bounds, model.encode_query([query_token_ids]))
 
 
+@functools.lru_cache(maxsize=1)
+def _shared_ids(clip_ids: tuple[str, ...]) -> tuple[str, ...]:
+    """One tuple object for every ranking over the same clips, so a kept
+    ranking holds no id list of its own."""
+    return clip_ids
+
+
+def _ranked(encoded_clips: Sequence, clip, start, end, score) -> Ranking:
+    """Rows sorted by descending score; ties keep their given order."""
+    order = np.argsort(-score, kind="stable")
+    clip_ids = _shared_ids(tuple(enc.clip.clip_id for enc in encoded_clips))
+    return Ranking(clip_ids, clip[order], start[order], end[order], score[order])
+
+
 def rank_moments(
     model: PretrainModel,
     encoded_clips: Sequence,
     query_token_ids: Sequence[int],
     spans_per_clip: int = 5,
-) -> list[Moment]:
+) -> Ranking:
     """Score a query against every clip and rank candidate moments.
 
     A moment's score blends the clip-level cosine (shifted to [0, 1]) with
@@ -322,23 +353,28 @@ def rank_moments(
     """
     scores = _score_clips(model, encoded_clips, query_token_ids)
     s_global, p_st, p_ed = (x.data[:, 0] for x in (scores.s_global, scores.p_st, scores.p_ed))
-    out = []
-    for enc, s, st_row, ed_row in zip(encoded_clips, s_global, p_st, p_ed):
-        clip_score, n = (1.0 + float(s)) / 2.0, enc.clip.n_frames
-        for st, ed, p in best_spans(st_row[:n], ed_row[:n], spans_per_clip):
-            out.append(Moment(enc.clip.clip_id, enc.clip.frame_seconds((st, ed)), clip_score * p))
-    return sorted(out, key=lambda m: -m.score)
+    lengths = [enc.clip.n_frames for enc in encoded_clips]
+    clip, st, ed, p = best_spans(p_st, p_ed, lengths, spans_per_clip)
+    times = [enc.clip.frame_times for enc in encoded_clips]
+    clips = clip.tolist()
+    start = np.array([times[c][i][0] for c, i in zip(clips, st.tolist())], dtype=np.float64)
+    end = np.array([times[c][i][1] for c, i in zip(clips, ed.tolist())], dtype=np.float64)
+    score = ((1.0 + s_global) / 2.0)[clip] * p
+    return _ranked(encoded_clips, clip, start, end, score)
 
 
 def rank_clips(
     model: PretrainModel, encoded_clips: Sequence, query_token_ids: Sequence[int]
-) -> list[Moment]:
+) -> Ranking:
     """Clip-level ranking only (single-channel video retrieval)."""
-    s_global = _score_clips(model, encoded_clips, query_token_ids).s_global.data[:, 0].tolist()
-    return sorted((
-        Moment(enc.clip.clip_id, (enc.clip.frame_times[0][0], enc.clip.frame_times[-1][1]), s)
-        for enc, s in zip(encoded_clips, s_global)
-    ), key=lambda m: -m.score)
+    s_global = _score_clips(model, encoded_clips, query_token_ids).s_global.data[:, 0]
+    return _ranked(
+        encoded_clips,
+        np.arange(len(encoded_clips)),
+        np.array([enc.clip.frame_times[0][0] for enc in encoded_clips], dtype=np.float64),
+        np.array([enc.clip.frame_times[-1][1] for enc in encoded_clips], dtype=np.float64),
+        s_global,
+    )
 
 
 # -- video question answering -------------------------------------------------------

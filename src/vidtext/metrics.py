@@ -9,9 +9,11 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+
+import numpy as np
 
 from .errors import ConfigError, UsageError
 
@@ -23,6 +25,42 @@ class Moment:
     clip_id: str
     span: tuple[float, float]
     score: float
+
+
+class Ranking(Sequence):
+    """A read-only ranked moment list held as columns: the clip index of each
+    moment into ``clip_ids`` (the smallest unsigned type that holds it), its
+    start and end seconds, and its score.
+
+    An integer index yields a ``Moment`` of Python floats; a slice or an index
+    array yields a ``Ranking`` that owns copies of the selected rows.
+    """
+
+    __slots__ = ("clip_ids", "clip", "start", "end", "score")
+
+    def __init__(self, clip_ids: Sequence[str], clip, start, end, score):
+        self.clip_ids = clip_ids
+        self.clip, self.start, self.end, self.score = (
+            np.asarray(clip, dtype=np.min_scalar_type(max(len(clip_ids) - 1, 0))),
+            *(np.asarray(a, dtype=np.float64) for a in (start, end, score)),
+        )
+        for a in (self.clip, self.start, self.end, self.score):
+            a.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.score)
+
+    def __getitem__(self, i):
+        if isinstance(i, (int, np.integer)):
+            return Moment(
+                self.clip_ids[self.clip[i]], (float(self.start[i]), float(self.end[i])), float(self.score[i])
+            )
+        return Ranking(self.clip_ids, *(np.array(a[i]) for a in (self.clip, self.start, self.end, self.score)))
+
+    def __iter__(self):
+        ids = self.clip_ids
+        for c, t0, t1, s in zip(*(a.tolist() for a in (self.clip, self.start, self.end, self.score))):
+            yield Moment(ids[c], (t0, t1), s)
 
 
 def tiou(a: tuple[float, float], b: tuple[float, float]) -> float:
@@ -39,22 +77,35 @@ def tiou(a: tuple[float, float], b: tuple[float, float]) -> float:
     return inter / union
 
 
-def temporal_nms(moments: Sequence[Moment], threshold: float) -> list[Moment]:
+def temporal_nms(moments: Sequence[Moment], threshold: float) -> Sequence[Moment]:
     """Greedy suppression of a score-descending moment list.
 
     A candidate is dropped when its tIoU with an already-kept moment of the
-    same clip exceeds the threshold.  Output preserves relative order.
+    same clip exceeds the threshold.  Output preserves relative order: a
+    ``Ranking`` for a ``Ranking``, else a list.
     """
-    scores = [m.score for m in moments]
-    if any(a < b for a, b in zip(scores, scores[1:])):
+    if isinstance(moments, Ranking):
+        unsorted = (moments.score[:-1] < moments.score[1:]).any()
+        ids = moments.clip_ids
+        candidates = zip(
+            (ids[c] for c in moments.clip.tolist()), zip(moments.start.tolist(), moments.end.tolist())
+        )
+    else:
+        scores = [m.score for m in moments]
+        unsorted = any(a < b for a, b in zip(scores, scores[1:]))
+        candidates = ((m.clip_id, m.span) for m in moments)
+    if unsorted:
         raise UsageError("temporal_nms expects the list sorted by score, descending")
-    kept: list[Moment] = []
-    for cand in moments:
-        if all(
-            k.clip_id != cand.clip_id or tiou(k.span, cand.span) <= threshold for k in kept
-        ):
-            kept.append(cand)
-    return kept
+    kept_spans: dict[str, list[tuple[float, float]]] = {}  # suppression is within a clip
+    kept = []
+    for i, (clip_id, span) in enumerate(candidates):
+        spans = kept_spans.setdefault(clip_id, [])
+        if all(tiou(k, span) <= threshold for k in spans):
+            spans.append(span)
+            kept.append(i)
+    if isinstance(moments, Ranking):
+        return moments[np.array(kept, dtype=np.intp)]
+    return [moments[i] for i in kept]
 
 
 def recall_at_k(
@@ -79,7 +130,7 @@ def recall_at_k(
         raise UsageError("recall over an empty query set")
     hits = 0
     for ranked, (gt_clip, gt_span) in zip(predictions, ground_truth):
-        for m in list(ranked)[:k]:
+        for m in ranked[:k]:
             clip_ok = m.clip_id == gt_clip
             span_ok = tiou(m.span, gt_span) > tiou_threshold
             if mode == "video" and clip_ok:

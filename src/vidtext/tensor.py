@@ -357,7 +357,7 @@ def attention(
     def split(a):  # (..., r, d) -> (..., heads, r, dh)
         return a.reshape(a.shape[:-1] + (heads, dh)).swapaxes(-2, -3)
 
-    qs = qd * scale
+    qs, q_shape = qd * scale, qd.shape  # the adjoint needs no (gathered) copy of q
     k_h, v_h = split(kd), split(vd)
     p = split(qs) @ k_h.swapaxes(-1, -2)  # (..., heads, n, m)
     if bias is not None:
@@ -375,7 +375,7 @@ def attention(
         ds -= (ds * p).sum(axis=-1, keepdims=True)
         ds *= p
         if q._track:
-            dq = (ds @ k_h).swapaxes(-2, -3).reshape(qd.shape)
+            dq = (ds @ k_h).swapaxes(-2, -3).reshape(q_shape)
             dq *= scale
             _accum(q, scatter(dq))
         if k._track:
@@ -699,12 +699,12 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
     if rate == 0.0 or rng is None:
         return a
-    keep = (rng.random(a.data.shape) >= rate) / (1.0 - rate)
+    keep, scale = rng.random(a.data.shape) >= rate, 1.0 / (1.0 - rate)
 
     def bw(g):
-        _accum(a, g * keep)
+        _accum(a, (g * keep) * scale)
 
-    return _make(a.data * keep, (a,), bw)
+    return _make((a.data * keep) * scale, (a,), bw)
 
 
 # -- optimizer --------------------------------------------------------------

@@ -4,9 +4,8 @@ from hypothesis import settings
 
 from vidtext import tensor as T
 from vidtext.data import AlignedClip, Sentence, Vocab, detokenize
-from vidtext.downstream import best_spans
 from vidtext.encoder import HierarchicalEncoder, ModelConfig
-from vidtext.metrics import Moment
+from vidtext.metrics import Moment, tiou
 from vidtext.pretrain import _mean_terms, hinge_loss, span_nll
 
 
@@ -174,6 +173,33 @@ def ref_vsm_loss(model, encoded_clips, targets_per_clip, hypers, train_rng=None)
     return hypers.lambda_local * l_local + hypers.lambda_global * l_global
 
 
+# -- the per-clip ranking path, kept as the reference of the batched one --
+
+
+def loop_best_spans(p_st, p_ed, top_n=5):
+    """One clip's highest-probability (start, end, p_st*p_ed) pairs with
+    start <= end, from every pair sorted by (-p, start, end): the reference
+    of the batched ``downstream.best_spans``."""
+    n = len(p_st)
+    scored = [
+        (st, ed, float(p_st[st] * p_ed[ed])) for st in range(n) for ed in range(st, n)
+    ]
+    scored.sort(key=lambda x: (-x[2], x[0], x[1]))
+    return scored[:top_n]
+
+
+def ref_temporal_nms(moments, threshold):
+    """Greedy suppression that compares each candidate with every kept
+    moment: the reference of ``metrics.temporal_nms``."""
+    kept = []
+    for cand in moments:
+        if all(
+            k.clip_id != cand.clip_id or tiou(k.span, cand.span) <= threshold for k in kept
+        ):
+            kept.append(cand)
+    return kept
+
+
 def ref_rank_moments(model, encoded_clips, query_token_ids, spans_per_clip=5):
     """Per-clip ranking: one score call per clip."""
     with T.no_grad():
@@ -183,7 +209,7 @@ def ref_rank_moments(model, encoded_clips, query_token_ids, spans_per_clip=5):
             s_global, log_p_st, log_p_ed = ref_vsm_scores(model, enc.v_temp, q)
             clip_score = (1.0 + s_global.item()) / 2.0
             p_st, p_ed = np.exp(log_p_st.data), np.exp(log_p_ed.data)
-            for st, ed, p in best_spans(p_st, p_ed, spans_per_clip):
+            for st, ed, p in loop_best_spans(p_st, p_ed, spans_per_clip):
                 out.append(Moment(enc.clip.clip_id, enc.clip.frame_seconds((st, ed)), clip_score * p))
         out.sort(key=lambda m: -m.score)
         return out

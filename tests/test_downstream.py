@@ -15,6 +15,8 @@ from vidtext.downstream import (
     NliModel,
     CaptionModel,
     RetrievalExample,
+    _score_clips,
+    best_spans,
     finetune_model_for,
     load_params_into,
     qa_augmented_token_ids,
@@ -30,9 +32,17 @@ from vidtext.downstream import (
 )
 from vidtext.encoder import HierarchicalEncoder, ModelConfig
 from vidtext.errors import ConfigError, DataError, UsageError
+from vidtext.metrics import Moment, Ranking, temporal_nms
 from vidtext.pretrain import PretrainHypers, PretrainModel
 
-from conftest import make_clip, ref_encode_query, ref_global_alignment_score, ref_rank_moments
+from conftest import (
+    loop_best_spans,
+    make_clip,
+    ref_encode_query,
+    ref_global_alignment_score,
+    ref_rank_moments,
+    ref_temporal_nms,
+)
 
 
 @pytest.fixture
@@ -467,14 +477,113 @@ class TestRankingMatchesPerClipReference:
         assert [(m.clip_id, m.span) for m in got] == [(m.clip_id, m.span) for m in want]
         np.testing.assert_allclose([m.score for m in got], [m.score for m in want], rtol=0, atol=1e-12)
         assert all(type(m.score) is float for m in got)
+        assert list(got) == loop_rank_moments(model, encoded, query, spans_per_clip)
+        assert list(temporal_nms(got, 0.5)) == ref_temporal_nms(list(got), 0.5)
 
     def test_rank_clips(self, setup):
         model, encoded = setup
         with T.no_grad():
             q = ref_encode_query(model, [5, 6, 7])
             want = [ref_global_alignment_score(e.v_temp, q).item() for e in encoded]
-        got = {m.clip_id: m.score for m in rank_clips(model, encoded, [5, 6, 7])}
-        np.testing.assert_allclose([got[e.clip.clip_id] for e in encoded], want, rtol=0, atol=1e-12)
+        ranked = rank_clips(model, encoded, [5, 6, 7])
+        assert isinstance(ranked, Ranking) and len(ranked) == len(encoded)
+        assert all(a.score >= b.score for a, b in zip(ranked, ranked[1:]))
+        got = {m.clip_id: m for m in ranked}
+        np.testing.assert_allclose([got[e.clip.clip_id].score for e in encoded], want, rtol=0, atol=1e-12)
+        for e in encoded:
+            assert got[e.clip.clip_id].span == (e.clip.frame_times[0][0], e.clip.frame_times[-1][1])
+
+
+def loop_rank_moments(model, encoded_clips, query_token_ids, spans_per_clip):
+    """The batched scorer's output decoded one clip at a time, one Moment per
+    span, then sorted by score: what ``rank_moments`` must equal exactly."""
+    scores = _score_clips(model, encoded_clips, query_token_ids)
+    s_global, p_st, p_ed = (x.data[:, 0] for x in (scores.s_global, scores.p_st, scores.p_ed))
+    out = []
+    for enc, s, st_row, ed_row in zip(encoded_clips, s_global, p_st, p_ed):
+        clip_score, n = (1.0 + float(s)) / 2.0, enc.clip.n_frames
+        for st, ed, p in loop_best_spans(st_row[:n], ed_row[:n], spans_per_clip):
+            out.append(Moment(enc.clip.clip_id, enc.clip.frame_seconds((st, ed)), clip_score * p))
+    return sorted(out, key=lambda m: -m.score)
+
+
+class TestBatchedBestSpans:
+    """One call over a (clips, frames) grid equals the per-clip loop: the same
+    spans in (-p, start, end) order and the same probabilities, bit for bit."""
+
+    @staticmethod
+    def check(p_st, p_ed, lengths, top_n):
+        clip, st, ed, p = best_spans(p_st, p_ed, lengths, top_n)
+        want = [
+            (b, s, e, q)
+            for b, n in enumerate(lengths)
+            for s, e, q in loop_best_spans(p_st[b, :n], p_ed[b, :n], top_n)
+        ]
+        assert list(zip(clip.tolist(), st.tolist(), ed.tolist(), p.tolist())) == want
+
+    @staticmethod
+    def grids(rng, lengths):
+        p = rng.random((2, len(lengths), max(lengths)))
+        p[:, np.arange(max(lengths)) >= np.array(lengths)[:, None]] = 0.0
+        return p / p.sum(axis=-1, keepdims=True)
+
+    @pytest.mark.parametrize("top_n", [1, 3, 5, 60, 820, 1000])
+    def test_clips_of_1_2_9_and_40_frames(self, top_n):
+        lengths = [1, 2, 9, 40]
+        self.check(*self.grids(np.random.default_rng(20), lengths), lengths, top_n)
+
+    @pytest.mark.parametrize("top_n", [1, 4, 7, 100])
+    def test_equal_probabilities_keep_start_end_order(self, top_n):
+        lengths = [9, 1, 6]
+        p = np.where(np.arange(9) < np.array(lengths)[:, None], 0.25, 0.0)
+        self.check(p, p, lengths, top_n)
+
+    def test_tied_products_across_the_cut(self):
+        # p_st * p_ed takes few distinct values, so many spans tie at the top_n-th
+        rng = np.random.default_rng(21)
+        lengths = [12, 12, 5]
+        p_st, p_ed = (rng.integers(1, 4, size=(3, 12)) / 8.0 for _ in range(2))
+        for top_n in (2, 5, 11, 30):
+            self.check(p_st, p_ed, lengths, top_n)
+
+
+class TestRankingEdgeClips:
+    """Clips of 1, 2, 9 and 40 frames, two of them identical under other ids
+    (tied scores across clips): ``rank_moments`` equals the loop decode
+    exactly, and the per-clip reference in (clip, span) order."""
+
+    @pytest.fixture
+    def setup(self, small_vocab):
+        config = ModelConfig(
+            d=16, cross_layers=1, cross_heads=2, temporal_layers=1, temporal_heads=2,
+            vocab_size=30, frame_feature_dim=8, max_frames=48, max_tokens=12,
+            ffn_multiplier=2, dropout=0.0,
+        )
+        model = PretrainModel(config, seed=4)
+        clips = [
+            make_clip(np.random.default_rng(seed), small_vocab, groups=groups, tokens=(3,) * len(groups),
+                      clip_id=f"c{i}", seconds_per_frame=0.5 + i)
+            for i, (seed, groups) in enumerate([(1, (1,)), (2, (2,)), (3, (4, 5)), (4, (20, 20)), (3, (4, 5))])
+        ]
+        with T.no_grad():
+            encoded = [model.encoder.encode_clip(c) for c in clips]
+        return model, encoded
+
+    @pytest.mark.parametrize("spans_per_clip", [1, 2, 5, 45, 1000])
+    def test_equals_the_loop(self, setup, spans_per_clip):
+        model, encoded = setup
+        query = [5, 6, 7]
+        got = rank_moments(model, encoded, query, spans_per_clip=spans_per_clip)
+        assert isinstance(got, Ranking)
+        assert list(got) == loop_rank_moments(model, encoded, query, spans_per_clip)
+        want = ref_rank_moments(model, encoded, query, spans_per_clip=spans_per_clip)
+        assert [(m.clip_id, m.span) for m in got] == [(m.clip_id, m.span) for m in want]
+        np.testing.assert_allclose([m.score for m in got], [m.score for m in want], rtol=0, atol=1e-12)
+        assert all(type(m.score) is float for m in got)
+        for threshold in (0.3, 0.5):
+            kept = temporal_nms(got, threshold)
+            assert isinstance(kept, Ranking)
+            assert list(kept) == ref_temporal_nms(list(got), threshold)
 
 
 class TestRetrievalAdaptation:

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from vidtext.errors import ConfigError, UsageError
-from vidtext.metrics import Moment, accuracy, bleu4, recall_at_k, temporal_nms, tiou
+from vidtext.metrics import Moment, Ranking, accuracy, bleu4, recall_at_k, temporal_nms, tiou
+
+from conftest import ref_temporal_nms
 
 
 def random_span(rng, lo=0.0, hi=30.0):
@@ -39,6 +41,48 @@ class TestTiou:
             v = tiou(a, b)
             assert v == tiou(b, a)
             assert 0.0 <= v <= 1.0
+
+
+def random_ranking(rng, n, n_clips=3):
+    """A score-descending Ranking of n moments over clips named c0..c{n_clips-1},
+    with repeated scores and repeated spans."""
+    starts = rng.integers(0, 10, size=n).astype(float)
+    ends = starts + rng.integers(0, 6, size=n)
+    scores = np.sort(rng.integers(0, 8, size=n) / 8.0)[::-1]
+    clip_ids = [f"c{i}" for i in range(n_clips)]
+    return Ranking(clip_ids, rng.integers(0, n_clips, size=n), starts, ends, scores)
+
+
+class TestRanking:
+    def test_items_are_moments_of_python_floats(self):
+        r = Ranking(["a", "b"], [1, 0, 1], [0.0, 1.0, 2.5], [1.0, 3.0, 4.0], [0.9, 0.5, 0.25])
+        assert len(r) == 3
+        assert r[0] == Moment("b", (0.0, 1.0), 0.9)
+        assert r[-1] == r[np.int64(2)] == Moment("b", (2.5, 4.0), 0.25)
+        assert list(r) == [r[i] for i in range(3)]
+        for m in [*r, r[1]]:
+            assert type(m.score) is float and all(type(t) is float for t in m.span)
+        with pytest.raises(IndexError):
+            r[3]
+
+    def test_slices_and_index_arrays_are_rankings_of_copies(self):
+        rng = np.random.default_rng(3)
+        r = random_ranking(rng, 20)
+        moments = list(r)
+        for index in (slice(2, 9), slice(None, None, 3), np.array([0, 5, 5, 19]), r.score > 0.4):
+            part = r[index]
+            assert isinstance(part, Ranking)
+            want = [moments[i] for i in np.arange(20)[index]]
+            assert list(part) == want
+            for a, b in zip((part.clip, part.start, part.end, part.score), (r.clip, r.start, r.end, r.score)):
+                assert not np.shares_memory(a, b)
+
+    def test_read_only(self):
+        r = random_ranking(np.random.default_rng(4), 5)
+        with pytest.raises(TypeError):
+            r[0] = Moment("c0", (0.0, 1.0), 1.0)
+        with pytest.raises(ValueError):
+            r.score[0] = 2.0
 
 
 class TestTemporalNms:
@@ -88,6 +132,25 @@ class TestTemporalNms:
                 ]
                 overlapped = any(tiou(k.span, m.span) > 0.5 for k in earlier_kept)
                 assert (id(m) in kept_set) == (not overlapped)
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.3, 0.5, 1.0])
+    def test_ranking_matches_the_all_pairs_reference(self, threshold):
+        """On a Ranking, suppression against a per-clip dict keeps exactly the
+        moments that the all-pairs loop keeps, in order."""
+        rng = np.random.default_rng(5)
+        for n in (0, 1, 2, 7, 40, 200):
+            ranked = random_ranking(rng, n)
+            got = temporal_nms(ranked, threshold)
+            assert isinstance(got, Ranking)
+            want = ref_temporal_nms(list(ranked), threshold)
+            assert list(got) == want
+            assert temporal_nms(list(ranked), threshold) == want  # a list stays a list
+            assert all(a.base is None for a in (got.clip, got.start, got.end, got.score))
+
+    def test_unsorted_ranking_rejected(self):
+        ranked = Ranking(["c"], [0, 0], [0.0, 5.0], [2.0, 6.0], [0.1, 0.9])
+        with pytest.raises(UsageError):
+            temporal_nms(ranked, 0.5)
 
     def test_idempotent(self):
         rng = np.random.default_rng(2)
@@ -151,6 +214,15 @@ class TestRecallAtK:
         gt = [("a", (5.0, 9.0))]
         assert recall_at_k(preds, gt, k=1, mode="video") == 1.0
         assert recall_at_k(preds, gt, k=1, mode="video_moment") == 0.0
+
+    def test_ranking_gives_the_list_recall(self):
+        rng = np.random.default_rng(6)
+        preds = [random_ranking(rng, int(rng.integers(1, 30))) for _ in range(40)]
+        gt = [(f"c{rng.integers(0, 3)}", random_span(rng, 0, 12)) for _ in preds]
+        for k in (1, 3, 10, 100):
+            for mode in ("video", "moment", "video_moment"):
+                want = recall_at_k([list(r) for r in preds], gt, k=k, tiou_threshold=0.5, mode=mode)
+                assert recall_at_k(preds, gt, k=k, tiou_threshold=0.5, mode=mode) == want
 
     def test_bad_k_rejected(self):
         with pytest.raises(ConfigError):

@@ -385,6 +385,37 @@ class TestPackedAttention:
         )
         assert max(errs.values()) < 1e-6
 
+    def test_packed_gradients_equal_the_padded_op_bit_for_bit(self):
+        """The packed form runs the padded form's kernel body on the gathered
+        rows, so its output and gradients are the padded op's, scattered back,
+        to the bit; the adjoint saves no copy of the gathered q."""
+        rng = np.random.default_rng(44)
+        q, k, v = rand(rng, 7, 8), rand(rng, 7, 8), rand(rng, 7, 8)
+        upstream = rng.standard_normal((7, 8))
+        real = _GRID < 7
+        where = np.empty(7, dtype=np.intp)
+        where[_GRID[real]] = np.flatnonzero(real)
+
+        def gather(a):
+            out = np.zeros((_GRID.size, a.shape[-1]))
+            out[where] = a
+            return out.reshape(_GRID.shape + a.shape[-1:])
+
+        out, _ = T.attention(q, k, v, 2, grid=_GRID)
+        saved = [c.cell_contents for c in out._bw.__closure__]
+        assert not any(
+            isinstance(x, np.ndarray) and x.shape == (2, 4, 8) and np.array_equal(x, gather(q.data))
+            for x in saved
+        )
+        T.backward((out * T.Tensor(upstream)).sum())
+        qp, kp, vp = (T.Tensor(gather(x.data), requires_grad=True) for x in (q, k, v))
+        bias = np.where(real, 0.0, ATTENTION_MASK_BIAS)[:, None, :]
+        out_p, _ = T.attention(qp, kp, vp, 2, bias)
+        T.backward((out_p * T.Tensor(gather(upstream))).sum())
+        for name, a, b in zip(["out", "dq", "dk", "dv"], [out, q, k, v], [out_p, qp, kp, vp]):
+            got, want = (a.data, b.data) if name == "out" else (a.grad, b.grad)
+            np.testing.assert_array_equal(got, want.reshape(-1, 8)[where], err_msg=name)
+
     def test_malformed_grid_rejected(self):
         x = T.Tensor(np.zeros((3, 4)))
         for grid in ([[0, 1, 1]], [[0, 1, 3]], [[0, 1, 2, 4]], [[0, -1, 2]], [0, 1, 2]):
@@ -559,6 +590,31 @@ class TestGelu:
         t = np.tanh(c * (xd + 0.044715 * xd**3))
         local = 0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t**2) * c * (1.0 + 3 * 0.044715 * xd**2)
         np.testing.assert_allclose(x.grad, u * local, rtol=0, atol=1e-10)
+
+
+class TestDropout:
+    def test_boolean_mask_matches_the_float_mask_bit_for_bit(self):
+        """(a * mask) * scale and (g * mask) * scale equal the products with
+        a float mask of 0 and 1 / (1 - rate), signed zeros included."""
+        rate = 0.3
+        x = rand(np.random.default_rng(50), 6, 8)
+        x.data[0, :4] = [0.0, -0.0, -1.5, 2.0]
+        g = np.random.default_rng(51).standard_normal((6, 8))
+        g[1, :2] = [-0.0, 0.0]
+        y = T.dropout(x, rate, np.random.default_rng(52))
+        T.backward((y * T.Tensor(g)).sum())
+        keep = (np.random.default_rng(52).random((6, 8)) >= rate) / (1.0 - rate)
+        for got, want in ((y.data, x.data * keep), (x.grad, g * keep)):
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+        assert (y.data == 0.0).any() and np.signbit(y.data[y.data == 0.0]).any()
+
+    def test_identity_without_rate_or_rng(self):
+        x = rand(np.random.default_rng(53), 3, 4)
+        assert T.dropout(x, 0.0, np.random.default_rng(0)) is x
+        assert T.dropout(x, 0.5, None) is x
+        with pytest.raises(ConfigError):
+            T.dropout(x, 1.0, np.random.default_rng(0))
 
 
 class TestTapeInvariants:
