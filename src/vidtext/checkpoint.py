@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, read_input
 
 MAGIC = b"VTCK"
 FORMAT_VERSION = 1
@@ -55,10 +55,10 @@ def save_checkpoint(path: str | Path, arrays: dict[str, np.ndarray], meta: dict)
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     """Read a checkpoint; any malformed or truncated file, or trailing bytes
     after the last array, raise DataError."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"checkpoint not found: {path}")
-    raw = path.read_bytes()
+    return read_input(path, "checkpoint", _parse_checkpoint, binary=True)
+
+
+def _parse_checkpoint(path: Path, raw: bytes) -> tuple[dict[str, np.ndarray], dict]:
     if raw[:4] != MAGIC:
         raise DataError(f"{path} is not a checkpoint (bad magic)")
     if len(raw) < 16:

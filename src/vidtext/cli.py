@@ -8,10 +8,17 @@ codes: 0 success, 1 usage, 2 data/schema, 3 numeric failure.
 
 from __future__ import annotations
 
+import os
+
+# one BLAS thread unless the user chose otherwise; set before numpy loads
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import argparse
 import json
 import math
 import sys
+from dataclasses import fields
 from functools import partial
 from pathlib import Path
 
@@ -21,6 +28,7 @@ from . import tensor as T
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import Vocab, align, load_corpus_vocab, read_corpus, synth_corpus, tokenize
 from .downstream import (
+    QA_LAMBDA_DEFAULT,
     finetune_model_for,
     load_params_into,
     rank_moments,
@@ -30,7 +38,7 @@ from .downstream import (
     seconds_to_frame_span,
 )
 from .encoder import ModelConfig
-from .errors import ConfigError, DataError, NumericError, UsageError
+from .errors import ConfigError, DataError, NumericError, UsageError, read_input
 from .metrics import accuracy, bleu4, recall_at_k, temporal_nms, write_metrics_report
 from .pretrain import (
     _SEED_FINETUNE,
@@ -48,6 +56,12 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
+# the model shape without the two sizes the corpus fixes, and the loss weights
+_MODEL_SHAPE = {
+    f.name: f.default for f in fields(ModelConfig) if f.name not in ("vocab_size", "frame_feature_dim")
+}
+_LOSS_WEIGHTS = {f.name: f.default for f in fields(PretrainHypers)}
+
 PRETRAIN_DEFAULTS: dict = {
     "steps": 500,
     "batch_size": 4,
@@ -55,19 +69,8 @@ PRETRAIN_DEFAULTS: dict = {
     "seed": 0,
     "lr": 3e-5,
     "weight_decay": 0.01,
-    "d": 64,
-    "cross_layers": 2,
-    "cross_heads": 4,
-    "temporal_layers": 1,
-    "temporal_heads": 4,
-    "ffn_multiplier": 4,
-    "dropout": 0.1,
-    "max_frames": 64,
-    "max_tokens": 48,
-    "margin": 0.1,
-    "lambda_local": 0.01,
-    "lambda_global": 8.0,
-    "num_negatives": 15,
+    **_MODEL_SHAPE,
+    **_LOSS_WEIGHTS,
     "checkpoint_every": 0,
 }
 
@@ -77,10 +80,8 @@ FINETUNE_DEFAULTS: dict = {
     "seed": 0,
     "lr": 1e-3,
     "weight_decay": 0.01,
-    "qa_lambda": 0.5,
-    "margin": 0.1,
-    "lambda_local": 0.01,
-    "lambda_global": 8.0,
+    "qa_lambda": QA_LAMBDA_DEFAULT,
+    **{k: _LOSS_WEIGHTS[k] for k in ("margin", "lambda_local", "lambda_global")},
 }
 
 EVAL_DEFAULTS: dict = {
@@ -101,15 +102,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_config_file(path: str) -> dict:
+    return read_input(path, "config file", _parse_config)
+
+
+def _parse_config(path: Path, text: str) -> dict:
     """Flat `key = value` pairs; values parse as JSON scalars when possible."""
     out = {}
-    p = Path(path)
-    if not p.exists():
-        raise DataError(f"config file not found: {path}")
-    try:
-        text = p.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read config file {path}: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -125,14 +123,20 @@ def _read_config_file(path: str) -> dict:
     return out
 
 
-def _check_option_type(key: str, value, default) -> None:
-    """A config-file value must have its default's type; an int is also a
-    float.  A mismatch is a ConfigError (exit 1) naming the key."""
+def _option_value(key: str, value, default):
+    """A config-file value of its default's type; an int is also a float and
+    becomes one.  A mismatch is a ConfigError (exit 1) naming the key."""
     expected = (int, float) if isinstance(default, float) else type(default)
     if isinstance(value, bool) or not isinstance(value, expected):
         raise ConfigError(
             f"config key {key!r} needs a {type(default).__name__} value, got {value!r}"
         )
+    if not isinstance(default, float):
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"config key {key!r} is too large for a float: {value}") from None
 
 
 def _effective_options(defaults: dict, config_path: str | None, cli_values: dict) -> dict:
@@ -142,9 +146,7 @@ def _effective_options(defaults: dict, config_path: str | None, cli_values: dict
         unknown = set(file_values) - set(defaults)
         if unknown:
             raise ConfigError(f"config file sets unknown keys: {sorted(unknown)}")
-        for key, value in file_values.items():
-            _check_option_type(key, value, defaults[key])
-        eff.update(file_values)
+        eff.update({k: _option_value(k, v, defaults[k]) for k, v in file_values.items()})
     eff.update({k: v for k, v in cli_values.items() if v is not None})
     return eff
 
@@ -177,23 +179,16 @@ def _load_aligned_corpus(corpus_path: str, max_frames: int):
 
 
 def _model_config(eff: dict, vocab_size: int, feature_dim: int) -> ModelConfig:
-    return ModelConfig(
-        d=int(eff["d"]),
-        cross_layers=int(eff["cross_layers"]),
-        cross_heads=int(eff["cross_heads"]),
-        temporal_layers=int(eff["temporal_layers"]),
-        temporal_heads=int(eff["temporal_heads"]),
-        vocab_size=vocab_size,
-        frame_feature_dim=feature_dim,
-        max_frames=int(eff["max_frames"]),
-        max_tokens=int(eff["max_tokens"]),
-        ffn_multiplier=int(eff["ffn_multiplier"]),
-        dropout=float(eff["dropout"]),
-    )
+    shape = {k: eff[k] for k in _MODEL_SHAPE}
+    return ModelConfig(vocab_size=vocab_size, frame_feature_dim=feature_dim, **shape)
+
+
+def _hypers(eff: dict) -> PretrainHypers:
+    return PretrainHypers(**{k: eff[k] for k in _LOSS_WEIGHTS if k in eff})
 
 
 def _steps(eff: dict) -> int:
-    steps = int(eff["steps"])
+    steps = eff["steps"]
     if steps < 0:
         raise ConfigError(f"steps must be nonnegative, got {steps}")
     return steps
@@ -274,23 +269,16 @@ def cmd_pretrain(args) -> int:
         args.config,
         {k: getattr(args, k) for k in PRETRAIN_DEFAULTS},
     )
-    weights = _parse_tasks(str(eff["tasks"]))
-    header, vocab, clips = _load_aligned_corpus(args.corpus, int(eff["max_frames"]))
+    weights = _parse_tasks(eff["tasks"])
+    header, vocab, clips = _load_aligned_corpus(args.corpus, eff["max_frames"])
     config = _model_config(eff, vocab.size, header.feature_dim)
-    hypers = PretrainHypers(
-        margin=float(eff["margin"]),
-        lambda_local=float(eff["lambda_local"]),
-        lambda_global=float(eff["lambda_global"]),
-        num_negatives=int(eff["num_negatives"]),
-    )
-    seed = int(eff["seed"])
+    hypers = _hypers(eff)
+    seed = eff["seed"]
     steps = _steps(eff)
-    batch_size = int(eff["batch_size"])
+    batch_size = eff["batch_size"]
 
     model = PretrainModel(config, seed=seed)
-    optimizer = T.AdamW(
-        model.params(), lr=float(eff["lr"]), weight_decay=float(eff["weight_decay"])
-    )
+    optimizer = T.AdamW(model.params(), lr=eff["lr"], weight_decay=eff["weight_decay"])
     start_step = 0
     if args.resume:
         arrays, meta = load_checkpoint(args.resume)
@@ -320,7 +308,7 @@ def cmd_pretrain(args) -> int:
         (b.step, b.kind, partial(pretrain_step, model, b, optimizer, hypers)) for b in batches
     )
     final = _train_loop(
-        out_dir, eff, model, optimizer, meta, work, steps, int(eff["checkpoint_every"])
+        out_dir, eff, model, optimizer, meta, work, steps, eff["checkpoint_every"]
     )
     print(f"pre-training finished at step {steps}; checkpoint: {final}")
     return EXIT_OK
@@ -345,7 +333,7 @@ def cmd_finetune(args) -> int:
         args.config,
         {k: getattr(args, k) for k in FINETUNE_DEFAULTS},
     )
-    seed = int(eff["seed"])
+    seed = eff["seed"]
     if args.init and args.from_scratch:
         raise UsageError("--init and --from-scratch are mutually exclusive")
 
@@ -373,17 +361,11 @@ def cmd_finetune(args) -> int:
                 + ", ".join(fresh),
                 file=sys.stderr,
             )
-    optimizer = T.AdamW(
-        model.params(), lr=float(eff["lr"]), weight_decay=float(eff["weight_decay"])
-    )
-    hypers = PretrainHypers(
-        margin=float(eff["margin"]),
-        lambda_local=float(eff["lambda_local"]),
-        lambda_global=float(eff["lambda_global"]),
-    )
+    optimizer = T.AdamW(model.params(), lr=eff["lr"], weight_decay=eff["weight_decay"])
+    hypers = _hypers(eff)
     steps = _steps(eff)
-    batch_size = int(eff["batch_size"])
-    qa_lambda = float(eff["qa_lambda"])
+    batch_size = eff["batch_size"]
+    qa_lambda = eff["qa_lambda"]
 
     clip_ids = sorted(grouped)
     if args.task == "retrieval" and len(clip_ids) < 2:
@@ -494,20 +476,20 @@ def cmd_eval(args) -> int:
     eff = _effective_options(EVAL_DEFAULTS, None, {
         "tiou": args.tiou, "nms": args.nms, "k": args.k, "spans_per_clip": args.spans_per_clip,
     })
-    tiou_threshold = float(eff["tiou"])
+    tiou_threshold = eff["tiou"]
     if not 0.0 <= tiou_threshold <= 1.0:  # also false for NaN
         raise UsageError(f"--tiou must be a finite number in [0, 1], got {tiou_threshold}")
-    nms_setting = str(eff["nms"])
+    nms_setting = eff["nms"]
     try:
         nms_threshold = None if nms_setting == "off" else float(nms_setting)
     except ValueError:
         nms_threshold = math.nan  # rejected just below, with the range message
     if nms_threshold is not None and not 0.0 <= nms_threshold <= 1.0:
         raise UsageError(f"--nms must be a tIoU threshold in [0, 1] or `off`, got {nms_setting!r}")
-    if int(eff["spans_per_clip"]) < 1:
+    if eff["spans_per_clip"] < 1:
         raise UsageError(f"--spans-per-clip must be at least 1, got {eff['spans_per_clip']}")
     try:
-        k_values = [int(x) for x in str(eff["k"]).split(",") if x.strip()]
+        k_values = [int(x) for x in eff["k"].split(",") if x.strip()]
     except ValueError:
         raise UsageError(f"--k must be comma-separated integers, got {eff['k']!r}") from None
     if any(k < 1 for k in k_values):
@@ -537,7 +519,7 @@ def cmd_eval(args) -> int:
         predictions, ground_truth = [], []
         for ex in examples:
             ranked = rank_moments(
-                model, encoded, tokenize(ex.query, vocab), spans_per_clip=int(eff["spans_per_clip"])
+                model, encoded, tokenize(ex.query, vocab), spans_per_clip=eff["spans_per_clip"]
             )
             if nms_threshold is not None:
                 ranked = temporal_nms(ranked, nms_threshold)
@@ -591,7 +573,7 @@ def cmd_inspect_attention(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    for key, layers in encoded.attention.items():
+    for key, layers in encoded.attention[0].items():
         stage = key[0]
         tag = f"cross_sentence{key[1]}" if stage == "cross" else "temporal"
         for layer_idx, heads in enumerate(layers):

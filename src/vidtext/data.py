@@ -13,11 +13,11 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, read_input
 
 SPECIAL_TOKENS = ("[PAD]", "[MASK]", "[CLS]", "[SEP]", "[UNK]")
 PAD_ID, MASK_ID, CLS_ID, SEP_ID, UNK_ID = range(5)
@@ -71,7 +71,7 @@ class Vocab:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocab":
-        lines = Path(path).read_text().splitlines()
+        lines = read_input(path, "vocab file", lambda _, text: text.splitlines())
         if tuple(lines[: len(SPECIAL_TOKENS)]) != SPECIAL_TOKENS:
             raise DataError(f"vocab file {path} does not start with the special tokens")
         return cls(lines[len(SPECIAL_TOKENS):])
@@ -88,10 +88,6 @@ class Vocab:
 def tokenize(text: str, vocab: Vocab) -> list[int]:
     """Lowercase, split on whitespace/punctuation, map through the vocab."""
     return [vocab.id_of(w) for w in _WORD_RE.findall(text.lower())]
-
-
-def detokenize(ids: Iterable[int], vocab: Vocab) -> str:
-    return " ".join(vocab.token_of(i) for i in ids)
 
 
 # -- clip structures --------------------------------------------------------
@@ -257,10 +253,11 @@ def write_corpus(path: str | Path, header: CorpusHeader, clips: Sequence[RawClip
 
 
 def read_corpus(path: str | Path) -> tuple[CorpusHeader, list[RawClip]]:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"corpus file not found: {path}")
-    lines = path.read_text().splitlines()
+    return read_input(path, "corpus file", _parse_corpus)
+
+
+def _parse_corpus(path: Path, text: str) -> tuple[CorpusHeader, list[RawClip]]:
+    lines = text.splitlines()
     if not lines:
         raise DataError(f"corpus file {path} is empty")
     try:

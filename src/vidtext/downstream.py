@@ -1,5 +1,5 @@
 """Task adaptation: moment retrieval finetuning, multiple-choice QA,
-video-language inference, captioning, and the single-channel wrapper.
+video-language inference and captioning.
 
 Task files are newline-delimited JSON mirroring the corpus format: each
 record names a ``clip_id`` plus task fields (``query``+``span`` for
@@ -20,8 +20,9 @@ from typing import Sequence
 import numpy as np
 
 from . import tensor as T
-from .data import CLS_ID, SEP_ID, AlignedClip, Sentence, Vocab, tokenize
+from .data import CLS_ID, SEP_ID, AlignedClip, Vocab, tokenize
 from .encoder import (
+    EncodedBatch,
     HierarchicalEncoder,
     LayerNorm,
     Linear,
@@ -29,7 +30,7 @@ from .encoder import (
     Module,
     MultiHeadAttention,
 )
-from .errors import ConfigError, DataError, UsageError
+from .errors import ConfigError, DataError, UsageError, read_input
 from .metrics import Ranking
 from .pretrain import PretrainHypers, PretrainModel, VsmScores, VsmTarget, attention_pool, span_nll
 
@@ -95,11 +96,12 @@ def read_task_file(path: str | Path, task: str):
     """Parse one task's examples, naming the offending record on mismatch."""
     if task not in _TASK_FIELDS:
         raise ConfigError(f"unknown task {task!r}")
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"task file not found: {path}")
+    return read_input(path, "task file", functools.partial(_parse_task_file, task))
+
+
+def _parse_task_file(task: str, path: Path, text: str) -> list:
     out = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
@@ -152,22 +154,6 @@ def write_task_file(path: str | Path, task: str, examples) -> None:
 
 
 # -- shared plumbing -------------------------------------------------------------
-
-
-def single_channel_wrap(
-    frame_features: np.ndarray, frame_times: Sequence[tuple[float, float]], clip_id: str = "clip"
-) -> AlignedClip:
-    """Wrap a subtitle-less video: one empty-string subtitle ([CLS][SEP]
-    only) paired with the whole frame sequence."""
-    n = frame_features.shape[0]
-    sent = Sentence(
-        text="",
-        token_ids=[CLS_ID, SEP_ID],
-        t0=frame_times[0][0],
-        t1=frame_times[-1][1],
-        frame_indices=list(range(n)),
-    )
-    return AlignedClip(clip_id, [sent], np.asarray(frame_features, dtype=np.float64), list(frame_times))
 
 
 def seconds_to_frame_span(clip: AlignedClip, t0: float, t1: float) -> tuple[int, int]:
@@ -318,11 +304,11 @@ def best_spans(
     return clip, st[pair], ed[pair], -neg[keep]
 
 
-def _score_clips(model: PretrainModel, encoded_clips: Sequence, query_token_ids) -> VsmScores:
+def _score_clips(model: PretrainModel, encoded: Sequence[EncodedBatch], query_token_ids) -> VsmScores:
     """One query against every clip: one ``encode_query`` and one scorer call."""
     with T.no_grad():
-        v_temp = T.Tensor(np.concatenate([enc.v_temp.data for enc in encoded_clips]))
-        bounds = np.cumsum([0] + [enc.v_temp.shape[0] for enc in encoded_clips])
+        v_temp = T.Tensor(np.concatenate([enc.v_temp.data for enc in encoded]))
+        bounds = np.cumsum([0] + [clip.n_frames for enc in encoded for clip in enc.clips])
         return model.vsm_scores_for_query(v_temp, bounds, model.encode_query([query_token_ids]))
 
 
@@ -333,48 +319,31 @@ def _shared_ids(clip_ids: tuple[str, ...]) -> tuple[str, ...]:
     return clip_ids
 
 
-def _ranked(encoded_clips: Sequence, clip, start, end, score) -> Ranking:
-    """Rows sorted by descending score; ties keep their given order."""
-    order = np.argsort(-score, kind="stable")
-    clip_ids = _shared_ids(tuple(enc.clip.clip_id for enc in encoded_clips))
-    return Ranking(clip_ids, clip[order], start[order], end[order], score[order])
-
-
 def rank_moments(
     model: PretrainModel,
-    encoded_clips: Sequence,
+    encoded: Sequence[EncodedBatch],
     query_token_ids: Sequence[int],
     spans_per_clip: int = 5,
 ) -> Ranking:
-    """Score a query against every clip and rank candidate moments.
+    """Score a query against every clip of ``encoded`` (batches encoded with
+    no frame orders) and rank candidate moments by descending score; ties
+    keep ``best_spans``' order.
 
     A moment's score blends the clip-level cosine (shifted to [0, 1]) with
     the span probability, so both levels must agree for a high rank.
     """
-    scores = _score_clips(model, encoded_clips, query_token_ids)
+    clips = [clip for enc in encoded for clip in enc.clips]
+    scores = _score_clips(model, encoded, query_token_ids)
     s_global, p_st, p_ed = (x.data[:, 0] for x in (scores.s_global, scores.p_st, scores.p_ed))
-    lengths = [enc.clip.n_frames for enc in encoded_clips]
-    clip, st, ed, p = best_spans(p_st, p_ed, lengths, spans_per_clip)
-    times = [enc.clip.frame_times for enc in encoded_clips]
-    clips = clip.tolist()
-    start = np.array([times[c][i][0] for c, i in zip(clips, st.tolist())], dtype=np.float64)
-    end = np.array([times[c][i][1] for c, i in zip(clips, ed.tolist())], dtype=np.float64)
+    clip, st, ed, p = best_spans(p_st, p_ed, [c.n_frames for c in clips], spans_per_clip)
+    times = [c.frame_times for c in clips]
+    index = clip.tolist()
+    start = np.array([times[c][i][0] for c, i in zip(index, st.tolist())], dtype=np.float64)
+    end = np.array([times[c][i][1] for c, i in zip(index, ed.tolist())], dtype=np.float64)
     score = ((1.0 + s_global) / 2.0)[clip] * p
-    return _ranked(encoded_clips, clip, start, end, score)
-
-
-def rank_clips(
-    model: PretrainModel, encoded_clips: Sequence, query_token_ids: Sequence[int]
-) -> Ranking:
-    """Clip-level ranking only (single-channel video retrieval)."""
-    s_global = _score_clips(model, encoded_clips, query_token_ids).s_global.data[:, 0]
-    return _ranked(
-        encoded_clips,
-        np.arange(len(encoded_clips)),
-        np.array([enc.clip.frame_times[0][0] for enc in encoded_clips], dtype=np.float64),
-        np.array([enc.clip.frame_times[-1][1] for enc in encoded_clips], dtype=np.float64),
-        s_global,
-    )
+    order = np.argsort(-score, kind="stable")
+    clip_ids = _shared_ids(tuple(c.clip_id for c in clips))
+    return Ranking(clip_ids, clip[order], start[order], end[order], score[order])
 
 
 # -- video question answering -------------------------------------------------------

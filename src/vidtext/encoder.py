@@ -6,7 +6,7 @@ the whole clip with a positional residual.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from typing import Sequence
 
 import numpy as np
@@ -199,24 +199,6 @@ class TransformerStack(Module):
 
 
 @dataclass
-class EncodedClip:
-    """Per-clip encoder outputs, with frame rows in timestamp order (but
-    see ``EncodedBatch`` for ``v_temp``)."""
-
-    clip: AlignedClip
-    w_cross: list[T.Tensor]  # per sentence, (L_i, d)
-    v_emb: T.Tensor  # (N_v, d) video-embedder output
-    v_cross: T.Tensor  # (N_v, d) fused frame rows
-    v_temp: T.Tensor  # (N_v, d) temporally contextualized rows
-    attention: dict = field(default_factory=dict)
-
-
-def _rows(t: T.Tensor, lo: int, hi: int) -> T.Tensor:
-    """Rows ``lo:hi`` of ``t``, or ``t`` itself when they are all of it."""
-    return t if lo == 0 and hi == t.shape[0] else T.slice_rows(t, lo, hi)
-
-
-@dataclass
 class EncodedBatch:
     """Encoder outputs of a batch of clips as packed rows.
 
@@ -224,8 +206,7 @@ class EncodedBatch:
     ``v_cross`` and ``v_temp``; sentence j of clip b owns rows
     ``token_bounds[b][j]:token_bounds[b][j + 1]`` of ``w_cross``.  Frame rows
     are in timestamp order, except that ``v_temp`` follows the frame orders
-    ``encode_clips`` was given.  ``batch[b]`` is clip b's EncodedClip, whose
-    tensors are row slices of the packed ones.
+    ``encode_clips`` was given.
     """
 
     clips: list[AlignedClip]
@@ -239,24 +220,6 @@ class EncodedBatch:
 
     def __len__(self) -> int:
         return len(self.clips)
-
-    def __getitem__(self, b: int) -> EncodedClip:
-        lo, hi = self.frame_bounds[b], self.frame_bounds[b + 1]
-        starts = self.token_bounds[b]
-        return EncodedClip(
-            clip=self.clips[b],
-            w_cross=[
-                _rows(self.w_cross, s, e) if e > s else None
-                for s, e in zip(starts[:-1], starts[1:])
-            ],
-            v_emb=_rows(self.v_emb, lo, hi),
-            v_cross=_rows(self.v_cross, lo, hi),
-            v_temp=_rows(self.v_temp, lo, hi),
-            attention=self.attention[b],
-        )
-
-    def __iter__(self):
-        return (self[b] for b in range(len(self)))
 
     def frame_rows(self, positions: Sequence[Sequence[int]]) -> np.ndarray:
         """Packed row indices of each clip's frame ``positions``, clip by clip."""
@@ -532,7 +495,7 @@ class HierarchicalEncoder(Module):
         frame_features_override: np.ndarray | None = None,
         train_rng: np.random.Generator | None = None,
         capture_attention: bool = False,
-    ) -> EncodedClip:
+    ) -> EncodedBatch:
         """``encode_clips`` of a batch of one."""
         return self.encode_clips(
             [clip],
@@ -540,4 +503,4 @@ class HierarchicalEncoder(Module):
             [frame_features_override],
             train_rng=train_rng,
             capture_attention=capture_attention,
-        )[0]
+        )

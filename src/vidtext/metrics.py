@@ -77,25 +77,18 @@ def tiou(a: tuple[float, float], b: tuple[float, float]) -> float:
     return inter / union
 
 
-def temporal_nms(moments: Sequence[Moment], threshold: float) -> Sequence[Moment]:
-    """Greedy suppression of a score-descending moment list.
+def temporal_nms(moments: Ranking, threshold: float) -> Ranking:
+    """Greedy suppression of a score-descending ranking.
 
     A candidate is dropped when its tIoU with an already-kept moment of the
-    same clip exceeds the threshold.  Output preserves relative order: a
-    ``Ranking`` for a ``Ranking``, else a list.
+    same clip exceeds the threshold.  Output preserves relative order.
     """
-    if isinstance(moments, Ranking):
-        unsorted = (moments.score[:-1] < moments.score[1:]).any()
-        ids = moments.clip_ids
-        candidates = zip(
-            (ids[c] for c in moments.clip.tolist()), zip(moments.start.tolist(), moments.end.tolist())
-        )
-    else:
-        scores = [m.score for m in moments]
-        unsorted = any(a < b for a, b in zip(scores, scores[1:]))
-        candidates = ((m.clip_id, m.span) for m in moments)
-    if unsorted:
+    if (moments.score[:-1] < moments.score[1:]).any():
         raise UsageError("temporal_nms expects the list sorted by score, descending")
+    ids = moments.clip_ids
+    candidates = zip(
+        (ids[c] for c in moments.clip.tolist()), zip(moments.start.tolist(), moments.end.tolist())
+    )
     kept_spans: dict[str, list[tuple[float, float]]] = {}  # suppression is within a clip
     kept = []
     for i, (clip_id, span) in enumerate(candidates):
@@ -103,9 +96,7 @@ def temporal_nms(moments: Sequence[Moment], threshold: float) -> Sequence[Moment
         if all(tiou(k, span) <= threshold for k in spans):
             spans.append(span)
             kept.append(i)
-    if isinstance(moments, Ranking):
-        return moments[np.array(kept, dtype=np.intp)]
-    return [moments[i] for i in kept]
+    return moments[np.array(kept, dtype=np.intp)]
 
 
 def recall_at_k(

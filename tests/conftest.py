@@ -1,17 +1,23 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from vidtext import tensor as T
-from vidtext.data import AlignedClip, Sentence, Vocab, detokenize
+from vidtext.data import AlignedClip, Sentence, Vocab
 from vidtext.encoder import HierarchicalEncoder, ModelConfig
-from vidtext.metrics import Moment, tiou
+from vidtext.metrics import Moment, Ranking, temporal_nms, tiou
 from vidtext.pretrain import _mean_terms, hinge_loss, span_nll
 
 
 # property tests draw the same examples on every run and keep no example database
 settings.register_profile("vidtext", derandomize=True, database=None, deadline=None)
 settings.load_profile("vidtext")
+
+
+def detokenize(ids, vocab):
+    return " ".join(vocab.token_of(i) for i in ids)
 
 
 @pytest.fixture
@@ -82,6 +88,32 @@ def slice_cols(a, lo, hi):
     """Columns ``lo:hi`` of a 2-D tensor, for the per-head and per-position
     test references."""
     return T.transpose(T.slice_rows(T.transpose(a), lo, hi))
+
+
+def _rows(t, lo, hi):
+    return t if lo == 0 and hi == t.shape[0] else T.slice_rows(t, lo, hi)
+
+
+def clip_views(batch):
+    """Each clip of an ``EncodedBatch`` on its own: row slices of the packed
+    ``v_emb``, ``v_cross`` and ``v_temp`` (the tensors themselves when the
+    batch is that clip alone), ``w_cross`` per sentence (None for a sentence
+    of no token), and the clip's attention grids."""
+    views = []
+    for b, (lo, hi) in enumerate(zip(batch.frame_bounds[:-1], batch.frame_bounds[1:])):
+        starts = batch.token_bounds[b]
+        views.append(SimpleNamespace(
+            clip=batch.clips[b],
+            w_cross=[
+                _rows(batch.w_cross, s, e) if e > s else None
+                for s, e in zip(starts[:-1], starts[1:])
+            ],
+            v_emb=_rows(batch.v_emb, lo, hi),
+            v_cross=_rows(batch.v_cross, lo, hi),
+            v_temp=_rows(batch.v_temp, lo, hi),
+            attention=batch.attention[b],
+        ))
+    return views
 
 
 def ref_backward(loss):
@@ -200,16 +232,32 @@ def ref_temporal_nms(moments, threshold):
     return kept
 
 
+def nms_moments(moments, threshold):
+    """``metrics.temporal_nms`` of a list of Moments: the kept Moments
+    themselves, in order.  Each moment gets its own clip index into a tuple
+    of the moments' clip ids, so suppression still goes by clip id and the
+    kept indices lead back to the input objects."""
+    ranked = Ranking(
+        tuple(m.clip_id for m in moments),
+        np.arange(len(moments)),
+        [m.span[0] for m in moments],
+        [m.span[1] for m in moments],
+        [m.score for m in moments],
+    )
+    return [moments[i] for i in temporal_nms(ranked, threshold).clip.tolist()]
+
+
 def ref_rank_moments(model, encoded_clips, query_token_ids, spans_per_clip=5):
     """Per-clip ranking: one score call per clip."""
     with T.no_grad():
         q = ref_encode_query(model, query_token_ids)
         out = []
         for enc in encoded_clips:
+            clip = enc.clips[0]
             s_global, log_p_st, log_p_ed = ref_vsm_scores(model, enc.v_temp, q)
             clip_score = (1.0 + s_global.item()) / 2.0
             p_st, p_ed = np.exp(log_p_st.data), np.exp(log_p_ed.data)
             for st, ed, p in loop_best_spans(p_st, p_ed, spans_per_clip):
-                out.append(Moment(enc.clip.clip_id, enc.clip.frame_seconds((st, ed)), clip_score * p))
+                out.append(Moment(clip.clip_id, clip.frame_seconds((st, ed)), clip_score * p))
         out.sort(key=lambda m: -m.score)
         return out

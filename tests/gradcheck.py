@@ -10,7 +10,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import tensor as T
+from vidtext import tensor as T
 
 
 def numeric_grad(

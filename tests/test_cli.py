@@ -2,12 +2,19 @@
 
 import hashlib
 import json
+import os
+import shutil
+import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+import vidtext
 from vidtext.checkpoint import load_checkpoint, save_checkpoint
 from vidtext.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from vidtext.cli import EVAL_DEFAULTS, FINETUNE_DEFAULTS, PRETRAIN_DEFAULTS, _effective_options
@@ -529,7 +536,9 @@ class TestMalformedOptionValues:
     """A malformed option value is a usage error (exit 1) naming the key,
     never a traceback."""
 
-    @pytest.mark.parametrize("text, key", [("lr = abc\n", "lr"), ("steps = [1]\n", "steps")])
+    @pytest.mark.parametrize("text, key", [
+        ("lr = abc\n", "lr"), ("steps = [1]\n", "steps"), ("lr = " + "9" * 400 + "\n", "lr"),
+    ])
     def test_config_value_of_the_wrong_type(self, corpus, tmp_path, capsys, text, key):
         cfg = tmp_path / "opts.cfg"
         cfg.write_text(text)
@@ -625,6 +634,77 @@ class TestMalformedOptionValues:
         assert "retrieval example references unknown clip 'nope'" in capsys.readouterr().err
 
 
+DEEP = "[" * 100_000  # nested past json's recursion limit
+
+
+def _edit_line(index, key=None, raw=DEEP):
+    """An edit of a JSON-lines file: line ``index`` becomes ``raw``, or with
+    a ``key`` only that field's value does."""
+    def edit(data: bytes) -> bytes:
+        lines = data.decode().splitlines()
+        if key is None:
+            lines[index] = raw
+        else:
+            record = json.loads(lines[index])
+            record[key] = "@@"
+            lines[index] = json.dumps(record).replace('"@@"', raw)
+        return ("\n".join(lines) + "\n").encode()
+    return edit
+
+
+def _not_utf8(data: bytes) -> bytes:
+    return data[:20] + b"\xff\xfe" + data[20:]
+
+
+def _deep_checkpoint_header(data: bytes) -> bytes:
+    return data[:8] + struct.pack("<Q", len(DEEP)) + DEEP.encode()
+
+
+class TestMalformedInputFiles:
+    """A malformed corpus, vocab, task file or checkpoint exits 2 with one
+    `error:` line that names the file, never a traceback."""
+
+    @pytest.mark.parametrize("target, edit, named", [
+        ("corpus", _edit_line(0), "corpus.jsonl"),
+        ("corpus", _edit_line(2), "corpus.jsonl"),
+        ("corpus", _edit_line(0, "feature_dim", "Infinity"), "corpus.jsonl"),
+        ("corpus", _edit_line(0, "feature_dim", "1e400"), "corpus.jsonl"),
+        ("corpus", _not_utf8, "corpus.jsonl"),
+        ("corpus", _edit_line(0, "vocab_path", '"missing.vocab.txt"'), "missing.vocab.txt"),
+        ("vocab", _not_utf8, "corpus.vocab.txt"),
+        ("retrieval", _edit_line(1), "retrieval.jsonl"),
+        ("retrieval", _not_utf8, "retrieval.jsonl"),
+        ("qa", _edit_line(0, "label", "Infinity"), "qa.jsonl"),
+        ("nli", _edit_line(0, "label", "1e400"), "nli.jsonl"),
+        ("checkpoint", _deep_checkpoint_header, "final.ckpt"),
+    ], ids=[
+        "corpus-deep-header", "corpus-deep-record", "corpus-infinite-feature-dim",
+        "corpus-1e400-feature-dim", "corpus-not-utf8", "corpus-missing-vocab", "vocab-not-utf8",
+        "task-deep-record", "task-not-utf8", "qa-infinite-label", "nli-1e400-label",
+        "checkpoint-deep-header",
+    ])
+    def test_exits_two_naming_the_file(
+        self, corpus, pretrained, tmp_path, capsys, target, edit, named
+    ):
+        for path in corpus.parent.iterdir():  # the corpus and its vocab file
+            shutil.copy(path, tmp_path / path.name)
+        corpus = tmp_path / corpus.name
+        checkpoint = tmp_path / pretrained.name
+        shutil.copy(pretrained, checkpoint)
+        tasks = write_toy_tasks(corpus, tmp_path)
+        files = {"corpus": corpus, "vocab": tmp_path / "corpus.vocab.txt", "checkpoint": checkpoint}
+        path = {**files, **tasks}[target]
+        path.write_bytes(edit(path.read_bytes()))
+        task = target if target in tasks else "retrieval"
+        rc = main([
+            "eval", "--task", task, "--data", str(tasks[task]),
+            "--corpus", str(corpus), "--checkpoint", str(checkpoint),
+        ])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == EXIT_DATA
+        assert len(err) == 1 and err[0].startswith("error: ") and named in err[0], err
+
+
 _TEXT = st.characters(blacklist_categories=("Cs",))
 _CONFIG_VALUES = st.one_of(
     st.text(_TEXT, max_size=12),
@@ -665,3 +745,99 @@ def test_any_config_text_gives_typed_options_or_a_documented_error(tmp_path_fact
     for key, default in PRETRAIN_DEFAULTS.items():
         expected = (int, float) if isinstance(default, float) else type(default)
         assert isinstance(eff[key], expected) and not isinstance(eff[key], bool), key
+
+
+# -- byte-level mutations of valid input files --
+
+
+def _mutate(data: bytes, kind: str, at: int, chunk: bytes, within: int | None = None) -> bytes:
+    """One mutation at ``at`` modulo the first ``within`` bytes (all by default)."""
+    at %= (len(data) if within is None else within) + 1
+    if kind == "truncate":
+        return data[:at]
+    if kind == "overwrite":
+        return data[:at] + chunk + data[at + len(chunk):]
+    return data[:at] + chunk + data[at:]
+
+
+_MUTATIONS = {
+    "kind": st.sampled_from(["truncate", "overwrite", "insert"]),
+    "at": st.integers(min_value=0),
+    "chunk": st.one_of(
+        st.binary(min_size=1, max_size=4),
+        st.sampled_from([b"[" * 5000, b"Infinity", b"1e400", b"NaN", b"\xff", b'"', b"null", b"-1"]),
+    ),
+}
+
+
+def _mutated_copy(tmp_path_factory, source: Path, kind, at, chunk, within=None) -> Path:
+    path = tmp_path_factory.getbasetemp() / "mutated" / source.name
+    path.parent.mkdir(exist_ok=True)
+    path.write_bytes(_mutate(source.read_bytes(), kind, at, chunk, within))
+    return path
+
+
+@given(**_MUTATIONS)
+def test_mutated_corpus_reads_or_is_a_data_error(corpus, tmp_path_factory, kind, at, chunk):
+    from vidtext.data import align, load_corpus_vocab, read_corpus
+
+    path = _mutated_copy(tmp_path_factory, corpus, kind, at, chunk)
+    shutil.copy(corpus.parent / "corpus.vocab.txt", path.parent / "corpus.vocab.txt")
+    try:
+        header, raws = read_corpus(path)
+        vocab = load_corpus_vocab(path, header)
+        [align(raw, vocab) for raw in raws]
+    except (ConfigError, DataError):
+        pass
+
+
+@given(task=st.sampled_from(["retrieval", "qa", "nli", "caption"]), **_MUTATIONS)
+def test_mutated_task_file_reads_or_is_a_data_error(
+    corpus, tmp_path_factory, task, kind, at, chunk
+):
+    from vidtext.downstream import read_task_file
+
+    root = tmp_path_factory.getbasetemp() / "valid-tasks"
+    root.mkdir(exist_ok=True)
+    source = write_toy_tasks(corpus, root)[task]
+    path = _mutated_copy(tmp_path_factory, source, kind, at, chunk)
+    try:
+        read_task_file(path, task)
+    except (ConfigError, DataError):
+        pass
+
+
+@given(**_MUTATIONS)
+@example(kind="insert", at=16, chunk=b"[" * 5000)  # a header nested past the recursion limit
+def test_mutated_checkpoint_loads_or_is_a_data_error(pretrained, tmp_path_factory, kind, at, chunk):
+    # mutations land in the preamble and JSON header; the float payload after
+    # them parses whatever its bytes are
+    (header_len,) = struct.unpack("<Q", pretrained.read_bytes()[8:16])
+    path = _mutated_copy(tmp_path_factory, pretrained, kind, at, chunk, within=16 + header_len)
+    try:
+        load_checkpoint(path)
+    except (ConfigError, DataError):
+        pass
+
+
+# -- BLAS threads --
+
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("user_value, want", [(None, "1"), ("3", "3")])
+def test_cli_runs_one_blas_thread_unless_the_user_set_one(user_value, want):
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(vidtext.__file__).parents[1])] + env.get("PYTHONPATH", "").split(os.pathsep)
+    )
+    if user_value is not None:
+        env.update({k: user_value for k in _BLAS_VARS})
+    code = (
+        "import os, sys, vidtext; assert 'numpy' not in sys.modules; import vidtext.cli; "
+        f"print(*(os.environ[k] for k in {_BLAS_VARS!r}))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
+    )
+    assert out.stdout.split() == [want] * 3

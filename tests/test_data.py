@@ -13,7 +13,6 @@ from vidtext.data import (
     Subtitle,
     Vocab,
     align,
-    detokenize,
     epoch_order,
     load_corpus_vocab,
     read_corpus,
@@ -22,6 +21,8 @@ from vidtext.data import (
     write_corpus,
 )
 from vidtext.errors import ConfigError, DataError
+
+from conftest import detokenize
 
 
 def clip_of(frames, subs, feat_dim=2, clip_id="c"):

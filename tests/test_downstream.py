@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from vidtext import tensor as T
-from vidtext.data import SEP_ID, detokenize, tokenize
+from vidtext.data import CLS_ID, SEP_ID, AlignedClip, Sentence, tokenize
 from vidtext.downstream import (
     CaptionExample,
     NliExample,
@@ -20,13 +20,11 @@ from vidtext.downstream import (
     finetune_model_for,
     load_params_into,
     qa_augmented_token_ids,
-    rank_clips,
     rank_moments,
     read_task_file,
     retrieval_finetune_step,
     retrieval_targets,
     seconds_to_frame_span,
-    single_channel_wrap,
     write_task_file,
     QA_LAMBDA_DEFAULT,
 )
@@ -36,6 +34,7 @@ from vidtext.metrics import Moment, Ranking, temporal_nms
 from vidtext.pretrain import PretrainHypers, PretrainModel
 
 from conftest import (
+    detokenize,
     loop_best_spans,
     make_clip,
     ref_encode_query,
@@ -43,6 +42,36 @@ from conftest import (
     ref_rank_moments,
     ref_temporal_nms,
 )
+
+
+def single_channel_wrap(
+    frame_features: np.ndarray, frame_times, clip_id: str = "clip"
+) -> AlignedClip:
+    """Wrap a subtitle-less video: one empty-string subtitle ([CLS][SEP]
+    only) paired with the whole frame sequence."""
+    n = frame_features.shape[0]
+    sent = Sentence(
+        text="",
+        token_ids=[CLS_ID, SEP_ID],
+        t0=frame_times[0][0],
+        t1=frame_times[-1][1],
+        frame_indices=list(range(n)),
+    )
+    return AlignedClip(clip_id, [sent], np.asarray(frame_features, dtype=np.float64), list(frame_times))
+
+
+def rank_clips(model, encoded, query_token_ids) -> Ranking:
+    """Clip-level ranking only (single-channel video retrieval)."""
+    clips = [clip for enc in encoded for clip in enc.clips]
+    s_global = _score_clips(model, encoded, query_token_ids).s_global.data[:, 0]
+    order = np.argsort(-s_global, kind="stable")
+    return Ranking(
+        tuple(c.clip_id for c in clips),
+        order,
+        np.array([clips[i].frame_times[0][0] for i in order], dtype=np.float64),
+        np.array([clips[i].frame_times[-1][1] for i in order], dtype=np.float64),
+        s_global[order],
+    )
 
 
 @pytest.fixture
@@ -489,9 +518,10 @@ class TestRankingMatchesPerClipReference:
         assert isinstance(ranked, Ranking) and len(ranked) == len(encoded)
         assert all(a.score >= b.score for a, b in zip(ranked, ranked[1:]))
         got = {m.clip_id: m for m in ranked}
-        np.testing.assert_allclose([got[e.clip.clip_id].score for e in encoded], want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose([got[e.clips[0].clip_id].score for e in encoded], want, rtol=0, atol=1e-12)
         for e in encoded:
-            assert got[e.clip.clip_id].span == (e.clip.frame_times[0][0], e.clip.frame_times[-1][1])
+            clip = e.clips[0]
+            assert got[clip.clip_id].span == (clip.frame_times[0][0], clip.frame_times[-1][1])
 
 
 def loop_rank_moments(model, encoded_clips, query_token_ids, spans_per_clip):
@@ -501,9 +531,10 @@ def loop_rank_moments(model, encoded_clips, query_token_ids, spans_per_clip):
     s_global, p_st, p_ed = (x.data[:, 0] for x in (scores.s_global, scores.p_st, scores.p_ed))
     out = []
     for enc, s, st_row, ed_row in zip(encoded_clips, s_global, p_st, p_ed):
-        clip_score, n = (1.0 + float(s)) / 2.0, enc.clip.n_frames
+        clip = enc.clips[0]
+        clip_score, n = (1.0 + float(s)) / 2.0, clip.n_frames
         for st, ed, p in loop_best_spans(st_row[:n], ed_row[:n], spans_per_clip):
-            out.append(Moment(enc.clip.clip_id, enc.clip.frame_seconds((st, ed)), clip_score * p))
+            out.append(Moment(clip.clip_id, clip.frame_seconds((st, ed)), clip_score * p))
     return sorted(out, key=lambda m: -m.score)
 
 

@@ -7,9 +7,8 @@ from vidtext import tensor as T
 from vidtext.data import AlignedClip, Sentence
 from vidtext.encoder import HierarchicalEncoder, ModelConfig, TransformerBlock
 from vidtext.errors import ConfigError, ShapeError, UsageError
-from vidtext.gradcheck import check_gradients
-
-from conftest import make_clip, slice_cols
+from conftest import clip_views, make_clip, slice_cols
+from gradcheck import check_gradients
 
 
 class TestModelConfig:
@@ -143,7 +142,7 @@ class TestTemporalForward:
 
 class TestEncodeClip:
     def test_reassembly_row_counts(self, tiny_encoder, toy_clip):
-        enc = tiny_encoder.encode_clip(toy_clip)
+        enc = clip_views(tiny_encoder.encode_clip(toy_clip))[0]
         assert enc.v_cross.shape == (7, 16)
         assert enc.v_temp.shape == (7, 16)
         assert [w.shape[0] for w in enc.w_cross] == [4, 5]
@@ -215,7 +214,7 @@ class TestEncodeClip:
             tiny_encoder.encode_clip(clip)
 
     def test_attention_grids_are_square_and_stochastic(self, tiny_encoder, toy_clip):
-        enc = tiny_encoder.encode_clip(toy_clip, capture_attention=True)
+        enc = clip_views(tiny_encoder.encode_clip(toy_clip, capture_attention=True))[0]
         for j, sent in enumerate(toy_clip.sentences):
             size = len(sent.frame_indices) + len(sent.token_ids)
             for layer in enc.attention[("cross", j)]:
@@ -348,7 +347,7 @@ class TestPaddedFusionMatchesPerSentence:
         def run(fast):
             T.zero_grads(params.values())
             if fast:
-                e = enc.encode_clip(clip, capture_attention=True)
+                e = clip_views(enc.encode_clip(clip, capture_attention=True))[0]
                 outs = [e.v_emb, e.v_cross, e.w_cross, e.v_temp, e.attention]
                 _, q_cross = enc.cross_modal_forward(None, enc.embed_text(query))
             else:
@@ -446,8 +445,8 @@ class TestEncodeClipsPacksTheBatch:
     def test_encode_clip_is_the_batch_of_one(self, setup):
         enc, clips = setup
         for clip in clips:
-            one = self._arrays(enc.encode_clip(clip, capture_attention=True))
-            batch = self._arrays(enc.encode_clips([clip], capture_attention=True)[0])
+            one = self._arrays(clip_views(enc.encode_clip(clip, capture_attention=True))[0])
+            batch = self._arrays(clip_views(enc.encode_clips([clip], capture_attention=True))[0])
             assert one[1:] == batch[1:]
             assert len(one[0]) == len(batch[0])
             for x, y in zip(one[0], batch[0]):
@@ -457,8 +456,8 @@ class TestEncodeClipsPacksTheBatch:
         enc, clips = setup
         packed = enc.encode_clips(clips, capture_attention=True)
         assert len(packed) == len(clips)
-        for clip, e in zip(clips, packed):
-            alone = self._arrays(enc.encode_clip(clip, capture_attention=True))
+        for clip, e in zip(clips, clip_views(packed)):
+            alone = self._arrays(clip_views(enc.encode_clip(clip, capture_attention=True))[0])
             mine = self._arrays(e)
             assert mine[1:] == alone[1:]
             for x, y in zip(mine[0], alone[0]):
@@ -469,7 +468,7 @@ class TestEncodeClipsPacksTheBatch:
         enc, clips = setup
         orders = [np.random.default_rng(i).permutation(c.n_frames) for i, c in enumerate(clips)]
         packed = enc.encode_clips(clips, frame_orders=orders)
-        for e, order in zip(packed, orders):
+        for e, order in zip(clip_views(packed), orders):
             alone = enc.temporal_forward(T.take_rows(e.v_emb, order), T.take_rows(e.v_cross, order))
             np.testing.assert_allclose(e.v_temp.data, alone.data, rtol=0, atol=1e-12)
 

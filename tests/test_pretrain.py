@@ -11,7 +11,7 @@ from vidtext.data import MASK_ID, Vocab
 from vidtext.encoder import HierarchicalEncoder, ModelConfig
 from vidtext.errors import ConfigError, UsageError
 
-from conftest import make_clip, ref_encode_query, ref_vsm_loss, slice_cols
+from conftest import clip_views, make_clip, ref_encode_query, ref_vsm_loss, slice_cols
 
 UNIFORM = {"mlm": 1.0, "mffr": 1.0, "mnce": 1.0, "vsm": 1.0, "fom": 1.0}
 
@@ -139,7 +139,7 @@ class TestMlmLoss:
 
         # perturbing fused rows at unmasked positions must not move the loss
         encoded2 = model.encode_mlm([toy_clip], [masked])
-        for j, w in enumerate(encoded2[0].w_cross):
+        for j, w in enumerate(clip_views(encoded2)[0].w_cross):
             keep = {1} if j == 0 else set()
             for row in range(w.shape[0]):
                 if row not in keep:
@@ -333,7 +333,7 @@ class TestHeadsMatchPerPositionReference:
             positive_targets=targets,
         ))
         ref = _loss_and_grads(model, lambda: _ref_mnce_loss(
-            model, model.encode_mfm([clip], [plan])[0], plan, rngs[1], k, targets
+            model, clip_views(model.encode_mfm([clip], [plan]))[0], plan, rngs[1], k, targets
         ))
         _assert_same(batched, ref)
         assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
@@ -381,7 +381,7 @@ def _ref_task_loss(model, batch, hypers, neg_rng):
     enc, terms = model.encoder, []
     if batch.kind == "mlm":
         for clip, masked, plans in zip(batch.clips, batch.masked_token_ids, batch.token_plans):
-            e = enc.encode_clip(clip, token_ids_override=masked)
+            e = clip_views(enc.encode_clip(clip, token_ids_override=masked))[0]
             rows = [T.take_rows(w, p.positions) for w, p in zip(e.w_cross, plans) if p is not None]
             labels = [i for p in plans if p is not None for i in p.originals]
             terms.append(T.cross_entropy(model.lm_head(T.concat_rows(rows)), labels))
@@ -389,7 +389,7 @@ def _ref_task_loss(model, batch, hypers, neg_rng):
         for clip, plan in zip(batch.clips, batch.frame_plans):
             feats = clip.frame_features.copy()
             feats[plan.positions] = 0.0
-            e = enc.encode_clip(clip, frame_features_override=feats)
+            e = clip_views(enc.encode_clip(clip, frame_features_override=feats))[0]
             if batch.kind == "mffr":
                 pred = model.mffr_head(T.take_rows(e.v_temp, plan.positions))
                 terms.append(P.l2_regression_loss(pred, clip.frame_features[plan.positions]))

@@ -8,9 +8,9 @@ import pytest
 from vidtext import tensor as T
 from vidtext.tensor import ATTENTION_MASK_BIAS
 from vidtext.errors import ConfigError, DataError, ShapeError, UsageError
-from vidtext.gradcheck import check_gradients, max_rel_err, numeric_grad
 
 from conftest import loop_conv1d
+from gradcheck import check_gradients, max_rel_err, numeric_grad
 
 FD_TOL = 1e-4
 
