@@ -187,11 +187,16 @@ def _hypers(eff: dict) -> PretrainHypers:
     return PretrainHypers(**{k: eff[k] for k in _LOSS_WEIGHTS if k in eff})
 
 
-def _steps(eff: dict) -> int:
-    steps = eff["steps"]
-    if steps < 0:
-        raise ConfigError(f"steps must be nonnegative, got {steps}")
-    return steps
+# the least value of each count among the options
+_LEAST = {"seed": 0, "steps": 0, "checkpoint_every": 0, "batch_size": 1}
+
+
+def _check_counts(eff: dict) -> None:
+    """A count option below its least value is a ConfigError (exit 1)."""
+    for key, least in _LEAST.items():
+        if key in eff and eff[key] < least:
+            bound = "nonnegative" if least == 0 else f"at least {least}"
+            raise ConfigError(f"{key} must be {bound}, got {eff[key]}")
 
 
 def _echo_config(log_fh, eff: dict) -> None:
@@ -240,9 +245,6 @@ def _train_loop(
 
 
 def cmd_gen_data(args) -> int:
-    if args.fps is not None and args.fps <= 0:
-        raise UsageError(f"--fps must be positive, got {args.fps}")
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     path, vocab = synth_corpus(
         args.out,
         num_clips=args.clips,
@@ -269,12 +271,13 @@ def cmd_pretrain(args) -> int:
         args.config,
         {k: getattr(args, k) for k in PRETRAIN_DEFAULTS},
     )
+    _check_counts(eff)
     weights = _parse_tasks(eff["tasks"])
     header, vocab, clips = _load_aligned_corpus(args.corpus, eff["max_frames"])
     config = _model_config(eff, vocab.size, header.feature_dim)
     hypers = _hypers(eff)
     seed = eff["seed"]
-    steps = _steps(eff)
+    steps = eff["steps"]
     batch_size = eff["batch_size"]
 
     model = PretrainModel(config, seed=seed)
@@ -282,8 +285,8 @@ def cmd_pretrain(args) -> int:
     start_step = 0
     if args.resume:
         arrays, meta = load_checkpoint(args.resume)
-        start_step = int(_meta_fields(meta, args.resume, "step")[0])
-        _check_resume_meta(meta, args.resume, seed, sorted(weights), batch_size, config)
+        (start_step,) = _meta_fields(meta, args.resume, "step")
+        _check_resume_meta(meta, args.resume, arrays, seed, sorted(weights), batch_size, config)
         _load_model_arrays(model, arrays, args.resume)
         if start_step > steps:
             raise ConfigError(
@@ -333,13 +336,14 @@ def cmd_finetune(args) -> int:
         args.config,
         {k: getattr(args, k) for k in FINETUNE_DEFAULTS},
     )
+    _check_counts(eff)
     seed = eff["seed"]
     if args.init and args.from_scratch:
         raise UsageError("--init and --from-scratch are mutually exclusive")
 
     if args.init:
         arrays, meta = load_checkpoint(args.init)
-        config = _meta_config(meta, args.init)
+        config = _meta_config(meta, args.init, arrays)
     else:
         arrays, meta = None, None
         config = None
@@ -363,7 +367,7 @@ def cmd_finetune(args) -> int:
             )
     optimizer = T.AdamW(model.params(), lr=eff["lr"], weight_decay=eff["weight_decay"])
     hypers = _hypers(eff)
-    steps = _steps(eff)
+    steps = eff["steps"]
     batch_size = eff["batch_size"]
     qa_lambda = eff["qa_lambda"]
 
@@ -405,21 +409,59 @@ def cmd_finetune(args) -> int:
     return EXIT_OK
 
 
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0
+
+
+_MODEL_KINDS = ("pretrain", "retrieval", "qa", "nli", "caption")
+
+# what a checkpoint meta value must be, and the test of it
+_META_VALUES = {
+    "seed": ("an integer >= 0", _is_count),
+    "step": ("an integer >= 0", _is_count),
+    "model_kind": (f"one of {_MODEL_KINDS}", lambda v: v in _MODEL_KINDS),
+    "vocab_tokens": (
+        "a list of strings", lambda v: isinstance(v, list) and all(isinstance(t, str) for t in v)
+    ),
+}
+
+
 def _meta_fields(meta: dict, path, *keys) -> list:
-    """The values of the named checkpoint meta keys; a missing key is a
-    DataError (exit 2) that names it."""
+    """The values of the named checkpoint meta keys; a missing key, or a
+    value that is not what ``_META_VALUES`` asks of it, is a DataError
+    (exit 2) that names the key."""
     for key in keys:
         if key not in meta:
             raise DataError(f"checkpoint {path} has no {key!r} in its meta")
+        what, ok = _META_VALUES.get(key, (None, lambda _: True))
+        if not ok(meta[key]):
+            raise DataError(f"checkpoint {path} meta {key!r} is not {what}")
     return [meta[key] for key in keys]
 
 
-def _meta_config(meta: dict, path) -> ModelConfig:
+def _meta_config(meta: dict, path, arrays: dict) -> ModelConfig:
+    """The model config in a checkpoint's meta.  A malformed one, or one
+    whose sizes disagree with the arrays that fix them, is a DataError
+    (exit 2), raised before a model of that size is built.  A missing array
+    is left to ``_load_model_arrays``, which names the model's first one."""
     (raw,) = _meta_fields(meta, path, "config")
     try:
-        return ModelConfig.from_dict(raw)
-    except TypeError as exc:
+        c = ModelConfig.from_dict(raw)
+    except (TypeError, ConfigError) as exc:
         raise DataError(f"checkpoint {path} has a malformed config: {exc}") from exc
+    sizes = {
+        "encoder.token_emb.table": (c.vocab_size, c.d),
+        "encoder.text_pos.table": (c.max_tokens, c.d),
+        "encoder.frame_fc.w": (c.frame_feature_dim, c.d),
+        "encoder.frame_pos.table": (c.max_frames, c.d),
+        "encoder.cross.0.ffn1.w": (c.d, c.d * c.ffn_multiplier),
+        f"encoder.cross.{c.cross_layers - 1}.ln1.gain": (c.d,),
+        f"encoder.temporal.{c.temporal_layers - 1}.ln1.gain": (c.d,),
+    }
+    for name, shape in sizes.items():
+        if name in arrays and arrays[name].shape != shape:
+            raise DataError(f"checkpoint {path} config does not fit its array {name!r}")
+    return c
 
 
 def _load_model_arrays(model, arrays: dict, path, required_prefix: str = "") -> list[str]:
@@ -439,13 +481,13 @@ def _load_model_arrays(model, arrays: dict, path, required_prefix: str = "") -> 
 
 
 def _check_resume_meta(
-    meta: dict, path, seed: int, tasks: list, batch_size: int, config: ModelConfig
+    meta: dict, path, arrays: dict, seed: int, tasks: list, batch_size: int, config: ModelConfig
 ) -> None:
     """A resumed run must have the seed, tasks, batch size and model config
     that wrote its checkpoint; a mismatch is a ConfigError (exit 1) naming
     each one."""
     saved_seed, saved_tasks, saved_batch = _meta_fields(meta, path, "seed", "tasks", "batch_size")
-    saved_config = _meta_config(meta, path).to_dict()
+    saved_config = _meta_config(meta, path, arrays).to_dict()
     diffs = [f"seed {saved_seed} != {seed}"] if saved_seed != seed else []
     if saved_tasks != tasks:
         diffs.append(f"tasks {saved_tasks} != {tasks}")
@@ -464,9 +506,9 @@ def _check_resume_meta(
 
 def _restore_model(checkpoint_path: str):
     arrays, meta = load_checkpoint(checkpoint_path)
-    config = _meta_config(meta, checkpoint_path)
+    config = _meta_config(meta, checkpoint_path, arrays)
     kind, seed, tokens = _meta_fields(meta, checkpoint_path, "model_kind", "seed", "vocab_tokens")
-    model = finetune_model_for(kind if kind != "pretrain" else "retrieval", config, int(seed))
+    model = finetune_model_for(kind if kind != "pretrain" else "retrieval", config, seed)
     _load_model_arrays(model, arrays, checkpoint_path)
     vocab = Vocab.from_tokens(tokens)
     return model, config, vocab, meta

@@ -10,6 +10,7 @@ with times in seconds at up to three decimals.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -51,9 +52,6 @@ class Vocab:
 
     def id_of(self, token: str) -> int:
         return self._ids.get(token, UNK_ID)
-
-    def token_of(self, idx: int) -> str:
-        return self.tokens[idx]
 
     def random_regular_id(self, rng: np.random.Generator) -> int:
         """A uniform draw over non-special ids (used for RANDOM replacement)."""
@@ -269,6 +267,8 @@ def _parse_corpus(path: Path, text: str) -> tuple[CorpusHeader, list[RawClip]]:
         )
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise DataError(f"corpus header in {path} is malformed: {exc}") from exc
+    if header.feature_dim < 1:
+        raise DataError(f"corpus header in {path} has feature_dim {header.feature_dim}, not at least 1")
 
     clips = []
     for lineno, line in enumerate(lines[1:], start=2):
@@ -330,10 +330,14 @@ def synth_corpus(
     within a clip.  With structure off, tokens and features are
     unstructured noise, so matching objectives have nothing to learn.
     """
-    if fps <= 0:
-        raise ConfigError(f"fps must be positive, got {fps}")
-    if clip_seconds <= 0:
-        raise ConfigError(f"clip_seconds must be positive, got {clip_seconds}")
+    for name, value in (("fps", fps), ("clip_seconds", clip_seconds), ("frames", fps * clip_seconds)):
+        if not 0 < value < math.inf:  # also false for NaN
+            raise ConfigError(f"{name} must be positive and finite, got {value}")
+    for name, value in (("num_clips", num_clips), ("feature_dim", feature_dim), ("num_topics", num_topics)):
+        if value < 1:
+            raise ConfigError(f"{name} must be at least 1, got {value}")
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
     n_frames = int(round(clip_seconds * fps))
     if n_frames < 2:
         raise ConfigError("clip too short for the frame rate")
@@ -341,6 +345,7 @@ def synth_corpus(
     path = Path(path)
     vocab = Vocab.synthetic(vocab_size)
     vocab_path = path.with_suffix(".vocab.txt")
+    path.parent.mkdir(parents=True, exist_ok=True)
     vocab.save(vocab_path)
 
     n_words = vocab.size - vocab.num_specials

@@ -167,14 +167,10 @@ def seconds_to_frame_span(clip: AlignedClip, t0: float, t1: float) -> tuple[int,
 
 
 def qa_augmented_token_ids(
-    sentence_ids: Sequence[int], query_ids: Sequence[int], answer_ids: Sequence[int] | None,
-    max_tokens: int,
+    sentence_ids: Sequence[int], query_ids: Sequence[int], max_tokens: int
 ) -> list[int]:
-    """Append [SEP] query [SEP] answer to a sentence's tokens."""
-    out = list(sentence_ids) + [SEP_ID] + list(query_ids)
-    if answer_ids is not None:
-        out += [SEP_ID] + list(answer_ids)
-    return out[:max_tokens]
+    """Append [SEP] query to a sentence's tokens."""
+    return (list(sentence_ids) + [SEP_ID] + list(query_ids))[:max_tokens]
 
 
 def encode_with_appended_text(
@@ -198,7 +194,7 @@ def encode_with_appended_text(
     max_tokens = encoder.config.max_tokens
     n_f, n_c = clip.n_frames, len(candidates)
     texts = [
-        qa_augmented_token_ids(s.token_ids, cand, None, max_tokens)
+        qa_augmented_token_ids(s.token_ids, cand, max_tokens)
         for cand in candidates
         for s in clip.sentences
     ]
@@ -207,7 +203,7 @@ def encode_with_appended_text(
     w_emb = encoder.embed_text(
         [i for ids in texts for i in ids], np.concatenate([np.arange(len(ids)) for ids in texts])
     )
-    v_emb = encoder.embed_video(clip.frame_features, 0)
+    v_emb = encoder.embed_video(clip.frame_features, np.arange(n_f))
     v_rows = T.take_rows(v_emb, np.tile(np.arange(n_f), n_c))  # candidate c's frames at c * n_f
     frames = [
         c * n_f + np.asarray(s.frame_indices, dtype=np.intp)
@@ -334,7 +330,8 @@ def rank_moments(
     """
     clips = [clip for enc in encoded for clip in enc.clips]
     scores = _score_clips(model, encoded, query_token_ids)
-    s_global, p_st, p_ed = (x.data[:, 0] for x in (scores.s_global, scores.p_st, scores.p_ed))
+    s_global = scores.s_global.data[:, 0]
+    p_st, p_ed = (np.exp(x.data)[:, 0] for x in (scores.log_p_st, scores.log_p_ed))
     clip, st, ed, p = best_spans(p_st, p_ed, [c.n_frames for c in clips], spans_per_clip)
     times = [c.frame_times for c in clips]
     index = clip.tolist()
@@ -369,7 +366,6 @@ class QaModel(Module):
 
     def __init__(self, config: ModelConfig, seed: int = 0):
         self.config = config
-        self.seed = seed
         rng = np.random.default_rng([seed, 2])
         self.encoder = HierarchicalEncoder(config, rng)
         self.qa = QaHead(rng, config.d)
@@ -384,14 +380,14 @@ class QaModel(Module):
         """All candidates encoded as one batch -> answer distribution and
         span scores.
 
-        Returns (log_p_ans (n_answers,), p_ans, log_p_st, log_p_ed).
+        Returns (log_p_ans (n_answers,), log_p_st, log_p_ed).
         """
         if len(answer_ids) < 2:
             raise UsageError(f"multiple choice needs at least 2 candidates, got {len(answer_ids)}")
         head, d, n_c = self.qa, self.config.d, len(answer_ids)
         candidates = [list(question_ids) + [SEP_ID] + list(ans) for ans in answer_ids]
         frame_rows = encode_with_appended_text(self.encoder, clip, candidates, train_rng=train_rng)
-        pooled = attention_pool(frame_rows, head.pool_query, d)  # (n_answers, d)
+        pooled = attention_pool(frame_rows, head.pool_query)  # (n_answers, d)
         ans_logits = T.reshape(head.ans_out(T.gelu(head.ans_hidden(pooled))), (1, n_c))
         log_p_ans = T.reshape(T.log_softmax(ans_logits, axis=-1), (-1,))
 
@@ -403,12 +399,7 @@ class QaModel(Module):
         )
         st_logits = T.reshape(head.st_out(T.gelu(head.st_hidden(fused))), (-1,))
         ed_logits = T.reshape(head.ed_out(T.gelu(head.ed_hidden(fused))), (-1,))
-        return (
-            log_p_ans,
-            T.exp(log_p_ans),
-            T.log_softmax(st_logits, axis=-1),
-            T.log_softmax(ed_logits, axis=-1),
-        )
+        return log_p_ans, T.log_softmax(st_logits, axis=-1), T.log_softmax(ed_logits, axis=-1)
 
     def loss(
         self,
@@ -419,11 +410,9 @@ class QaModel(Module):
         train_rng=None,
     ) -> T.Tensor:
         """Answer cross-entropy plus lam * span loss when a span is given."""
-        if lam < 0:
-            raise ConfigError(f"qa span weight must be nonnegative, got {lam}")
         question_ids = tokenize(example.question, vocab)
         answer_ids = [tokenize(a, vocab) for a in example.answers]
-        log_p_ans, _, log_p_st, log_p_ed = self.forward(
+        log_p_ans, log_p_st, log_p_ed = self.forward(
             clip, question_ids, answer_ids, train_rng=train_rng
         )
         span = seconds_to_frame_span(clip, *example.span) if example.span is not None else None
@@ -431,11 +420,11 @@ class QaModel(Module):
 
     def predict(self, clip: AlignedClip, example: QaExample, vocab: Vocab) -> int:
         with T.no_grad():
-            _, p_ans, _, _ = self.forward(
+            log_p_ans, _, _ = self.forward(
                 clip, tokenize(example.question, vocab),
                 [tokenize(a, vocab) for a in example.answers],
             )
-            return int(np.argmax(p_ans.data))
+            return int(np.argmax(log_p_ans.data))
 
 
 def qa_loss_from_outputs(
@@ -465,14 +454,13 @@ class NliHead(Module):
     """Entail/contradict logits (1, 2) from attention-pooled frame rows."""
 
     def __init__(self, rng: np.random.Generator, d: int):
-        self.d = d
         self.pool_query = T.Tensor(rng.normal(0.0, 0.02, size=(d, 1)), requires_grad=True)
         self.cls_hidden = Linear(rng, d, d)
         self.cls_out = Linear(rng, d, 2, init="small")
 
     def __call__(self, frame_rows: T.Tensor) -> T.Tensor:
         """(1, n_frames, d) frame rows -> (1, 2) logits."""
-        pooled = attention_pool(frame_rows, self.pool_query, self.d)
+        pooled = attention_pool(frame_rows, self.pool_query)
         return self.cls_out(T.gelu(self.cls_hidden(pooled)))
 
 
@@ -481,7 +469,6 @@ class NliModel(Module):
 
     def __init__(self, config: ModelConfig, seed: int = 0):
         self.config = config
-        self.seed = seed
         rng = np.random.default_rng([seed, 3])
         self.encoder = HierarchicalEncoder(config, rng)
         self.nli = NliHead(rng, config.d)
@@ -557,7 +544,6 @@ class CaptionModel(Module):
 
     def __init__(self, config: ModelConfig, seed: int = 0, decoder_layers: int = 2, max_len: int = 24):
         self.config = config
-        self.seed = seed
         self.max_len = max_len
         rng = np.random.default_rng([seed, 4])
         self.encoder = HierarchicalEncoder(config, rng)

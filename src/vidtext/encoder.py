@@ -6,7 +6,7 @@ the whole clip with a positional residual.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -33,6 +33,10 @@ class ModelConfig:
     dropout: float = 0.1
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and (isinstance(value, bool) or not isinstance(value, int) or value < 1):
+                raise ConfigError(f"{f.name} must be an integer of at least 1, got {value!r}")
         for heads in (self.cross_heads, self.temporal_heads):
             if self.d % heads != 0:
                 raise ConfigError(f"hidden size {self.d} not divisible by head count {heads}")
@@ -134,9 +138,7 @@ class MultiHeadAttention(Module):
     rows of several sequences and only the attention op sees padding."""
 
     def __init__(self, rng: np.random.Generator, d: int, heads: int):
-        self.d = d
         self.heads = heads
-        self.dh = d // heads
         self.wq = Linear(rng, d, d)
         self.wk = Linear(rng, d, d)
         self.wv = Linear(rng, d, d)
@@ -218,9 +220,6 @@ class EncodedBatch:
     attention: list[dict]  # per clip
     v_temp: T.Tensor | None = None  # None until the temporal stage ran
 
-    def __len__(self) -> int:
-        return len(self.clips)
-
     def frame_rows(self, positions: Sequence[Sequence[int]]) -> np.ndarray:
         """Packed row indices of each clip's frame ``positions``, clip by clip."""
         return np.concatenate([
@@ -278,19 +277,14 @@ class HierarchicalEncoder(Module):
         return self.text_ln(tok + pos)
 
     def embed_video(self, features: np.ndarray, positions) -> T.Tensor:
-        """LN(FC(features) + position embedding) at the given frame positions.
-
-        ``positions`` is an int start (contiguous group) or explicit per-row
-        frame indices.
-        """
+        """LN(FC(features) + position embedding) at the given per-row frame
+        ``positions``."""
         features = np.asarray(features, dtype=np.float64)
         if features.ndim != 2 or features.shape[1] != self.config.frame_feature_dim:
             raise ShapeError(
                 f"frame features {features.shape} do not match "
                 f"frame_feature_dim={self.config.frame_feature_dim}"
             )
-        if isinstance(positions, (int, np.integer)):
-            positions = np.arange(positions, positions + features.shape[0])
         positions = np.asarray(positions, dtype=np.intp)
         if positions.max(initial=0) >= self.config.max_frames:
             raise ShapeError(
@@ -472,10 +466,8 @@ class HierarchicalEncoder(Module):
         )
         bounds = batch.frame_bounds
         order = None if frame_orders is None else batch.frame_rows(frame_orders)
-        grid = None  # a single clip needs no row grid
-        if len(clips) > 1:
-            frames = [np.arange(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-            grid = T.row_grid(frames, bounds[-1])
+        frames = [np.arange(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        grid = T.row_grid(frames, bounds[-1])
         capture = [] if capture_attention else None
         batch.v_temp = self.temporal_forward(
             batch.v_emb, batch.v_cross, train_rng=train_rng, capture=capture, grid=grid, order=order
@@ -483,7 +475,7 @@ class HierarchicalEncoder(Module):
         if capture is not None:
             for b, (attention, n) in enumerate(zip(batch.attention, np.diff(bounds))):
                 attention[("temporal",)] = [
-                    [heads[:n, :n] for heads in (layer if grid is None else layer[b])]
+                    [heads[:n, :n] for heads in layer[b]]
                     for layer in capture
                 ]
         return batch
@@ -491,16 +483,8 @@ class HierarchicalEncoder(Module):
     def encode_clip(
         self,
         clip: AlignedClip,
-        token_ids_override: Sequence[Sequence[int]] | None = None,
-        frame_features_override: np.ndarray | None = None,
         train_rng: np.random.Generator | None = None,
         capture_attention: bool = False,
     ) -> EncodedBatch:
         """``encode_clips`` of a batch of one."""
-        return self.encode_clips(
-            [clip],
-            [token_ids_override],
-            [frame_features_override],
-            train_rng=train_rng,
-            capture_attention=capture_attention,
-        )
+        return self.encode_clips([clip], train_rng=train_rng, capture_attention=capture_attention)

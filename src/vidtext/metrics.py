@@ -108,12 +108,12 @@ def recall_at_k(
 ) -> float:
     """Fraction of queries answered in the top-K.
 
-    Modes: ``video`` counts a clip-id match only, ``moment`` counts a span
-    with tIoU strictly above the threshold, ``video_moment`` requires both.
+    Modes: ``video`` counts a clip-id match only; ``video_moment`` also needs
+    a span with tIoU strictly above the threshold.
     """
     if k < 1:
         raise ConfigError(f"k must be at least 1, got {k}")
-    if mode not in ("video", "moment", "video_moment"):
+    if mode not in ("video", "video_moment"):
         raise ConfigError(f"unknown recall mode {mode!r}")
     if len(predictions) != len(ground_truth):
         raise UsageError("predictions and ground truth differ in length")
@@ -124,13 +124,7 @@ def recall_at_k(
         for m in ranked[:k]:
             clip_ok = m.clip_id == gt_clip
             span_ok = tiou(m.span, gt_span) > tiou_threshold
-            if mode == "video" and clip_ok:
-                hits += 1
-                break
-            if mode == "moment" and span_ok:
-                hits += 1
-                break
-            if mode == "video_moment" and clip_ok and span_ok:
+            if clip_ok and (mode == "video" or span_ok):
                 hits += 1
                 break
     return hits / len(predictions)

@@ -175,9 +175,10 @@ def sample_vsm_targets(clip: AlignedClip, rng: np.random.Generator) -> list[VsmT
 # -- model ---------------------------------------------------------------------
 
 
-def attention_pool(rows: T.Tensor, query: T.Tensor, d: int, bias=None) -> T.Tensor:
+def attention_pool(rows: T.Tensor, query: T.Tensor, bias=None) -> T.Tensor:
     """Softmax-weighted sum of each sequence's rows under a learned query vector:
     (C, n, d) rows give (C, d); a (C, n, 1) ``bias`` of -1e30 masks a row out."""
+    d = rows.shape[-1]
     scores = T.matmul(rows, query) * (1.0 / math.sqrt(d))  # (C, n, 1)
     alpha = T.softmax(scores if bias is None else scores + bias, axis=-2)
     return T.reshape(T.matmul(T.transpose(alpha), rows), (rows.shape[0], d))
@@ -197,7 +198,6 @@ class QueryEncoder(Module):
     learned query, then two linear layers and a layer norm."""
 
     def __init__(self, rng: np.random.Generator, d: int):
-        self.d = d
         self.pool = T.Tensor(rng.normal(0.0, 0.02, size=(d, 1)), requires_grad=True)
         self.lin1 = Linear(rng, d, d)
         self.lin2 = Linear(rng, d, d)
@@ -207,7 +207,7 @@ class QueryEncoder(Module):
         """(Q, d) from packed token rows, query q owning ``bounds[q]:bounds[q + 1]``."""
         rows, real = gather_padded(w_cross, bounds)
         bias = np.where(real, 0.0, T.ATTENTION_MASK_BIAS)[..., None]
-        return self.ln(self.lin2(T.gelu(self.lin1(attention_pool(rows, self.pool, self.d, bias)))))
+        return self.ln(self.lin2(T.gelu(self.lin1(attention_pool(rows, self.pool, bias)))))
 
 
 @dataclass
@@ -218,8 +218,6 @@ class VsmScores:
     s_global: T.Tensor  # (B, Q) max cosine over each clip's frames
     log_p_st: T.Tensor  # (B, Q, L) span start log-probabilities; exp() is 0 at the padding
     log_p_ed: T.Tensor
-    p_st = property(lambda self: T.exp(self.log_p_st))
-    p_ed = property(lambda self: T.exp(self.log_p_ed))
 
 
 class PretrainModel(Module):
@@ -227,7 +225,6 @@ class PretrainModel(Module):
 
     def __init__(self, config: ModelConfig, seed: int = 0):
         self.config = config
-        self.seed = seed
         rng = np.random.default_rng([seed, 1])
         self.encoder = HierarchicalEncoder(config, rng)
         self.lm_head = Linear(rng, config.d, config.vocab_size, init="small")
@@ -484,7 +481,6 @@ class TaskBatch:
 
     kind: str
     step: int
-    epoch: int
     seed: int
     clips: list[AlignedClip]
     masked_token_ids: list[list[list[int]]] | None = None
@@ -538,7 +534,7 @@ def make_batches(
             effective.pop("vsm", None)  # a trailing singleton batch has no negatives
         kind = sample_task(step, seed, effective)
         rng = np.random.default_rng([seed, _SEED_PLAN, step])
-        yield build_task_batch(kind, batch_clips, vocab, config, rng, step=step, epoch=epoch, seed=seed)
+        yield build_task_batch(kind, batch_clips, vocab, config, rng, step=step, seed=seed)
 
 
 def build_task_batch(
@@ -548,10 +544,9 @@ def build_task_batch(
     config: ModelConfig,
     rng: np.random.Generator,
     step: int = 0,
-    epoch: int = 0,
     seed: int = 0,
 ) -> TaskBatch:
-    batch = TaskBatch(kind=kind, step=step, epoch=epoch, seed=seed, clips=list(batch_clips))
+    batch = TaskBatch(kind=kind, step=step, seed=seed, clips=list(batch_clips))
     if kind == "mlm":
         batch.masked_token_ids, batch.token_plans = [], []
         for clip in batch_clips:

@@ -547,15 +547,6 @@ def gelu(a: Tensor) -> Tensor:
     return _make(data, (a,), bw)
 
 
-def exp(a: Tensor) -> Tensor:
-    data = np.exp(a.data)
-
-    def bw(g):
-        _accum(a, g * data)
-
-    return _make(data, (a,), bw)
-
-
 def sqrt(a: Tensor) -> Tensor:
     data = np.sqrt(a.data)
 

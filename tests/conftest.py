@@ -1,3 +1,9 @@
+import os
+
+# the CLI's one BLAS thread, set before numpy loads; a value the user set wins
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,7 +23,7 @@ settings.load_profile("vidtext")
 
 
 def detokenize(ids, vocab):
-    return " ".join(vocab.token_of(i) for i in ids)
+    return " ".join(vocab.tokens[i] for i in ids)
 
 
 @pytest.fixture
@@ -154,7 +160,7 @@ def ref_encode_query(model, query_token_ids, train_rng=None):
     w_emb = model.encoder.embed_text(query_token_ids)
     _, w_cross = model.encoder.cross_modal_forward(None, w_emb, train_rng=train_rng)
     qe = model.query_encoder
-    alpha = T.softmax(T.matmul(w_cross, qe.pool) * (1.0 / np.sqrt(qe.d)), axis=0)
+    alpha = T.softmax(T.matmul(w_cross, qe.pool) * (1.0 / np.sqrt(w_cross.shape[1])), axis=0)
     pooled = T.matmul(alpha.T, w_cross)  # (1, d)
     return qe.ln(qe.lin2(T.gelu(qe.lin1(pooled))))
 

@@ -11,13 +11,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import vidtext
 from vidtext.checkpoint import load_checkpoint, save_checkpoint
 from vidtext.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from vidtext.cli import EVAL_DEFAULTS, FINETUNE_DEFAULTS, PRETRAIN_DEFAULTS, _effective_options
+from vidtext.encoder import ModelConfig
 from vidtext.errors import ConfigError, DataError
 
 SMALL_MODEL = [
@@ -403,6 +404,50 @@ class TestIncompleteCheckpoints:
         assert "'config'" in capsys.readouterr().err
 
 
+def _resave_with_meta(src, dst, key, value):
+    """``src`` saved to ``dst`` with meta ``key`` (``config.<field>`` for a
+    config field) set to ``value``."""
+    arrays, meta = load_checkpoint(src)
+    top, _, field = key.partition(".")
+    meta[top] = {**meta[top], field: value} if field else value
+    save_checkpoint(dst, arrays, meta)
+    return dst
+
+
+class TestOddMetaValues:
+    @pytest.mark.parametrize("key, value, named", [
+        ("config.cross_heads", 0, "cross_heads"),
+        ("config.max_frames", -1, "max_frames"),
+        ("config.d", 32, "'encoder.token_emb.table'"),
+        ("seed", "abc", "'seed'"),
+        ("vocab_tokens", 5, "'vocab_tokens'"),
+        ("model_kind", "nope", "'model_kind'"),
+    ])
+    def test_eval_exits_two_naming_the_value(
+        self, corpus, pretrained, tmp_path, capsys, key, value, named
+    ):
+        tasks = write_toy_tasks(corpus, tmp_path)
+        bad = _resave_with_meta(pretrained, tmp_path / "bad.ckpt", key, value)
+        rc = main([
+            "eval", "--task", "retrieval", "--data", str(tasks["retrieval"]),
+            "--corpus", str(corpus), "--checkpoint", str(bad),
+        ])
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+
+    @pytest.mark.parametrize("value", ["6", 6.0, -1, True])
+    def test_resume_from_an_odd_step_exits_two(self, corpus, pretrained, tmp_path, capsys, value):
+        bad = _resave_with_meta(pretrained, tmp_path / "bad.ckpt", "step", value)
+        rc = main([
+            "pretrain", "--corpus", str(corpus), "--out-dir", str(tmp_path / "run"),
+            "--steps", "8", "--batch-size", "2", "--dropout", "0.0", "--lr", "0.001",
+            *SMALL_MODEL, "--resume", str(bad),
+        ])
+        assert rc == EXIT_DATA
+        assert "'step'" in capsys.readouterr().err
+
+
 class TestCheckpointArrays:
     """Eval and resume need every model array; finetune init needs the
     encoder's and says which head arrays start fresh."""
@@ -532,6 +577,30 @@ class TestInspectAttention:
         assert rc == EXIT_DATA
 
 
+# (command, flags, exit code): each flag value is outside its range
+_OUT_OF_RANGE = [
+    ("gen-data", ["--topics", "0"], EXIT_USAGE),
+    ("gen-data", ["--seconds", "1e400"], EXIT_USAGE),
+    ("gen-data", ["--seed", "-1"], EXIT_USAGE),
+    ("gen-data", ["--clips", "0"], EXIT_USAGE),
+    ("pretrain", ["--seed", "-1"], EXIT_USAGE),
+    ("pretrain", ["--cross-heads", "0"], EXIT_USAGE),
+    ("pretrain", ["--d", "0"], EXIT_USAGE),
+    ("pretrain", ["--d", "-4"], EXIT_USAGE),
+    ("pretrain", ["--ffn-multiplier", "0"], EXIT_USAGE),
+    ("pretrain", ["--max-tokens", "0"], EXIT_USAGE),
+    ("pretrain", ["--cross-layers", "0"], EXIT_USAGE),
+    ("pretrain", ["--temporal-layers", "-1"], EXIT_USAGE),
+    ("pretrain", ["--checkpoint-every", "-1"], EXIT_USAGE),
+    ("pretrain", "featureless corpus", EXIT_DATA),
+    ("finetune qa", ["--seed", "-1"], EXIT_USAGE),
+    ("finetune qa", ["--batch-size", "0"], EXIT_USAGE),
+    ("finetune nli", ["--batch-size", "0"], EXIT_USAGE),
+    ("finetune caption", ["--batch-size", "0"], EXIT_USAGE),
+    ("finetune retrieval", ["--batch-size", "0"], EXIT_USAGE),
+]
+
+
 class TestMalformedOptionValues:
     """A malformed option value is a usage error (exit 1) naming the key,
     never a traceback."""
@@ -619,6 +688,43 @@ class TestMalformedOptionValues:
         ])
         assert rc == EXIT_USAGE
         assert "steps must be nonnegative, got -2" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flags, code", _OUT_OF_RANGE, ids=[
+        f"{c} {f if isinstance(f, str) else ' '.join(f)}" for c, f, _ in _OUT_OF_RANGE
+    ])
+    def test_out_of_range_value_exits_before_any_work(
+        self, corpus, tmp_path, capsys, command, flags, code
+    ):
+        out = tmp_path / "out"
+        if flags == "featureless corpus":  # as `gen-data --feature-dim 0` used to write it
+            lines = corpus.read_text().splitlines()
+            head = {**json.loads(lines[0]), "feature_dim": 0}
+            clips = [json.loads(line) for line in lines[1:]]
+            for clip in clips:
+                for frame in clip["frames"]:
+                    frame["feat"] = []
+            shutil.copy(corpus.parent / head["vocab_path"], tmp_path / head["vocab_path"])
+            corpus = tmp_path / "corpus.jsonl"
+            corpus.write_text("".join(json.dumps(r) + "\n" for r in [head, *clips]))
+            flags = []
+        if command == "gen-data":
+            argv = ["gen-data", "--out", str(out / "c.jsonl"), *flags]
+        elif command == "pretrain":
+            argv = [
+                "pretrain", "--corpus", str(corpus), "--out-dir", str(out), "--steps", "1",
+                *SMALL_MODEL, *flags,
+            ]
+        else:
+            task = command.split()[1]
+            argv = [
+                "finetune", "--task", task, "--data", str(write_toy_tasks(corpus, tmp_path)[task]),
+                "--corpus", str(corpus), "--out-dir", str(out), "--from-scratch", "--steps", "1",
+                *flags,
+            ]
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
     def test_eval_unknown_clip_exits_two(self, corpus, pretrained, tmp_path, capsys):
@@ -818,6 +924,35 @@ def test_mutated_checkpoint_loads_or_is_a_data_error(pretrained, tmp_path_factor
         load_checkpoint(path)
     except (ConfigError, DataError):
         pass
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=5,
+)
+_META_KEYS = ["model_kind", "config", "seed", "vocab_tokens", "step", "tasks", "batch_size"] + [
+    f"config.{key}" for key in ModelConfig().to_dict()
+]
+
+
+@settings(max_examples=40)
+@given(key=st.sampled_from(_META_KEYS), value=_JSON_VALUES)
+def test_any_meta_value_gives_a_documented_exit(corpus, pretrained, tmp_path_factory, key, value):
+    root = tmp_path_factory.getbasetemp() / "odd-meta"
+    root.mkdir(exist_ok=True)
+    tasks = write_toy_tasks(corpus, root)
+    ckpt = _resave_with_meta(pretrained, root / "odd.ckpt", key, value)
+    common = ["--corpus", str(corpus)]
+    for argv in (
+        ["eval", "--task", "retrieval", "--data", str(tasks["retrieval"]), "--checkpoint", str(ckpt)],
+        ["inspect-attention", "--checkpoint", str(ckpt), "--clip-id", "clip0000", "--out", str(root / "attn")],
+        ["finetune", "--task", "nli", "--data", str(tasks["nli"]), "--init", str(ckpt),
+         "--out-dir", str(root / "ft"), "--steps", "1"],
+        ["pretrain", "--out-dir", str(root / "pt"), "--steps", "7", "--batch-size", "2",
+         "--lr", "0.001", "--dropout", "0.0", *SMALL_MODEL, "--resume", str(ckpt)],
+    ):
+        assert main(argv + common) in (EXIT_OK, EXIT_USAGE, EXIT_DATA), argv[0]
 
 
 # -- BLAS threads --

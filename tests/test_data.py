@@ -37,7 +37,7 @@ def clip_of(frames, subs, feat_dim=2, clip_id="c"):
 class TestVocab:
     def test_specials_pinned_at_low_ids(self):
         v = Vocab.synthetic(20)
-        assert v.token_of(0) == "[PAD]" and v.token_of(1) == "[MASK]"
+        assert v.tokens[0] == "[PAD]" and v.tokens[1] == "[MASK]"
         assert v.id_of("[UNK]") == UNK_ID
         assert v.size == 20
 

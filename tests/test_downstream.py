@@ -169,8 +169,8 @@ class TestQa:
         ex = qa_example(toy_clip, small_vocab)
         q = tokenize(ex.question, small_vocab)
         answers = [tokenize(a, small_vocab) for a in ex.answers]
-        _, p_ans, log_p_st, log_p_ed = qa_model.forward(toy_clip, q, answers)
-        assert abs(p_ans.data.sum() - 1.0) < 1e-12
+        log_p_ans, log_p_st, log_p_ed = qa_model.forward(toy_clip, q, answers)
+        assert abs(np.exp(log_p_ans.data).sum() - 1.0) < 1e-12
         assert abs(np.exp(log_p_st.data).sum() - 1.0) < 1e-9
         T.reset_tape()
 
@@ -179,11 +179,11 @@ class TestQa:
         q = tokenize(ex.question, small_vocab)
         answers = [tokenize(a, small_vocab) for a in ex.answers]
         perm = [2, 0, 3, 1]
-        _, p1, _, _ = qa_model.forward(toy_clip, q, answers)
+        p1 = np.exp(qa_model.forward(toy_clip, q, answers)[0].data)
         T.reset_tape()
-        _, p2, _, _ = qa_model.forward(toy_clip, q, [answers[p] for p in perm])
+        p2 = np.exp(qa_model.forward(toy_clip, q, [answers[p] for p in perm])[0].data)
         T.reset_tape()
-        np.testing.assert_allclose(p2.data, p1.data[perm], atol=1e-12)
+        np.testing.assert_allclose(p2, p1[perm], atol=1e-12)
 
     def test_fewer_than_two_candidates_rejected(self, qa_model, toy_clip):
         with pytest.raises(UsageError):
@@ -237,7 +237,7 @@ class TestQa:
         assert loss.item() == 0.0
 
     def test_augmented_ids_truncate(self):
-        ids = qa_augmented_token_ids([5, 6], [7, 8], [9], max_tokens=5)
+        ids = qa_augmented_token_ids([5, 6], [7, 8, 9], max_tokens=5)
         assert len(ids) == 5
         assert ids[:3] == [5, 6, SEP_ID]
 
@@ -250,7 +250,7 @@ def _ref_encode_with_appended_text(encoder, clip, extra_ids):
     cross-modal pass of the pseudo-sentence and its own temporal pass."""
     max_tokens = encoder.config.max_tokens
     override = [
-        qa_augmented_token_ids(s.token_ids, extra_ids, None, max_tokens) for s in clip.sentences
+        qa_augmented_token_ids(s.token_ids, extra_ids, max_tokens) for s in clip.sentences
     ]
     fused = encoder.fuse_clip([clip], [override])
     v_emb, v_cross = fused.v_emb, fused.v_cross
@@ -278,7 +278,6 @@ def _ref_qa_forward(model, clip, question_ids, answer_ids):
         rows_list.append(rows)
     ans_logits = T.concat_rows(logits).T  # (1, C)
     log_p_ans = T.reshape(T.log_softmax(ans_logits, axis=-1), (-1,))
-    p_ans = T.reshape(T.softmax(ans_logits, axis=-1), (-1,))
     beta = T.softmax(
         T.matmul(T.concat_rows(pooled_list), head.answer_attn_query) * (1.0 / math.sqrt(d)), axis=0
     )
@@ -288,7 +287,7 @@ def _ref_qa_forward(model, clip, question_ids, answer_ids):
         fused = term if fused is None else fused + term
     st = T.reshape(head.st_out(T.gelu(head.st_hidden(fused))), (-1,))
     ed = T.reshape(head.ed_out(T.gelu(head.ed_hidden(fused))), (-1,))
-    return log_p_ans, p_ans, T.log_softmax(st, axis=-1), T.log_softmax(ed, axis=-1)
+    return log_p_ans, T.log_softmax(st, axis=-1), T.log_softmax(ed, axis=-1)
 
 
 class TestBatchedCandidatesMatchPerCandidate:
@@ -528,7 +527,8 @@ def loop_rank_moments(model, encoded_clips, query_token_ids, spans_per_clip):
     """The batched scorer's output decoded one clip at a time, one Moment per
     span, then sorted by score: what ``rank_moments`` must equal exactly."""
     scores = _score_clips(model, encoded_clips, query_token_ids)
-    s_global, p_st, p_ed = (x.data[:, 0] for x in (scores.s_global, scores.p_st, scores.p_ed))
+    s_global = scores.s_global.data[:, 0]
+    p_st, p_ed = (np.exp(x.data)[:, 0] for x in (scores.log_p_st, scores.log_p_ed))
     out = []
     for enc, s, st_row, ed_row in zip(encoded_clips, s_global, p_st, p_ed):
         clip = enc.clips[0]

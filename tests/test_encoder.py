@@ -55,18 +55,18 @@ class TestEmbedText:
 class TestEmbedVideo:
     def test_shape_contract(self, tiny_encoder):
         feats = np.zeros((3, tiny_encoder.config.frame_feature_dim))
-        assert tiny_encoder.embed_video(feats, 0).shape == (3, tiny_encoder.config.d)
+        assert tiny_encoder.embed_video(feats, np.arange(3)).shape == (3, tiny_encoder.config.d)
 
     def test_identical_features_at_different_positions_differ(self, tiny_encoder):
         feats = np.ones((2, tiny_encoder.config.frame_feature_dim))
-        out = tiny_encoder.embed_video(feats, 0).data
+        out = tiny_encoder.embed_video(feats, np.arange(2)).data
         assert np.abs(out[0] - out[1]).max() > 1e-6
 
     def test_zero_fc_reduces_to_normalized_positions(self, tiny_encoder):
         tiny_encoder.frame_fc.w.data[:] = 0.0
         tiny_encoder.frame_fc.b.data[:] = 0.0
         feats = np.random.default_rng(0).standard_normal((3, tiny_encoder.config.frame_feature_dim))
-        out = tiny_encoder.embed_video(feats, 2).data
+        out = tiny_encoder.embed_video(feats, np.arange(2, 5)).data
         expected = tiny_encoder.frame_ln(
             T.Tensor(tiny_encoder.frame_pos.table.data[2:5])
         ).data
@@ -74,13 +74,13 @@ class TestEmbedVideo:
 
     def test_feature_dim_mismatch(self, tiny_encoder):
         with pytest.raises(ShapeError):
-            tiny_encoder.embed_video(np.zeros((3, 5)), 0)
+            tiny_encoder.embed_video(np.zeros((3, 5)), np.arange(3))
 
 
 class TestCrossModalForward:
     def test_shape_contract(self, tiny_encoder):
         rng = np.random.default_rng(1)
-        v = tiny_encoder.embed_video(rng.standard_normal((3, 8)), 0)
+        v = tiny_encoder.embed_video(rng.standard_normal((3, 8)), np.arange(3))
         w = tiny_encoder.embed_text([5, 6, 7, 8, 9])
         v_cross, w_cross = tiny_encoder.cross_modal_forward(v, w)
         assert v_cross.shape == (3, 16) and w_cross.shape == (5, 16)
@@ -173,7 +173,7 @@ class TestEncodeClip:
         enc = tiny_encoder.encode_clip(clip)
 
         w_emb = tiny_encoder.embed_text(clip.sentences[0].token_ids)
-        v_emb = tiny_encoder.embed_video(clip.frame_features, 0)
+        v_emb = tiny_encoder.embed_video(clip.frame_features, np.arange(clip.n_frames))
         v_cross, _ = tiny_encoder.cross_modal_forward(v_emb, w_emb)
         direct = tiny_encoder.temporal_forward(v_emb, v_cross)
         np.testing.assert_array_equal(enc.v_temp.data, direct.data)
@@ -258,10 +258,10 @@ class TestEncoderGradients:
 def _ref_attention(mha, x, key_mask=None, capture=None, kv=None):
     source = x if kv is None else kv
     q, k, v = mha.wq(x), mha.wk(source), mha.wv(source)
-    outs = []
+    outs, dh = [], q.shape[1] // mha.heads
     for h in range(mha.heads):
-        lo, hi = h * mha.dh, (h + 1) * mha.dh
-        scores = T.matmul(slice_cols(q, lo, hi), slice_cols(k, lo, hi).T) * (1.0 / np.sqrt(mha.dh))
+        lo, hi = h * dh, (h + 1) * dh
+        scores = T.matmul(slice_cols(q, lo, hi), slice_cols(k, lo, hi).T) * (1.0 / np.sqrt(dh))
         if key_mask is not None:
             scores = scores + T.Tensor(np.where(key_mask, 0.0, T.ATTENTION_MASK_BIAS))
         attn = T.softmax(scores, axis=-1)
@@ -455,7 +455,7 @@ class TestEncodeClipsPacksTheBatch:
     def test_each_clip_matches_its_own_pass(self, setup):
         enc, clips = setup
         packed = enc.encode_clips(clips, capture_attention=True)
-        assert len(packed) == len(clips)
+        assert len(packed.clips) == len(clips)
         for clip, e in zip(clips, clip_views(packed)):
             alone = self._arrays(clip_views(enc.encode_clip(clip, capture_attention=True))[0])
             mine = self._arrays(e)

@@ -381,7 +381,7 @@ def _ref_task_loss(model, batch, hypers, neg_rng):
     enc, terms = model.encoder, []
     if batch.kind == "mlm":
         for clip, masked, plans in zip(batch.clips, batch.masked_token_ids, batch.token_plans):
-            e = clip_views(enc.encode_clip(clip, token_ids_override=masked))[0]
+            e = clip_views(enc.encode_clips([clip], [masked]))[0]
             rows = [T.take_rows(w, p.positions) for w, p in zip(e.w_cross, plans) if p is not None]
             labels = [i for p in plans if p is not None for i in p.originals]
             terms.append(T.cross_entropy(model.lm_head(T.concat_rows(rows)), labels))
@@ -389,7 +389,7 @@ def _ref_task_loss(model, batch, hypers, neg_rng):
         for clip, plan in zip(batch.clips, batch.frame_plans):
             feats = clip.frame_features.copy()
             feats[plan.positions] = 0.0
-            e = clip_views(enc.encode_clip(clip, frame_features_override=feats))[0]
+            e = clip_views(enc.encode_clips([clip], frame_features_overrides=[feats]))[0]
             if batch.kind == "mffr":
                 pred = model.mffr_head(T.take_rows(e.v_temp, plan.positions))
                 terms.append(P.l2_regression_loss(pred, clip.frame_features[plan.positions]))
@@ -553,8 +553,8 @@ class TestVsmScores:
         encoded = model.encoder.encode_clip(toy_clip)
         q = model.encode_query([toy_clip.sentences[0].token_ids])
         scores = model.vsm_scores_for_query(encoded.v_temp, [0, toy_clip.n_frames], q)
-        assert abs(scores.p_st.data.sum() - 1.0) < 1e-12
-        assert abs(scores.p_ed.data.sum() - 1.0) < 1e-12
+        assert abs(np.exp(scores.log_p_st.data).sum() - 1.0) < 1e-12
+        assert abs(np.exp(scores.log_p_ed.data).sum() - 1.0) < 1e-12
         assert -1.0 <= scores.s_global.item() <= 1.0
         T.reset_tape()
 
@@ -579,8 +579,8 @@ class TestVsmScores:
         a = model.vsm_scores_for_query(encoded.v_temp, bounds, q)
         b = model.vsm_scores_for_query(encoded.v_temp, bounds, q * 3.0)
         assert int(np.argmax(a.s_local.data)) == int(np.argmax(b.s_local.data))
-        assert int(np.argmax(a.p_st.data)) == int(np.argmax(b.p_st.data))
-        assert int(np.argmax(a.p_ed.data)) == int(np.argmax(b.p_ed.data))
+        assert int(np.argmax(np.exp(a.log_p_st.data))) == int(np.argmax(np.exp(b.log_p_st.data)))
+        assert int(np.argmax(np.exp(a.log_p_ed.data))) == int(np.argmax(np.exp(b.log_p_ed.data)))
         assert a.s_global.item() == pytest.approx(b.s_global.item(), abs=1e-9)
         T.reset_tape()
 

