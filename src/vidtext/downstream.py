@@ -282,22 +282,41 @@ def best_spans(
 
     Returns parallel arrays (clip, start, end, p_st * p_ed): clip by clip,
     at most ``top_n`` spans with start <= end each, ordered by (-p, start, end).
+
+    Only the start frames that can reach a bound tau form pairs.  With
+    ``m[i]`` the largest ``p_ed`` at or after frame i, ``p_st[i] * m[i]`` is
+    the product of a real pair, so tau, the ``top_n``-th largest of these,
+    is at most the clip's ``top_n``-th best product.  A clip of fewer than
+    ``top_n`` frames gets tau = -inf, or the least of its starts' bests when
+    ``top_n`` exceeds L: every start.
     """
-    st, ed = np.triu_indices(p_st.shape[1])  # every pair with start <= end, in (start, end) order
-    neg = p_st[:, st]
-    neg *= p_ed[:, ed]
-    np.negative(neg, out=neg)
-    neg[ed >= np.asarray(lengths)[:, None]] = np.inf  # past the clip's last frame
-    # every span at or above each clip's top_n-th probability
-    k = min(top_n, neg.shape[1])
-    clip, pair = np.nonzero(neg <= np.partition(neg, k - 1, axis=1)[:, k - 1 : k])
-    neg = neg[clip, pair]
-    order = np.lexsort((neg, clip))  # stable: ties stay in (start, end) order
-    clip, pair, neg = clip[order], pair[order], neg[order]
-    rank = np.arange(len(clip)) - np.searchsorted(clip, clip)
-    keep = (rank < top_n) & (neg < np.inf)
+    lengths = np.asarray(lengths)
+    n_clips, width = p_st.shape
+    frame = np.arange(width)
+    real = frame < lengths[:, None]
+    # probabilities are >= 0, so a 0 past the last frame leaves every suffix max as it is
+    m = np.maximum.accumulate(np.where(real, p_ed, 0.0)[:, ::-1], axis=1)[:, ::-1]
+    best = np.where(real, p_st * m, -np.inf)  # the best span that starts at each frame
+    k = min(top_n, width)
+    tau = np.partition(best, -k, axis=1)[:, -k, None]
+    starts = real & (best >= tau)
+    # each clip's (slot, end) grid: slot r is the clip's r-th start at or above tau
+    n_starts = starts.sum(axis=1)
+    used = np.arange(n_starts.max(initial=0)) < n_starts[:, None]
+    st = np.zeros(used.shape, dtype=np.intp)
+    st[used] = np.nonzero(starts)[1]
+    p = np.take_along_axis(p_st, st, axis=1)[:, :, None] * p_ed[:, None, :]
+    ok = used[:, :, None] & (frame >= st[:, :, None]) & real[:, None, :]
+    p = np.where(ok, p, -np.inf).reshape(n_clips, -1)
+    # every span at or above each clip's top_n-th probability, in (clip, start, end) order
+    k = min(top_n, p.shape[1])
+    clip, pair = np.nonzero((p >= np.partition(p, -k, axis=1)[:, -k, None]) & ok.reshape(n_clips, -1))
+    p = p[clip, pair]
+    order = np.lexsort((-p, clip))  # stable: ties stay in (start, end) order
+    clip, pair, p = clip[order], pair[order], p[order]
+    keep = np.arange(len(clip)) - np.searchsorted(clip, clip) < top_n
     clip, pair = clip[keep], pair[keep]
-    return clip, st[pair], ed[pair], -neg[keep]
+    return clip, st[clip, pair // width], pair % width, p[keep]
 
 
 def _score_clips(model: PretrainModel, encoded: Sequence[EncodedBatch], query_token_ids) -> VsmScores:
@@ -332,11 +351,11 @@ def rank_moments(
     scores = _score_clips(model, encoded, query_token_ids)
     s_global = scores.s_global.data[:, 0]
     p_st, p_ed = (np.exp(x.data)[:, 0] for x in (scores.log_p_st, scores.log_p_ed))
-    clip, st, ed, p = best_spans(p_st, p_ed, [c.n_frames for c in clips], spans_per_clip)
-    times = [c.frame_times for c in clips]
-    index = clip.tolist()
-    start = np.array([times[c][i][0] for c, i in zip(index, st.tolist())], dtype=np.float64)
-    end = np.array([times[c][i][1] for c, i in zip(index, ed.tolist())], dtype=np.float64)
+    lengths = [c.n_frames for c in clips]
+    clip, st, ed, p = best_spans(p_st, p_ed, lengths, spans_per_clip)
+    first_row = np.cumsum([0] + lengths)[clip]
+    times = np.concatenate([enc.frame_times for enc in encoded])
+    start, end = times[first_row + st, 0], times[first_row + ed, 1]
     score = ((1.0 + s_global) / 2.0)[clip] * p
     order = np.argsort(-score, kind="stable")
     clip_ids = _shared_ids(tuple(c.clip_id for c in clips))

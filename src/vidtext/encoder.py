@@ -5,6 +5,7 @@ the whole clip with a positional residual.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import asdict, dataclass, fields
 from typing import Sequence
@@ -219,6 +220,13 @@ class EncodedBatch:
     token_bounds: list[np.ndarray]  # per clip, (S_b + 1,)
     attention: list[dict]  # per clip
     v_temp: T.Tensor | None = None  # None until the temporal stage ran
+
+    @functools.cached_property
+    def frame_times(self) -> np.ndarray:
+        """The clips' ``frame_times`` as one (N, 2) array: the start and end
+        seconds of each packed frame row, clip by clip."""
+        times = [t for clip in self.clips for t in clip.frame_times]
+        return np.array(times, dtype=np.float64).reshape(-1, 2)
 
     def frame_rows(self, positions: Sequence[Sequence[int]]) -> np.ndarray:
         """Packed row indices of each clip's frame ``positions``, clip by clip."""

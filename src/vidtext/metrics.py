@@ -81,22 +81,45 @@ def temporal_nms(moments: Ranking, threshold: float) -> Ranking:
     """Greedy suppression of a score-descending ranking.
 
     A candidate is dropped when its tIoU with an already-kept moment of the
-    same clip exceeds the threshold.  Output preserves relative order.
+    same clip id exceeds the threshold.  Output preserves relative order.
+
+    Suppression runs in rounds across clips: round j takes every clip's j-th
+    candidate and compares it with the spans that clip kept in rounds before,
+    with the float operations of ``tiou``.
     """
+    start, end = moments.start, moments.end
     if (moments.score[:-1] < moments.score[1:]).any():
         raise UsageError("temporal_nms expects the list sorted by score, descending")
-    ids = moments.clip_ids
-    candidates = zip(
-        (ids[c] for c in moments.clip.tolist()), zip(moments.start.tolist(), moments.end.tolist())
-    )
-    kept_spans: dict[str, list[tuple[float, float]]] = {}  # suppression is within a clip
-    kept = []
-    for i, (clip_id, span) in enumerate(candidates):
-        spans = kept_spans.setdefault(clip_id, [])
-        if all(tiou(k, span) <= threshold for k in spans):
-            spans.append(span)
-            kept.append(i)
-    return moments[np.array(kept, dtype=np.intp)]
+    inverted = np.flatnonzero(start > end)
+    if len(inverted):
+        m = moments[int(inverted[0])]
+        raise UsageError(f"inverted interval {m.span} of clip {m.clip_id!r}")
+    # suppression is within a clip id, which may sit under several clip indices
+    ids, group_of_index = np.unique(np.array(moments.clip_ids, dtype=str), return_inverse=True)
+    group = group_of_index[moments.clip]
+    order = np.argsort(group, kind="stable")  # group by group, ranked order within each
+    g = group[order]
+    rnd = np.arange(len(g)) - np.searchsorted(g, g)  # the round of each candidate
+    n_groups, n_rounds = len(ids), int(rnd.max(initial=-1)) + 1
+    s, e = np.zeros((2, n_groups, n_rounds))
+    s[g, rnd], e[g, rnd] = start[order], end[order]
+    count = np.bincount(g, minlength=n_groups)
+    kept = np.zeros((n_groups, n_rounds), dtype=bool)
+    ks, ke = np.zeros((2, n_groups, n_rounds))  # each group's kept spans, packed to the left
+    n_kept = np.zeros(n_groups, dtype=np.intp)
+    for j in range(n_rounds):
+        w = int(n_kept.max())
+        s_j, e_j = s[:, j : j + 1], e[:, j : j + 1]
+        inter = np.maximum(0.0, np.minimum(ke[:, :w], e_j) - np.maximum(ks[:, :w], s_j))
+        union = (ke[:, :w] - ks[:, :w]) + (e_j - s_j) - inter
+        iou = np.divide(inter, union, out=np.zeros_like(inter), where=union > 0.0)
+        clash = ~(iou <= threshold) & (np.arange(w) < n_kept[:, None])
+        keep = (count > j) & ~clash.any(axis=1)
+        kept[:, j] = keep
+        rows = np.flatnonzero(keep)
+        ks[rows, n_kept[rows]], ke[rows, n_kept[rows]] = s[rows, j], e[rows, j]
+        n_kept += keep
+    return moments[np.sort(order[kept[g, rnd]])]
 
 
 def recall_at_k(

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from vidtext import tensor as T
 from vidtext.data import CLS_ID, SEP_ID, AlignedClip, Sentence, tokenize
@@ -576,6 +578,34 @@ class TestBatchedBestSpans:
         p_st, p_ed = (rng.integers(1, 4, size=(3, 12)) / 8.0 for _ in range(2))
         for top_n in (2, 5, 11, 30):
             self.check(p_st, p_ed, lengths, top_n)
+
+
+@st.composite
+def span_grids(draw):
+    """(B, L) start and end probabilities, the clips' lengths (1 to L, so
+    clips shorter than the grid are common) and a ``top_n`` up to past the
+    pair count.  Values come from a few levels, so products tie, often at
+    the bound tau; 1e-200 squared underflows to 0.0; padding is noise that
+    must not be read."""
+    width = draw(st.integers(1, 12))
+    lengths = draw(st.lists(st.integers(1, width), min_size=1, max_size=4))
+    levels = st.sampled_from([0.0, 1e-200, 0.125, 0.25, 0.5]) | st.floats(0.0, 1.0)
+    same = draw(st.booleans())  # all-equal probabilities
+    grids = []
+    for _ in range(2):
+        values = draw(st.lists(levels, min_size=len(lengths) * width, max_size=len(lengths) * width))
+        p = np.array(values).reshape(len(lengths), width)
+        grids.append(np.full_like(p, 0.25) if same else p)
+    pad = np.arange(width) >= np.array(lengths)[:, None]
+    for p in grids:
+        p[pad] = 1.0 + np.random.default_rng(width).random(pad.sum())  # above every probability
+    top_n = draw(st.integers(1, width * (width + 1) // 2 + 3))
+    return *grids, lengths, top_n
+
+
+@given(case=span_grids())
+def test_pruned_best_spans_equals_the_loop(case):
+    TestBatchedBestSpans.check(*case)
 
 
 class TestRankingEdgeClips:

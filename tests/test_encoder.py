@@ -464,6 +464,14 @@ class TestEncodeClipsPacksTheBatch:
                 assert x.shape == y.shape
                 np.testing.assert_allclose(x, y, rtol=0, atol=1e-12)
 
+    def test_frame_times_follow_the_packed_rows(self, setup):
+        enc, clips = setup
+        packed = enc.encode_clips(clips)
+        bounds = packed.frame_bounds
+        assert packed.frame_times.shape == (bounds[-1], 2)
+        for clip, lo, hi in zip(clips, bounds[:-1], bounds[1:]):
+            assert packed.frame_times[lo:hi].tolist() == [list(t) for t in clip.frame_times]
+
     def test_frame_orders_shuffle_the_temporal_input(self, setup):
         enc, clips = setup
         orders = [np.random.default_rng(i).permutation(c.n_frames) for i, c in enumerate(clips)]

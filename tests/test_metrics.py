@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from vidtext.errors import ConfigError, UsageError
 from vidtext.metrics import Moment, Ranking, accuracy, bleu4, recall_at_k, temporal_nms, tiou
 
-from conftest import nms_moments, ref_temporal_nms
+from conftest import loop_temporal_nms, nms_moments, ref_temporal_nms
 
 
 def random_span(rng, lo=0.0, hi=30.0):
@@ -151,6 +153,15 @@ class TestTemporalNms:
         with pytest.raises(UsageError):
             temporal_nms(ranked, 0.5)
 
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_any_inverted_span_rejected(self, position):
+        # position 0 is the clip's first candidate, which meets no kept span
+        spans = [(0.0, 2.0), (5.0, 6.0), (8.0, 9.0)]
+        spans[position] = spans[position][::-1]
+        ranked = Ranking(["a", "b"], [0, 1, 0], *zip(*spans), [0.9, 0.5, 0.1])
+        with pytest.raises(UsageError, match="inverted interval"):
+            temporal_nms(ranked, 0.5)
+
     def test_idempotent(self):
         rng = np.random.default_rng(2)
         items = [
@@ -158,6 +169,39 @@ class TestTemporalNms:
         ]
         once = nms_moments(items, 0.5)
         assert nms_moments(once, 0.5) == once
+
+
+@st.composite
+def nms_rankings(draw):
+    """A score-descending Ranking of up to 50 spans whose clip ids may
+    repeat under distinct indices: tied scores, equal spans and
+    zero-length spans are common, as spans and scores come from small grids
+    of values or from any floats in range."""
+    n_ids = draw(st.integers(1, 4))
+    clip_ids = draw(st.lists(st.integers(0, n_ids - 1), min_size=1, max_size=6))
+    n = draw(st.integers(0, 50))
+    clip = draw(st.lists(st.integers(0, len(clip_ids) - 1), min_size=n, max_size=n))
+    grid = st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0])
+    start = draw(st.lists(grid | st.floats(0.0, 10.0), min_size=n, max_size=n))
+    length = draw(st.lists(grid | st.floats(0.0, 5.0), min_size=n, max_size=n))
+    score = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0), min_size=n, max_size=n))
+    return Ranking(
+        tuple(f"c{i}" for i in clip_ids), clip, start, np.add(start, length), sorted(score, reverse=True)
+    )
+
+
+@given(ranked=nms_rankings(), threshold=st.sampled_from([0.0, 1.0]) | st.floats(-0.5, 1.5), data=st.data())
+def test_nms_in_rounds_equals_both_references(ranked, threshold, data):
+    """Suppression in rounds keeps exactly the moments that the all-pairs
+    reference and the one-candidate-at-a-time loop keep, in order.  Half the
+    thresholds are the tIoU of two of the spans, so ties at the threshold
+    are common."""
+    if len(ranked) and data.draw(st.booleans()):
+        i, j = data.draw(st.lists(st.integers(0, len(ranked) - 1), min_size=2, max_size=2))
+        threshold = tiou(ranked[i].span, ranked[j].span)
+    got = list(temporal_nms(ranked, threshold))
+    assert got == list(loop_temporal_nms(ranked, threshold))
+    assert got == ref_temporal_nms(list(ranked), threshold)
 
 
 class TestRecallAtK:
