@@ -13,7 +13,6 @@ from hypothesis import settings
 from vidtext import tensor as T
 from vidtext.data import AlignedClip, Sentence, Vocab
 from vidtext.encoder import HierarchicalEncoder, ModelConfig
-from vidtext.errors import UsageError
 from vidtext.metrics import Moment, Ranking, temporal_nms, tiou
 from vidtext.pretrain import _mean_terms, hinge_loss, span_nll
 
@@ -243,8 +242,6 @@ def loop_temporal_nms(moments, threshold):
     """Greedy suppression of a score-descending ``Ranking`` one candidate at
     a time, with one ``tiou`` call per kept span of its clip id: the
     reference of the rounds in ``metrics.temporal_nms``."""
-    if (moments.score[:-1] < moments.score[1:]).any():
-        raise UsageError("temporal_nms expects the list sorted by score, descending")
     ids = moments.clip_ids
     candidates = zip(
         (ids[c] for c in moments.clip.tolist()), zip(moments.start.tolist(), moments.end.tolist())
