@@ -556,13 +556,15 @@ def cmd_eval(args) -> int:
     if args.task == "retrieval":
         if not isinstance(model, PretrainModel):
             raise DataError("retrieval evaluation needs a pretrain/retrieval checkpoint")
+        queries = [tokenize(ex.query, vocab) for ex in examples]
+        for ex, ids in zip(examples, queries):
+            if not ids:
+                raise DataError(f"task file {args.data}: query {ex.query!r} tokenizes to nothing")
         with T.no_grad():
             encoded = [model.encoder.encode_clip(c) for c in clips]
         predictions, ground_truth = [], []
-        for ex in examples:
-            ranked = rank_moments(
-                model, encoded, tokenize(ex.query, vocab), spans_per_clip=eff["spans_per_clip"]
-            )
+        for ex, ids in zip(examples, queries):
+            ranked = rank_moments(model, encoded, ids, spans_per_clip=eff["spans_per_clip"])
             if nms_threshold is not None:
                 ranked = temporal_nms(ranked, nms_threshold)
             predictions.append(ranked[: max(k_values, default=0)])  # recall_at_k reads no further

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -32,7 +33,9 @@ from .encoder import (
 )
 from .errors import ConfigError, DataError, UsageError, read_input
 from .metrics import Ranking
-from .pretrain import PretrainHypers, PretrainModel, VsmScores, VsmTarget, attention_pool, span_nll
+from .pretrain import (
+    ClipSide, PretrainHypers, PretrainModel, VsmTarget, attention_pool, span_nll,
+)
 
 QA_LAMBDA_DEFAULT = 0.5
 NLI_LABELS = {"contradict": 0, "entail": 1}
@@ -319,19 +322,40 @@ def best_spans(
     return clip, st[clip, pair // width], pair % width, p[keep]
 
 
-def _score_clips(model: PretrainModel, encoded: Sequence[EncodedBatch], query_token_ids) -> VsmScores:
-    """One query against every clip: one ``encode_query`` and one scorer call."""
-    with T.no_grad():
-        v_temp = T.Tensor(np.concatenate([enc.v_temp.data for enc in encoded]))
-        bounds = np.cumsum([0] + [clip.n_frames for enc in encoded for clip in enc.clips])
-        return model.vsm_scores_for_query(v_temp, bounds, model.encode_query([query_token_ids]))
+class _ClipCorpus:
+    """The query-independent part of ranking over a sequence of
+    ``EncodedBatch``es: the no-grad span-matching clip side, each clip's
+    length and first row, the (N, 2) frame times and the clip ids.  It
+    holds the batches only by weak reference."""
+
+    def __init__(self, encoded: Sequence[EncodedBatch]):
+        clips = [clip for enc in encoded for clip in enc.clips]
+        self.lengths = np.array([clip.n_frames for clip in clips])
+        bounds = np.cumsum(np.r_[0, self.lengths])
+        self.first_row = bounds[:-1]
+        self.side = ClipSide(T.Tensor(np.concatenate([enc.v_temp.data for enc in encoded])), bounds)
+        self.frame_times = np.concatenate([enc.frame_times for enc in encoded])
+        self.clip_ids = tuple(clip.clip_id for clip in clips)
+        self.batches = tuple(weakref.ref(enc, _forget_corpus) for enc in encoded)
+        # the slot drops a corpus when any of its batches dies, so while it holds
+        # one, no other live object has one of these ids
+        self.batch_ids = tuple(map(id, encoded))
 
 
-@functools.lru_cache(maxsize=1)
-def _shared_ids(clip_ids: tuple[str, ...]) -> tuple[str, ...]:
-    """One tuple object for every ranking over the same clips, so a kept
-    ranking holds no id list of its own."""
-    return clip_ids
+_corpus: _ClipCorpus | None = None  # of the batches ranked last; emptied when any of them dies
+
+
+def _forget_corpus(dead: weakref.ref) -> None:
+    global _corpus
+    if _corpus is not None and any(ref is dead for ref in _corpus.batches):
+        _corpus = None
+
+
+def _clip_corpus(encoded: Sequence[EncodedBatch]) -> _ClipCorpus:
+    global _corpus
+    if _corpus is None or _corpus.batch_ids != tuple(map(id, encoded)):
+        _corpus = _ClipCorpus(encoded)
+    return _corpus
 
 
 def rank_moments(
@@ -346,20 +370,22 @@ def rank_moments(
 
     A moment's score blends the clip-level cosine (shifted to [0, 1]) with
     the span probability, so both levels must agree for a high rank.
+
+    The clip side is prepared once per sequence of batches and reused while
+    every later call passes the same batch objects in the same order, so
+    the batches are read as immutable.
     """
-    clips = [clip for enc in encoded for clip in enc.clips]
-    scores = _score_clips(model, encoded, query_token_ids)
+    corpus = _clip_corpus(encoded)
+    with T.no_grad():
+        scores = model.vsm_scores_for_query(corpus.side, model.encode_query([query_token_ids]))
     s_global = scores.s_global.data[:, 0]
     p_st, p_ed = (np.exp(x.data)[:, 0] for x in (scores.log_p_st, scores.log_p_ed))
-    lengths = [c.n_frames for c in clips]
-    clip, st, ed, p = best_spans(p_st, p_ed, lengths, spans_per_clip)
-    first_row = np.cumsum([0] + lengths)[clip]
-    times = np.concatenate([enc.frame_times for enc in encoded])
-    start, end = times[first_row + st, 0], times[first_row + ed, 1]
+    clip, st, ed, p = best_spans(p_st, p_ed, corpus.lengths, spans_per_clip)
+    first_row = corpus.first_row[clip]
+    start, end = corpus.frame_times[first_row + st, 0], corpus.frame_times[first_row + ed, 1]
     score = ((1.0 + s_global) / 2.0)[clip] * p
     order = np.argsort(-score, kind="stable")
-    clip_ids = _shared_ids(tuple(c.clip_id for c in clips))
-    return Ranking(clip_ids, clip[order], start[order], end[order], score[order])
+    return Ranking(corpus.clip_ids, clip[order], start[order], end[order], score[order])
 
 
 # -- video question answering -------------------------------------------------------

@@ -5,7 +5,6 @@ the whole clip with a positional residual.
 
 from __future__ import annotations
 
-import functools
 import logging
 from dataclasses import asdict, dataclass, fields
 from typing import Sequence
@@ -221,7 +220,7 @@ class EncodedBatch:
     attention: list[dict]  # per clip
     v_temp: T.Tensor | None = None  # None until the temporal stage ran
 
-    @functools.cached_property
+    @property
     def frame_times(self) -> np.ndarray:
         """The clips' ``frame_times`` as one (N, 2) array: the start and end
         seconds of each packed frame row, clip by clip."""

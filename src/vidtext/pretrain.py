@@ -9,6 +9,7 @@ mini-batch carries exactly one task so tasks never corrupt each other's inputs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -184,13 +185,13 @@ def attention_pool(rows: T.Tensor, query: T.Tensor, bias=None) -> T.Tensor:
     return T.reshape(T.matmul(T.transpose(alpha), rows), (rows.shape[0], d))
 
 
-def gather_padded(rows: T.Tensor, bounds) -> tuple[T.Tensor, np.ndarray]:
-    """Packed rows, sequence b owning ``bounds[b]:bounds[b + 1]``, as a (B, longest, ...)
-    tensor, and its (B, longest) mask of real slots (padding repeats row 0)."""
+def padded_slots(bounds) -> tuple[np.ndarray, np.ndarray]:
+    """The packed row of each slot of a (B, longest) grid, sequence b owning rows
+    ``bounds[b]:bounds[b + 1]`` (padding repeats row 0), and the mask of real slots."""
     lengths = np.diff(bounds)
     slots = np.arange(lengths.max())
     real = slots < lengths[:, None]
-    return T.take_rows(rows, np.where(real, np.asarray(bounds)[:-1, None] + slots, 0)), real
+    return np.where(real, np.asarray(bounds)[:-1, None] + slots, 0), real
 
 
 class QueryEncoder(Module):
@@ -205,9 +206,31 @@ class QueryEncoder(Module):
 
     def __call__(self, w_cross: T.Tensor, bounds: np.ndarray) -> T.Tensor:
         """(Q, d) from packed token rows, query q owning ``bounds[q]:bounds[q + 1]``."""
-        rows, real = gather_padded(w_cross, bounds)
+        slots, real = padded_slots(bounds)
+        rows = T.take_rows(w_cross, slots)
         bias = np.where(real, 0.0, T.ATTENTION_MASK_BIAS)[..., None]
         return self.ln(self.lin2(T.gelu(self.lin1(attention_pool(rows, self.pool, bias)))))
+
+
+class ClipSide:
+    """The clip side of span matching: packed rows ``v_temp``, clip b owning
+    ``bounds[b]:bounds[b + 1]``, their per-clip grid (``padded_slots``) and
+    their norms.  The norms are computed on first use, so on the tape they
+    follow the first query's dot products, and every later query against the
+    same clips reads them."""
+
+    def __init__(self, v_temp: T.Tensor, bounds):
+        if (np.diff(bounds) < 1).any():
+            raise UsageError("vsm scoring needs at least one frame in every clip")
+        self.v_temp = v_temp
+        self.slots, self.real = padded_slots(bounds)
+
+    @functools.cached_property
+    def row_norms(self) -> T.Tensor:
+        """(N, 1): squared norms as N (1, d) @ (d, 1) products, no (N, d) temporary."""
+        n, d = self.v_temp.shape
+        squares = T.matmul(T.reshape(self.v_temp, (n, 1, d)), T.reshape(self.v_temp, (n, d, 1)))
+        return T.sqrt(T.reshape(squares, (n, 1)) + 1e-24)
 
 
 @dataclass
@@ -357,21 +380,15 @@ class PretrainModel(Module):
         _, w_cross = self.encoder.cross_modal_forward(None, w_emb, segments, train_rng=train_rng)
         return self.query_encoder(w_cross, bounds)
 
-    def vsm_scores_for_query(self, v_temp: T.Tensor, frame_bounds, q: T.Tensor) -> VsmScores:
-        """All (clip, query) scores: Q query vectors ``q`` (Q, d) against B clips of
-        packed rows ``v_temp``, clip b owning ``frame_bounds[b]:frame_bounds[b + 1]``.
-        Dot products and cosines are (N, Q) matrices gathered into per-clip grids."""
-        if (np.diff(frame_bounds) < 1).any():
-            raise UsageError("vsm scoring needs at least one frame in every clip")
-        dots = T.matmul(v_temp, T.transpose(q))  # (N, Q)
-        n, d = v_temp.shape  # squared row norms as N (1, d) @ (d, 1) products: no (N, d) temporary
-        squares = T.matmul(T.reshape(v_temp, (n, 1, d)), T.reshape(v_temp, (n, d, 1)))
-        row_norms = T.sqrt(T.reshape(squares, (n, 1)) + 1e-24)
-        cos = dots * T.reciprocal(row_norms * T.sqrt((q * q).sum(axis=1) + 1e-24))
-        dots, real = gather_padded(dots, frame_bounds)  # (B, L, Q)
-        cos, _ = gather_padded(cos, frame_bounds)
-        pad = np.where(real, 0.0, T.ATTENTION_MASK_BIAS)
-        s_local = T.transpose(dots * real[..., None])  # (B, Q, L), zeros past each clip's end
+    def vsm_scores_for_query(self, clips: ClipSide, q: T.Tensor) -> VsmScores:
+        """All (clip, query) scores: Q query vectors ``q`` (Q, d) against the B
+        clips of ``clips``.  Dot products and cosines are (N, Q) matrices
+        gathered into per-clip grids."""
+        dots = T.matmul(clips.v_temp, T.transpose(q))  # (N, Q)
+        cos = dots * T.reciprocal(clips.row_norms * T.sqrt((q * q).sum(axis=1) + 1e-24))
+        dots, cos = T.take_rows(dots, clips.slots), T.take_rows(cos, clips.slots)  # (B, L, Q)
+        pad = np.where(clips.real, 0.0, T.ATTENTION_MASK_BIAS)
+        s_local = T.transpose(dots * clips.real[..., None])  # (B, Q, L), zeros past each clip's end
         log_p_st, log_p_ed = (
             T.log_softmax(T.conv1d(s_local, f) + pad[:, None], axis=-1)
             for f in (self.span_st_filter, self.span_ed_filter)
@@ -394,7 +411,7 @@ class PretrainModel(Module):
             raise UsageError("vsm_loss needs at least 2 clips for negatives, each with a target")
         targets = [t for clip_targets in targets_per_clip for t in clip_targets]
         q = self.encode_query([t.query_token_ids for t in targets], train_rng=train_rng)
-        scores = self.vsm_scores_for_query(encoded.v_temp, encoded.frame_bounds, q)
+        scores = self.vsm_scores_for_query(ClipSide(encoded.v_temp, encoded.frame_bounds), q)
 
         n_q, query = len(targets), np.arange(len(targets))
         own = np.repeat(np.arange(len(counts)), counts)  # each query's clip

@@ -12,9 +12,10 @@ from hypothesis import settings
 
 from vidtext import tensor as T
 from vidtext.data import AlignedClip, Sentence, Vocab
+from vidtext.downstream import best_spans
 from vidtext.encoder import HierarchicalEncoder, ModelConfig
 from vidtext.metrics import Moment, Ranking, temporal_nms, tiou
-from vidtext.pretrain import _mean_terms, hinge_loss, span_nll
+from vidtext.pretrain import ClipSide, _mean_terms, hinge_loss, span_nll
 
 
 # property tests draw the same examples on every run and keep no example database
@@ -285,3 +286,31 @@ def ref_rank_moments(model, encoded_clips, query_token_ids, spans_per_clip=5):
                 out.append(Moment(clip.clip_id, clip.frame_seconds((st, ed)), clip_score * p))
         out.sort(key=lambda m: -m.score)
         return out
+
+
+def stacked_vsm_scores(model, encoded, query_token_ids):
+    """One query against every clip of ``encoded``, the clip side built for
+    this query alone: ``v_temp`` stacked and its row norms computed again."""
+    with T.no_grad():
+        v_temp = T.Tensor(np.concatenate([enc.v_temp.data for enc in encoded]))
+        bounds = np.cumsum([0] + [clip.n_frames for enc in encoded for clip in enc.clips])
+        return model.vsm_scores_for_query(ClipSide(v_temp, bounds), model.encode_query([query_token_ids]))
+
+
+def stacked_rank_moments(model, encoded, query_token_ids, spans_per_clip=5):
+    """``rank_moments`` preparing nothing ahead: every call stacks the clips'
+    rows, recomputes their norms and rebuilds the frame times and the clip
+    ids.  The reference that the prepared clip side must equal byte for byte."""
+    clips = [clip for enc in encoded for clip in enc.clips]
+    scores = stacked_vsm_scores(model, encoded, query_token_ids)
+    s_global = scores.s_global.data[:, 0]
+    p_st, p_ed = (np.exp(x.data)[:, 0] for x in (scores.log_p_st, scores.log_p_ed))
+    lengths = [c.n_frames for c in clips]
+    clip, st, ed, p = best_spans(p_st, p_ed, lengths, spans_per_clip)
+    first_row = np.cumsum([0] + lengths)[clip]
+    times = np.concatenate([enc.frame_times for enc in encoded])
+    start, end = times[first_row + st, 0], times[first_row + ed, 1]
+    score = ((1.0 + s_global) / 2.0)[clip] * p
+    order = np.argsort(-score, kind="stable")
+    clip_ids = tuple(c.clip_id for c in clips)
+    return Ranking(clip_ids, clip[order], start[order], end[order], score[order])

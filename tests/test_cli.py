@@ -727,6 +727,26 @@ class TestMalformedOptionValues:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_eval_query_that_tokenizes_to_nothing_exits_two(
+        self, corpus, pretrained, tmp_path, capsys, monkeypatch
+    ):
+        from vidtext.downstream import read_task_file, write_task_file
+        from vidtext.encoder import HierarchicalEncoder
+
+        examples = read_task_file(write_toy_tasks(corpus, tmp_path)["retrieval"], "retrieval")
+        examples[1].query = "!!!"
+        path = tmp_path / "empty-query.jsonl"
+        write_task_file(path, "retrieval", examples)
+        encoded = []
+        monkeypatch.setattr(HierarchicalEncoder, "encode_clip", lambda self, clip: encoded.append(clip))
+        rc = main([
+            "eval", "--task", "retrieval", "--data", str(path),
+            "--corpus", str(corpus), "--checkpoint", str(pretrained),
+        ])
+        assert rc == EXIT_DATA
+        assert f"task file {path}: query '!!!' tokenizes to nothing" in capsys.readouterr().err
+        assert encoded == []  # refused before any clip is encoded
+
     def test_eval_unknown_clip_exits_two(self, corpus, pretrained, tmp_path, capsys):
         from vidtext.downstream import RetrievalExample, write_task_file
 

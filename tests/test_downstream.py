@@ -1,12 +1,15 @@
 """Downstream head tests: QA, inference, captioning, retrieval adaptation."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from vidtext import downstream
 from vidtext import tensor as T
 from vidtext.data import CLS_ID, SEP_ID, AlignedClip, Sentence, tokenize
 from vidtext.downstream import (
@@ -17,7 +20,6 @@ from vidtext.downstream import (
     NliModel,
     CaptionModel,
     RetrievalExample,
-    _score_clips,
     best_spans,
     finetune_model_for,
     load_params_into,
@@ -43,6 +45,8 @@ from conftest import (
     ref_global_alignment_score,
     ref_rank_moments,
     ref_temporal_nms,
+    stacked_rank_moments,
+    stacked_vsm_scores,
 )
 
 
@@ -65,7 +69,7 @@ def single_channel_wrap(
 def rank_clips(model, encoded, query_token_ids) -> Ranking:
     """Clip-level ranking only (single-channel video retrieval)."""
     clips = [clip for enc in encoded for clip in enc.clips]
-    s_global = _score_clips(model, encoded, query_token_ids).s_global.data[:, 0]
+    s_global = stacked_vsm_scores(model, encoded, query_token_ids).s_global.data[:, 0]
     order = np.argsort(-s_global, kind="stable")
     return Ranking(
         tuple(c.clip_id for c in clips),
@@ -528,7 +532,7 @@ class TestRankingMatchesPerClipReference:
 def loop_rank_moments(model, encoded_clips, query_token_ids, spans_per_clip):
     """The batched scorer's output decoded one clip at a time, one Moment per
     span, then sorted by score: what ``rank_moments`` must equal exactly."""
-    scores = _score_clips(model, encoded_clips, query_token_ids)
+    scores = stacked_vsm_scores(model, encoded_clips, query_token_ids)
     s_global = scores.s_global.data[:, 0]
     p_st, p_ed = (np.exp(x.data)[:, 0] for x in (scores.log_p_st, scores.log_p_ed))
     out = []
@@ -645,6 +649,98 @@ class TestRankingEdgeClips:
             kept = temporal_nms(got, threshold)
             assert isinstance(kept, Ranking)
             assert list(kept) == ref_temporal_nms(list(got), threshold)
+
+
+def assert_same_bytes(got: Ranking, want: Ranking):
+    """Two rankings hold the same columns, dtypes and bytes, and the same ids."""
+    for name in ("clip", "start", "end", "score"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+    assert got.clip_ids == want.clip_ids
+
+
+class TestPreparedClipSide:
+    """``rank_moments`` prepares the clip side once per sequence of batches;
+    every ranking equals, byte for byte, the reference that stacks the rows
+    and recomputes their norms for each query."""
+
+    QUERIES = ([5, 6, 7], [9], [12, 13, 29, 8], [5, 6, 7], [9])  # repeated queries
+
+    @pytest.fixture
+    def setup(self, small_vocab):
+        config = ModelConfig(
+            d=16, cross_layers=1, cross_heads=2, temporal_layers=1, temporal_heads=2,
+            vocab_size=30, frame_feature_dim=8, max_frames=48, max_tokens=12,
+            ffn_multiplier=2, dropout=0.0,
+        )
+        model = PretrainModel(config, seed=5)
+        rng = np.random.default_rng(13)
+        clips = [
+            make_clip(rng, small_vocab, groups=groups, tokens=(3,) * len(groups), clip_id=f"c{i}")
+            for i, groups in enumerate([(20, 20), (1,), (11, 12), (31,), (4, 5), (2,), (9, 8)])
+        ]
+        return model, clips
+
+    @staticmethod
+    def mixed_batches(encoder, clips):
+        """One-clip and multi-clip batches in one list."""
+        with T.no_grad():
+            return [
+                encoder.encode_clip(clips[0]),
+                encoder.encode_clips(clips[1:3]),
+                encoder.encode_clip(clips[3]),
+                encoder.encode_clips(clips[4:]),
+            ]
+
+    def check(self, model, encoded, spans_per_clip=5, nms=None):
+        for query in self.QUERIES:
+            got = rank_moments(model, encoded, query, spans_per_clip=spans_per_clip)
+            want = stacked_rank_moments(model, encoded, query, spans_per_clip=spans_per_clip)
+            if nms is not None:
+                got, want = temporal_nms(got, nms), temporal_nms(want, nms)
+            assert_same_bytes(got, want)
+
+    @pytest.mark.parametrize("nms", [None, 0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("spans_per_clip", [1, 5, 40, 200])
+    def test_equals_the_stacked_reference(self, setup, spans_per_clip, nms):
+        model, clips = setup
+        self.check(model, self.mixed_batches(model.encoder, clips), spans_per_clip, nms)
+
+    def test_a_re_encoded_copy_of_the_clips(self, setup):
+        model, clips = setup
+        self.check(model, self.mixed_batches(model.encoder, clips))
+        # new objects under the same clip ids, with other rows: a stale clip side would show
+        other = PretrainModel(model.config, seed=6).encoder
+        self.check(model, self.mixed_batches(other, clips))
+
+    def test_a_reordered_list_and_a_sublist(self, setup):
+        model, clips = setup
+        encoded = self.mixed_batches(model.encoder, clips)
+        self.check(model, encoded)
+        self.check(model, encoded[:2])
+        self.check(model, encoded[::-1])
+        self.check(model, encoded[1:3])
+        self.check(model, encoded)
+
+    def test_the_same_list_after_append(self, setup):
+        model, clips = setup
+        encoded = self.mixed_batches(model.encoder, clips)
+        tail = encoded.pop()
+        self.check(model, encoded)
+        encoded.append(tail)
+        self.check(model, encoded)
+
+    def test_the_slot_keeps_no_batch_alive(self, setup):
+        model, clips = setup
+        encoded = self.mixed_batches(model.encoder, clips)
+        rank_moments(model, encoded, [5, 6, 7])
+        refs = [weakref.ref(enc) for enc in encoded]
+        assert downstream._corpus is not None
+        del encoded
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+        assert downstream._corpus is None
 
 
 class TestRetrievalAdaptation:

@@ -548,11 +548,62 @@ class TestBatchedVsmMatchesPerTarget:
             T.reset_tape()
 
 
+def inline_norms_vsm_scores(model, clips, q):
+    """The span-matching scorer with the row norms computed inline on every
+    call, right after the dot products: the reference of ``ClipSide``."""
+    v_temp = clips.v_temp
+    dots = T.matmul(v_temp, T.transpose(q))
+    n, d = v_temp.shape
+    squares = T.matmul(T.reshape(v_temp, (n, 1, d)), T.reshape(v_temp, (n, d, 1)))
+    row_norms = T.sqrt(T.reshape(squares, (n, 1)) + 1e-24)
+    cos = dots * T.reciprocal(row_norms * T.sqrt((q * q).sum(axis=1) + 1e-24))
+    slots, real = clips.slots, clips.real
+    dots, cos = T.take_rows(dots, slots), T.take_rows(cos, slots)
+    pad = np.where(real, 0.0, T.ATTENTION_MASK_BIAS)
+    s_local = T.transpose(dots * real[..., None])
+    log_p_st, log_p_ed = (
+        T.log_softmax(T.conv1d(s_local, f) + pad[:, None], axis=-1)
+        for f in (model.span_st_filter, model.span_ed_filter)
+    )
+    return P.VsmScores(s_local, T.vmax(cos + pad[..., None], axis=1), log_p_st, log_p_ed)
+
+
+class TestVsmStepBitIdentical:
+    def test_one_step_equals_the_inline_norms_scorer(self, small_vocab, monkeypatch):
+        """Loss, every gradient and every updated parameter of one vsm step
+        with dropout on are equal, not just close."""
+        config = ModelConfig(
+            d=16, cross_layers=1, cross_heads=2, temporal_layers=1, temporal_heads=2,
+            vocab_size=30, frame_feature_dim=8, max_frames=16, max_tokens=12,
+            ffn_multiplier=2, dropout=0.1,
+        )
+        batch = P.build_task_batch("vsm", _uneven_clips(small_vocab), small_vocab, config,
+                                   np.random.default_rng(8), step=2, seed=0)
+        hypers = P.PretrainHypers(margin=0.5)  # wide enough that hinges are active
+
+        def one_step():
+            model = P.PretrainModel(config, seed=2)
+            opt = T.AdamW(model.params(), lr=1e-3, weight_decay=0.01)
+            loss = P.pretrain_step(model, batch, opt, hypers, train_rng=P.dropout_rng(0, 2))
+            params = model.params().items()
+            return loss, {k: p.grad for k, p in params}, {k: p.data.copy() for k, p in params}
+
+        got = one_step()
+        monkeypatch.setattr(P.PretrainModel, "vsm_scores_for_query", inline_norms_vsm_scores)
+        want = one_step()
+        assert got[0] == want[0]
+        for g, w in zip(got[1:], want[1:]):
+            assert g.keys() == w.keys()
+            for name in w:
+                np.testing.assert_array_equal(g[name], w[name], err_msg=name)
+        assert got[1]["span_st_filter"] is not None  # the step reached the scorer's parameters
+
+
 class TestVsmScores:
     def test_probability_vectors_sum_to_one(self, model, toy_clip):
         encoded = model.encoder.encode_clip(toy_clip)
         q = model.encode_query([toy_clip.sentences[0].token_ids])
-        scores = model.vsm_scores_for_query(encoded.v_temp, [0, toy_clip.n_frames], q)
+        scores = model.vsm_scores_for_query(P.ClipSide(encoded.v_temp, [0, toy_clip.n_frames]), q)
         assert abs(np.exp(scores.log_p_st.data).sum() - 1.0) < 1e-12
         assert abs(np.exp(scores.log_p_ed.data).sum() - 1.0) < 1e-12
         assert -1.0 <= scores.s_global.item() <= 1.0
@@ -566,7 +617,7 @@ class TestVsmScores:
         rows[3] = 3.0 * q[0]  # positive multiple of the query
         for i, other_axis in zip((0, 1, 2, 4), (1, 2, 3, 4)):
             rows[i, other_axis] = 1.0  # orthogonal to q
-        scores = model.vsm_scores_for_query(T.Tensor(rows), [0, 5], T.Tensor(q))
+        scores = model.vsm_scores_for_query(P.ClipSide(T.Tensor(rows), [0, 5]), T.Tensor(q))
         assert scores.s_global.item() == pytest.approx(1.0, abs=1e-9)
         cos = rows @ q[0] / (np.linalg.norm(rows, axis=1) * np.linalg.norm(q))
         assert int(np.argmax(cos)) == 3
@@ -575,9 +626,9 @@ class TestVsmScores:
     def test_positive_query_scaling_leaves_argmaxes(self, model, toy_clip):
         encoded = model.encoder.encode_clip(toy_clip)
         q = model.encode_query([toy_clip.sentences[0].token_ids])
-        bounds = [0, toy_clip.n_frames]
-        a = model.vsm_scores_for_query(encoded.v_temp, bounds, q)
-        b = model.vsm_scores_for_query(encoded.v_temp, bounds, q * 3.0)
+        clips = P.ClipSide(encoded.v_temp, [0, toy_clip.n_frames])
+        a = model.vsm_scores_for_query(clips, q)
+        b = model.vsm_scores_for_query(clips, q * 3.0)
         assert int(np.argmax(a.s_local.data)) == int(np.argmax(b.s_local.data))
         assert int(np.argmax(np.exp(a.log_p_st.data))) == int(np.argmax(np.exp(b.log_p_st.data)))
         assert int(np.argmax(np.exp(a.log_p_ed.data))) == int(np.argmax(np.exp(b.log_p_ed.data)))
