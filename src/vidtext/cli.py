@@ -178,6 +178,26 @@ def _load_aligned_corpus(corpus_path: str, max_frames: int):
     return header, vocab, clips
 
 
+def _load_corpus_for(corpus_path: str, config: ModelConfig, tokens: list[str]):
+    """``_load_aligned_corpus`` for a checkpoint of ``config`` and vocabulary
+    ``tokens``: a corpus of another frame feature width or vocabulary is a
+    DataError (exit 2) naming both values."""
+    header, vocab, clips = _load_aligned_corpus(corpus_path, config.max_frames)
+    if header.feature_dim != config.frame_feature_dim:
+        raise DataError(
+            f"corpus {corpus_path} has feature_dim {header.feature_dim}, "
+            f"the checkpoint frame_feature_dim {config.frame_feature_dim}"
+        )
+    if vocab.tokens != tokens:
+        i = next((i for i, (a, b) in enumerate(zip(vocab.tokens, tokens)) if a != b), None)
+        first = "" if i is None else f", first at token {i}: {vocab.tokens[i]!r} != {tokens[i]!r}"
+        raise DataError(
+            f"corpus {corpus_path} vocabulary of {vocab.size} tokens does not match "
+            f"the checkpoint's {len(tokens)} tokens{first}"
+        )
+    return vocab, clips
+
+
 def _model_config(eff: dict, vocab_size: int, feature_dim: int) -> ModelConfig:
     shape = {k: eff[k] for k in _MODEL_SHAPE}
     return ModelConfig(vocab_size=vocab_size, frame_feature_dim=feature_dim, **shape)
@@ -344,13 +364,10 @@ def cmd_finetune(args) -> int:
     if args.init:
         arrays, meta = load_checkpoint(args.init)
         config = _meta_config(meta, args.init, arrays)
+        vocab, clips = _load_corpus_for(args.corpus, config, meta["vocab_tokens"])
     else:
-        arrays, meta = None, None
-        config = None
-
-    max_frames = config.max_frames if config else PRETRAIN_DEFAULTS["max_frames"]
-    header, vocab, clips = _load_aligned_corpus(args.corpus, max_frames)
-    if config is None:
+        arrays = None
+        header, vocab, clips = _load_aligned_corpus(args.corpus, PRETRAIN_DEFAULTS["max_frames"])
         config = _model_config(PRETRAIN_DEFAULTS, vocab.size, header.feature_dim)
     examples = read_task_file(args.data, args.task)
     by_id = _clips_by_id(clips)
@@ -440,11 +457,13 @@ def _meta_fields(meta: dict, path, *keys) -> list:
 
 
 def _meta_config(meta: dict, path, arrays: dict) -> ModelConfig:
-    """The model config in a checkpoint's meta.  A malformed one, or one
-    whose sizes disagree with the arrays that fix them, is a DataError
-    (exit 2), raised before a model of that size is built.  A missing array
-    is left to ``_load_model_arrays``, which names the model's first one."""
-    (raw,) = _meta_fields(meta, path, "config")
+    """The model config in a checkpoint's meta.  A malformed one, one whose
+    sizes disagree with the arrays that fix them, or one whose
+    ``vocab_size`` is not the number of the meta's ``vocab_tokens`` is a
+    DataError (exit 2), raised before a model of that size is built.  A
+    missing array is left to ``_load_model_arrays``, which names the
+    model's first one."""
+    raw, tokens = _meta_fields(meta, path, "config", "vocab_tokens")
     try:
         c = ModelConfig.from_dict(raw)
     except (TypeError, ConfigError) as exc:
@@ -461,6 +480,10 @@ def _meta_config(meta: dict, path, arrays: dict) -> ModelConfig:
     for name, shape in sizes.items():
         if name in arrays and arrays[name].shape != shape:
             raise DataError(f"checkpoint {path} config does not fit its array {name!r}")
+    if len(tokens) != c.vocab_size:
+        raise DataError(
+            f"checkpoint {path} has {len(tokens)} vocab_tokens, its config vocab_size {c.vocab_size}"
+        )
     return c
 
 
@@ -538,9 +561,7 @@ def cmd_eval(args) -> int:
         raise UsageError("every K must be at least 1")
 
     model, config, vocab, meta = _restore_model(args.checkpoint)
-    header, corpus_vocab, clips = _load_aligned_corpus(args.corpus, config.max_frames)
-    if corpus_vocab.tokens != vocab.tokens:
-        raise DataError("corpus vocabulary does not match the checkpoint vocabulary")
+    _, clips = _load_corpus_for(args.corpus, config, vocab.tokens)
     by_id = _clips_by_id(clips)
     examples = read_task_file(args.data, args.task)
     _examples_by_clip(examples, by_id, args.task)
@@ -607,22 +628,21 @@ def cmd_eval(args) -> int:
 
 def cmd_inspect_attention(args) -> int:
     model, config, vocab, meta = _restore_model(args.checkpoint)
-    header, corpus_vocab, clips = _load_aligned_corpus(args.corpus, config.max_frames)
+    _, clips = _load_corpus_for(args.corpus, config, vocab.tokens)
     by_id = _clips_by_id(clips)
     if args.clip_id not in by_id:
         raise DataError(f"clip {args.clip_id!r} not found in {args.corpus}")
-    clip = by_id[args.clip_id]
-    with T.no_grad():
-        encoded = model.encoder.encode_clip(clip, capture_attention=True)
+    with T.no_grad(), T.record_attention() as ops:
+        model.encoder.encode_clip(by_id[args.clip_id])
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    cross = config.cross_layers  # the cross-modal layers' ops come first, one grid per sentence
     written = []
-    for key, layers in encoded.attention[0].items():
-        stage = key[0]
-        tag = f"cross_sentence{key[1]}" if stage == "cross" else "temporal"
-        for layer_idx, heads in enumerate(layers):
-            for head_idx, grid in enumerate(heads):
-                name = f"{tag}_layer{layer_idx}_head{head_idx}.txt"
+    for i, op in enumerate(ops):
+        for j, heads in enumerate(op):
+            tag = f"cross_sentence{j}_layer{i}" if i < cross else f"temporal_layer{i - cross}"
+            for head, grid in enumerate(heads):
+                name = f"{tag}_head{head}.txt"
                 lines = [" ".join(f"{x:.8f}" for x in row) for row in grid]
                 (out_dir / name).write_text("\n".join(lines) + "\n")
                 written.append(name)

@@ -550,9 +550,9 @@ class DecoderBlock(Module):
         self.ffn1 = Linear(rng, d, d * ffn_multiplier)
         self.ffn2 = Linear(rng, d * ffn_multiplier, d)
 
-    def __call__(self, x, enc_rows, causal_mask, enc_mask, capture=None):
+    def __call__(self, x, enc_rows, causal_mask, enc_mask):
         x = x + self.self_attn(self.ln1(x), key_mask=causal_mask)
-        x = x + self.cross_attn(self.ln2(x), kv=enc_rows, key_mask=enc_mask, capture=capture)
+        x = x + self.cross_attn(self.ln2(x), kv=enc_rows, key_mask=enc_mask)
         return x + self.ffn2(T.gelu(self.ffn1(self.ln3(x))))
 
 
@@ -572,27 +572,28 @@ class Decoder(Module):
         self.ln_out = LayerNorm(d)
         self.lm_out = Linear(rng, d, config.vocab_size, init="small")
 
-    def __call__(
-        self, input_ids: Sequence[int], enc_rows: T.Tensor, enc_mask: np.ndarray, capture=None
-    ) -> T.Tensor:
+    def __call__(self, input_ids: Sequence[int], enc_rows: T.Tensor, enc_mask: np.ndarray) -> T.Tensor:
         n = len(input_ids)
         x = T.embedding(self.token_emb, list(input_ids)) + T.embedding(self.pos_emb, np.arange(n))
         causal = np.tril(np.ones((n, n), dtype=bool))
         for block in self.blocks:
-            x = block(x, enc_rows, causal, enc_mask, capture=capture)
+            x = block(x, enc_rows, causal, enc_mask)
         return self.lm_out(self.ln_out(x))
 
 
-class CaptionModel(Module):
-    """Encoder plus a shallow (2-layer) left-to-right decoder whose
-    cross-attention is restricted to the frames of the captioned moment."""
+DECODER_LAYERS = 2
 
-    def __init__(self, config: ModelConfig, seed: int = 0, decoder_layers: int = 2, max_len: int = 24):
+
+class CaptionModel(Module):
+    """Encoder plus a shallow (``DECODER_LAYERS``-layer) left-to-right decoder
+    whose cross-attention is restricted to the frames of the captioned moment."""
+
+    def __init__(self, config: ModelConfig, seed: int = 0, max_len: int = 24):
         self.config = config
         self.max_len = max_len
         rng = np.random.default_rng([seed, 4])
         self.encoder = HierarchicalEncoder(config, rng)
-        self.decoder = Decoder(rng, config, decoder_layers, max_len)
+        self.decoder = Decoder(rng, config, DECODER_LAYERS, max_len)
 
     def _moment_mask(self, clip: AlignedClip, moment: tuple[float, float]) -> np.ndarray:
         try:
@@ -617,19 +618,15 @@ class CaptionModel(Module):
         logits = self.decoder(input_ids, enc.v_temp, enc_mask)
         return T.cross_entropy(logits, labels)
 
-    def greedy_decode(
-        self, clip: AlignedClip, moment: tuple[float, float], max_len: int | None = None,
-        capture: list | None = None,
-    ) -> list[int]:
-        """Argmax decoding until the end token or the length limit; returns
+    def greedy_decode(self, clip: AlignedClip, moment: tuple[float, float]) -> list[int]:
+        """Argmax decoding until the end token or ``max_len`` tokens; returns
         content token ids only."""
-        max_len = self.max_len if max_len is None else min(max_len, self.max_len)
         enc_mask = self._moment_mask(clip, moment)
         with T.no_grad():
             enc = self.encoder.encode_clip(clip)
             ids = [CLS_ID]
-            for _ in range(max_len):
-                logits = self.decoder(ids, enc.v_temp, enc_mask, capture=capture)
+            for _ in range(self.max_len):
+                logits = self.decoder(ids, enc.v_temp, enc_mask)
                 nxt = int(np.argmax(logits.data[-1]))
                 if nxt == SEP_ID:
                     break

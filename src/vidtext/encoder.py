@@ -148,17 +148,14 @@ class MultiHeadAttention(Module):
         self,
         x: T.Tensor,
         key_mask: np.ndarray | None = None,
-        capture: list | None = None,
         kv: T.Tensor | None = None,
         grid: np.ndarray | None = None,
     ) -> T.Tensor:
         source = x if kv is None else kv
         bias = None if key_mask is None else np.where(key_mask, 0.0, T.ATTENTION_MASK_BIAS)
-        out, weights = T.attention(
+        out, _ = T.attention(
             self.wq(x), self.wk(source), self.wv(source), self.heads, bias, grid=grid
         )
-        if capture is not None:
-            capture.extend(weights.copy())  # one entry per head, or per batch entry
         return self.wo(out)
 
 
@@ -173,8 +170,8 @@ class TransformerBlock(Module):
         self.ffn1 = Linear(rng, d, d * ffn_multiplier)
         self.ffn2 = Linear(rng, d * ffn_multiplier, d)
 
-    def __call__(self, x, dropout=0.0, train_rng=None, capture=None, grid=None):
-        a = self.attn(self.ln1(x), capture=capture, grid=grid)
+    def __call__(self, x, dropout=0.0, train_rng=None, grid=None):
+        a = self.attn(self.ln1(x), grid=grid)
         x = x + T.dropout(a, dropout, train_rng)
         f = self.ffn2(T.gelu(self.ffn1(self.ln2(x))))
         return x + T.dropout(f, dropout, train_rng)
@@ -186,13 +183,9 @@ class TransformerStack(Module):
         self.blocks = [TransformerBlock(rng, d, heads, ffn_multiplier) for _ in range(layers)]
         self.ln_out = LayerNorm(d)
 
-    def __call__(self, x, dropout=0.0, train_rng=None, capture=None, grid=None):
+    def __call__(self, x, dropout=0.0, train_rng=None, grid=None):
         for block in self.blocks:
-            layer_capture = None
-            if capture is not None:
-                capture.append([])
-                layer_capture = capture[-1]
-            x = block(x, dropout=dropout, train_rng=train_rng, capture=layer_capture, grid=grid)
+            x = block(x, dropout=dropout, train_rng=train_rng, grid=grid)
         return self.ln_out(x)
 
 
@@ -217,7 +210,6 @@ class EncodedBatch:
     w_cross: T.Tensor | None  # None when no clip has a token
     frame_bounds: np.ndarray  # (B + 1,)
     token_bounds: list[np.ndarray]  # per clip, (S_b + 1,)
-    attention: list[dict]  # per clip
     v_temp: T.Tensor | None = None  # None until the temporal stage ran
 
     @property
@@ -264,16 +256,9 @@ class HierarchicalEncoder(Module):
             ids = ids[: self.config.max_tokens]
         return ids
 
-    def embed_text(self, token_ids: Sequence[int], positions=None) -> T.Tensor:
-        """LN(token embedding + position embedding).
-
-        Without ``positions`` the ids are one sentence at positions 0, 1, ...,
-        truncated to max_tokens with a warning; explicit per-id positions
-        embed several sentences in one call.
-        """
-        if positions is None:
-            token_ids = self._truncated(token_ids)
-            positions = np.arange(len(token_ids))
+    def embed_text(self, token_ids: Sequence[int], positions) -> T.Tensor:
+        """LN(token embedding + position embedding) at the given per-id
+        ``positions``, so one call embeds several sentences."""
         ids = list(token_ids)
         if not ids:
             raise UsageError("embed_text needs at least one token")
@@ -307,50 +292,37 @@ class HierarchicalEncoder(Module):
         self,
         v_emb: T.Tensor | None,
         w_emb: T.Tensor | None,
-        segments: Sequence[tuple[np.ndarray, np.ndarray]] | None = None,
+        segments: Sequence[tuple[np.ndarray, np.ndarray]],
         train_rng: np.random.Generator | None = None,
-        capture: list | None = None,
     ) -> tuple[T.Tensor | None, T.Tensor | None]:
         """Self-attention within each segment's joint [frames | tokens]
         sequence, returning fused rows in input order.
 
         ``segments`` lists each segment's frame rows (into ``v_emb``) and
-        token rows (into ``w_emb``) and must use every row exactly once; the
-        default is a single segment of all rows.  The stack runs on the
-        packed rows ``[v_emb; w_emb]``; only attention sees the segments, as
-        an (S, L) row grid padded to the longest segment.  Either side may
-        be absent (the query path passes no frames).  ``capture`` receives,
-        per segment, a list per layer of per-head (L_j, L_j) grids.
+        token rows (into ``w_emb``) and must use every row exactly once.  The
+        stack runs on the packed rows ``[v_emb; w_emb]``; only attention sees
+        the segments, as an (S, L) row grid padded to the longest segment.
+        Either side may be absent (the query path passes no frames).
         """
         if v_emb is None and w_emb is None:
             raise UsageError("cross_modal_forward needs at least one modality")
         parts = [p for p in (v_emb, w_emb) if p is not None]
         n_v = v_emb.shape[0] if v_emb is not None else 0
         n_rows = sum(p.shape[0] for p in parts)
-        if segments is None:
-            segments = [(np.arange(n_v), np.arange(n_rows - n_v))]
         joint = [  # each segment's packed rows: frames, then tokens after all frames
             np.concatenate([np.asarray(f, dtype=np.intp), n_v + np.asarray(t, dtype=np.intp)])
             for f, t in segments
         ]
-        lengths = [len(rows) for rows in joint]
-        if min(lengths) == 0:
+        if min(len(rows) for rows in joint) == 0:
             raise UsageError("cross_modal_forward needs at least one row in every segment")
         if not np.array_equal(np.sort(np.concatenate(joint)), np.arange(n_rows)):
             raise ShapeError("cross_modal_forward segments must use every frame and token row once")
-        layers = [] if capture is not None else None
         out = self.cross(
             parts[0] if len(parts) == 1 else T.concat_rows(parts),
             dropout=self.config.dropout,
             train_rng=train_rng,
-            capture=layers,
             grid=T.row_grid(joint, n_rows),
         )
-        if capture is not None:
-            capture.extend(
-                [[heads[:n, :n] for heads in layer[j]] for layer in layers]
-                for j, n in enumerate(lengths)
-            )
         if w_emb is None:
             return out, None
         if v_emb is None:
@@ -361,21 +333,17 @@ class HierarchicalEncoder(Module):
         self,
         rows: T.Tensor,
         train_rng: np.random.Generator | None = None,
-        capture: list | None = None,
         grid: np.ndarray | None = None,
     ) -> T.Tensor:
         """The temporal stack over ``rows``; with a row ``grid``, ``rows``
         packs several sequences (see ``tensor.attention``)."""
-        return self.temporal(
-            rows, dropout=self.config.dropout, train_rng=train_rng, capture=capture, grid=grid
-        )
+        return self.temporal(rows, dropout=self.config.dropout, train_rng=train_rng, grid=grid)
 
     def temporal_forward(
         self,
         v_emb: T.Tensor,
         v_cross: T.Tensor,
         train_rng: np.random.Generator | None = None,
-        capture: list | None = None,
         grid: np.ndarray | None = None,
         order: np.ndarray | None = None,
     ) -> T.Tensor:
@@ -388,7 +356,7 @@ class HierarchicalEncoder(Module):
         rows = v_emb + v_cross
         if order is not None:
             rows = T.take_rows(rows, order)
-        return self.temporal_apply(rows, train_rng=train_rng, capture=capture, grid=grid)
+        return self.temporal_apply(rows, train_rng=train_rng, grid=grid)
 
     # -- whole-clip pipeline -----------------------------------------------------
 
@@ -398,7 +366,6 @@ class HierarchicalEncoder(Module):
         token_ids_overrides: Sequence[Sequence[Sequence[int]] | None] | None = None,
         frame_features_overrides: Sequence[np.ndarray | None] | None = None,
         train_rng: np.random.Generator | None = None,
-        capture_attention: bool = False,
     ) -> EncodedBatch:
         """The cross-modal stage of ``encode_clips``: embed every frame (in
         timestamp order) and every token of every clip once, then fuse every
@@ -438,10 +405,7 @@ class HierarchicalEncoder(Module):
         if token_lo[-1]:
             positions = np.concatenate([np.arange(n) for n in lengths])
             w_emb = self.embed_text([i for ids in token_ids for i in ids], positions)
-        capture = [] if capture_attention else None
-        v_cross, w_cross = self.cross_modal_forward(
-            v_emb, w_emb, segments, train_rng=train_rng, capture=capture
-        )
+        v_cross, w_cross = self.cross_modal_forward(v_emb, w_emb, segments, train_rng=train_rng)
         return EncodedBatch(
             clips=list(clips),
             v_emb=v_emb,
@@ -449,10 +413,6 @@ class HierarchicalEncoder(Module):
             w_cross=w_cross,
             frame_bounds=frame_bounds,
             token_bounds=[token_lo[lo : hi + 1] for lo, hi in sentences_of_clip],
-            attention=[
-                {("cross", j): layers for j, layers in enumerate(capture[lo:hi])} if capture else {}
-                for lo, hi in sentences_of_clip
-            ],
         )
 
     def encode_clips(
@@ -462,36 +422,23 @@ class HierarchicalEncoder(Module):
         frame_features_overrides: Sequence[np.ndarray | None] | None = None,
         frame_orders: Sequence[np.ndarray] | None = None,
         train_rng: np.random.Generator | None = None,
-        capture_attention: bool = False,
     ) -> EncodedBatch:
         """Encode a batch of clips in one packed pass: one ``fuse_clip`` over
         all clips, then one ``temporal_forward`` over a (B, longest clip) row
         grid.  ``frame_orders[b]`` lists the fused frame rows clip b's
         temporal stack reads, in order (see ``ReorderPlan.permutation``)."""
-        batch = self.fuse_clip(
-            clips, token_ids_overrides, frame_features_overrides, train_rng, capture_attention
-        )
+        batch = self.fuse_clip(clips, token_ids_overrides, frame_features_overrides, train_rng)
         bounds = batch.frame_bounds
         order = None if frame_orders is None else batch.frame_rows(frame_orders)
         frames = [np.arange(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
         grid = T.row_grid(frames, bounds[-1])
-        capture = [] if capture_attention else None
         batch.v_temp = self.temporal_forward(
-            batch.v_emb, batch.v_cross, train_rng=train_rng, capture=capture, grid=grid, order=order
+            batch.v_emb, batch.v_cross, train_rng=train_rng, grid=grid, order=order
         )
-        if capture is not None:
-            for b, (attention, n) in enumerate(zip(batch.attention, np.diff(bounds))):
-                attention[("temporal",)] = [
-                    [heads[:n, :n] for heads in layer[b]]
-                    for layer in capture
-                ]
         return batch
 
     def encode_clip(
-        self,
-        clip: AlignedClip,
-        train_rng: np.random.Generator | None = None,
-        capture_attention: bool = False,
+        self, clip: AlignedClip, train_rng: np.random.Generator | None = None
     ) -> EncodedBatch:
         """``encode_clips`` of a batch of one."""
-        return self.encode_clips([clip], train_rng=train_rng, capture_attention=capture_attention)
+        return self.encode_clips([clip], train_rng=train_rng)

@@ -38,6 +38,7 @@ from .errors import ConfigError, DataError, ShapeError, UsageError
 # newest first, which is what the adjoint sweep needs.
 _TAPE: list["Tensor"] = []
 _GRAD_ENABLED: bool = True
+_ATTENTION_RECORD: list | None = None  # the innermost ``record_attention`` list
 
 
 class no_grad:
@@ -52,6 +53,22 @@ class no_grad:
     def __exit__(self, *exc):
         global _GRAD_ENABLED
         _GRAD_ENABLED = self._prev
+        return False
+
+
+class record_attention:
+    """Context manager that keeps the weights of every ``attention`` op run
+    inside it in the list it yields, one entry per op (see ``attention``).
+    An inner recorder keeps its own ops and restores the outer one."""
+
+    def __enter__(self) -> list:
+        global _ATTENTION_RECORD
+        self._prev, _ATTENTION_RECORD = _ATTENTION_RECORD, []
+        return _ATTENTION_RECORD
+
+    def __exit__(self, *exc):
+        global _ATTENTION_RECORD
+        _ATTENTION_RECORD = self._prev
         return False
 
 
@@ -318,6 +335,10 @@ def attention(
     are gathered into a (B, L, d) batch whose padding keys are masked, and
     the output is scattered back to (N, d); the adjoint does the reverse.
     The weights are the (B, heads, L, L) grids.  ``bias`` must then be None.
+
+    Inside ``record_attention`` the op records its weights: the array, or
+    with a grid a list of each sequence's (heads, n_b, n_b) grid cut to its
+    real length.
     """
     qd, kd, vd = q.data, k.data, v.data
     if grid is not None:
@@ -382,6 +403,8 @@ def attention(
             _accum(k, scatter((ds.swapaxes(-1, -2) @ split(qs)).swapaxes(-2, -3).reshape(kd.shape)))
 
     p.flags.writeable = False
+    if _ATTENTION_RECORD is not None:
+        _ATTENTION_RECORD.append(p if grid is None else [w[:, r][:, :, r] for w, r in zip(p, real)])
     return _make(scatter(out), (q, k, v), bw), p
 
 

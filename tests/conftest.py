@@ -101,11 +101,22 @@ def _rows(t, lo, hi):
     return t if lo == 0 and hi == t.shape[0] else T.slice_rows(t, lo, hi)
 
 
+def embed_sentence(encoder, token_ids):
+    """``embed_text`` of one sentence at positions 0, 1, ..., cut to max_tokens."""
+    ids = list(token_ids)[: encoder.config.max_tokens]
+    return encoder.embed_text(ids, np.arange(len(ids)))
+
+
+def one_segment(v_emb, w_emb):
+    """``cross_modal_forward``'s segments for one segment of every row."""
+    return [tuple(np.arange(0 if x is None else x.shape[0]) for x in (v_emb, w_emb))]
+
+
 def clip_views(batch):
     """Each clip of an ``EncodedBatch`` on its own: row slices of the packed
     ``v_emb``, ``v_cross`` and ``v_temp`` (the tensors themselves when the
-    batch is that clip alone), ``w_cross`` per sentence (None for a sentence
-    of no token), and the clip's attention grids."""
+    batch is that clip alone) and ``w_cross`` per sentence (None for a
+    sentence of no token)."""
     views = []
     for b, (lo, hi) in enumerate(zip(batch.frame_bounds[:-1], batch.frame_bounds[1:])):
         starts = batch.token_bounds[b]
@@ -118,7 +129,6 @@ def clip_views(batch):
             v_emb=_rows(batch.v_emb, lo, hi),
             v_cross=_rows(batch.v_cross, lo, hi),
             v_temp=_rows(batch.v_temp, lo, hi),
-            attention=batch.attention[b],
         ))
     return views
 
@@ -158,8 +168,10 @@ def loop_conv1d(x, kernel):
 
 def ref_encode_query(model, query_token_ids, train_rng=None):
     """One query's (1, d) vector from its own frameless cross-modal pass."""
-    w_emb = model.encoder.embed_text(query_token_ids)
-    _, w_cross = model.encoder.cross_modal_forward(None, w_emb, train_rng=train_rng)
+    w_emb = embed_sentence(model.encoder, query_token_ids)
+    _, w_cross = model.encoder.cross_modal_forward(
+        None, w_emb, one_segment(None, w_emb), train_rng=train_rng
+    )
     qe = model.query_encoder
     alpha = T.softmax(T.matmul(w_cross, qe.pool) * (1.0 / np.sqrt(w_cross.shape[1])), axis=0)
     pooled = T.matmul(alpha.T, w_cross)  # (1, d)

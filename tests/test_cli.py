@@ -576,6 +576,92 @@ class TestInspectAttention:
         ])
         assert rc == EXIT_DATA
 
+    def test_one_file_per_head_of_each_sentence_and_temporal_layer(
+        self, corpus, pretrained, tmp_path, capsys
+    ):
+        from vidtext.data import align, load_corpus_vocab, read_corpus
+
+        header, raws = read_corpus(corpus)
+        clip = align(raws[1], load_corpus_vocab(corpus, header))
+        config = ModelConfig.from_dict(load_checkpoint(pretrained)[1]["config"])
+        out = tmp_path / "attn"
+        rc = main([
+            "inspect-attention", "--checkpoint", str(pretrained),
+            "--corpus", str(corpus), "--clip-id", clip.clip_id, "--out", str(out),
+        ])
+        assert rc == EXIT_OK
+        n_files = (config.cross_heads * config.cross_layers * len(clip.sentences)
+                   + config.temporal_heads * config.temporal_layers)
+        assert len(list(out.iterdir())) == n_files
+        assert capsys.readouterr().out == f"wrote {n_files} attention grids to {out}\n"
+        temporal = sorted(out.glob("temporal_layer*_head*.txt"))
+        assert len(temporal) == config.temporal_heads * config.temporal_layers
+        for path in temporal:
+            assert np.loadtxt(path).shape == (clip.n_frames, clip.n_frames)
+
+
+@pytest.fixture(scope="module")
+def misfit_corpora(tmp_path_factory):
+    """The ``corpus`` fixture's corpus with 16-dim frame features, and with a
+    40-token vocabulary."""
+    root = tmp_path_factory.mktemp("misfit")
+    paths = {}
+    for case, flags in (("feature_dim", ["--feature-dim", "16"]), ("vocab", ["--vocab-size", "40"])):
+        paths[case] = root / f"{case}.jsonl"
+        rc = main([
+            "gen-data", "--out", str(paths[case]), "--clips", "4", "--seconds", "21",
+            "--fps", "0.6667", "--feature-dim", "8", "--vocab-size", "30", "--seed", "1", *flags,
+        ])
+        assert rc == EXIT_OK
+    return paths
+
+
+class TestCorpusMustFitTheCheckpoint:
+    """eval, inspect-attention and finetune --init refuse a corpus whose frame
+    feature width or vocabulary is not the checkpoint's, and a checkpoint
+    whose vocab_tokens do not fit its own vocab_size: exit 2, one error line
+    naming both values, nothing written."""
+
+    @staticmethod
+    def _argv(command, checkpoint, corpus, tasks, out):
+        if command == "eval":
+            return ["eval", "--task", "retrieval", "--data", str(tasks["retrieval"]),
+                    "--corpus", str(corpus), "--checkpoint", str(checkpoint),
+                    "--out", str(out / "report.json")]
+        if command == "inspect-attention":
+            return ["inspect-attention", "--checkpoint", str(checkpoint), "--corpus", str(corpus),
+                    "--clip-id", "clip0000", "--out", str(out / "attn")]
+        return ["finetune", "--task", "caption", "--data", str(tasks["caption"]),
+                "--corpus", str(corpus), "--init", str(checkpoint),
+                "--out-dir", str(out / "ft"), "--steps", "1"]
+
+    @pytest.mark.parametrize("case, named", [
+        ("feature_dim", ["feature_dim 16", "frame_feature_dim 8"]),
+        ("vocab", ["40 tokens", "30 tokens"]),
+        ("checkpoint", ["31 vocab_tokens", "vocab_size 30"]),
+    ])
+    @pytest.mark.parametrize("command", ["eval", "inspect-attention", "finetune"])
+    def test_exits_two_naming_both_values(
+        self, corpus, pretrained, misfit_corpora, tmp_path, capsys, command, case, named
+    ):
+        checkpoint = pretrained
+        if case == "checkpoint":
+            tokens = load_checkpoint(pretrained)[1]["vocab_tokens"]
+            checkpoint = _resave_with_meta(
+                pretrained, tmp_path / "bad.ckpt", "vocab_tokens", tokens + ["w_extra"]
+            )
+        data = corpus if case == "checkpoint" else misfit_corpora[case]
+        tasks = write_toy_tasks(data, tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        capsys.readouterr()
+        rc = main(self._argv(command, checkpoint, data, tasks, out))
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert all(value in err for value in named), err
+        assert list(out.iterdir()) == []
+
 
 # (command, flags, exit code): each flag value is outside its range
 _OUT_OF_RANGE = [

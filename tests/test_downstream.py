@@ -39,8 +39,10 @@ from vidtext.pretrain import PretrainHypers, PretrainModel
 
 from conftest import (
     detokenize,
+    embed_sentence,
     loop_best_spans,
     make_clip,
+    one_segment,
     ref_encode_query,
     ref_global_alignment_score,
     ref_rank_moments,
@@ -260,8 +262,8 @@ def _ref_encode_with_appended_text(encoder, clip, extra_ids):
     ]
     fused = encoder.fuse_clip([clip], [override])
     v_emb, v_cross = fused.v_emb, fused.v_cross
-    w_emb = encoder.embed_text(list(extra_ids)[:max_tokens])
-    _, w_cross = encoder.cross_modal_forward(None, w_emb)
+    w_emb = embed_sentence(encoder, extra_ids)
+    _, w_cross = encoder.cross_modal_forward(None, w_emb, one_segment(None, w_emb))
     h = encoder.temporal_apply(T.concat_rows([v_emb + v_cross, w_emb + w_cross]))
     return T.take_rows(h, np.arange(clip.n_frames))
 
@@ -448,13 +450,18 @@ class TestCaption:
 
     def test_cross_attention_restricted_to_moment(self, tiny_config, toy_clip, small_vocab):
         model = CaptionModel(tiny_config, seed=0, max_len=5)
-        capture = []
-        model.greedy_decode(toy_clip, (2.2, 4.8), capture=capture)
+        with T.record_attention() as ops:
+            model.greedy_decode(toy_clip, (2.2, 4.8))
+        # after the encoder's layers, each decoder block of each step records its
+        # causal self-attention, then its cross-attention into the frames
+        decoder = ops[tiny_config.cross_layers + tiny_config.temporal_layers :]
+        cross = decoder[1::2]
+        assert cross and all(attn.shape[-1] == toy_clip.n_frames for attn in cross)
         st, ed = seconds_to_frame_span(toy_clip, 2.2, 4.8)
         outside = [i for i in range(toy_clip.n_frames) if not st <= i <= ed]
         assert outside
-        for attn in capture:
-            assert attn[:, outside].max() < 1e-12
+        for attn in cross:
+            assert attn[..., outside].max() < 1e-12
 
     def test_greedy_decoding_is_deterministic(self, tiny_config, toy_clip):
         model = CaptionModel(tiny_config, seed=0, max_len=6)

@@ -7,7 +7,7 @@ from vidtext import tensor as T
 from vidtext.data import AlignedClip, Sentence
 from vidtext.encoder import HierarchicalEncoder, ModelConfig, TransformerBlock
 from vidtext.errors import ConfigError, ShapeError, UsageError
-from conftest import clip_views, make_clip, slice_cols
+from conftest import clip_views, embed_sentence, make_clip, one_segment, slice_cols
 from gradcheck import check_gradients
 
 
@@ -28,28 +28,21 @@ class TestModelConfig:
 
 class TestEmbedText:
     def test_shape_contract(self, tiny_encoder):
-        out = tiny_encoder.embed_text([5, 6, 7, 8, 9])
+        out = embed_sentence(tiny_encoder, [5, 6, 7, 8, 9])
         assert out.shape == (5, tiny_encoder.config.d)
 
     def test_position_breaks_ties_between_identical_tokens(self, tiny_encoder):
-        out = tiny_encoder.embed_text([7, 7]).data
+        out = embed_sentence(tiny_encoder, [7, 7]).data
         assert np.abs(out[0] - out[1]).max() > 1e-6
 
     def test_zeroed_position_table_makes_identical_tokens_identical(self, tiny_encoder):
         tiny_encoder.text_pos.table.data[:] = 0.0
-        out = tiny_encoder.embed_text([7, 7]).data
+        out = embed_sentence(tiny_encoder, [7, 7]).data
         np.testing.assert_array_equal(out[0], out[1])
-
-    def test_overlong_sentence_truncates_with_warning(self, tiny_encoder, caplog):
-        ids = [5] * (tiny_encoder.config.max_tokens + 3)
-        with caplog.at_level("WARNING"):
-            out = tiny_encoder.embed_text(ids)
-        assert out.shape[0] == tiny_encoder.config.max_tokens
-        assert any("truncated" in r.message for r in caplog.records)
 
     def test_out_of_vocab_id_rejected(self, tiny_encoder):
         with pytest.raises(IndexError):
-            tiny_encoder.embed_text([tiny_encoder.config.vocab_size])
+            embed_sentence(tiny_encoder, [tiny_encoder.config.vocab_size])
 
 
 class TestEmbedVideo:
@@ -81,27 +74,28 @@ class TestCrossModalForward:
     def test_shape_contract(self, tiny_encoder):
         rng = np.random.default_rng(1)
         v = tiny_encoder.embed_video(rng.standard_normal((3, 8)), np.arange(3))
-        w = tiny_encoder.embed_text([5, 6, 7, 8, 9])
-        v_cross, w_cross = tiny_encoder.cross_modal_forward(v, w)
+        w = embed_sentence(tiny_encoder, [5, 6, 7, 8, 9])
+        v_cross, w_cross = tiny_encoder.cross_modal_forward(v, w, one_segment(v, w))
         assert v_cross.shape == (3, 16) and w_cross.shape == (5, 16)
 
     def test_query_path_with_no_frames(self, tiny_encoder):
-        w = tiny_encoder.embed_text([5, 6, 7])
-        v_cross, w_cross = tiny_encoder.cross_modal_forward(None, w)
+        w = embed_sentence(tiny_encoder, [5, 6, 7])
+        v_cross, w_cross = tiny_encoder.cross_modal_forward(None, w, one_segment(None, w))
         assert v_cross is None
         assert w_cross.shape == (3, 16)
 
     def test_both_empty_rejected(self, tiny_encoder):
         with pytest.raises(UsageError):
-            tiny_encoder.cross_modal_forward(None, None)
+            tiny_encoder.cross_modal_forward(None, None, [])
 
     def test_permutation_equivariance_with_zeroed_positions(self, tiny_encoder):
         tiny_encoder.text_pos.table.data[:] = 0.0
         ids = [5, 9, 13, 21]
         perm = [2, 0, 3, 1]
-        _, w1 = tiny_encoder.cross_modal_forward(None, tiny_encoder.embed_text(ids))
+        segments = [(np.arange(0), np.arange(len(ids)))]
+        _, w1 = tiny_encoder.cross_modal_forward(None, embed_sentence(tiny_encoder, ids), segments)
         _, w2 = tiny_encoder.cross_modal_forward(
-            None, tiny_encoder.embed_text([ids[p] for p in perm])
+            None, embed_sentence(tiny_encoder, [ids[p] for p in perm]), segments
         )
         np.testing.assert_allclose(w2.data, w1.data[perm], atol=1e-12)
 
@@ -118,10 +112,12 @@ class TestTemporalForward:
         rows = T.Tensor(rng.standard_normal((6, 16)))
         # two packed sequences, rows [0, 2, 3, 5] and [1, 4]: the second has two padding slots
         grid = T.row_grid([np.array([0, 2, 3, 5]), np.array([1, 4])], 6)
-        capture = []
-        out = tiny_encoder.temporal_apply(rows, capture=capture, grid=grid).data
-        for layer in capture:
-            assert np.all(layer[1][:, :, 2:] == 0.0)
+        with T.record_attention() as ops:
+            out = tiny_encoder.temporal_apply(rows, grid=grid).data
+        # each sequence's grid is cut to its real keys and still sums to 1 over them
+        for first, second in ops:
+            assert first.shape == (2, 4, 4) and second.shape == (2, 2, 2)
+            np.testing.assert_allclose(second.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
         alone = tiny_encoder.temporal_apply(T.Tensor(rows.data[[1, 4]])).data
         np.testing.assert_allclose(out[[1, 4]], alone, rtol=0, atol=1e-12)
 
@@ -172,9 +168,9 @@ class TestEncodeClip:
         clip = make_clip(rng, small_vocab, groups=(5,), tokens=(4,))
         enc = tiny_encoder.encode_clip(clip)
 
-        w_emb = tiny_encoder.embed_text(clip.sentences[0].token_ids)
+        w_emb = embed_sentence(tiny_encoder, clip.sentences[0].token_ids)
         v_emb = tiny_encoder.embed_video(clip.frame_features, np.arange(clip.n_frames))
-        v_cross, _ = tiny_encoder.cross_modal_forward(v_emb, w_emb)
+        v_cross, _ = tiny_encoder.cross_modal_forward(v_emb, w_emb, one_segment(v_emb, w_emb))
         direct = tiny_encoder.temporal_forward(v_emb, v_cross)
         np.testing.assert_array_equal(enc.v_temp.data, direct.data)
 
@@ -214,11 +210,13 @@ class TestEncodeClip:
             tiny_encoder.encode_clip(clip)
 
     def test_attention_grids_are_square_and_stochastic(self, tiny_encoder, toy_clip):
-        enc = clip_views(tiny_encoder.encode_clip(toy_clip, capture_attention=True))[0]
+        with T.record_attention() as ops:
+            tiny_encoder.encode_clip(toy_clip)
+        cross = ops[: tiny_encoder.config.cross_layers]
         for j, sent in enumerate(toy_clip.sentences):
             size = len(sent.frame_indices) + len(sent.token_ids)
-            for layer in enc.attention[("cross", j)]:
-                for attn in layer:
+            for layer in cross:
+                for attn in layer[j]:
                     assert attn.shape == (size, size)
                     np.testing.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-6)
 
@@ -296,7 +294,7 @@ def _ref_encode_clip(enc, clip):
     v_emb_parts, v_cross_parts, w_cross_list, order, attention = [], [], [], [], {}
     for j, sent in enumerate(clip.sentences):
         group = np.asarray(sent.frame_indices, dtype=np.intp)
-        w_emb = enc.embed_text(sent.token_ids) if sent.token_ids else None
+        w_emb = embed_sentence(enc, sent.token_ids) if sent.token_ids else None
         v_emb = enc.embed_video(clip.frame_features[group], group)
         attention[("cross", j)] = []
         v_cross, w_cross = _ref_cross(enc, v_emb, w_emb, attention[("cross", j)])
@@ -346,13 +344,20 @@ class TestPaddedFusionMatchesPerSentence:
 
         def run(fast):
             T.zero_grads(params.values())
+            q_emb = embed_sentence(enc, query)
             if fast:
-                e = clip_views(enc.encode_clip(clip, capture_attention=True))[0]
-                outs = [e.v_emb, e.v_cross, e.w_cross, e.v_temp, e.attention]
-                _, q_cross = enc.cross_modal_forward(None, enc.embed_text(query))
+                with T.record_attention() as ops:
+                    e = clip_views(enc.encode_clip(clip))[0]
+                cross = ops[: enc.config.cross_layers]  # the temporal layer's op comes last
+                assert len(ops) == len(cross) + enc.config.temporal_layers
+                attention = {
+                    ("cross", j): [list(op[j]) for op in cross] for j in range(len(clip.sentences))
+                }
+                outs = [e.v_emb, e.v_cross, e.w_cross, e.v_temp, attention]
+                _, q_cross = enc.cross_modal_forward(None, q_emb, one_segment(None, q_emb))
             else:
                 outs = list(_ref_encode_clip(enc, clip))
-                _, q_cross = _ref_cross(enc, None, enc.embed_text(query))
+                _, q_cross = _ref_cross(enc, None, q_emb)
             T.backward(self._loss(*outs[:4], q_cross))
             return outs, q_cross, {k: p.grad.copy() for k, p in params.items()}
 
@@ -366,8 +371,8 @@ class TestPaddedFusionMatchesPerSentence:
         assert f_grads.keys() == r_grads.keys()
         for name in r_grads:
             np.testing.assert_allclose(f_grads[name], r_grads[name], rtol=0, atol=1e-10, err_msg=name)
-        # capture format: per sentence, layer and head, an (L_j, L_j) grid
-        assert f_outs[4].keys() - {("temporal",)} == r_outs[4].keys()
+        # per sentence, layer and head, an (L_j, L_j) grid
+        assert f_outs[4].keys() == r_outs[4].keys()
         for key, ref_layers in r_outs[4].items():
             assert len(f_outs[4][key]) == len(ref_layers) == 2
             for fast_heads, ref_heads in zip(f_outs[4][key], ref_layers):
@@ -437,16 +442,28 @@ class TestEncodeClipsPacksTheBatch:
         return enc, [a, b, c]
 
     @staticmethod
-    def _arrays(e):
-        rows = [e.v_emb, e.v_cross, e.v_temp] + [w for w in e.w_cross if w is not None]
-        grids = [g for layers in e.attention.values() for heads in layers for g in heads]
-        return [t.data for t in rows] + grids, [w is None for w in e.w_cross], sorted(e.attention)
+    def _arrays(enc, clips, one=False):
+        """Per clip: its rows, then its recorded attention grids (its
+        sentences' of each cross-modal layer, its own of each temporal
+        layer); and which of its sentences have no token."""
+        with T.record_attention() as ops:
+            batch = enc.encode_clip(clips[0]) if one else enc.encode_clips(clips)
+        cross, temporal = ops[: enc.config.cross_layers], ops[enc.config.cross_layers :]
+        sentence_lo = np.cumsum([0] + [len(c.sentences) for c in clips])
+        out = []
+        for b, e in enumerate(clip_views(batch)):
+            rows = [e.v_emb, e.v_cross, e.v_temp] + [w for w in e.w_cross if w is not None]
+            lo, hi = sentence_lo[b], sentence_lo[b + 1]
+            grids = [g for op in cross for heads in op[lo:hi] for g in heads]
+            grids += [g for op in temporal for g in op[b]]
+            out.append(([t.data for t in rows] + grids, [w is None for w in e.w_cross]))
+        return out
 
     def test_encode_clip_is_the_batch_of_one(self, setup):
         enc, clips = setup
         for clip in clips:
-            one = self._arrays(clip_views(enc.encode_clip(clip, capture_attention=True))[0])
-            batch = self._arrays(clip_views(enc.encode_clips([clip], capture_attention=True))[0])
+            (one,) = self._arrays(enc, [clip], one=True)
+            (batch,) = self._arrays(enc, [clip])
             assert one[1:] == batch[1:]
             assert len(one[0]) == len(batch[0])
             for x, y in zip(one[0], batch[0]):
@@ -454,12 +471,12 @@ class TestEncodeClipsPacksTheBatch:
 
     def test_each_clip_matches_its_own_pass(self, setup):
         enc, clips = setup
-        packed = enc.encode_clips(clips, capture_attention=True)
-        assert len(packed.clips) == len(clips)
-        for clip, e in zip(clips, clip_views(packed)):
-            alone = self._arrays(clip_views(enc.encode_clip(clip, capture_attention=True))[0])
-            mine = self._arrays(e)
+        packed = self._arrays(enc, clips)
+        assert len(packed) == len(clips)
+        for clip, mine in zip(clips, packed):
+            (alone,) = self._arrays(enc, [clip], one=True)
             assert mine[1:] == alone[1:]
+            assert len(mine[0]) == len(alone[0])
             for x, y in zip(mine[0], alone[0]):
                 assert x.shape == y.shape
                 np.testing.assert_allclose(x, y, rtol=0, atol=1e-12)
@@ -484,8 +501,8 @@ class TestEncodeClipsPacksTheBatch:
 class TestFusedAttention:
     def test_decoder_block_matches_per_head_reference(self):
         """Causal self-attention and masked kv cross-attention of a decoder
-        block against the per-head reference: output, capture grids and
-        every gradient within 1e-10."""
+        block against the per-head reference: output, recorded cross-attention
+        grids and every gradient within 1e-10."""
         from vidtext.downstream import DecoderBlock
 
         rng = np.random.default_rng(3)
@@ -500,7 +517,9 @@ class TestFusedAttention:
             x, enc = T.Tensor(x0, requires_grad=True), T.Tensor(enc0, requires_grad=True)
             capture = []
             if fused:
-                out = block(x, enc, causal, enc_mask, capture=capture)
+                with T.record_attention() as ops:
+                    out = block(x, enc, causal, enc_mask)
+                capture = list(ops[1])  # the cross-attention's heads; ops[0] is the self-attention
             else:
                 h = x + _ref_attention(block.self_attn, block.ln1(x), key_mask=causal)
                 h = h + _ref_attention(block.cross_attn, block.ln2(h), enc_mask, capture, kv=enc)

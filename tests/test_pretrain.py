@@ -1,5 +1,6 @@
 """Pre-training objective tests: mask statistics, closed forms, oracles."""
 
+import contextlib
 import math
 
 import numpy as np
@@ -538,6 +539,13 @@ class TestBatchedVsmMatchesPerTarget:
         with pytest.raises(UsageError):
             model.encode_query([[5, 6], []])
 
+    def test_overlong_sentence_truncates_with_warning(self, model, caplog):
+        max_tokens = model.config.max_tokens
+        with caplog.at_level("WARNING"):
+            long = model.encode_query([[5] * (max_tokens + 3)]).data
+        assert any("truncated" in r.message for r in caplog.records)
+        np.testing.assert_array_equal(long, model.encode_query([[5] * max_tokens]).data)
+
     def test_span_outside_its_clip_and_clip_without_target_rejected(self, model, small_vocab):
         clips = _uneven_clips(small_vocab)[1:]
         encoded = model.encoder.encode_clips(clips)
@@ -878,6 +886,23 @@ class TestPretrainStep:
             T.backward(loss)
             grads = [p.grad for p in shared.values() if p.grad is not None]
             assert any(np.abs(g).max() > 0 for g in grads), kind
+
+    def test_recording_attention_changes_no_step(self, small_vocab):
+        """Steps inside ``record_attention`` give the losses and parameters of
+        steps outside it, to the bit."""
+        hypers = P.PretrainHypers()
+
+        def run(record):
+            model, opt, batches = self._setup(small_vocab, UNIFORM, seed=5)
+            steps = [next(batches) for _ in range(5)]
+            with T.record_attention() if record else contextlib.nullcontext([]) as ops:
+                losses = [P.pretrain_step(model, b, opt, hypers) for b in steps]
+            return losses, {k: p.data.copy() for k, p in model.params().items()}, len(ops)
+
+        (losses, params, n_ops), (want_losses, want_params, _) = run(True), run(False)
+        assert n_ops > 0 and losses == want_losses
+        for name in want_params:
+            np.testing.assert_array_equal(params[name], want_params[name], err_msg=name)
 
     def test_failed_forward_leaves_no_ops_on_the_tape(self, small_vocab, tiny_config):
         rng = np.random.default_rng(30)

@@ -428,6 +428,41 @@ class TestPackedAttention:
             T.attention(y, y, y, 2, grid=np.array([[0, 1, 2]]))
 
 
+class TestRecordAttention:
+    """``record_attention`` keeps the weights of each attention op run
+    inside it, one entry per op."""
+
+    def test_records_bias_form_weights_and_packed_grids_cut_to_length(self):
+        rng = np.random.default_rng(45)
+        q, k, v = (T.Tensor(rng.standard_normal((7, 8))) for _ in range(3))
+        with T.record_attention() as ops:
+            _, dense = T.attention(q, k, v, 2)
+            _, packed = T.attention(q, k, v, 2, grid=_GRID)
+        assert len(ops) == 2 and ops[0] is dense
+        assert [g.shape for g in ops[1]] == [(2, 3, 3), (2, 4, 4)]
+        np.testing.assert_array_equal(ops[1][0], packed[0, :, :3, :3])
+        np.testing.assert_array_equal(ops[1][1], packed[1])
+
+    def test_nested_recorder_restores_the_outer_one(self):
+        x = T.Tensor(np.random.default_rng(46).standard_normal((3, 4)))
+        with T.record_attention() as outer:
+            T.attention(x, x, x, 2)
+            with T.record_attention() as inner:
+                T.attention(x, x, x, 2)
+            with pytest.raises(RuntimeError), T.record_attention() as failed:
+                T.attention(x, x, x, 2)
+                raise RuntimeError("the body failed")
+            T.attention(x, x, x, 2)
+        assert (len(outer), len(inner), len(failed)) == (2, 1, 1)
+
+    def test_nothing_is_kept_outside_a_recorder(self):
+        x = T.Tensor(np.random.default_rng(47).standard_normal((3, 4)))
+        with T.record_attention() as ops:
+            pass
+        T.attention(x, x, x, 2)
+        assert ops == [] and T._ATTENTION_RECORD is None
+
+
 class TestCrossEntropy:
     def test_uniform_logits(self):
         out = T.cross_entropy(T.Tensor(np.zeros((3, 7))), [0, 3, 6])
