@@ -169,9 +169,9 @@ def _load_aligned_corpus(corpus_path: str, max_frames: int):
     header, raws = read_corpus(corpus_path)
     vocab = load_corpus_vocab(corpus_path, header)
     for raw in raws:
-        if len(raw.frames) > max_frames:
+        if len(raw.frame_times) > max_frames:
             raise DataError(
-                f"clip {raw.clip_id!r} has {len(raw.frames)} frames, above the "
+                f"clip {raw.clip_id!r} has {len(raw.frame_times)} frames, above the "
                 f"max_frames={max_frames} ingestion limit"
             )
     clips = [align(raw, vocab) for raw in raws]
@@ -188,6 +188,13 @@ def _load_corpus_for(corpus_path: str, config: ModelConfig, tokens: list[str]):
             f"corpus {corpus_path} has feature_dim {header.feature_dim}, "
             f"the checkpoint frame_feature_dim {config.frame_feature_dim}"
         )
+    _check_corpus_tokens(corpus_path, vocab, tokens)
+    return vocab, clips
+
+
+def _check_corpus_tokens(corpus_path: str, vocab: Vocab, tokens: list[str]) -> None:
+    """A corpus vocabulary other than the checkpoint's ``tokens`` is a
+    DataError (exit 2) naming both sizes and the first differing token."""
     if vocab.tokens != tokens:
         i = next((i for i, (a, b) in enumerate(zip(vocab.tokens, tokens)) if a != b), None)
         first = "" if i is None else f", first at token {i}: {vocab.tokens[i]!r} != {tokens[i]!r}"
@@ -195,7 +202,6 @@ def _load_corpus_for(corpus_path: str, config: ModelConfig, tokens: list[str]):
             f"corpus {corpus_path} vocabulary of {vocab.size} tokens does not match "
             f"the checkpoint's {len(tokens)} tokens{first}"
         )
-    return vocab, clips
 
 
 def _model_config(eff: dict, vocab_size: int, feature_dim: int) -> ModelConfig:
@@ -277,7 +283,7 @@ def cmd_gen_data(args) -> int:
         num_topics=args.topics,
     )
     _, clips = read_corpus(path)
-    n_frames = sorted({len(c.frames) for c in clips})
+    n_frames = sorted({len(c.frame_times) for c in clips})
     print(
         f"wrote {len(clips)} clips to {path} "
         f"(frames per clip: {n_frames}, vocab size: {vocab.size})"
@@ -307,6 +313,7 @@ def cmd_pretrain(args) -> int:
         arrays, meta = load_checkpoint(args.resume)
         (start_step,) = _meta_fields(meta, args.resume, "step")
         _check_resume_meta(meta, args.resume, arrays, seed, sorted(weights), batch_size, config)
+        _check_corpus_tokens(args.corpus, vocab, meta["vocab_tokens"])
         _load_model_arrays(model, arrays, args.resume)
         if start_step > steps:
             raise ConfigError(

@@ -1,10 +1,12 @@
 """Corpus ingestion: tokenization, frame/subtitle temporal alignment,
-synthetic corpus generation, and batch padding helpers.
+synthetic corpus generation, and the per-epoch clip shuffle.
 
 Corpus files are newline-delimited JSON.  The first record is a header
 ``{"fps", "feature_dim", "vocab_path"}``; each following record is one clip
 ``{"id", "frames": [{"t0","t1","feat"}...], "subs": [{"t0","t1","text"}...]}``
-with times in seconds at up to three decimals.
+with times in seconds at up to three decimals: finite, with ``t0 <= t1``.
+Parsed clips keep each clip's frames as two arrays, the (n, 2) start and end
+times and the (n, feature_dim) features, with no object per frame.
 """
 
 from __future__ import annotations
@@ -92,13 +94,6 @@ def tokenize(text: str, vocab: Vocab) -> list[int]:
 
 
 @dataclass
-class Frame:
-    t0: float
-    t1: float
-    feat: np.ndarray
-
-
-@dataclass
 class Subtitle:
     t0: float
     t1: float
@@ -107,8 +102,12 @@ class Subtitle:
 
 @dataclass
 class RawClip:
+    """One clip record of a corpus file: frame i spans ``frame_times[i]``
+    seconds and carries ``frame_features[i]``."""
+
     clip_id: str
-    frames: list[Frame]
+    frame_times: np.ndarray  # (n_frames, 2) float64 start and end seconds
+    frame_features: np.ndarray  # (n_frames, feature_dim) float64
     subs: list[Subtitle]
 
 
@@ -131,8 +130,8 @@ class Sentence:
 class AlignedClip:
     clip_id: str
     sentences: list[Sentence]
-    frame_features: np.ndarray  # (n_frames, feature_dim)
-    frame_times: list[tuple[float, float]]
+    frame_features: np.ndarray  # (n_frames, feature_dim) float64
+    frame_times: np.ndarray  # (n_frames, 2) float64 start and end seconds
 
     @property
     def n_frames(self) -> int:
@@ -140,26 +139,7 @@ class AlignedClip:
 
     def frame_seconds(self, span: tuple[int, int]) -> tuple[float, float]:
         """Convert an inclusive frame-index span to a seconds interval."""
-        return (self.frame_times[span[0]][0], self.frame_times[span[1]][1])
-
-
-def _interval_overlap(a0: float, a1: float, b0: float, b1: float) -> float:
-    return max(0.0, min(a1, b1) - max(a0, b0))
-
-
-def _interval_gap(a0: float, a1: float, b0: float, b1: float) -> float:
-    if a1 <= b0:
-        return b0 - a1
-    if b1 <= a0:
-        return a0 - b1
-    return 0.0
-
-
-def _interval_tiou(a0: float, a1: float, b0: float, b1: float) -> float:
-    union = max(a1, b1) - min(a0, b0)
-    if union <= 0.0:
-        return 0.0
-    return _interval_overlap(a0, a1, b0, b1) / union
+        return (float(self.frame_times[span[0], 0]), float(self.frame_times[span[1], 1]))
 
 
 def align(raw: RawClip, vocab: Vocab) -> AlignedClip:
@@ -167,34 +147,33 @@ def align(raw: RawClip, vocab: Vocab) -> AlignedClip:
 
     A frame overlapping several sentences goes to the one with maximal
     temporal IoU (earlier sentence on ties).  Frames overlapping no
-    sentence attach to the temporally nearest one.  Sentences left with no
-    frames are concatenated into the preceding surviving sentence when one
-    exists, otherwise into the following one.
+    sentence attach to the temporally nearest one (earlier on ties).
+    Sentences left with no frames are concatenated into the preceding
+    surviving sentence when one exists, otherwise into the following one.
+    The clip keeps ``raw``'s frame arrays.
     """
-    if not raw.frames or not raw.subs:
+    if not len(raw.frame_times) or not raw.subs:
         raise DataError(f"clip {raw.clip_id!r} needs at least one frame and one subtitle")
 
-    owner = []
-    for f in raw.frames:
-        best_j, best_tiou = -1, 0.0
-        for j, s in enumerate(raw.subs):
-            if _interval_overlap(f.t0, f.t1, s.t0, s.t1) <= 0.0:
-                continue
-            tiou = _interval_tiou(f.t0, f.t1, s.t0, s.t1)
-            if tiou > best_tiou:
-                best_j, best_tiou = j, tiou
-        if best_j < 0:
-            gaps = [_interval_gap(f.t0, f.t1, s.t0, s.t1) for s in raw.subs]
-            best_j = int(np.argmin(gaps))
-        owner.append(best_j)
+    # (frames, subtitles) grids of overlap, tIoU and gap seconds
+    f0, f1 = raw.frame_times[:, :1], raw.frame_times[:, 1:]
+    s0 = np.array([s.t0 for s in raw.subs])
+    s1 = np.array([s.t1 for s in raw.subs])
+    overlap = np.maximum(0.0, np.minimum(f1, s1) - np.maximum(f0, s0))
+    union = np.maximum(f1, s1) - np.minimum(f0, s0)
+    tiou = np.divide(overlap, union, out=np.zeros_like(overlap), where=overlap > 0.0)
+    gap = np.where(f1 <= s0, s0 - f1, np.where(s1 <= f0, f0 - s1, 0.0))
+    owner = np.where(tiou.max(axis=1) > 0.0, tiou.argmax(axis=1), gap.argmin(axis=1))
 
-    groups: list[list[int]] = [[] for _ in raw.subs]
-    for i, j in enumerate(owner):
-        groups[j].append(i)
+    # frame indices grouped by owner, in frame order within each group
+    order = np.argsort(owner, kind="stable").tolist()
+    counts = np.bincount(owner, minlength=len(raw.subs)).tolist()
 
     sentences: list[Sentence] = []
     pending_text: list[str] = []  # empty-group sentences with no predecessor yet
-    for s, group in zip(raw.subs, groups):
+    lo = 0
+    for s, count in zip(raw.subs, counts):
+        group, lo = order[lo:lo + count], lo + count
         if not group:
             if sentences:
                 prev = sentences[-1]
@@ -212,9 +191,7 @@ def align(raw: RawClip, vocab: Vocab) -> AlignedClip:
     for sent in sentences:
         sent.token_ids = tokenize(sent.text, vocab)
 
-    feats = np.stack([np.asarray(f.feat, dtype=np.float64) for f in raw.frames])
-    times = [(f.t0, f.t1) for f in raw.frames]
-    return AlignedClip(raw.clip_id, sentences, feats, times)
+    return AlignedClip(raw.clip_id, sentences, raw.frame_features, raw.frame_times)
 
 
 # -- corpus files -----------------------------------------------------------
@@ -240,8 +217,8 @@ def write_corpus(path: str | Path, header: CorpusHeader, clips: Sequence[RawClip
             rec = {
                 "id": clip.clip_id,
                 "frames": [
-                    {"t0": round(f.t0, 3), "t1": round(f.t1, 3), "feat": [float(x) for x in f.feat]}
-                    for f in clip.frames
+                    {"t0": round(t0, 3), "t1": round(t1, 3), "feat": feat}
+                    for (t0, t1), feat in zip(clip.frame_times.tolist(), clip.frame_features.tolist())
                 ],
                 "subs": [
                     {"t0": round(s.t0, 3), "t1": round(s.t1, 3), "text": s.text} for s in clip.subs
@@ -271,32 +248,45 @@ def _parse_corpus(path: Path, text: str) -> tuple[CorpusHeader, list[RawClip]]:
         raise DataError(f"corpus header in {path} has feature_dim {header.feature_dim}, not at least 1")
 
     clips = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno in range(2, len(lines) + 1):
+        # drop each line once read: the arrays a clip keeps then reuse its
+        # memory instead of landing above the whole file's text, a heap
+        # layout that made later training steps page-fault
+        line, lines[lineno - 1] = lines[lineno - 1], None
         if not line.strip():
             continue
         try:
             rec = json.loads(line)
+            frames = rec["frames"]
             # one array per clip: ragged feature lists raise ValueError here
-            feats = np.array([f["feat"] for f in rec["frames"]], dtype=np.float64)
-            frames = [
-                Frame(float(f["t0"]), float(f["t1"]), feat) for f, feat in zip(rec["frames"], feats)
-            ]
+            feats = np.array([f["feat"] for f in frames], dtype=np.float64)
+            times = np.array([(float(f["t0"]), float(f["t1"])) for f in frames]).reshape(-1, 2)
             subs = [Subtitle(float(s["t0"]), float(s["t1"]), str(s["text"])) for s in rec["subs"]]
-            clip = RawClip(str(rec["id"]), frames, subs)
+            clip_id = str(rec["id"])
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise DataError(f"corpus record at {path}:{lineno} is malformed: {exc}") from exc
         if frames and feats.shape[1:] != (header.feature_dim,):
             raise DataError(
-                f"clip {clip.clip_id!r} frame features have shape {feats.shape[1:]}, "
+                f"clip {clip_id!r} frame features have shape {feats.shape[1:]}, "
                 f"not header feature_dim {header.feature_dim}"
             )
         if not np.isfinite(feats).all():
-            raise DataError(f"clip {clip.clip_id!r} has non-finite frame features")
-        for a, b in zip(clip.frames, clip.frames[1:]):
-            if b.t0 < a.t0 or a.t1 > b.t0 + 1e-9:
-                raise DataError(f"clip {clip.clip_id!r} frames are not sorted/non-overlapping")
-        clips.append(clip)
+            raise DataError(f"clip {clip_id!r} has non-finite frame features")
+        _check_intervals(path, clip_id, "frame", times)
+        sub_times = np.array([(s.t0, s.t1) for s in subs]).reshape(-1, 2)
+        _check_intervals(path, clip_id, "subtitle", sub_times)
+        if ((times[1:, 0] < times[:-1, 0]) | (times[:-1, 1] > times[1:, 0] + 1e-9)).any():
+            raise DataError(f"clip {clip_id!r} frames are not sorted/non-overlapping")
+        clips.append(RawClip(clip_id, times, feats.reshape(len(times), header.feature_dim), subs))
     return header, clips
+
+
+def _check_intervals(path: Path, clip_id: str, what: str, times: np.ndarray) -> None:
+    """Each row of ``times`` is two finite seconds with start <= end."""
+    if not np.isfinite(times).all():
+        raise DataError(f"clip {clip_id!r} in {path} has a non-finite {what} time")
+    if (times[:, 1] < times[:, 0]).any():
+        raise DataError(f"clip {clip_id!r} in {path} has a {what} that ends before it starts")
 
 
 def load_corpus_vocab(corpus_path: str | Path, header: CorpusHeader) -> Vocab:
@@ -384,21 +374,19 @@ def synth_corpus(
             text = " ".join(f"w{int(w):03d}" for w in picks)
             subs.append(Subtitle(float(cuts[j]), float(cuts[j + 1]), text))
 
-        frames = []
-        for i in range(n_frames):
-            t0, t1 = i / fps, (i + 1) / fps
-            if planted_structure:
-                overlaps = [_interval_overlap(t0, t1, s.t0, s.t1) for s in subs]
-                topic = topics[int(np.argmax(overlaps))]
-                feat = (
-                    topic_base[topic]
-                    + 0.8 * pos_signature[i]
-                    + 0.25 * rng.standard_normal(feature_dim)
-                )
-            else:
-                feat = rng.standard_normal(feature_dim)
-            frames.append(Frame(t0, t1, np.round(feat, 5)))
-        clips.append(RawClip(f"clip{c:04d}", frames, subs))
+        times = np.arange(n_frames + 1) / fps
+        times = np.stack([times[:-1], times[1:]], axis=1)
+        noise = rng.standard_normal((n_frames, feature_dim))
+        if planted_structure:
+            # each frame takes the topic of the sentence it overlaps most
+            overlap = np.maximum(
+                0.0, np.minimum(times[:, 1:], cuts[1:]) - np.maximum(times[:, :1], cuts[:-1])
+            )
+            frame_topics = np.array(topics)[overlap.argmax(axis=1)]
+            feats = topic_base[frame_topics] + 0.8 * pos_signature + 0.25 * noise
+        else:
+            feats = noise
+        clips.append(RawClip(f"clip{c:04d}", times, np.round(feats, 5), subs))
 
     write_corpus(path, CorpusHeader(fps=fps, feature_dim=feature_dim, vocab_path=vocab_path.name), clips)
     return path, vocab

@@ -161,12 +161,11 @@ def write_task_file(path: str | Path, task: str, examples) -> None:
 
 def seconds_to_frame_span(clip: AlignedClip, t0: float, t1: float) -> tuple[int, int]:
     """Inclusive frame-index span of every frame overlapping [t0, t1]."""
-    hits = [
-        i for i, (f0, f1) in enumerate(clip.frame_times) if min(f1, t1) - max(f0, t0) > 0
-    ]
-    if not hits:
+    f0, f1 = clip.frame_times[:, 0], clip.frame_times[:, 1]
+    hits = np.flatnonzero(np.minimum(f1, t1) - np.maximum(f0, t0) > 0)
+    if not hits.size:
         raise DataError(f"moment [{t0}, {t1}] overlaps no frame of clip {clip.clip_id!r}")
-    return (hits[0], hits[-1])
+    return (int(hits[0]), int(hits[-1]))
 
 
 def qa_augmented_token_ids(

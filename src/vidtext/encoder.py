@@ -216,8 +216,7 @@ class EncodedBatch:
     def frame_times(self) -> np.ndarray:
         """The clips' ``frame_times`` as one (N, 2) array: the start and end
         seconds of each packed frame row, clip by clip."""
-        times = [t for clip in self.clips for t in clip.frame_times]
-        return np.array(times, dtype=np.float64).reshape(-1, 2)
+        return np.concatenate([clip.frame_times for clip in self.clips])
 
     def frame_rows(self, positions: Sequence[Sequence[int]]) -> np.ndarray:
         """Packed row indices of each clip's frame ``positions``, clip by clip."""

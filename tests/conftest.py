@@ -11,7 +11,7 @@ import pytest
 from hypothesis import settings
 
 from vidtext import tensor as T
-from vidtext.data import AlignedClip, Sentence, Vocab
+from vidtext.data import AlignedClip, Sentence, Vocab, tokenize
 from vidtext.downstream import best_spans
 from vidtext.encoder import HierarchicalEncoder, ModelConfig
 from vidtext.metrics import Moment, Ranking, temporal_nms, tiou
@@ -62,7 +62,7 @@ def make_clip(
     """Build an AlignedClip directly, bypassing temporal alignment."""
     n_frames = sum(groups)
     feats = rng.standard_normal((n_frames, feat_dim))
-    times = [(i * seconds_per_frame, (i + 1) * seconds_per_frame) for i in range(n_frames)]
+    times = np.array([(i * seconds_per_frame, (i + 1) * seconds_per_frame) for i in range(n_frames)])
     sentences = []
     start = 0
     for k, n_tok in zip(groups, tokens):
@@ -142,6 +142,74 @@ def ref_backward(loss):
         if t.grad is not None and t._bw is not None:
             t._bw(t.grad)
     T.reset_tape()
+
+
+# -- the per-frame alignment loop, kept as the reference of the array one --
+
+
+def _interval_overlap(a0, a1, b0, b1):
+    return max(0.0, min(a1, b1) - max(a0, b0))
+
+
+def _interval_gap(a0, a1, b0, b1):
+    if a1 <= b0:
+        return b0 - a1
+    if b1 <= a0:
+        return a0 - b1
+    return 0.0
+
+
+def _interval_tiou(a0, a1, b0, b1):
+    union = max(a1, b1) - min(a0, b0)
+    if union <= 0.0:
+        return 0.0
+    return _interval_overlap(a0, a1, b0, b1) / union
+
+
+def loop_align(raw, vocab):
+    """``data.align`` one frame and one subtitle at a time on Python floats,
+    with the features stacked frame by frame: the reference of the grids."""
+    frames = list(zip(raw.frame_times.tolist(), raw.frame_features))
+    owner = []
+    for (f0, f1), _ in frames:
+        best_j, best_tiou = -1, 0.0
+        for j, s in enumerate(raw.subs):
+            if _interval_overlap(f0, f1, s.t0, s.t1) <= 0.0:
+                continue
+            tiou_j = _interval_tiou(f0, f1, s.t0, s.t1)
+            if tiou_j > best_tiou:
+                best_j, best_tiou = j, tiou_j
+        if best_j < 0:
+            gaps = [_interval_gap(f0, f1, s.t0, s.t1) for s in raw.subs]
+            best_j = int(np.argmin(gaps))
+        owner.append(best_j)
+
+    groups = [[] for _ in raw.subs]
+    for i, j in enumerate(owner):
+        groups[j].append(i)
+
+    sentences = []
+    pending_text = []  # empty-group sentences with no predecessor yet
+    for s, group in zip(raw.subs, groups):
+        if not group:
+            if sentences:
+                prev = sentences[-1]
+                prev.text = (prev.text + " " + s.text).strip()
+                prev.t1 = max(prev.t1, s.t1)
+            else:
+                pending_text.append(s.text)
+            continue
+        text = s.text
+        if pending_text:
+            text = " ".join(pending_text + [text]).strip()
+            pending_text.clear()
+        sentences.append(Sentence(text=text, token_ids=[], t0=s.t0, t1=s.t1, frame_indices=group))
+
+    for sent in sentences:
+        sent.token_ids = tokenize(sent.text, vocab)
+
+    feats = np.stack([np.asarray(feat, dtype=np.float64) for _, feat in frames])
+    return AlignedClip(raw.clip_id, sentences, feats, np.array([t for t, _ in frames]))
 
 
 # -- the per-target span-matching path, kept as the reference of the batched one --

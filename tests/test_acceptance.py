@@ -298,7 +298,7 @@ def test_criterion_3_masking_statistics():
 
 
 def test_criterion_4_alignment_oracle(tmp_path):
-    from vidtext.data import Frame, RawClip, Subtitle
+    from vidtext.data import RawClip, Subtitle
 
     vocab = Vocab.synthetic(30)
     started = time.time()
@@ -307,32 +307,31 @@ def test_criterion_4_alignment_oracle(tmp_path):
     for _ in range(200):
         n_frames = int(rng.integers(1, 21))
         step = float(rng.uniform(0.4, 2.0))
-        frames = [
-            Frame(i * step, (i + 1) * step, rng.standard_normal(2)) for i in range(n_frames)
-        ]
+        frames = [(i * step, (i + 1) * step) for i in range(n_frames)]
+        feats = rng.standard_normal((n_frames, 2))
         total = n_frames * step
         subs = []
         for _ in range(int(rng.integers(1, 6))):
             a, b = sorted(rng.uniform(-1.0, total + 1.0, size=2))
             subs.append(Subtitle(float(a), float(b) + 0.05, "w000"))
         subs.sort(key=lambda s: s.t0)
-        raw = RawClip("c", frames, subs)
+        raw = RawClip("c", np.array(frames), feats, subs)
 
         # exhaustive assignment: max tIoU over overlapping subtitles with
         # earlier-wins ties, else the subtitle at minimal gap
         expected = []
-        for f in frames:
+        for f0, f1 in frames:
             best, best_v = None, 0.0
             for j, s in enumerate(subs):
-                inter = max(0.0, min(f.t1, s.t1) - max(f.t0, s.t0))
+                inter = max(0.0, min(f1, s.t1) - max(f0, s.t0))
                 if inter <= 0:
                     continue
-                v = inter / (max(f.t1, s.t1) - min(f.t0, s.t0))
+                v = inter / (max(f1, s.t1) - min(f0, s.t0))
                 if v > best_v:
                     best, best_v = j, v
             if best is None:
                 gaps = [
-                    (s.t0 - f.t1 if f.t1 <= s.t0 else (f.t0 - s.t1 if s.t1 <= f.t0 else 0.0))
+                    (s.t0 - f1 if f1 <= s.t0 else (f0 - s.t1 if s.t1 <= f0 else 0.0))
                     for s in subs
                 ]
                 best = int(np.argmin(gaps))

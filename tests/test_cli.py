@@ -223,6 +223,25 @@ class TestPretrain:
         assert "past --steps 2" in capsys.readouterr().err
         assert not (resumed / "final.ckpt").exists()
 
+    def test_resume_on_a_corpus_with_swapped_tokens_exits_two(self, corpus, pretrained, tmp_path, capsys):
+        for path in corpus.parent.iterdir():  # the corpus and its vocab file
+            shutil.copy(path, tmp_path / path.name)
+        vocab = tmp_path / "corpus.vocab.txt"
+        tokens = vocab.read_text().splitlines()
+        tokens[7], tokens[9] = tokens[9], tokens[7]
+        vocab.write_text("\n".join(tokens) + "\n")
+        out = tmp_path / "resumed"
+        rc = main([
+            "pretrain", "--corpus", str(tmp_path / corpus.name), "--out-dir", str(out),
+            "--steps", "8", "--batch-size", "2", "--seed", "0", "--lr", "0.001",
+            "--dropout", "0.0", *SMALL_MODEL, "--resume", str(pretrained),
+        ])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == EXIT_DATA
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert f"first at token 7: {tokens[7]!r} != {tokens[9]!r}" in err[0]
+        assert not out.exists()
+
 
 class TestFinetuneAndEval:
     def test_each_task_runs_and_evaluates(self, corpus, pretrained, tmp_path, capsys):
@@ -851,14 +870,19 @@ DEEP = "[" * 100_000  # nested past json's recursion limit
 
 def _edit_line(index, key=None, raw=DEEP):
     """An edit of a JSON-lines file: line ``index`` becomes ``raw``, or with
-    a ``key`` only that field's value does."""
+    a ``key`` only that field's value does (a tuple ``key`` is a path into
+    the record)."""
     def edit(data: bytes) -> bytes:
         lines = data.decode().splitlines()
         if key is None:
             lines[index] = raw
         else:
             record = json.loads(lines[index])
-            record[key] = "@@"
+            *outer, last = key if isinstance(key, tuple) else (key,)
+            field = record
+            for k in outer:
+                field = field[k]
+            field[last] = "@@"
             lines[index] = json.dumps(record).replace('"@@"', raw)
         return ("\n".join(lines) + "\n").encode()
     return edit
@@ -882,6 +906,10 @@ class TestMalformedInputFiles:
         ("corpus", _edit_line(0, "feature_dim", "Infinity"), "corpus.jsonl"),
         ("corpus", _edit_line(0, "feature_dim", "1e400"), "corpus.jsonl"),
         ("corpus", _not_utf8, "corpus.jsonl"),
+        ("corpus", _edit_line(2, ("subs", 0, "t0"), "NaN"), "corpus.jsonl"),
+        ("corpus", _edit_line(1, ("frames", 0, "t1"), "Infinity"), "corpus.jsonl"),
+        ("corpus", _edit_line(3, ("frames", 0, "t1"), "-1.0"), "corpus.jsonl"),
+        ("corpus", _edit_line(4, ("subs", 0, "t1"), "-1.0"), "corpus.jsonl"),
         ("corpus", _edit_line(0, "vocab_path", '"missing.vocab.txt"'), "missing.vocab.txt"),
         ("vocab", _not_utf8, "corpus.vocab.txt"),
         ("retrieval", _edit_line(1), "retrieval.jsonl"),
@@ -891,7 +919,9 @@ class TestMalformedInputFiles:
         ("checkpoint", _deep_checkpoint_header, "final.ckpt"),
     ], ids=[
         "corpus-deep-header", "corpus-deep-record", "corpus-infinite-feature-dim",
-        "corpus-1e400-feature-dim", "corpus-not-utf8", "corpus-missing-vocab", "vocab-not-utf8",
+        "corpus-1e400-feature-dim", "corpus-not-utf8", "corpus-nan-subtitle-t0",
+        "corpus-infinite-frame-t1", "corpus-inverted-frame", "corpus-inverted-subtitle",
+        "corpus-missing-vocab", "vocab-not-utf8",
         "task-deep-record", "task-not-utf8", "qa-infinite-label", "nli-1e400-label",
         "checkpoint-deep-header",
     ])

@@ -2,13 +2,16 @@
 
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from vidtext.data import (
     UNK_ID,
-    Frame,
+    CorpusHeader,
     RawClip,
     Subtitle,
     Vocab,
@@ -22,14 +25,15 @@ from vidtext.data import (
 )
 from vidtext.errors import ConfigError, DataError
 
-from conftest import detokenize
+from conftest import detokenize, loop_align
 
 
 def clip_of(frames, subs, feat_dim=2, clip_id="c"):
     rng = np.random.default_rng(0)
     return RawClip(
         clip_id,
-        [Frame(t0, t1, rng.standard_normal(feat_dim)) for t0, t1 in frames],
+        np.array(frames, dtype=np.float64).reshape(-1, 2),
+        rng.standard_normal((len(frames), feat_dim)),
         [Subtitle(t0, t1, text) for t0, t1, text in subs],
     )
 
@@ -194,11 +198,178 @@ class TestAlign:
         assert flat == list(range(n_frames))  # conservation
 
 
+def assert_same_alignment(got, want):
+    """Equal sentences, texts, token ids, bitwise-equal times, frame groups,
+    features and frame times."""
+    assert got.clip_id == want.clip_id
+    assert [
+        (s.text, s.token_ids, repr(s.t0), repr(s.t1), s.frame_indices) for s in got.sentences
+    ] == [
+        (s.text, s.token_ids, repr(s.t0), repr(s.t1), s.frame_indices) for s in want.sentences
+    ]
+    for name in ("frame_features", "frame_times"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype == np.float64 and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+# seconds per grid step: dyadic steps give exact ties and touching ends,
+# the others give the rounding of real frame rates
+_STEPS = st.sampled_from([0.25, 0.5, 0.1, 1.0 / 3.0, 1.5])
+_WORDS = st.lists(st.sampled_from(["w000", "w001", "w002", "zzz", ""]), max_size=3).map(" ".join)
+
+
+@st.composite
+def raw_clips(draw):
+    """Sorted non-overlapping frames (zero-length ones and gaps allowed) and
+    subtitles in any order: nested, overlapping, zero-length, outside every
+    frame, or owning no frame."""
+    step = draw(_STEPS)
+    times, end = [], draw(st.integers(0, 4))
+    for _ in range(draw(st.integers(1, 12))):
+        t0 = end + draw(st.integers(0, 2))
+        end = t0 + draw(st.integers(0, 4))
+        times.append((t0 * step, end * step))
+    starts_and_lengths = st.tuples(st.integers(-3, end + 3), st.integers(0, 8))
+    subs = [
+        Subtitle(a * step, (a + n) * step, draw(_WORDS))
+        for a, n in draw(st.lists(starts_and_lengths, min_size=1, max_size=7))
+    ]
+    rng = np.random.default_rng(draw(st.integers(0, 3)))
+    return RawClip("c", np.array(times), rng.standard_normal((len(times), 3)), subs)
+
+
+VOCAB = Vocab.synthetic(30)
+
+
+class TestAlignMatchesTheLoop:
+    @given(raw=raw_clips())
+    # tied tIoU
+    @example(raw=clip_of([(1.0, 3.0)], [(0.0, 2.0, "w000"), (2.0, 4.0, "w001")]))
+    # an inner sentence with no frame
+    @example(raw=clip_of([(0.0, 1.0), (3.0, 4.0)], [(0.0, 1.0, "a"), (1.5, 2.5, "b"), (3.0, 4.0, "c")]))
+    # two leading sentences with no frame, one of them zero-length and empty
+    @example(raw=clip_of([(2.0, 3.0)], [(0.0, 1.0, "w000"), (0.5, 0.5, ""), (2.0, 3.0, "w001")]))
+    # a zero-length frame inside a zero-length subtitle, nested in another
+    @example(raw=clip_of([(1.0, 1.0), (1.0, 2.0)], [(1.0, 1.0, "w000"), (0.0, 5.0, "w001")]))
+    # tied gaps
+    @example(raw=clip_of([(0.0, 1.0), (5.0, 6.0)], [(3.0, 3.0, "w000"), (2.0, 4.0, "w001")]))
+    def test_sentences_groups_and_frames_equal(self, raw):
+        assert_same_alignment(align(raw, VOCAB), loop_align(raw, VOCAB))
+
+    def test_the_clip_keeps_the_parsed_arrays(self):
+        raw = clip_of([(0.0, 1.0), (1.0, 2.0)], [(0.0, 2.0, "w000")])
+        out = align(raw, VOCAB)
+        assert out.frame_features is raw.frame_features and out.frame_times is raw.frame_times
+
+    def test_seed_corpus_equals_the_loop(self, tmp_path):
+        path, vocab = synth_corpus(tmp_path / "c.jsonl", num_clips=12, seed=5)
+        for raw in read_corpus(path)[1]:
+            assert_same_alignment(align(raw, vocab), loop_align(raw, vocab))
+
+
+_SECONDS = st.integers(0, 10**6).map(lambda k: k / 1000)  # three decimals, as written
+
+
+@st.composite
+def corpus_clips(draw):
+    clips = []
+    for c in range(draw(st.integers(0, 3))):
+        n = draw(st.integers(0, 5))
+        starts = sorted(draw(st.lists(_SECONDS, min_size=n, max_size=n)))
+        times = [(t, t) for t in starts]  # zero-length frames are legal
+        feats = draw(st.lists(
+            st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=2),
+            min_size=n, max_size=n,
+        ))
+        subs = [
+            Subtitle(min(a, b), max(a, b), text)
+            for a, b, text in draw(st.lists(st.tuples(_SECONDS, _SECONDS, st.text(max_size=6)), max_size=4))
+        ]
+        clips.append(RawClip(
+            f"clip{c}", np.array(times).reshape(-1, 2), np.array(feats).reshape(-1, 2), subs
+        ))
+    return clips
+
+
+class TestCorpusFiles:
+    @given(clips=corpus_clips())
+    def test_write_then_read_round_trips(self, tmp_path_factory, clips):
+        root = tmp_path_factory.mktemp("round-trip")
+        header = CorpusHeader(fps=1.5, feature_dim=2, vocab_path="v.txt")
+        write_corpus(root / "a.jsonl", header, clips)
+        header2, clips2 = read_corpus(root / "a.jsonl")
+        assert header2 == header and len(clips2) == len(clips)
+        for a, b in zip(clips, clips2):
+            assert a.clip_id == b.clip_id and a.subs == b.subs
+            for name in ("frame_times", "frame_features"):
+                got = getattr(b, name)
+                assert got.dtype == np.float64 and got.shape == getattr(a, name).shape
+                np.testing.assert_array_equal(got, getattr(a, name))
+        write_corpus(root / "b.jsonl", header2, clips2)
+        assert (root / "b.jsonl").read_bytes() == (root / "a.jsonl").read_bytes()
+
+    @staticmethod
+    def _with(tmp_path, field, i, key, raw):
+        """A synthetic corpus whose second clip has ``raw`` as the ``key``
+        time of its ``field`` entry ``i``."""
+        path, _ = synth_corpus(tmp_path / "c.jsonl", num_clips=2, seed=3)
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[2])
+        rec[field][i][key] = "@@"
+        lines[2] = json.dumps(rec).replace('"@@"', raw)
+        path.write_text("\n".join(lines) + "\n")
+        return path, rec["id"], rec[field][i]
+
+    @pytest.mark.parametrize("field, key, raw", [
+        ("subs", "t0", "NaN"),
+        ("subs", "t1", "-Infinity"),
+        ("frames", "t1", "Infinity"),
+        ("frames", "t0", "1e999"),
+        ("frames", "t0", "NaN"),
+    ])
+    def test_non_finite_times_rejected(self, tmp_path, field, key, raw):
+        path, clip_id, _ = self._with(tmp_path, field, 1, key, raw)
+        what = "frame" if field == "frames" else "subtitle"
+        with pytest.raises(DataError, match=re.escape(f"clip {clip_id!r} in {path} has a non-finite {what} time")):
+            read_corpus(path)
+
+    @pytest.mark.parametrize("field", ["frames", "subs"])
+    def test_interval_ending_before_it_starts_rejected(self, tmp_path, field):
+        path, clip_id, _ = self._with(tmp_path, field, 0, "t1", "-0.5")
+        what = "frame" if field == "frames" else "subtitle"
+        message = f"clip {clip_id!r} in {path} has a {what} that ends before it starts"
+        with pytest.raises(DataError, match=re.escape(message)):
+            read_corpus(path)
+
+    @pytest.mark.parametrize("field", ["frames", "subs"])
+    def test_zero_length_interval_accepted(self, tmp_path, field):
+        path, _, entry = self._with(tmp_path, field, 0, "t1", "0.0")
+        assert entry["t0"] == 0.0
+        _, clips = read_corpus(path)
+        times = clips[1].frame_times[0] if field == "frames" else (clips[1].subs[0].t0, clips[1].subs[0].t1)
+        assert tuple(times) == (0.0, 0.0)
+
+    def test_unsorted_frames_rejected(self, tmp_path):
+        path, clip_id, _ = self._with(tmp_path, "frames", 2, "t0", "0.1")
+        with pytest.raises(DataError, match=re.escape(f"clip {clip_id!r} frames are not sorted/non-overlapping")):
+            read_corpus(path)
+
+    def test_empty_clip_reads_as_empty_arrays(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text(
+            json.dumps({"fps": 1.0, "feature_dim": 3, "vocab_path": "v.txt"}) + "\n"
+            + json.dumps({"id": "e", "frames": [], "subs": []}) + "\n"
+        )
+        (clip,) = read_corpus(path)[1]
+        assert clip.frame_times.shape == (0, 2) and clip.frame_features.shape == (0, 3)
+
+
 class TestSynthCorpus:
     def test_frame_count_at_tv_rate(self, tmp_path):
         path, _ = synth_corpus(tmp_path / "c.jsonl", num_clips=3, fps=2 / 3, clip_seconds=60.0, seed=1)
         _, clips = read_corpus(path)
-        assert all(len(c.frames) == 40 for c in clips)
+        assert all(c.frame_times.shape == (40, 2) and c.frame_features.shape == (40, 32) for c in clips)
 
     def test_same_seed_is_byte_identical(self, tmp_path):
         (tmp_path / "run1").mkdir()
@@ -220,10 +391,8 @@ class TestSynthCorpus:
         header2, clips2 = read_corpus(tmp_path / "again.jsonl")
         for a, b in zip(clips, clips2):
             assert a.clip_id == b.clip_id
-            assert len(a.frames) == len(b.frames)
-            for fa, fb in zip(a.frames, b.frames):
-                assert (fa.t0, fa.t1) == (fb.t0, fb.t1)
-                np.testing.assert_array_equal(fa.feat, fb.feat)
+            np.testing.assert_array_equal(a.frame_times, b.frame_times)
+            np.testing.assert_array_equal(a.frame_features, b.frame_features)
             assert [(s.t0, s.t1, s.text) for s in a.subs] == [(s.t0, s.t1, s.text) for s in b.subs]
 
     def test_vocab_resolves_from_header(self, tmp_path):
@@ -259,7 +428,7 @@ class TestSynthCorpus:
         header, clips = read_corpus(path)
         for raw in clips:
             aligned = align(raw, vocab)
-            assert aligned.n_frames == len(raw.frames)
+            assert aligned.n_frames == len(raw.frame_times)
 
 
 class TestBatching:

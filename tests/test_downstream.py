@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from vidtext import downstream
 from vidtext import tensor as T
-from vidtext.data import CLS_ID, SEP_ID, AlignedClip, Sentence, tokenize
+from vidtext.data import CLS_ID, SEP_ID, AlignedClip, Sentence, Vocab, tokenize
 from vidtext.downstream import (
     CaptionExample,
     NliExample,
@@ -65,7 +65,10 @@ def single_channel_wrap(
         t1=frame_times[-1][1],
         frame_indices=list(range(n)),
     )
-    return AlignedClip(clip_id, [sent], np.asarray(frame_features, dtype=np.float64), list(frame_times))
+    return AlignedClip(
+        clip_id, [sent], np.asarray(frame_features, dtype=np.float64),
+        np.asarray(frame_times, dtype=np.float64).reshape(-1, 2),
+    )
 
 
 def rank_clips(model, encoded, query_token_ids) -> Ranking:
@@ -170,6 +173,21 @@ class TestSingleChannelWrap:
         assert seconds_to_frame_span(clip, 1.6, 4.4) == (1, 2)
         with pytest.raises(DataError):
             seconds_to_frame_span(clip, 100.0, 101.0)
+
+    @given(
+        step=st.sampled_from([0.25, 1.0 / 3.0, 1.5]),
+        ends=st.tuples(st.integers(-4, 40), st.integers(-4, 40)).map(sorted),
+    )
+    def test_span_conversion_matches_the_frame_loop(self, step, ends):
+        clip = make_clip(np.random.default_rng(2), Vocab.synthetic(30), groups=(4, 4), seconds_per_frame=step)
+        t0, t1 = ends[0] * step / 4, ends[1] * step / 4
+        hits = [i for i, (f0, f1) in enumerate(clip.frame_times.tolist()) if min(f1, t1) - max(f0, t0) > 0]
+        if not hits:
+            with pytest.raises(DataError, match="overlaps no frame"):
+                seconds_to_frame_span(clip, t0, t1)
+        else:
+            span = seconds_to_frame_span(clip, t0, t1)
+            assert span == (hits[0], hits[-1]) and all(type(i) is int for i in span)
 
 
 class TestQa:

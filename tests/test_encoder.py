@@ -191,7 +191,7 @@ class TestEncodeClip:
                 )
             ],
             rng.standard_normal((n, 8)),
-            [(float(i), float(i + 1)) for i in range(n)],
+            np.array([(float(i), float(i + 1)) for i in range(n)]),
         )
         enc = tiny_encoder.encode_clip(clip)
         assert enc.v_temp.shape == (n, 16)
