@@ -248,6 +248,7 @@ def _parse_corpus(path: Path, text: str) -> tuple[CorpusHeader, list[RawClip]]:
         raise DataError(f"corpus header in {path} has feature_dim {header.feature_dim}, not at least 1")
 
     clips = []
+    first_line: dict[str, int] = {}  # clip id -> the line that gave it
     for lineno in range(2, len(lines) + 1):
         # drop each line once read: the arrays a clip keeps then reuse its
         # memory instead of landing above the whole file's text, a heap
@@ -257,14 +258,24 @@ def _parse_corpus(path: Path, text: str) -> tuple[CorpusHeader, list[RawClip]]:
             continue
         try:
             rec = json.loads(line)
-            frames = rec["frames"]
+            frames, clip_id = rec["frames"], rec["id"]
             # one array per clip: ragged feature lists raise ValueError here
             feats = np.array([f["feat"] for f in frames], dtype=np.float64)
-            times = np.array([(float(f["t0"]), float(f["t1"])) for f in frames]).reshape(-1, 2)
-            subs = [Subtitle(float(s["t0"]), float(s["t1"]), str(s["text"])) for s in rec["subs"]]
-            clip_id = str(rec["id"])
+            times = np.array([(f["t0"], f["t1"]) for f in frames])
+            sub_times = np.array([(s["t0"], s["t1"]) for s in rec["subs"]])
+            texts = [str(s["text"]) for s in rec["subs"]]
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise DataError(f"corpus record at {path}:{lineno} is malformed: {exc}") from exc
+        if not isinstance(clip_id, str):
+            raise DataError(f"corpus record at {path}:{lineno} has id {clip_id!r}, not a string")
+        if clip_id in first_line:
+            raise DataError(
+                f"corpus {path} has clip id {clip_id!r} twice, at lines {first_line[clip_id]} and {lineno}"
+            )
+        first_line[clip_id] = lineno
+        times = _seconds(path, lineno, "frame", times)
+        sub_times = _seconds(path, lineno, "subtitle", sub_times)
+        subs = [Subtitle(t0, t1, text) for (t0, t1), text in zip(sub_times.tolist(), texts)]
         if frames and feats.shape[1:] != (header.feature_dim,):
             raise DataError(
                 f"clip {clip_id!r} frame features have shape {feats.shape[1:]}, "
@@ -273,12 +284,21 @@ def _parse_corpus(path: Path, text: str) -> tuple[CorpusHeader, list[RawClip]]:
         if not np.isfinite(feats).all():
             raise DataError(f"clip {clip_id!r} has non-finite frame features")
         _check_intervals(path, clip_id, "frame", times)
-        sub_times = np.array([(s.t0, s.t1) for s in subs]).reshape(-1, 2)
         _check_intervals(path, clip_id, "subtitle", sub_times)
         if ((times[1:, 0] < times[:-1, 0]) | (times[:-1, 1] > times[1:, 0] + 1e-9)).any():
             raise DataError(f"clip {clip_id!r} frames are not sorted/non-overlapping")
         clips.append(RawClip(clip_id, times, feats.reshape(len(times), header.feature_dim), subs))
     return header, clips
+
+
+def _seconds(path: Path, lineno: int, what: str, times: np.ndarray) -> np.ndarray:
+    """A record's (start, end) pairs as an (n, 2) float64 array.  A time
+    that is not a JSON number (a string, null) leaves numpy no number dtype."""
+    if not times.size:
+        return np.empty((0, 2))
+    if times.dtype.kind not in "iuf" or times.ndim != 2:  # a list in place of a time: ndim 3
+        raise DataError(f"corpus record at {path}:{lineno} has a {what} time that is not a number")
+    return times.astype(np.float64, copy=False)
 
 
 def _check_intervals(path: Path, clip_id: str, what: str, times: np.ndarray) -> None:

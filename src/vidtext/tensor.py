@@ -724,12 +724,26 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
 # -- optimizer --------------------------------------------------------------
 
 
+_ADAMW_CHUNK = 16_384  # elements per pass of the update: 128 KB per scratch array, within L2
+
+
 class AdamW:
     """Adam with decoupled weight decay.
 
     Moment buffers start at zero; the decay term is applied outside the
     adaptive scaling, so a zero-gradient step with decay shrinks parameters
     by exactly (1 - lr * weight_decay).
+
+    The state is flat: the moments ``m`` and ``v`` are each one contiguous
+    float64 array holding every parameter end to end in ``params`` order, and
+    ``self.m[name]`` / ``self.v[name]`` are views into them.  A step copies
+    the gradients into one flat buffer (a missing one as zeros) and updates
+    moments and parameters in L2-sized chunks with the same float operations,
+    in the same order, as a per-array step, so the results are bit-identical.
+    The new parameters go into a fresh flat array each step and every
+    ``p.data`` becomes a view of it; an array a caller took from ``p.data``
+    earlier is never written.  A ``p.data`` reassigned between steps is read
+    as it stands.
     """
 
     def __init__(
@@ -752,42 +766,89 @@ class AdamW:
         self.betas = betas
         self.eps = eps
         self.step_count = 0
-        self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
-        self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+        self._slots = []  # (name, flat slice, shape) of each parameter
+        end = 0
+        for name, p in self.params.items():
+            self._slots.append((name, slice(end, end + p.data.size), p.data.shape))
+            end += p.data.size
+        self._m, self._v, self._g = np.zeros(end), np.zeros(end), np.empty(end)
+        self.m, self.v, self._grads = self._views(self._m), self._views(self._v), self._views(self._g)
+        self._scratch = np.empty((2, min(end, _ADAMW_CHUNK)))
+        self._flat = None  # the flat array of the last step's new parameters
+        self._data: list[np.ndarray] = []  # the p.data views into it that the step set
+
+    def _views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        return {name: flat[where].reshape(shape) for name, where, shape in self._slots}
 
     def step(self) -> None:
+        new = np.empty_like(self._m)
+        old = self._flat
+        if old is None or any(p.data is not data for p, data in zip(self.params.values(), self._data)):
+            for (_, where, shape), p in zip(self._slots, self.params.values()):
+                new[where].reshape(shape)[...] = p.data
+            old = new  # gathered: updated in place
+        for name, p in self.params.items():
+            if p.grad is None:
+                self._grads[name].fill(0.0)
+            else:
+                self._grads[name][...] = p.grad
         self.step_count += 1
         b1, b2 = self.betas
         bc1 = 1.0 - b1**self.step_count
         bc2 = 1.0 - b2**self.step_count
-        for name, p in self.params.items():
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            m = self.m[name] = b1 * self.m[name] + (1 - b1) * g
-            v = self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            p.data = p.data - self.lr * (update + self.weight_decay * p.data)
+        lr, wd, eps = self.lr, self.weight_decay, self.eps
+        m, v, g = self._m, self._v, self._g
+        for lo in range(0, m.size, _ADAMW_CHUNK):
+            hi = min(lo + _ADAMW_CHUNK, m.size)
+            mc, vc, gc, pc = m[lo:hi], v[lo:hi], g[lo:hi], old[lo:hi]
+            t1, t2 = self._scratch[:, : hi - lo]
+            np.multiply(mc, b1, out=t1)  # m = b1 * m + (1 - b1) * g
+            np.multiply(gc, 1 - b1, out=t2)
+            np.add(t1, t2, out=mc)
+            np.multiply(vc, b2, out=t1)  # v = b2 * v + ((1 - b2) * g) * g
+            np.multiply(gc, 1 - b2, out=t2)
+            t2 *= gc
+            np.add(t1, t2, out=vc)
+            np.divide(mc, bc1, out=t1)  # u = (m / bc1) / (sqrt(v / bc2) + eps)
+            np.divide(vc, bc2, out=t2)
+            np.sqrt(t2, out=t2)
+            t2 += eps
+            t1 /= t2
+            np.multiply(pc, wd, out=t2)  # p = p - lr * (u + wd * p)
+            t1 += t2
+            t1 *= lr
+            np.subtract(pc, t1, out=new[lo:hi])
+        self._flat = new
+        self._data = list(self._views(new).values())
+        for p, data in zip(self.params.values(), self._data):
+            p.data = data
 
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        """Moment buffers keyed for checkpointing."""
+    def _state(self, m: np.ndarray, v: np.ndarray) -> dict[str, np.ndarray]:
+        m_views, v_views = self._views(m), self._views(v)
         out: dict[str, np.ndarray] = {}
         for name in self.params:
-            out[f"adam.m.{name}"] = self.m[name]
-            out[f"adam.v.{name}"] = self.v[name]
+            out[f"adam.m.{name}"] = m_views[name]
+            out[f"adam.v.{name}"] = v_views[name]
         return out
 
+    def state_arrays(self) -> dict[str, np.ndarray]:
+        """Moment buffers keyed for checkpointing: copies, so a later step
+        leaves them as they are."""
+        return self._state(self._m.copy(), self._v.copy())
+
     def load_state_arrays(self, arrays: dict[str, np.ndarray], step_count: int) -> None:
-        missing = [k for k in self.state_arrays() if k not in arrays]
+        buffers = self._state(self._m, self._v)
+        missing = [k for k in buffers if k not in arrays]
         if missing:
             raise DataError(f"optimizer state lacks {len(missing)} arrays, first {missing[0]!r}")
-        for key, buf in self.state_arrays().items():  # every buffer has its parameter's shape
+        for key, buf in buffers.items():  # every buffer has its parameter's shape
             if np.shape(arrays[key]) != buf.shape:
                 raise DataError(
                     f"optimizer array {key!r} has shape {np.shape(arrays[key])}, "
                     f"its parameter {buf.shape}"
                 )
-        for name in self.params:
-            self.m[name] = np.array(arrays[f"adam.m.{name}"], dtype=np.float64)
-            self.v[name] = np.array(arrays[f"adam.v.{name}"], dtype=np.float64)
+        for key, buf in buffers.items():
+            buf[...] = arrays[key]
         self.step_count = step_count
 
 

@@ -212,6 +212,21 @@ def loop_align(raw, vocab):
     return AlignedClip(raw.clip_id, sentences, feats, np.array([t for t, _ in frames]))
 
 
+def loop_adamw_step(params, m, v, step_count, lr, weight_decay, betas=(0.9, 0.999), eps=1e-8):
+    """AdamW step ``step_count`` (from 1) one parameter array at a time: the
+    reference of the flat-buffer ``tensor.AdamW.step``.  Replaces each
+    ``p.data`` and each array of the moment dicts ``m`` and ``v``."""
+    b1, b2 = betas
+    bc1 = 1.0 - b1**step_count
+    bc2 = 1.0 - b2**step_count
+    for name, p in params.items():
+        g = p.grad if p.grad is not None else np.zeros_like(p.data)
+        mn = m[name] = b1 * m[name] + (1 - b1) * g
+        vn = v[name] = b2 * v[name] + (1 - b2) * g * g
+        update = (mn / bc1) / (np.sqrt(vn / bc2) + eps)
+        p.data = p.data - lr * (update + weight_decay * p.data)
+
+
 # -- the per-target span-matching path, kept as the reference of the batched one --
 
 

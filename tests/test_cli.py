@@ -910,6 +910,9 @@ class TestMalformedInputFiles:
         ("corpus", _edit_line(1, ("frames", 0, "t1"), "Infinity"), "corpus.jsonl"),
         ("corpus", _edit_line(3, ("frames", 0, "t1"), "-1.0"), "corpus.jsonl"),
         ("corpus", _edit_line(4, ("subs", 0, "t1"), "-1.0"), "corpus.jsonl"),
+        ("corpus", _edit_line(1, ("frames", 0, "t0"), '"0.0"'), "corpus.jsonl"),
+        ("corpus", _edit_line(2, ("subs", 1, "t1"), "null"), "corpus.jsonl"),
+        ("corpus", _edit_line(3, "id", "7"), "corpus.jsonl"),
         ("corpus", _edit_line(0, "vocab_path", '"missing.vocab.txt"'), "missing.vocab.txt"),
         ("vocab", _not_utf8, "corpus.vocab.txt"),
         ("retrieval", _edit_line(1), "retrieval.jsonl"),
@@ -921,6 +924,7 @@ class TestMalformedInputFiles:
         "corpus-deep-header", "corpus-deep-record", "corpus-infinite-feature-dim",
         "corpus-1e400-feature-dim", "corpus-not-utf8", "corpus-nan-subtitle-t0",
         "corpus-infinite-frame-t1", "corpus-inverted-frame", "corpus-inverted-subtitle",
+        "corpus-string-frame-t0", "corpus-null-subtitle-t1", "corpus-numeric-id",
         "corpus-missing-vocab", "vocab-not-utf8",
         "task-deep-record", "task-not-utf8", "qa-infinite-label", "nli-1e400-label",
         "checkpoint-deep-header",
@@ -945,6 +949,26 @@ class TestMalformedInputFiles:
         err = capsys.readouterr().err.splitlines()
         assert rc == EXIT_DATA
         assert len(err) == 1 and err[0].startswith("error: ") and named in err[0], err
+
+
+    def test_duplicate_clip_id_exits_two_naming_both_lines(self, corpus, pretrained, tmp_path, capsys):
+        for path in corpus.parent.iterdir():
+            shutil.copy(path, tmp_path / path.name)
+        tasks = write_toy_tasks(corpus, tmp_path)
+        corpus = tmp_path / corpus.name
+        lines = corpus.read_text().splitlines()
+        clip_id = json.loads(lines[1])["id"]
+        record = json.loads(lines[3])
+        record["id"] = clip_id
+        lines[3] = json.dumps(record)
+        corpus.write_text("\n".join(lines) + "\n")
+        rc = main([
+            "eval", "--task", "retrieval", "--data", str(tasks["retrieval"]),
+            "--corpus", str(corpus), "--checkpoint", str(pretrained),
+        ])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == EXIT_DATA
+        assert len(err) == 1 and f"clip id {clip_id!r} twice, at lines 2 and 4" in err[0], err
 
 
 _TEXT = st.characters(blacklist_categories=("Cs",))

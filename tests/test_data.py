@@ -350,6 +350,25 @@ class TestCorpusFiles:
         times = clips[1].frame_times[0] if field == "frames" else (clips[1].subs[0].t0, clips[1].subs[0].t1)
         assert tuple(times) == (0.0, 0.0)
 
+    @pytest.mark.parametrize("field, key, raw", [
+        ("frames", "t0", '"0.0"'),
+        ("frames", "t1", "null"),
+        ("subs", "t0", '"0"'),
+        ("subs", "t1", "null"),
+    ])
+    def test_time_that_is_not_a_number_rejected(self, tmp_path, field, key, raw):
+        path, _, _ = self._with(tmp_path, field, 0, key, raw)
+        what = "frame" if field == "frames" else "subtitle"
+        with pytest.raises(DataError, match=re.escape(f"record at {path}:3 has a {what} time that is not a number")):
+            read_corpus(path)
+
+    @pytest.mark.parametrize("field", ["frames", "subs"])
+    def test_integer_times_read_as_floats(self, tmp_path, field):
+        path, _, _ = self._with(tmp_path, field, 0, "t0", "0")
+        _, clips = read_corpus(path)
+        t0 = clips[1].frame_times[0, 0] if field == "frames" else clips[1].subs[0].t0
+        assert type(t0) in (float, np.float64) and t0 == 0.0
+
     def test_unsorted_frames_rejected(self, tmp_path):
         path, clip_id, _ = self._with(tmp_path, "frames", 2, "t0", "0.1")
         with pytest.raises(DataError, match=re.escape(f"clip {clip_id!r} frames are not sorted/non-overlapping")):

@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from vidtext import tensor as T
 from vidtext.tensor import ATTENTION_MASK_BIAS
 from vidtext.errors import ConfigError, DataError, ShapeError, UsageError
 
-from conftest import loop_conv1d
+from conftest import loop_adamw_step, loop_conv1d
 from gradcheck import check_gradients, max_rel_err, numeric_grad
 
 FD_TOL = 1e-4
@@ -873,6 +875,134 @@ class TestAdamW:
         assert opt.step_count == 0
         for buf in opt.state_arrays().values():
             np.testing.assert_array_equal(buf, 0.0)
+
+
+def _copies(params):
+    """Reference parameters (same values and gradients) and zero moments."""
+    ref = {}
+    for name, p in params.items():
+        ref[name] = T.Tensor(p.data.copy())
+        ref[name].grad = p.grad
+    m = {name: np.zeros_like(p.data) for name, p in ref.items()}
+    v = {name: np.zeros_like(p.data) for name, p in ref.items()}
+    return ref, m, v
+
+
+def _assert_bytes_equal(opt, params, ref, m, v):
+    for name, p in params.items():
+        for got, want in ((p.data, ref[name].data), (opt.m[name], m[name]), (opt.v[name], v[name])):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+
+
+_SHAPES = st.one_of(
+    st.just(()),
+    st.tuples(st.integers(1, 7)),
+    st.tuples(st.integers(1, 5), st.integers(1, 5)),
+    st.sampled_from([(T._ADAMW_CHUNK - 1,), (T._ADAMW_CHUNK + 1,), (129, 128)]),
+)
+_GRAD_KINDS = st.sampled_from(["dense", "none", "broadcast", "transposed"])
+
+
+def _grad(rng, kind, shape):
+    if kind == "none":
+        return None
+    if kind == "broadcast":  # read-only, stride 0 along the leading axes
+        return np.broadcast_to(rng.standard_normal(shape[-1:]), shape)
+    if kind == "transposed":
+        return np.asarray(rng.standard_normal(shape[::-1])).T
+    return rng.standard_normal(shape)
+
+
+@given(
+    shapes=st.lists(_SHAPES, min_size=1, max_size=5),
+    steps=st.lists(st.lists(_GRAD_KINDS, min_size=5, max_size=5), min_size=1, max_size=3),
+    lr=st.floats(1e-4, 1.0),
+    weight_decay=st.floats(0.0, 0.5),
+    betas=st.tuples(st.floats(0.0, 0.99), st.floats(0.5, 0.9999)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_flat_adamw_is_bytes_equal_to_the_per_array_loop(shapes, steps, lr, weight_decay, betas, seed):
+    rng = np.random.default_rng(seed)
+    params = {f"p{i}": T.Tensor(rng.standard_normal(s), requires_grad=True) for i, s in enumerate(shapes)}
+    opt = T.AdamW(params, lr=lr, weight_decay=weight_decay, betas=betas)
+    ref, m, v = _copies(params)
+    for t, kinds in enumerate(steps, start=1):
+        for (name, p), kind in zip(params.items(), kinds):
+            p.grad = ref[name].grad = _grad(rng, kind, p.data.shape)
+        opt.step()
+        loop_adamw_step(ref, m, v, t, lr, weight_decay, betas)
+    _assert_bytes_equal(opt, params, ref, m, v)
+
+
+class TestAdamWBuffers:
+    """The flat buffers are the optimizer's own: what a caller took out
+    keeps its bytes, and what a caller put into ``p.data`` is what the next
+    step reads."""
+
+    def _setup(self):
+        params = {
+            "w": T.Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True),
+            "b": T.Tensor(np.ones(3), requires_grad=True),
+        }
+        for p in params.values():
+            p.grad = np.full_like(p.data, 0.5)
+        return params, T.AdamW(params, lr=0.1, weight_decay=0.01)
+
+    def test_state_arrays_keep_their_bytes_across_a_step(self):
+        _, opt = self._setup()
+        opt.step()
+        state = opt.state_arrays()
+        before = {k: a.copy() for k, a in state.items()}
+        opt.step()
+        for k, a in state.items():
+            assert a.tobytes() == before[k].tobytes(), k
+        assert not np.array_equal(opt.state_arrays()["adam.m.w"], before["adam.m.w"])
+
+    def test_held_parameter_array_keeps_its_bytes(self):
+        params, opt = self._setup()
+        opt.step()
+        held = params["w"].data
+        before = held.copy()
+        opt.step()
+        assert held.tobytes() == before.tobytes()
+        assert not np.array_equal(params["w"].data, before)
+
+    @pytest.mark.parametrize("steps_before", [0, 2])
+    def test_reassigned_parameter_is_the_one_updated(self, steps_before):
+        params, opt = self._setup()
+        ref, m, v = _copies(params)
+        for t in range(1, steps_before + 1):
+            opt.step()
+            loop_adamw_step(ref, m, v, t, 0.1, 0.01)
+        params["w"].data = np.full((2, 3), 7.0)
+        ref["w"].data = np.full((2, 3), 7.0)
+        opt.step()
+        loop_adamw_step(ref, m, v, steps_before + 1, 0.1, 0.01)
+        _assert_bytes_equal(opt, params, ref, m, v)
+
+    def test_in_place_write_to_a_parameter_is_read(self):
+        params, opt = self._setup()
+        ref, m, v = _copies(params)
+        opt.step()
+        loop_adamw_step(ref, m, v, 1, 0.1, 0.01)
+        params["b"].data[1] = 3.0
+        ref["b"].data[1] = 3.0
+        opt.step()
+        loop_adamw_step(ref, m, v, 2, 0.1, 0.01)
+        _assert_bytes_equal(opt, params, ref, m, v)
+
+    def test_loaded_state_is_copied_in(self):
+        params, opt = self._setup()
+        arrays = {k: np.full_like(a, 0.25) for k, a in opt.state_arrays().items()}
+        opt.load_state_arrays(arrays, 4)
+        for a in arrays.values():
+            a[...] = -1.0  # the caller reuses its arrays
+        ref, m, v = _copies(params)
+        m = {name: np.full_like(a, 0.25) for name, a in m.items()}
+        v = {name: np.full_like(a, 0.25) for name, a in v.items()}
+        opt.step()
+        loop_adamw_step(ref, m, v, 5, 0.1, 0.01)
+        _assert_bytes_equal(opt, params, ref, m, v)
 
 
 class TestGradcheckHelper:
