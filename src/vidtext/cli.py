@@ -26,7 +26,9 @@ import numpy as np
 
 from . import tensor as T
 from .checkpoint import load_checkpoint, save_checkpoint
-from .data import Vocab, align, load_corpus_vocab, read_corpus, synth_corpus, tokenize
+from .data import (
+    Vocab, align, load_corpus_vocab, read_corpus, synth_corpus, synth_frame_count, tokenize,
+)
 from .downstream import (
     QA_LAMBDA_DEFAULT,
     finetune_model_for,
@@ -271,10 +273,11 @@ def _train_loop(
 
 
 def cmd_gen_data(args) -> int:
+    fps = args.fps if args.fps is not None else 2.0 / 3.0
     path, vocab = synth_corpus(
         args.out,
         num_clips=args.clips,
-        fps=args.fps if args.fps is not None else 2.0 / 3.0,
+        fps=fps,
         clip_seconds=args.seconds,
         vocab_size=args.vocab_size,
         feature_dim=args.feature_dim,
@@ -282,11 +285,9 @@ def cmd_gen_data(args) -> int:
         seed=args.seed,
         num_topics=args.topics,
     )
-    _, clips = read_corpus(path)
-    n_frames = sorted({len(c.frame_times) for c in clips})
     print(
-        f"wrote {len(clips)} clips to {path} "
-        f"(frames per clip: {n_frames}, vocab size: {vocab.size})"
+        f"wrote {args.clips} clips to {path} "
+        f"(frames per clip: {[synth_frame_count(fps, args.seconds)]}, vocab size: {vocab.size})"
     )
     return EXIT_OK
 

@@ -263,9 +263,18 @@ def _parse_corpus(path: Path, text: str) -> tuple[CorpusHeader, list[RawClip]]:
             feats = np.array([f["feat"] for f in frames], dtype=np.float64)
             times = np.array([(f["t0"], f["t1"]) for f in frames])
             sub_times = np.array([(s["t0"], s["t1"]) for s in rec["subs"]])
-            texts = [str(s["text"]) for s in rec["subs"]]
+            texts = [s["text"] for s in rec["subs"]]
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise DataError(f"corpus record at {path}:{lineno} is malformed: {exc}") from exc
+        if not all(isinstance(text, str) for text in texts):
+            raise DataError(f"corpus record at {path}:{lineno} has a subtitle text that is not a string")
+        # numpy reads a JSON true/false beside numbers as 1.0/0.0; only a line
+        # that spells one out pays for the exact check
+        if "true" in line or "false" in line:
+            numbers = [(f["t0"], f["t1"], f["feat"]) for f in frames]
+            numbers += [(s["t0"], s["t1"]) for s in rec["subs"]]
+            if _holds_bool(numbers):
+                raise DataError(f"corpus record at {path}:{lineno} has a true/false time or feature")
         if not isinstance(clip_id, str):
             raise DataError(f"corpus record at {path}:{lineno} has id {clip_id!r}, not a string")
         if clip_id in first_line:
@@ -289,6 +298,18 @@ def _parse_corpus(path: Path, text: str) -> tuple[CorpusHeader, list[RawClip]]:
             raise DataError(f"clip {clip_id!r} frames are not sorted/non-overlapping")
         clips.append(RawClip(clip_id, times, feats.reshape(len(times), header.feature_dim), subs))
     return header, clips
+
+
+def _holds_bool(values: list) -> bool:
+    """Whether a bool sits anywhere in ``values`` (which this empties),
+    nested lists and tuples included."""
+    while values:
+        v = values.pop()
+        if isinstance(v, bool):
+            return True
+        if isinstance(v, (list, tuple)):
+            values.extend(v)
+    return False
 
 
 def _seconds(path: Path, lineno: int, what: str, times: np.ndarray) -> np.ndarray:
@@ -317,6 +338,11 @@ def load_corpus_vocab(corpus_path: str | Path, header: CorpusHeader) -> Vocab:
 
 
 MAX_SENTENCES_PER_CLIP = 6
+
+
+def synth_frame_count(fps: float, clip_seconds: float) -> int:
+    """The frame count of every clip ``synth_corpus`` generates at these settings."""
+    return int(round(clip_seconds * fps))
 
 
 def synth_corpus(
@@ -348,7 +374,7 @@ def synth_corpus(
             raise ConfigError(f"{name} must be at least 1, got {value}")
     if seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {seed}")
-    n_frames = int(round(clip_seconds * fps))
+    n_frames = synth_frame_count(fps, clip_seconds)
     if n_frames < 2:
         raise ConfigError("clip too short for the frame rate")
 

@@ -191,7 +191,9 @@ def encode_with_appended_text(
     rows tiled C times by one gather (so every segment still uses each row
     once), one ``cross_modal_forward`` over C x (S + 1) segments and one
     ``temporal_apply`` over a (C, n_frames + longest pseudo-sentence) row
-    grid.  Linear, LayerNorm, GELU and dropout see only real rows.
+    grid.  Linear, LayerNorm, GELU and dropout see only real rows.  The
+    cross stack keeps the frame and pseudo-sentence rows, which the
+    temporal stage reads, and the temporal stack keeps the frame rows.
     """
     max_tokens = encoder.config.max_tokens
     n_f, n_c = clip.n_frames, len(candidates)
@@ -213,17 +215,20 @@ def encode_with_appended_text(
         for s in clip.sentences
     ] + [np.arange(0)] * n_c
     segments = [(f, np.arange(lo, hi)) for f, lo, hi in zip(frames, bounds[:-1], bounds[1:])]
-    v_cross, w_cross = encoder.cross_modal_forward(v_rows, w_emb, segments, train_rng=train_rng)
     first_q = bounds[-n_c - 1]
-    rows = T.concat_rows([v_rows + v_cross, T.slice_rows(w_emb + w_cross, first_q, bounds[-1])])
+    v_cross, w_cross = encoder.cross_modal_forward(
+        v_rows, w_emb, segments, train_rng=train_rng,
+        rows=np.r_[: n_c * n_f, n_c * n_f + first_q : n_c * n_f + bounds[-1]],
+    )
+    x = T.concat_rows([v_rows + v_cross, T.slice_rows(w_emb, first_q, bounds[-1]) + w_cross])
     # candidate c's temporal sequence: its frame rows, then its pseudo-sentence's
     q_rows = bounds[-n_c - 1 :] - first_q + n_c * n_f
     grid = T.row_grid(
         [np.r_[c * n_f : (c + 1) * n_f, q_rows[c] : q_rows[c + 1]] for c in range(n_c)],
-        rows.shape[0],
+        x.shape[0],
     )
-    h = encoder.temporal_apply(rows, train_rng=train_rng, grid=grid)
-    return T.reshape(T.slice_rows(h, 0, n_c * n_f), (n_c, n_f, encoder.config.d))
+    h = encoder.temporal_apply(x, train_rng=train_rng, grid=grid, rows=np.arange(n_c * n_f))
+    return T.reshape(h, (n_c, n_f, encoder.config.d))
 
 
 def load_params_into(params: dict[str, T.Tensor], arrays: dict[str, np.ndarray]) -> list[str]:

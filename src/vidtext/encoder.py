@@ -1,6 +1,12 @@
 """The two-level encoder: input embedders, a cross-modal transformer fusing
 each subtitle sentence with its frame group, and a temporal transformer over
 the whole clip with a positional residual.
+
+Each stage is read only in part, so each caller names the rows it reads
+and the stack's last feed-forward sublayer runs on those alone (see
+``TransformerStack``): a clip pass keeps the fused frame rows, masked token
+modeling keeps its masked token rows and runs no temporal stage, and the
+frame objectives keep the temporal rows their heads read.
 """
 
 from __future__ import annotations
@@ -161,7 +167,13 @@ class MultiHeadAttention(Module):
 
 
 class TransformerBlock(Module):
-    """Pre-LN block: x += attn(LN(x)); x += ffn(LN(x))."""
+    """Pre-LN block: x += attn(LN(x)); x += ffn(LN(x)).
+
+    With ``rows``, the attention sublayer still runs on every row, since
+    keys and values need them all; then one ``take_rows`` keeps those rows,
+    in that order, and only they go through the feed-forward sublayer.
+    Its dropout mask is drawn for every row (see ``tensor.dropout``), so the
+    kept rows and the generator's next draw are those of a full-row pass."""
 
     def __init__(self, rng: np.random.Generator, d: int, heads: int, ffn_multiplier: int):
         self.ln1 = LayerNorm(d)
@@ -170,23 +182,32 @@ class TransformerBlock(Module):
         self.ffn1 = Linear(rng, d, d * ffn_multiplier)
         self.ffn2 = Linear(rng, d * ffn_multiplier, d)
 
-    def __call__(self, x, dropout=0.0, train_rng=None, grid=None):
+    def __call__(self, x, dropout=0.0, train_rng=None, grid=None, rows=None):
         a = self.attn(self.ln1(x), grid=grid)
         x = x + T.dropout(a, dropout, train_rng)
+        n_rows = x.shape[0]
+        if rows is not None:
+            x = T.take_rows(x, rows)
         f = self.ffn2(T.gelu(self.ffn1(self.ln2(x))))
-        return x + T.dropout(f, dropout, train_rng)
+        return x + T.dropout(f, dropout, train_rng, rows=rows, n_rows=n_rows)
 
 
 
 class TransformerStack(Module):
+    """Transformer blocks and a final layer norm.  ``rows`` lists the rows,
+    in order, that the caller reads: the last block's feed-forward sublayer
+    and ``ln_out`` run on those alone and the output holds just them
+    (every row when None)."""
+
     def __init__(self, rng, d: int, layers: int, heads: int, ffn_multiplier: int):
         self.blocks = [TransformerBlock(rng, d, heads, ffn_multiplier) for _ in range(layers)]
         self.ln_out = LayerNorm(d)
 
-    def __call__(self, x, dropout=0.0, train_rng=None, grid=None):
-        for block in self.blocks:
+    def __call__(self, x, dropout=0.0, train_rng=None, grid=None, rows=None):
+        *inner, last = self.blocks
+        for block in inner:
             x = block(x, dropout=dropout, train_rng=train_rng, grid=grid)
-        return self.ln_out(x)
+        return self.ln_out(last(x, dropout=dropout, train_rng=train_rng, grid=grid, rows=rows))
 
 
 
@@ -198,18 +219,18 @@ class EncodedBatch:
     """Encoder outputs of a batch of clips as packed rows.
 
     Clip b owns rows ``frame_bounds[b]:frame_bounds[b + 1]`` of ``v_emb``,
-    ``v_cross`` and ``v_temp``; sentence j of clip b owns rows
-    ``token_bounds[b][j]:token_bounds[b][j + 1]`` of ``w_cross``.  Frame rows
-    are in timestamp order, except that ``v_temp`` follows the frame orders
-    ``encode_clips`` was given.
+    ``v_cross`` and, unless ``encode_clips`` was given temporal positions,
+    of ``v_temp``.  Frame rows are in timestamp order, except that
+    ``v_temp`` follows the frame orders ``encode_clips`` was given.  Fused
+    token rows are kept only when ``fuse_clip`` was given token positions:
+    ``w_cross`` then holds those rows alone and ``v_cross`` is None.
     """
 
     clips: list[AlignedClip]
     v_emb: T.Tensor
-    v_cross: T.Tensor
-    w_cross: T.Tensor | None  # None when no clip has a token
+    v_cross: T.Tensor | None  # None when the cross stack kept token rows
+    w_cross: T.Tensor | None  # the kept token rows; None when it kept none
     frame_bounds: np.ndarray  # (B + 1,)
-    token_bounds: list[np.ndarray]  # per clip, (S_b + 1,)
     v_temp: T.Tensor | None = None  # None until the temporal stage ran
 
     @property
@@ -293,15 +314,21 @@ class HierarchicalEncoder(Module):
         w_emb: T.Tensor | None,
         segments: Sequence[tuple[np.ndarray, np.ndarray]],
         train_rng: np.random.Generator | None = None,
+        rows: np.ndarray | None = None,
     ) -> tuple[T.Tensor | None, T.Tensor | None]:
         """Self-attention within each segment's joint [frames | tokens]
-        sequence, returning fused rows in input order.
+        sequence, returning the fused frame rows and the fused token rows.
 
         ``segments`` lists each segment's frame rows (into ``v_emb``) and
         token rows (into ``w_emb``) and must use every row exactly once.  The
         stack runs on the packed rows ``[v_emb; w_emb]``; only attention sees
         the segments, as an (S, L) row grid padded to the longest segment.
         Either side may be absent (the query path passes no frames).
+
+        ``rows`` lists the packed rows the caller reads, frame rows before
+        token rows; the stack keeps only those (see ``TransformerStack``).
+        Each returned side holds its kept rows in order, or is None when it
+        has none.  By default every row is kept.
         """
         if v_emb is None and w_emb is None:
             raise UsageError("cross_modal_forward needs at least one modality")
@@ -316,27 +343,36 @@ class HierarchicalEncoder(Module):
             raise UsageError("cross_modal_forward needs at least one row in every segment")
         if not np.array_equal(np.sort(np.concatenate(joint)), np.arange(n_rows)):
             raise ShapeError("cross_modal_forward segments must use every frame and token row once")
+        kept = np.arange(n_rows) if rows is None else np.asarray(rows, dtype=np.intp)
+        n_kept_v = np.count_nonzero(kept < n_v)
+        if (kept[n_kept_v:] < n_v).any():
+            raise UsageError("cross_modal_forward rows must list frame rows before token rows")
         out = self.cross(
             parts[0] if len(parts) == 1 else T.concat_rows(parts),
             dropout=self.config.dropout,
             train_rng=train_rng,
             grid=T.row_grid(joint, n_rows),
+            rows=rows,
         )
-        if w_emb is None:
+        if n_kept_v == len(kept):
             return out, None
-        if v_emb is None:
+        if n_kept_v == 0:
             return None, out
-        return T.slice_rows(out, 0, n_v), T.slice_rows(out, n_v, n_rows)
+        return T.slice_rows(out, 0, n_kept_v), T.slice_rows(out, n_kept_v, len(kept))
 
     def temporal_apply(
         self,
-        rows: T.Tensor,
+        x: T.Tensor,
         train_rng: np.random.Generator | None = None,
         grid: np.ndarray | None = None,
+        rows: np.ndarray | None = None,
     ) -> T.Tensor:
-        """The temporal stack over ``rows``; with a row ``grid``, ``rows``
-        packs several sequences (see ``tensor.attention``)."""
-        return self.temporal(rows, dropout=self.config.dropout, train_rng=train_rng, grid=grid)
+        """The temporal stack over ``x``; with a row ``grid``, ``x`` packs
+        several sequences (see ``tensor.attention``).  The output holds the
+        ``rows`` of ``x`` the caller reads, in order (all by default)."""
+        return self.temporal(
+            x, dropout=self.config.dropout, train_rng=train_rng, grid=grid, rows=rows
+        )
 
     def temporal_forward(
         self,
@@ -345,17 +381,18 @@ class HierarchicalEncoder(Module):
         train_rng: np.random.Generator | None = None,
         grid: np.ndarray | None = None,
         order: np.ndarray | None = None,
+        rows: np.ndarray | None = None,
     ) -> T.Tensor:
         """f_temp(V_emb + V_cross): the embedder residual carries position
         information into the temporal stack.  ``order`` gathers the summed
-        rows before the stack (frame order modeling's shuffle); ``grid`` is
-        ``temporal_apply``'s."""
+        rows before the stack (frame order modeling's shuffle); ``grid`` and
+        ``rows`` (into the gathered rows) are ``temporal_apply``'s."""
         if v_emb.shape != v_cross.shape:
             raise ShapeError(f"residual shape {v_emb.shape} != fused shape {v_cross.shape}")
-        rows = v_emb + v_cross
+        x = v_emb + v_cross
         if order is not None:
-            rows = T.take_rows(rows, order)
-        return self.temporal_apply(rows, train_rng=train_rng, grid=grid)
+            x = T.take_rows(x, order)
+        return self.temporal_apply(x, train_rng=train_rng, grid=grid, rows=rows)
 
     # -- whole-clip pipeline -----------------------------------------------------
 
@@ -365,12 +402,18 @@ class HierarchicalEncoder(Module):
         token_ids_overrides: Sequence[Sequence[Sequence[int]] | None] | None = None,
         frame_features_overrides: Sequence[np.ndarray | None] | None = None,
         train_rng: np.random.Generator | None = None,
+        token_positions: Sequence[Sequence[Sequence[int]]] | None = None,
     ) -> EncodedBatch:
         """The cross-modal stage of ``encode_clips``: embed every frame (in
         timestamp order) and every token of every clip once, then fuse every
         sentence with its frame group in one cross-modal pass.  Per-clip
         overrides (None keeps the clip's own) substitute masked inputs
-        without touching the clips.  The result has no ``v_temp`` yet."""
+        without touching the clips.  The result has no ``v_temp`` yet.
+
+        The cross stack keeps the frame rows, all that the temporal stage
+        reads.  With ``token_positions`` (``token_positions[b][j]`` lists
+        positions into sentence j of clip b) it keeps those token rows
+        instead, clip by clip and sentence by sentence, as ``w_cross``."""
         for clip in clips:
             if clip.n_frames > self.config.max_frames:
                 raise ShapeError(
@@ -391,7 +434,6 @@ class HierarchicalEncoder(Module):
         token_lo = np.cumsum([0] + lengths)  # packed token rows, sentence by sentence
         frame_bounds = np.cumsum([0] + [clip.n_frames for clip in clips])
         sentence_lo = np.cumsum([0] + [len(clip.sentences) for clip in clips])
-        sentences_of_clip = list(zip(sentence_lo[:-1], sentence_lo[1:]))
         segments = [
             (lo + np.asarray(sent.frame_indices, dtype=np.intp), np.arange(*token_lo[k : k + 2]))
             for clip, lo, k0 in zip(clips, frame_bounds, sentence_lo)
@@ -404,14 +446,22 @@ class HierarchicalEncoder(Module):
         if token_lo[-1]:
             positions = np.concatenate([np.arange(n) for n in lengths])
             w_emb = self.embed_text([i for ids in token_ids for i in ids], positions)
-        v_cross, w_cross = self.cross_modal_forward(v_emb, w_emb, segments, train_rng=train_rng)
+        if token_positions is None:
+            rows = np.arange(frame_bounds[-1])
+        else:
+            per_sentence = [p for clip_positions in token_positions for p in clip_positions]
+            rows = frame_bounds[-1] + np.concatenate([
+                lo + np.asarray(p, dtype=np.intp) for lo, p in zip(token_lo, per_sentence)
+            ])
+        v_cross, w_cross = self.cross_modal_forward(
+            v_emb, w_emb, segments, train_rng=train_rng, rows=rows
+        )
         return EncodedBatch(
             clips=list(clips),
             v_emb=v_emb,
             v_cross=v_cross,
             w_cross=w_cross,
             frame_bounds=frame_bounds,
-            token_bounds=[token_lo[lo : hi + 1] for lo, hi in sentences_of_clip],
         )
 
     def encode_clips(
@@ -421,18 +471,22 @@ class HierarchicalEncoder(Module):
         frame_features_overrides: Sequence[np.ndarray | None] | None = None,
         frame_orders: Sequence[np.ndarray] | None = None,
         train_rng: np.random.Generator | None = None,
+        temporal_positions: Sequence[Sequence[int]] | None = None,
     ) -> EncodedBatch:
         """Encode a batch of clips in one packed pass: one ``fuse_clip`` over
         all clips, then one ``temporal_forward`` over a (B, longest clip) row
         grid.  ``frame_orders[b]`` lists the fused frame rows clip b's
-        temporal stack reads, in order (see ``ReorderPlan.permutation``)."""
+        temporal stack reads, in order (see ``ReorderPlan.permutation``).
+        With ``temporal_positions``, ``v_temp`` keeps only the temporal rows
+        at those positions of each clip (after its frame order), clip by clip."""
         batch = self.fuse_clip(clips, token_ids_overrides, frame_features_overrides, train_rng)
         bounds = batch.frame_bounds
         order = None if frame_orders is None else batch.frame_rows(frame_orders)
+        rows = None if temporal_positions is None else batch.frame_rows(temporal_positions)
         frames = [np.arange(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
         grid = T.row_grid(frames, bounds[-1])
         batch.v_temp = self.temporal_forward(
-            batch.v_emb, batch.v_cross, train_rng=train_rng, grid=grid, order=order
+            batch.v_emb, batch.v_cross, train_rng=train_rng, grid=grid, order=order, rows=rows
         )
         return batch
 

@@ -264,25 +264,43 @@ class PretrainModel(Module):
 
     # -- masked-input encoding: one packed pass per batch -----------------------
 
-    def encode_mlm(self, clips, masked_ids, train_rng=None) -> EncodedBatch:
-        return self.encoder.encode_clips(clips, token_ids_overrides=masked_ids, train_rng=train_rng)
+    def encode_mlm(
+        self, clips, masked_ids, plans: Sequence[Sequence[TokenMaskPlan | None]], train_rng=None
+    ) -> EncodedBatch:
+        """The cross-modal pass over the masked sentences.  Its stack keeps
+        only the masked token rows (``w_cross``, clip by clip in plan order),
+        and no temporal pass runs: masked token modeling reads local context
+        alone."""
+        positions = [[[] if p is None else p.positions for p in clip_plans] for clip_plans in plans]
+        return self.encoder.fuse_clip(
+            clips, token_ids_overrides=masked_ids, train_rng=train_rng, token_positions=positions
+        )
 
-    def encode_mfm(self, clips, plans: Sequence[FrameMaskPlan], train_rng=None) -> EncodedBatch:
+    def encode_mfm(
+        self, clips, plans: Sequence[FrameMaskPlan], train_rng=None, masked_only: bool = False
+    ) -> EncodedBatch:
+        """Encode the clips with their masked frames' features zeroed; with
+        ``masked_only``, ``v_temp`` keeps only the masked frames' rows, clip
+        by clip (all that feature regression reads)."""
         features = []
         for clip, plan in zip(clips, plans):
             feats = clip.frame_features.copy()
             feats[plan.positions] = 0.0  # masked frame features are replaced by zeros
             features.append(feats)
         return self.encoder.encode_clips(
-            clips, frame_features_overrides=features, train_rng=train_rng
+            clips, frame_features_overrides=features, train_rng=train_rng,
+            temporal_positions=[plan.positions for plan in plans] if masked_only else None,
         )
 
     def encode_reordered(self, clips, plans: Sequence[ReorderPlan], train_rng=None) -> EncodedBatch:
         """Shuffle each clip's fused frame rows (and the positional residual
-        with them) before the temporal stack; ``v_temp`` rows come out in the
-        shuffled order."""
+        with them) before the temporal stack; ``v_temp`` keeps only the rows
+        at the reordered positions, clip by clip."""
         orders = [plan.permutation(clip.n_frames) for clip, plan in zip(clips, plans)]
-        return self.encoder.encode_clips(clips, frame_orders=orders, train_rng=train_rng)
+        return self.encoder.encode_clips(
+            clips, frame_orders=orders, train_rng=train_rng,
+            temporal_positions=[plan.positions for plan in plans],
+        )
 
     # -- losses: each is the mean over the batch's clips --------------------------
 
@@ -290,32 +308,30 @@ class PretrainModel(Module):
         self, encoded: EncodedBatch, plans: Sequence[Sequence[TokenMaskPlan | None]]
     ) -> T.Tensor:
         """Cross-entropy of the original ids at masked positions, read from
-        the per-sentence fused token rows (local context).  One ``lm_head``
-        pass over every clip's masked rows; row weights 1 / (clips x the
-        clip's masked positions) make it the mean over clips of each clip's
-        mean."""
-        rows, labels, counts = [], [], []
-        for starts, clip_plans in zip(encoded.token_bounds, plans):
-            clip_rows = [
-                starts[j] + pos
-                for j, plan in enumerate(clip_plans) if plan is not None
-                for pos in plan.positions
-            ]
-            if not clip_rows:
+        the fused token rows (local context) that ``encode_mlm`` kept.  One
+        ``lm_head`` pass over every clip's masked rows; row weights 1 /
+        (clips x the clip's masked positions) make it the mean over clips of
+        each clip's mean."""
+        labels, counts = [], []
+        for clip_plans in plans:
+            clip_labels = [i for plan in clip_plans if plan is not None for i in plan.originals]
+            if not clip_labels:
                 raise UsageError("mlm_loss needs at least one masked position in every clip")
-            rows.extend(clip_rows)
-            labels.extend(i for plan in clip_plans if plan is not None for i in plan.originals)
-            counts.append(len(clip_rows))
-        logits = self.lm_head(T.take_rows(encoded.w_cross, rows))
+            labels.extend(clip_labels)
+            counts.append(len(clip_labels))
+        if encoded.w_cross is None or encoded.w_cross.shape[0] != len(labels):
+            raise UsageError("mlm_loss reads the masked token rows that encode_mlm keeps")
+        logits = self.lm_head(encoded.w_cross)
         return T.cross_entropy(logits, labels, _mean_of_clip_means(counts))
 
     def mffr_loss(self, encoded: EncodedBatch, plans: Sequence[FrameMaskPlan]) -> T.Tensor:
         """Summed squared L2 between regressed and original features of each
-        clip's masked frames, read from the temporal rows (global context)."""
+        clip's masked frames, read from the temporal rows (global context)
+        that ``encode_mfm(..., masked_only=True)`` kept."""
         if any(not plan.positions for plan in plans):
             raise UsageError("mffr_loss needs at least one masked frame in every clip")
-        rows = encoded.frame_rows([plan.positions for plan in plans])
-        pred = self.mffr_head(T.take_rows(encoded.v_temp, rows))
+        _check_kept_rows("mffr_loss", encoded, plans)
+        pred = self.mffr_head(encoded.v_temp)
         target = np.concatenate(
             [clip.frame_features[plan.positions] for clip, plan in zip(encoded.clips, plans)]
         )
@@ -323,12 +339,13 @@ class PretrainModel(Module):
 
     def mnce_positive_targets(self, clips, plans: Sequence[FrameMaskPlan]) -> np.ndarray:
         """Projections of every clip's masked frames, clip by clip, from one
-        clean (unmasked) packed pass, detached so they act as fixed
-        contrastive targets."""
+        clean (unmasked) packed pass that keeps only those temporal rows,
+        detached so they act as fixed contrastive targets."""
         with T.no_grad():
-            clean = self.encoder.encode_clips(clips)
-            rows = clean.frame_rows([plan.positions for plan in plans])
-            return self.mnce_proj(T.take_rows(clean.v_temp, rows)).data
+            clean = self.encoder.encode_clips(
+                clips, temporal_positions=[plan.positions for plan in plans]
+            )
+            return self.mnce_proj(clean.v_temp).data
 
     def mnce_loss(
         self,
@@ -434,15 +451,16 @@ class PretrainModel(Module):
 
     def fom_loss(self, encoded: EncodedBatch, plans: Sequence[ReorderPlan]) -> T.Tensor:
         """Negative log-likelihood of each reordered row's original
-        timestamp, summed over a clip's reordered positions only; a clip's
+        timestamp, summed over a clip's reordered positions only, read from
+        the temporal rows that ``encode_reordered`` kept; a clip's
         timestamps past its last frame get no probability."""
         for plan in plans:
             if sorted(plan.positions) != sorted(set(plan.positions)) or sorted(
                 plan.sources
             ) != sorted(plan.positions):
                 raise UsageError("reorder plan is not a permutation of its positions")
-        rows = encoded.frame_rows([plan.positions for plan in plans])
-        logits = self.fom_head(T.take_rows(encoded.v_temp, rows))
+        _check_kept_rows("fom_loss", encoded, plans)
+        logits = self.fom_head(encoded.v_temp)
         n_frames = np.repeat([c.n_frames for c in encoded.clips], [len(p.positions) for p in plans])
         past_end = np.arange(logits.shape[1]) >= n_frames[:, None]
         logits = logits + np.where(past_end, T.ATTENTION_MASK_BIAS, 0.0)  # exp() of it is 0
@@ -473,6 +491,12 @@ def span_nll(log_p_st: T.Tensor, log_p_ed: T.Tensor, span) -> T.Tensor:
 def timestamp_nll(logits: T.Tensor, labels: Sequence[int]) -> T.Tensor:
     """-sum_j log softmax(logits[j])[labels[j]] (sum, not mean)."""
     return T.cross_entropy(logits, labels) * len(labels)
+
+
+def _check_kept_rows(head: str, encoded: EncodedBatch, plans) -> None:
+    """A frame head reads ``v_temp`` as the rows of its plans' positions alone."""
+    if encoded.v_temp.shape[0] != sum(len(plan.positions) for plan in plans):
+        raise UsageError(f"{head} reads a v_temp that keeps only its plans' frame rows")
 
 
 def _mean_of_clip_means(counts: Sequence[int]) -> np.ndarray:
@@ -598,10 +622,14 @@ def task_loss(
     """Forward pass and loss for the batch's single task (mean over clips):
     one packed encoder pass over the batch's clips, then the task's head."""
     if batch.kind == "mlm":
-        encoded = model.encode_mlm(batch.clips, batch.masked_token_ids, train_rng=train_rng)
+        encoded = model.encode_mlm(
+            batch.clips, batch.masked_token_ids, batch.token_plans, train_rng=train_rng
+        )
         return model.mlm_loss(encoded, batch.token_plans)
     if batch.kind == "mffr":
-        encoded = model.encode_mfm(batch.clips, batch.frame_plans, train_rng=train_rng)
+        encoded = model.encode_mfm(
+            batch.clips, batch.frame_plans, train_rng=train_rng, masked_only=True
+        )
         return model.mffr_loss(encoded, batch.frame_plans)
     if batch.kind == "mnce":
         neg_rng = np.random.default_rng([batch.seed, _SEED_NEGATIVES, batch.step])

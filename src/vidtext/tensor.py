@@ -15,8 +15,11 @@ The transformer's hot paths are fused ops with hand-written adjoints:
 softmax and value product for all heads) and the single-pass ``layer_norm``
 and ``gelu``.  ``attention`` also takes packed rows with a row grid, so
 every other op of a transformer runs on real rows only and only attention
-sees padding.  An op computes no adjoint for an operand that is off the
-tape (constants, input features).
+sees padding.  A stack's last feed-forward sublayer may run on just the
+rows its caller reads, gathered by ``take_rows``; ``dropout`` then draws
+its mask for every row and indexes it by those rows, so the kept rows and
+the random stream are those of the full-row pass.  An op computes no
+adjoint for an operand that is off the tape (constants, input features).
 
 Gradients are never written in place.  ``.grad`` adopts the first adjoint
 array it receives, which may be a read-only view shared with another
@@ -693,32 +696,58 @@ def conv1d(x: Tensor, kernel: Tensor) -> Tensor:
     k = kernel.data.shape[0]
     if k % 2 == 0:
         raise ConfigError(f"conv1d kernel length must be odd, got {k}")
-    pad = [(0, 0)] * (x.data.ndim - 1) + [(k // 2, k // 2)]
-    windows = np.lib.stride_tricks.sliding_window_view(np.pad(x.data, pad), k, axis=-1)
-    data = windows @ kernel.data  # (..., n, k) windows times the kernel
+    n = x.data.shape[-1]
+    xp = _zero_padded(x.data, k // 2)
+    data = _correlate(xp, kernel.data, n)
 
     def bw(g):
         # cross-correlation adjoint: correlate the upstream grad with the
         # flipped kernel for dx, and with the padded input for dk
-        g_windows = np.lib.stride_tricks.sliding_window_view(np.pad(g, pad), k, axis=-1)
-        _accum(x, g_windows @ kernel.data[::-1])
+        _accum(x, _correlate(_zero_padded(g, k // 2), kernel.data[::-1], n))
+        windows = np.lib.stride_tricks.sliding_window_view(xp, k, axis=-1)  # (..., n, k)
         _accum(kernel, g.reshape(-1) @ windows.reshape(-1, k))
 
     return _make(data, (x, kernel), bw)
 
 
-def dropout(a: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
-    """Inverted dropout; identity when rate is 0 or no rng is supplied."""
+def _zero_padded(a: np.ndarray, half: int) -> np.ndarray:
+    """``a`` with ``half`` zeros before and after along the last axis, in one buffer."""
+    out = np.zeros(a.shape[:-1] + (a.shape[-1] + 2 * half,))
+    out[..., half : half + a.shape[-1]] = a
+    return out
+
+
+def _correlate(xp: np.ndarray, kernel: np.ndarray, n: int) -> np.ndarray:
+    """The n outputs of correlating zero-padded ``xp`` with ``kernel``, tap by tap."""
+    out = xp[..., :n] * kernel[0]
+    for i in range(1, kernel.shape[0]):
+        out += xp[..., i : i + n] * kernel[i]
+    return out
+
+
+def dropout(
+    a: Tensor, rate: float, rng: np.random.Generator | None, rows=None, n_rows: int | None = None
+) -> Tensor:
+    """Inverted dropout; identity when rate is 0 or no rng is supplied.
+
+    The mask is one float array of 0 and 1 / (1 - rate), so the forward pass
+    and the adjoint are one multiply each.  With ``rows``, ``a`` holds rows
+    ``rows`` of an (n_rows, ...) array: the mask is drawn at that full shape
+    and indexed by ``rows``, so the kept rows and the generator's next draw
+    are those of a call on the full array."""
     if rate < 0 or rate >= 1:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
     if rate == 0.0 or rng is None:
         return a
-    keep, scale = rng.random(a.data.shape) >= rate, 1.0 / (1.0 - rate)
+    shape = a.data.shape if rows is None else (n_rows,) + a.data.shape[1:]
+    mask = (rng.random(shape) >= rate) * (1.0 / (1.0 - rate))
+    if rows is not None:
+        mask = mask[rows]
 
     def bw(g):
-        _accum(a, (g * keep) * scale)
+        _accum(a, g * mask)
 
-    return _make((a.data * keep) * scale, (a,), bw)
+    return _make(a.data * mask, (a,), bw)
 
 
 # -- optimizer --------------------------------------------------------------

@@ -4,6 +4,7 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+import contextlib
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import settings
 from vidtext import tensor as T
 from vidtext.data import AlignedClip, Sentence, Vocab, tokenize
 from vidtext.downstream import best_spans
-from vidtext.encoder import HierarchicalEncoder, ModelConfig
+from vidtext.encoder import HierarchicalEncoder, ModelConfig, TransformerStack
 from vidtext.metrics import Moment, Ranking, temporal_nms, tiou
 from vidtext.pretrain import ClipSide, _mean_terms, hinge_loss, span_nll
 
@@ -112,25 +113,110 @@ def one_segment(v_emb, w_emb):
     return [tuple(np.arange(0 if x is None else x.shape[0]) for x in (v_emb, w_emb))]
 
 
+def every_token(clips):
+    """``fuse_clip``'s token positions of every token of every sentence."""
+    return [[np.arange(len(s.token_ids)) for s in clip.sentences] for clip in clips]
+
+
 def clip_views(batch):
     """Each clip of an ``EncodedBatch`` on its own: row slices of the packed
     ``v_emb``, ``v_cross`` and ``v_temp`` (the tensors themselves when the
-    batch is that clip alone) and ``w_cross`` per sentence (None for a
-    sentence of no token)."""
+    batch is that clip alone; None where the pass kept none) and, for a
+    pass that kept every token row (``every_token``) of sentences within
+    ``max_tokens``, ``w_cross`` per sentence (None for a sentence of no
+    token, or for every sentence when the pass kept no token row)."""
+    lengths = [[len(s.token_ids) for s in clip.sentences] for clip in batch.clips]
+    clip_lo = np.cumsum([0] + [sum(n) for n in lengths])
     views = []
     for b, (lo, hi) in enumerate(zip(batch.frame_bounds[:-1], batch.frame_bounds[1:])):
-        starts = batch.token_bounds[b]
+        starts = clip_lo[b] + np.cumsum([0] + lengths[b])
         views.append(SimpleNamespace(
             clip=batch.clips[b],
             w_cross=[
-                _rows(batch.w_cross, s, e) if e > s else None
+                _rows(batch.w_cross, s, e) if e > s and batch.w_cross is not None else None
                 for s, e in zip(starts[:-1], starts[1:])
             ],
             v_emb=_rows(batch.v_emb, lo, hi),
-            v_cross=_rows(batch.v_cross, lo, hi),
-            v_temp=_rows(batch.v_temp, lo, hi),
+            v_cross=None if batch.v_cross is None else _rows(batch.v_cross, lo, hi),
+            v_temp=None if batch.v_temp is None else _rows(batch.v_temp, lo, hi),
         ))
     return views
+
+
+# -- the full-row stack, kept as the reference of row pruning --
+
+
+def ref_dropout(a, rate, rng):
+    """Inverted dropout with a boolean keep mask, ``(a * keep) * scale``:
+    the reference of ``tensor.dropout``."""
+    if rate == 0.0 or rng is None:
+        return a
+    keep, scale = rng.random(a.data.shape) >= rate, 1.0 / (1.0 - rate)
+
+    def bw(g):
+        T._accum(a, (g * keep) * scale)
+
+    return T._make((a.data * keep) * scale, (a,), bw)
+
+
+def full_row_stack(stack, x, dropout=0.0, train_rng=None, grid=None):
+    """A ``TransformerStack`` with every block on every row: the reference
+    of running the last feed-forward sublayer on the caller's rows alone."""
+    for block in stack.blocks:
+        a = block.attn(block.ln1(x), grid=grid)
+        x = x + ref_dropout(a, dropout, train_rng)
+        f = block.ffn2(T.gelu(block.ffn1(block.ln2(x))))
+        x = x + ref_dropout(f, dropout, train_rng)
+    return stack.ln_out(x)
+
+
+def _full_row_call(stack, x, dropout=0.0, train_rng=None, grid=None, rows=None):
+    out = full_row_stack(stack, x, dropout, train_rng, grid)
+    return out if rows is None else T.take_rows(out, rows)
+
+
+def assert_kept_rows_equal(got, want, n_rows):
+    """The kept rows equal the reference's bit for bit.  A single row kept
+    of several goes through BLAS's matrix-vector product in place of its
+    matrix product, which sums in another order, so it is held to 1e-12."""
+    assert got.shape == want.shape
+    if got.shape[0] == 1 < n_rows:
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    else:
+        assert got.tobytes() == want.tobytes()
+
+
+@contextlib.contextmanager
+def full_row_stacks():
+    """Inside the block every ``TransformerStack`` runs ``full_row_stack``
+    and gathers the caller's rows from its output."""
+    original = TransformerStack.__call__
+    TransformerStack.__call__ = _full_row_call
+    try:
+        yield
+    finally:
+        TransformerStack.__call__ = original
+
+
+def assert_step_matches_full_rows(params, loss_fn):
+    """``loss_fn()``'s loss equals the full-row reference's bit for bit and
+    every parameter gradient is within rtol 1e-12 of it.  Gradient sums of
+    the pruned sublayers run over fewer rows, so each entry also gets an
+    absolute 1e-12 of the largest gradient entry: a gradient that is zero
+    in exact arithmetic (a key bias's) is rounding noise on both sides."""
+    outs = []
+    for full in (False, True):
+        T.zero_grads(params.values())
+        with full_row_stacks() if full else contextlib.nullcontext():
+            loss = loss_fn()
+        T.backward(loss)
+        outs.append((loss.data.tobytes(), {k: p.grad for k, p in params.items() if p.grad is not None}))
+    (loss, grads), (ref_loss, ref_grads) = outs
+    assert loss == ref_loss
+    assert grads.keys() == ref_grads.keys()
+    scale = max(np.abs(g).max() for g in ref_grads.values())
+    for name, g in ref_grads.items():
+        np.testing.assert_allclose(grads[name], g, rtol=1e-12, atol=1e-12 * scale, err_msg=name)
 
 
 def ref_backward(loss):
@@ -245,6 +331,23 @@ def loop_conv1d(x, kernel):
         dk = np.array([xp[j : j + n] @ g for j in range(k)])
         T._accum(x, dx)
         T._accum(kernel, dk)
+
+    return T._make(data, (x, kernel), bw)
+
+
+def window_conv1d(x, kernel):
+    """Same-padded 1-D cross-correlation as one product of ``np.pad``'s
+    sliding windows with the kernel: the reference of the tap-by-tap
+    ``tensor.conv1d``."""
+    k = kernel.data.shape[0]
+    pad = [(0, 0)] * (x.data.ndim - 1) + [(k // 2, k // 2)]
+    windows = np.lib.stride_tricks.sliding_window_view(np.pad(x.data, pad), k, axis=-1)
+    data = windows @ kernel.data  # (..., n, k) windows times the kernel
+
+    def bw(g):
+        g_windows = np.lib.stride_tricks.sliding_window_view(np.pad(g, pad), k, axis=-1)
+        T._accum(x, g_windows @ kernel.data[::-1])
+        T._accum(kernel, g.reshape(-1) @ windows.reshape(-1, k))
 
     return T._make(data, (x, kernel), bw)
 

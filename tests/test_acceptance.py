@@ -165,9 +165,11 @@ def test_criterion_1_gradient_suite():
     frozen_pos = model.mnce_positive_targets([clip_a], [frame_plan])
 
     compositions = {
-        "loss.mlm": lambda: model.mlm_loss(model.encode_mlm([clip_a], [masked_ids]), [plans]),
+        "loss.mlm": lambda: model.mlm_loss(
+            model.encode_mlm([clip_a], [masked_ids], [plans]), [plans]
+        ),
         "loss.mffr": lambda: model.mffr_loss(
-            model.encode_mfm([clip_a], [frame_plan]), [frame_plan]
+            model.encode_mfm([clip_a], [frame_plan], masked_only=True), [frame_plan]
         ),
         "loss.mnce": lambda: model.mnce_loss(
             model.encode_mfm([clip_a], [frame_plan]), [frame_plan],
@@ -208,7 +210,7 @@ def test_criterion_2_closed_form_losses():
         m, plan = P.apply_mlm_mask(s.token_ids, mask_rng, vocab)
         masked.append(m)
         plans.append(plan)
-    mlm = model.mlm_loss(model.encode_mlm([clip], [masked]), [plans]).item()
+    mlm = model.mlm_loss(model.encode_mlm([clip], [masked], [plans]), [plans]).item()
     T.reset_tape()
     checks.append(("mlm~ln(100)", abs(mlm - math.log(100)) < 0.3))
 

@@ -913,6 +913,11 @@ class TestMalformedInputFiles:
         ("corpus", _edit_line(1, ("frames", 0, "t0"), '"0.0"'), "corpus.jsonl"),
         ("corpus", _edit_line(2, ("subs", 1, "t1"), "null"), "corpus.jsonl"),
         ("corpus", _edit_line(3, "id", "7"), "corpus.jsonl"),
+        ("corpus", _edit_line(1, ("frames", 0, "t0"), "true"), "corpus.jsonl:2"),
+        ("corpus", _edit_line(2, ("frames", 1, "feat", 0), "false"), "corpus.jsonl:3"),
+        ("corpus", _edit_line(3, ("subs", 0, "t0"), "false"), "corpus.jsonl:4"),
+        ("corpus", _edit_line(2, ("subs", 1, "text"), "12"), "corpus.jsonl:3"),
+        ("corpus", _edit_line(4, ("subs", 0, "text"), '["w001"]'), "corpus.jsonl:5"),
         ("corpus", _edit_line(0, "vocab_path", '"missing.vocab.txt"'), "missing.vocab.txt"),
         ("vocab", _not_utf8, "corpus.vocab.txt"),
         ("retrieval", _edit_line(1), "retrieval.jsonl"),
@@ -925,6 +930,8 @@ class TestMalformedInputFiles:
         "corpus-1e400-feature-dim", "corpus-not-utf8", "corpus-nan-subtitle-t0",
         "corpus-infinite-frame-t1", "corpus-inverted-frame", "corpus-inverted-subtitle",
         "corpus-string-frame-t0", "corpus-null-subtitle-t1", "corpus-numeric-id",
+        "corpus-true-frame-t0", "corpus-false-feature", "corpus-false-subtitle-t0",
+        "corpus-numeric-subtitle-text", "corpus-list-subtitle-text",
         "corpus-missing-vocab", "vocab-not-utf8",
         "task-deep-record", "task-not-utf8", "qa-infinite-label", "nli-1e400-label",
         "checkpoint-deep-header",

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from vidtext import data as data_module
 from vidtext.data import (
     UNK_ID,
     CorpusHeader,
@@ -368,6 +369,16 @@ class TestCorpusFiles:
         _, clips = read_corpus(path)
         t0 = clips[1].frame_times[0, 0] if field == "frames" else clips[1].subs[0].t0
         assert type(t0) in (float, np.float64) and t0 == 0.0
+
+    def test_true_and_false_in_text_read_cleanly(self, tmp_path, monkeypatch):
+        """A line that spells true or false outside its numbers gets the
+        exact check and passes it; a line that does not is never checked."""
+        path, _, _ = self._with(tmp_path, "subs", 0, "text", '"true or false"')
+        checked = []
+        holds_bool = data_module._holds_bool
+        monkeypatch.setattr(data_module, "_holds_bool", lambda v: checked.append(v) or holds_bool(v))
+        _, clips = read_corpus(path)
+        assert clips[1].subs[0].text == "true or false" and len(checked) == 1
 
     def test_unsorted_frames_rejected(self, tmp_path):
         path, clip_id, _ = self._with(tmp_path, "frames", 2, "t0", "0.1")

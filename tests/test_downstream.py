@@ -38,7 +38,10 @@ from vidtext.metrics import Moment, Ranking, temporal_nms
 from vidtext.pretrain import PretrainHypers, PretrainModel
 
 from conftest import (
+    assert_kept_rows_equal,
+    assert_step_matches_full_rows,
     detokenize,
+    full_row_stacks,
     embed_sentence,
     loop_best_spans,
     make_clip,
@@ -402,6 +405,49 @@ class TestBatchedCandidatesMatchPerCandidate:
         model.forward(clip, question, answers)
         T.reset_tape()
         assert sorted(calls) == ["cross_modal_forward", "embed_text", "embed_video", "temporal_apply"]
+
+
+class TestQaRowPruning:
+    """With dropout on, the appended-text encoding, whose stacks keep only
+    the rows the next stage reads, against the full-row reference."""
+
+    _CONFIG = ModelConfig(
+        d=16, cross_layers=2, cross_heads=4, temporal_layers=2, temporal_heads=2,
+        vocab_size=30, frame_feature_dim=8, max_frames=16, max_tokens=12,
+        ffn_multiplier=2, dropout=0.3,
+    )
+
+    @given(
+        groups=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+        tokens=st.lists(st.integers(0, 5), min_size=3, max_size=3),
+        candidates=st.lists(
+            st.lists(st.integers(5, 29), min_size=1, max_size=6), min_size=1, max_size=4
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_frame_rows_equal_the_reference(self, groups, tokens, candidates, seed):
+        rng = np.random.default_rng(seed)
+        clip = make_clip(rng, Vocab.synthetic(30), groups=groups, tokens=tokens[: len(groups)])
+        encoder = HierarchicalEncoder(self._CONFIG, np.random.default_rng(1))
+        rngs = [np.random.default_rng(seed) for _ in range(2)]
+        kept = downstream.encode_with_appended_text(encoder, clip, candidates, train_rng=rngs[0])
+        with full_row_stacks():
+            full = downstream.encode_with_appended_text(encoder, clip, candidates, train_rng=rngs[1])
+        d = self._CONFIG.d
+        # the temporal input holds a frame row and a pseudo-sentence row at least
+        assert_kept_rows_equal(kept.data.reshape(-1, d), full.data.reshape(-1, d), n_rows=2)
+        assert rngs[0].random() == rngs[1].random()
+
+    def test_first_step_matches_the_full_row_reference(self, small_vocab):
+        model = QaModel(self._CONFIG, seed=0)
+        clip = make_clip(np.random.default_rng(12), small_vocab, groups=(3, 4, 2), tokens=(4, 0, 5))
+        example = QaExample(clip.clip_id, detokenize([6, 7, 8], small_vocab),
+                            [detokenize(a, small_vocab) for a in ([9, 10], [11], [12, 13, 14])],
+                            1, (1.0, 4.0))
+        assert_step_matches_full_rows(
+            model.params(),
+            lambda: model.loss(clip, example, small_vocab, train_rng=np.random.default_rng(3)),
+        )
 
 
 class TestNli:

@@ -2,12 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from vidtext import tensor as T
 from vidtext.data import AlignedClip, Sentence
 from vidtext.encoder import HierarchicalEncoder, ModelConfig, TransformerBlock
 from vidtext.errors import ConfigError, ShapeError, UsageError
-from conftest import clip_views, embed_sentence, make_clip, one_segment, slice_cols
+from conftest import (
+    assert_kept_rows_equal, clip_views, embed_sentence, every_token, full_row_stacks, make_clip,
+    one_segment, slice_cols,
+)
 from gradcheck import check_gradients
 
 
@@ -138,10 +143,14 @@ class TestTemporalForward:
 
 class TestEncodeClip:
     def test_reassembly_row_counts(self, tiny_encoder, toy_clip):
-        enc = clip_views(tiny_encoder.encode_clip(toy_clip))[0]
+        batch = tiny_encoder.encode_clip(toy_clip)
+        enc = clip_views(batch)[0]
         assert enc.v_cross.shape == (7, 16)
         assert enc.v_temp.shape == (7, 16)
-        assert [w.shape[0] for w in enc.w_cross] == [4, 5]
+        assert batch.w_cross is None  # a clip pass keeps the frame rows alone
+        tokens = tiny_encoder.fuse_clip([toy_clip], token_positions=every_token([toy_clip]))
+        assert tokens.v_cross is None
+        assert [w.shape[0] for w in clip_views(tokens)[0].w_cross] == [4, 5]
 
     def test_reassembly_preserves_every_frame_once(self, tiny_config, small_vocab):
         rng = np.random.default_rng(5)
@@ -353,7 +362,10 @@ class TestPaddedFusionMatchesPerSentence:
                 attention = {
                     ("cross", j): [list(op[j]) for op in cross] for j in range(len(clip.sentences))
                 }
-                outs = [e.v_emb, e.v_cross, e.w_cross, e.v_temp, attention]
+                # the token rows come from a pass that keeps them in place of the frames
+                tokens = enc.fuse_clip([clip], token_positions=every_token([clip]))
+                w_cross = clip_views(tokens)[0].w_cross
+                outs = [e.v_emb, e.v_cross, w_cross, e.v_temp, attention]
                 _, q_cross = enc.cross_modal_forward(None, q_emb, one_segment(None, q_emb))
             else:
                 outs = list(_ref_encode_clip(enc, clip))
@@ -449,14 +461,15 @@ class TestEncodeClipsPacksTheBatch:
         with T.record_attention() as ops:
             batch = enc.encode_clip(clips[0]) if one else enc.encode_clips(clips)
         cross, temporal = ops[: enc.config.cross_layers], ops[enc.config.cross_layers :]
+        tokens = enc.fuse_clip(clips, token_positions=every_token(clips))
         sentence_lo = np.cumsum([0] + [len(c.sentences) for c in clips])
         out = []
-        for b, e in enumerate(clip_views(batch)):
-            rows = [e.v_emb, e.v_cross, e.v_temp] + [w for w in e.w_cross if w is not None]
+        for b, (e, tok) in enumerate(zip(clip_views(batch), clip_views(tokens))):
+            rows = [e.v_emb, e.v_cross, e.v_temp] + [w for w in tok.w_cross if w is not None]
             lo, hi = sentence_lo[b], sentence_lo[b + 1]
             grids = [g for op in cross for heads in op[lo:hi] for g in heads]
             grids += [g for op in temporal for g in op[b]]
-            out.append(([t.data for t in rows] + grids, [w is None for w in e.w_cross]))
+            out.append(([t.data for t in rows] + grids, [w is None for w in tok.w_cross]))
         return out
 
     def test_encode_clip_is_the_batch_of_one(self, setup):
@@ -544,3 +557,65 @@ class TestFusedAttention:
         # ln1, wq, wk, wv, attention, wo, residual add, ln2, ffn1, gelu, ffn2, residual add
         assert T.tape_size() == 12
         T.reset_tape()
+
+
+_PRUNING = ModelConfig(
+    d=16, cross_layers=2, cross_heads=4, temporal_layers=2, temporal_heads=2,
+    vocab_size=30, frame_feature_dim=8, max_frames=16, max_tokens=12,
+    ffn_multiplier=2, dropout=0.3,
+)
+
+
+def _packed(draw):
+    """Packed rows split into sequences in a random row order, their (B, L)
+    grid, and a random subset of the rows in a random order."""
+    lengths = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+    n = sum(lengths)
+    perm = draw(st.permutations(range(n)))
+    grid = T.row_grid(np.split(np.array(perm), np.cumsum(lengths)[:-1]), n)
+    rows = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    return n, grid, np.array(rows, dtype=np.intp)
+
+
+class TestRowPruning:
+    """With dropout on, each stack run on the rows its caller reads gives
+    the rows of the full-row reference stack (``conftest.full_row_stack``)
+    and leaves the generator where the reference leaves it."""
+
+    @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_temporal_stack_keeps_the_reference_rows(self, data, seed):
+        enc = HierarchicalEncoder(_PRUNING, np.random.default_rng(0))
+        n, grid, rows = _packed(data.draw)
+        x = T.Tensor(np.random.default_rng(seed).standard_normal((n, 16)))
+        rngs = [np.random.default_rng(seed) for _ in range(2)]
+        kept = enc.temporal_apply(x, train_rng=rngs[0], grid=grid, rows=rows)
+        with full_row_stacks():
+            full = enc.temporal_apply(x, train_rng=rngs[1], grid=grid)
+        assert_kept_rows_equal(kept.data, full.data[rows], n)
+        assert rngs[0].random() == rngs[1].random()
+
+    @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_cross_stack_keeps_the_reference_rows(self, data, seed):
+        enc = HierarchicalEncoder(_PRUNING, np.random.default_rng(0))
+        n, grid, rows = _packed(data.draw)
+        n_v = data.draw(st.integers(0, n - 1))  # the first n_v packed rows are frames
+        segments = [(r[r < n_v], r[r >= n_v] - n_v) for r in (g[g < n] for g in grid)]
+        rows = np.concatenate([rows[rows < n_v], rows[rows >= n_v]])  # frames first
+        x = np.random.default_rng(seed).standard_normal((n, 16))
+        v, w = (T.Tensor(x[:n_v]) if n_v else None), T.Tensor(x[n_v:])
+        rngs = [np.random.default_rng(seed) for _ in range(2)]
+        kept = enc.cross_modal_forward(v, w, segments, train_rng=rngs[0], rows=rows)
+        with full_row_stacks():
+            full = enc.cross_modal_forward(v, w, segments, train_rng=rngs[1])
+        n_kept_v = np.count_nonzero(rows < n_v)
+        assert (kept[0] is None) == (n_kept_v == 0 < len(rows))
+        assert (kept[1] is None) == (n_kept_v == len(rows))
+        full_rows = np.concatenate([t.data for t in full if t is not None])
+        got = np.concatenate([t.data for t in kept if t is not None])
+        assert_kept_rows_equal(got, full_rows[rows], n)
+        assert rngs[0].random() == rngs[1].random()
+
+    def test_cross_rows_list_frames_first(self, tiny_encoder):
+        v, w = T.Tensor(np.zeros((2, 16))), T.Tensor(np.zeros((2, 16)))
+        with pytest.raises(UsageError):
+            tiny_encoder.cross_modal_forward(v, w, one_segment(v, w), rows=np.array([2, 0]))

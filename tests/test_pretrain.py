@@ -12,7 +12,10 @@ from vidtext.data import MASK_ID, Vocab
 from vidtext.encoder import HierarchicalEncoder, ModelConfig
 from vidtext.errors import ConfigError, UsageError
 
-from conftest import clip_views, make_clip, ref_encode_query, ref_vsm_loss, slice_cols
+from conftest import (
+    assert_step_matches_full_rows, clip_views, every_token, full_row_stacks, make_clip,
+    ref_encode_query, ref_vsm_loss, slice_cols,
+)
 
 UNIFORM = {"mlm": 1.0, "mffr": 1.0, "mnce": 1.0, "vsm": 1.0, "fom": 1.0}
 
@@ -117,7 +120,7 @@ class TestMlmLoss:
             m, plan = P.apply_mlm_mask(s.token_ids, rng_mask, vocab)
             masked.append(m)
             plans.append(plan)
-        loss = model.mlm_loss(model.encode_mlm([clip], [masked]), [plans])
+        loss = model.mlm_loss(model.encode_mlm([clip], [masked], [plans]), [plans])
         assert abs(loss.item() - math.log(100)) < 0.3
 
     def test_rigged_one_hot_logits_drive_loss_to_zero(self, model, small_vocab, toy_clip):
@@ -128,30 +131,33 @@ class TestMlmLoss:
         model.lm_head.w.data[:] = 0.0
         model.lm_head.b.data[:] = 0.0
         model.lm_head.b.data[plan.originals[0]] = 60.0
-        loss = model.mlm_loss(model.encode_mlm([toy_clip], [masked]), [[plan, None]])
+        loss = model.mlm_loss(model.encode_mlm([toy_clip], [masked], [[plan, None]]), [[plan, None]])
         assert loss.item() < 1e-6
 
     def test_loss_reads_only_masked_rows(self, model, toy_clip):
+        """The pass keeps the masked token rows alone, equal to those rows
+        of every token's fused rows, and runs no temporal stage."""
         masked = [list(s.token_ids) for s in toy_clip.sentences]
-        masked[0][1] = MASK_ID
-        plan = P.TokenMaskPlan([1], [P.ACTION_MASK], [toy_clip.sentences[0].token_ids[1]])
-        encoded = model.encode_mlm([toy_clip], [masked])
-        base = model.mlm_loss(encoded, [[plan, None]]).item()
-
-        # perturbing fused rows at unmasked positions must not move the loss
-        encoded2 = model.encode_mlm([toy_clip], [masked])
-        for j, w in enumerate(clip_views(encoded2)[0].w_cross):
-            keep = {1} if j == 0 else set()
-            for row in range(w.shape[0]):
-                if row not in keep:
-                    w.data[row] += 17.0
+        masked[0][1] = masked[1][0] = masked[1][3] = MASK_ID
+        plans = [
+            P.TokenMaskPlan([1], [P.ACTION_MASK], [toy_clip.sentences[0].token_ids[1]]),
+            P.TokenMaskPlan([0, 3], [P.ACTION_MASK] * 2, toy_clip.sentences[1].token_ids[:4:3]),
+        ]
+        encoded = model.encode_mlm([toy_clip], [masked], [plans])
+        assert encoded.v_cross is None and encoded.v_temp is None
+        every = model.encoder.fuse_clip([toy_clip], [masked], token_positions=every_token([toy_clip]))
+        w = clip_views(every)[0].w_cross
+        want = np.concatenate([w[0].data[[1]], w[1].data[[0, 3]]])
+        assert encoded.w_cross.data.tobytes() == want.tobytes()
         T.reset_tape()
-        assert model.mlm_loss(encoded2, [[plan, None]]).item() == base
 
     def test_empty_plan_rejected(self, model, toy_clip):
-        encoded = model.encode_mlm([toy_clip], [[list(s.token_ids) for s in toy_clip.sentences]])
+        plan = P.TokenMaskPlan([0], [P.ACTION_KEEP], [toy_clip.sentences[0].token_ids[0]])
+        ids = [list(s.token_ids) for s in toy_clip.sentences]
+        encoded = model.encode_mlm([toy_clip], [ids], [[plan, None]])
         with pytest.raises(UsageError):
             model.mlm_loss(encoded, [[None, None]])
+        T.reset_tape()
 
 
 class TestMaskingNeverLeaks:
@@ -197,9 +203,15 @@ class TestMffr:
 
     def test_reads_global_rows(self, model, toy_clip):
         plan = P.FrameMaskPlan([0, 3])
-        encoded = model.encode_mfm([toy_clip], [plan])
+        encoded = model.encode_mfm([toy_clip], [plan], masked_only=True)
         loss = model.mffr_loss(encoded, [plan])
         assert loss.item() > 0
+        T.reset_tape()
+
+    def test_rejects_a_full_row_pass(self, model, toy_clip):
+        plan = P.FrameMaskPlan([0, 3])
+        with pytest.raises(UsageError):
+            model.mffr_loss(model.encode_mfm([toy_clip], [plan]), [plan])
         T.reset_tape()
 
     def test_empty_plan_rejected(self, model, toy_clip):
@@ -345,9 +357,12 @@ class TestHeadsMatchPerPositionReference:
         batched = _loss_and_grads(
             model, lambda: model.fom_loss(model.encode_reordered([clip], [plan]), [plan])
         )
-        ref = _loss_and_grads(
-            model, lambda: _ref_fom_loss(model, model.encode_reordered([clip], [plan]).v_temp, plan)
-        )
+        order = [plan.permutation(clip.n_frames)]
+
+        def full_v_temp():
+            return model.encoder.encode_clips([clip], frame_orders=order).v_temp
+
+        ref = _loss_and_grads(model, lambda: _ref_fom_loss(model, full_v_temp(), plan))
         _assert_same(batched, ref)
 
     def test_mnce_op_count_does_not_grow_with_masked_frames(self, model, small_vocab):
@@ -382,7 +397,7 @@ def _ref_task_loss(model, batch, hypers, neg_rng):
     enc, terms = model.encoder, []
     if batch.kind == "mlm":
         for clip, masked, plans in zip(batch.clips, batch.masked_token_ids, batch.token_plans):
-            e = clip_views(enc.encode_clips([clip], [masked]))[0]
+            e = clip_views(enc.fuse_clip([clip], [masked], token_positions=every_token([clip])))[0]
             rows = [T.take_rows(w, p.positions) for w, p in zip(e.w_cross, plans) if p is not None]
             labels = [i for p in plans if p is not None for i in p.originals]
             terms.append(T.cross_entropy(model.lm_head(T.concat_rows(rows)), labels))
@@ -460,8 +475,9 @@ class TestPackedBatchMatchesPerClip:
                 return _original(self, *args, **kwargs)
 
             monkeypatch.setattr(HierarchicalEncoder, name, counting)
-        expected = {  # one pass, plus mnce's clean pass and vsm's query pass
-            "mlm": (1, 1), "mffr": (1, 1), "mnce": (2, 2), "fom": (1, 1), "vsm": (2, 1),
+        # one pass (mlm's has no temporal stage), plus mnce's clean pass and vsm's query pass
+        expected = {
+            "mlm": (1, 0), "mffr": (1, 1), "mnce": (2, 2), "fom": (1, 1), "vsm": (2, 1),
         }
         for kind in P.TASK_NAMES:
             if kind == "vsm" and n_clips < 2:
@@ -473,6 +489,40 @@ class TestPackedBatchMatchesPerClip:
             cross, temporal = expected[kind]
             assert calls.count("cross_modal_forward") == cross, kind
             assert calls.count("temporal_apply") == temporal, kind
+
+
+class TestRowPruning:
+    """Each task's stacks keep only the rows its head reads."""
+
+    @pytest.mark.parametrize("kind", P.TASK_NAMES)
+    def test_first_step_matches_the_full_row_reference(self, small_vocab, kind):
+        """With dropout on, the loss equals the full-row stacks' bit for bit
+        and every gradient is within rtol 1e-12 (``conftest``)."""
+        config = ModelConfig(
+            d=16, cross_layers=2, cross_heads=2, temporal_layers=2, temporal_heads=2,
+            vocab_size=30, frame_feature_dim=8, max_frames=16, max_tokens=12,
+            ffn_multiplier=2, dropout=0.1,
+        )
+        model = P.PretrainModel(config, seed=2)
+        batch = P.build_task_batch(kind, _uneven_clips(small_vocab), small_vocab, config,
+                                   np.random.default_rng(41), step=3, seed=5)
+        assert_step_matches_full_rows(model.params(), lambda: P.task_loss(
+            model, batch, P.PretrainHypers(num_negatives=5), train_rng=P.dropout_rng(5, 3)
+        ))
+
+    def test_mlm_runs_no_temporal_op(self, small_vocab, tiny_config, monkeypatch):
+        model = P.PretrainModel(tiny_config, seed=2)
+        batch = P.build_task_batch("mlm", _uneven_clips(small_vocab), small_vocab, tiny_config,
+                                   np.random.default_rng(41))
+        temporal = model.encoder.temporal.params()
+        stack_calls = []
+        call = type(model.encoder.temporal).__call__
+        monkeypatch.setattr(type(model.encoder.temporal), "__call__",
+                            lambda self, *a, **k: (stack_calls.append(self), call(self, *a, **k))[1])
+        T.zero_grads(model.params().values())
+        T.backward(P.task_loss(model, batch, P.PretrainHypers()))
+        assert model.encoder.temporal not in stack_calls
+        assert all(p.grad is None for p in temporal.values())
 
 
 def _targets(clips, counts, seed):
@@ -722,19 +772,18 @@ class TestFom:
         assert loss.item() < 1e-6
 
     def test_loss_counts_only_reordered_positions(self, model, small_vocab):
+        """The temporal stack keeps the reordered rows alone, equal to
+        those rows of a full-row pass, and the loss reads nothing else."""
         rng = np.random.default_rng(15)
         clip = make_clip(rng, small_vocab, groups=(5, 5), tokens=(3, 3))
         plan = P.ReorderPlan([2, 7], [7, 2])
-        base = model.fom_loss(model.encode_reordered([clip], [plan]), [plan]).item()
+        encoded = model.encode_reordered([clip], [plan])
+        full = model.encoder.encode_clips([clip], frame_orders=[plan.permutation(10)])
+        assert encoded.v_temp.data.tobytes() == full.v_temp.data[plan.positions].tobytes()
+        with full_row_stacks():
+            base = model.fom_loss(model.encode_reordered([clip], [plan]), [plan]).item()
+        assert model.fom_loss(encoded, [plan]).item() == base
         T.reset_tape()
-
-        encoded2 = model.encode_reordered([clip], [plan])
-        for row in range(10):
-            if row not in plan.positions:
-                encoded2.v_temp.data[row] += 13.0
-        again = model.fom_loss(encoded2, [plan]).item()
-        T.reset_tape()
-        assert again == base
 
     def test_non_permutation_plan_rejected(self, model, small_vocab):
         rng = np.random.default_rng(16)

@@ -11,7 +11,7 @@ from vidtext import tensor as T
 from vidtext.tensor import ATTENTION_MASK_BIAS
 from vidtext.errors import ConfigError, DataError, ShapeError, UsageError
 
-from conftest import loop_adamw_step, loop_conv1d
+from conftest import loop_adamw_step, loop_conv1d, ref_dropout, window_conv1d
 from gradcheck import check_gradients, max_rel_err, numeric_grad
 
 FD_TOL = 1e-4
@@ -562,6 +562,27 @@ class TestConv1d:
         errs = check_gradients(lambda: (T.conv1d(x, k) * T.Tensor(w)).sum(), {"x": x, "k": k})
         assert max(errs.values()) < FD_TOL
 
+    @given(
+        lead=st.lists(st.integers(1, 6), max_size=2),
+        n=st.integers(1, 45),
+        half=st.integers(0, 10),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_taps_equal_the_window_product_bit_for_bit(self, lead, n, half, seed):
+        """Value, input gradient and kernel gradient of the tap-by-tap
+        correlation equal ``np.pad``'s sliding windows times the kernel."""
+        rng = np.random.default_rng(seed)
+        x0, k0 = rng.standard_normal((*lead, n)), rng.standard_normal(2 * half + 1)
+        w = T.Tensor(rng.standard_normal((*lead, n)))
+        outs = []
+        for conv in (T.conv1d, window_conv1d):
+            x, kernel = T.Tensor(x0, requires_grad=True), T.Tensor(k0, requires_grad=True)
+            y = conv(x, kernel)
+            T.backward((y * w).sum())
+            outs.append((y.data, x.grad, kernel.grad))
+        for got, want in zip(*outs):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
 
 class TestBackward:
     def test_sum_grad_is_ones(self):
@@ -631,20 +652,49 @@ class TestGelu:
 
 class TestDropout:
     def test_boolean_mask_matches_the_float_mask_bit_for_bit(self):
-        """(a * mask) * scale and (g * mask) * scale equal the products with
-        a float mask of 0 and 1 / (1 - rate), signed zeros included."""
+        """The float mask of 0 and 1 / (1 - rate) gives the bytes of the
+        boolean mask's (a * keep) * scale and (g * keep) * scale, signed
+        zeros included."""
         rate = 0.3
-        x = rand(np.random.default_rng(50), 6, 8)
-        x.data[0, :4] = [0.0, -0.0, -1.5, 2.0]
+        x0 = rand(np.random.default_rng(50), 6, 8).data
+        x0[0, :4] = [0.0, -0.0, -1.5, 2.0]
         g = np.random.default_rng(51).standard_normal((6, 8))
         g[1, :2] = [-0.0, 0.0]
-        y = T.dropout(x, rate, np.random.default_rng(52))
-        T.backward((y * T.Tensor(g)).sum())
-        keep = (np.random.default_rng(52).random((6, 8)) >= rate) / (1.0 - rate)
-        for got, want in ((y.data, x.data * keep), (x.grad, g * keep)):
-            np.testing.assert_array_equal(got, want)
-            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
-        assert (y.data == 0.0).any() and np.signbit(y.data[y.data == 0.0]).any()
+        outs = []
+        for drop in (T.dropout, ref_dropout):
+            x = T.Tensor(x0, requires_grad=True)
+            y = drop(x, rate, np.random.default_rng(52))
+            T.backward((y * T.Tensor(g)).sum())
+            outs.append((y.data, x.grad))
+        for got, want in zip(*outs):
+            assert got.tobytes() == want.tobytes()
+        y = outs[0][0]
+        assert (y == 0.0).any() and np.signbit(y[y == 0.0]).any()
+
+    @given(
+        n=st.integers(1, 12),
+        width=st.integers(1, 5),
+        picks=st.lists(st.integers(0, 11), unique=True, max_size=12),
+        rate=st.floats(0.05, 0.9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_kept_rows_draw_the_full_mask(self, n, width, picks, rate, seed):
+        """With ``rows``, the output, the adjoint and the generator's next
+        draw are those of the reference dropout on all n rows, read at
+        ``rows``."""
+        rows = np.array([p for p in picks if p < n], dtype=np.intp)
+        data = np.random.default_rng(seed).standard_normal((n, width))
+        g = np.random.default_rng(seed + 1).standard_normal((n, width))
+        full_rng, kept_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        x_full = T.Tensor(data, requires_grad=True)
+        full = ref_dropout(x_full, rate, full_rng)
+        T.backward((full * T.Tensor(np.where(np.isin(np.arange(n), rows)[:, None], g, 0.0))).sum())
+        x = T.Tensor(data[rows], requires_grad=True)
+        kept = T.dropout(x, rate, kept_rng, rows=rows, n_rows=n)
+        T.backward((kept * T.Tensor(g[rows])).sum())
+        assert kept.data.tobytes() == full.data[rows].tobytes()
+        assert x.grad.tobytes() == x_full.grad[rows].tobytes()
+        assert kept_rng.random() == full_rng.random()
 
     def test_identity_without_rate_or_rng(self):
         x = rand(np.random.default_rng(53), 3, 4)
