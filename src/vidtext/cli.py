@@ -365,6 +365,11 @@ def cmd_finetune(args) -> int:
         {k: getattr(args, k) for k in FINETUNE_DEFAULTS},
     )
     _check_counts(eff)
+    qa_lambda = eff["qa_lambda"]
+    if not (math.isfinite(qa_lambda) and qa_lambda >= 0):
+        raise ConfigError(
+            f"qa span weight (qa_lambda, --lambda) must be nonnegative and finite, got {qa_lambda}"
+        )
     seed = eff["seed"]
     if args.init and args.from_scratch:
         raise UsageError("--init and --from-scratch are mutually exclusive")
@@ -394,7 +399,6 @@ def cmd_finetune(args) -> int:
     hypers = _hypers(eff)
     steps = eff["steps"]
     batch_size = eff["batch_size"]
-    qa_lambda = eff["qa_lambda"]
 
     clip_ids = sorted(grouped)
     if args.task == "retrieval" and len(clip_ids) < 2:

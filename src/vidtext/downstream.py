@@ -70,6 +70,10 @@ class NliExample:
     hypothesis: str
     label: int  # 0 contradict, 1 entail
 
+    def __post_init__(self):
+        if self.label not in (0, 1):
+            raise DataError(f"nli label {self.label} is not 0 (contradict) or 1 (entail)")
+
 
 @dataclass
 class CaptionExample:
@@ -86,13 +90,25 @@ _TASK_FIELDS = {
 }
 
 
+_NUMBER = (int, float)  # the types json gives a number; it gives true and false as bools
+
+
 def _interval(value, field: str) -> tuple[float, float]:
     """A task file's [start, end] seconds: two finite numbers, start <= end."""
-    pair = isinstance(value, list) and len(value) == 2
+    pair = type(value) is list and len(value) == 2
+    pair = pair and type(value[0]) in _NUMBER and type(value[1]) in _NUMBER
     start, end = map(float, value) if pair else (math.nan, math.nan)
     if not -math.inf < start <= end < math.inf:  # also false for NaN
         raise ValueError(f"{field} {value!r} is not [start, end], two finite numbers, start <= end")
     return start, end
+
+
+def _typed(rec: dict, field: str, kind: type):
+    """``rec[field]``, which must be a JSON string (``kind`` str) or integer (int)."""
+    value = rec[field]
+    if type(value) is not kind:
+        raise TypeError(f"{field} {value!r} is not {'a string' if kind is str else 'an integer'}")
+    return value
 
 
 def read_task_file(path: str | Path, task: str):
@@ -109,24 +125,27 @@ def _parse_task_file(task: str, path: Path, text: str) -> list:
             continue
         try:
             rec = json.loads(line)
-            clip_id = str(rec["clip_id"])
+            clip_id = _typed(rec, "clip_id", str)
             if task == "retrieval":
-                out.append(RetrievalExample(clip_id, str(rec["query"]), _interval(rec["span"], "span")))
+                out.append(
+                    RetrievalExample(clip_id, _typed(rec, "query", str), _interval(rec["span"], "span"))
+                )
             elif task == "qa":
+                answers = rec["answers"]
+                if type(answers) is not list or any(type(a) is not str for a in answers):
+                    raise TypeError(f"answers {answers!r} is not a list of strings")
                 span = _interval(rec["span"], "span") if rec.get("span") is not None else None
                 out.append(
-                    QaExample(clip_id, str(rec["q"]), [str(a) for a in rec["answers"]],
-                              int(rec["label"]), span)
+                    QaExample(clip_id, _typed(rec, "q", str), answers, _typed(rec, "label", int), span)
                 )
             elif task == "nli":
                 label = rec["label"]
-                if isinstance(label, str):
-                    label = NLI_LABELS[label]
-                out.append(NliExample(clip_id, str(rec["hypothesis"]), int(label)))
+                label = NLI_LABELS[label] if isinstance(label, str) else _typed(rec, "label", int)
+                out.append(NliExample(clip_id, _typed(rec, "hypothesis", str), label))
             else:
-                out.append(
-                    CaptionExample(clip_id, _interval(rec["moment"], "moment"), str(rec["caption"]))
-                )
+                out.append(CaptionExample(
+                    clip_id, _interval(rec["moment"], "moment"), _typed(rec, "caption", str)
+                ))
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise DataError(
                 f"{task} record at {path}:{lineno} does not match schema "
@@ -578,7 +597,7 @@ class Decoder(Module):
 
     def __call__(self, input_ids: Sequence[int], enc_rows: T.Tensor, enc_mask: np.ndarray) -> T.Tensor:
         n = len(input_ids)
-        x = T.embedding(self.token_emb, list(input_ids)) + T.embedding(self.pos_emb, np.arange(n))
+        x = T.take_rows(self.token_emb, list(input_ids)) + T.take_rows(self.pos_emb, np.arange(n))
         causal = np.tril(np.ones((n, n), dtype=bool))
         for block in self.blocks:
             x = block(x, enc_rows, causal, enc_mask)

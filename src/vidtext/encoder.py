@@ -130,7 +130,7 @@ class EmbeddingTable(Module):
         self.table = T.Tensor(rng.normal(0.0, 0.02, size=(rows, d)), requires_grad=True)
 
     def __call__(self, ids) -> T.Tensor:
-        return T.embedding(self.table, ids)
+        return T.take_rows(self.table, ids)
 
 
 
@@ -399,16 +399,17 @@ class HierarchicalEncoder(Module):
     def fuse_clip(
         self,
         clips: Sequence[AlignedClip],
-        token_ids_overrides: Sequence[Sequence[Sequence[int]] | None] | None = None,
-        frame_features_overrides: Sequence[np.ndarray | None] | None = None,
+        token_ids_overrides: Sequence[Sequence[Sequence[int]]] | None = None,
+        frame_features_overrides: Sequence[np.ndarray] | None = None,
         train_rng: np.random.Generator | None = None,
         token_positions: Sequence[Sequence[Sequence[int]]] | None = None,
     ) -> EncodedBatch:
         """The cross-modal stage of ``encode_clips``: embed every frame (in
         timestamp order) and every token of every clip once, then fuse every
-        sentence with its frame group in one cross-modal pass.  Per-clip
-        overrides (None keeps the clip's own) substitute masked inputs
-        without touching the clips.  The result has no ``v_temp`` yet.
+        sentence with its frame group in one cross-modal pass.  Overrides,
+        one entry per clip (its sentences' token ids, or its frame
+        features), substitute masked inputs without touching the clips.
+        The result has no ``v_temp`` yet.
 
         The cross stack keeps the frame rows, all that the temporal stage
         reads.  With ``token_positions`` (``token_positions[b][j]`` lists
@@ -420,16 +421,9 @@ class HierarchicalEncoder(Module):
                     f"clip {clip.clip_id!r} has {clip.n_frames} frames, "
                     f"max_frames={self.config.max_frames}"
                 )
-        no_overrides = [None] * len(clips)
-        features = [
-            clip.frame_features if f is None else f
-            for clip, f in zip(clips, frame_features_overrides or no_overrides)
-        ]
-        token_ids = [
-            self._truncated(sent.token_ids if ids is None else ids[j])
-            for clip, ids in zip(clips, token_ids_overrides or no_overrides)
-            for j, sent in enumerate(clip.sentences)
-        ]
+        features = frame_features_overrides or [clip.frame_features for clip in clips]
+        per_clip = token_ids_overrides or [[s.token_ids for s in clip.sentences] for clip in clips]
+        token_ids = [self._truncated(ids) for clip_ids in per_clip for ids in clip_ids]
         lengths = [len(ids) for ids in token_ids]
         token_lo = np.cumsum([0] + lengths)  # packed token rows, sentence by sentence
         frame_bounds = np.cumsum([0] + [clip.n_frames for clip in clips])
@@ -467,8 +461,7 @@ class HierarchicalEncoder(Module):
     def encode_clips(
         self,
         clips: Sequence[AlignedClip],
-        token_ids_overrides: Sequence[Sequence[Sequence[int]] | None] | None = None,
-        frame_features_overrides: Sequence[np.ndarray | None] | None = None,
+        frame_features_overrides: Sequence[np.ndarray] | None = None,
         frame_orders: Sequence[np.ndarray] | None = None,
         train_rng: np.random.Generator | None = None,
         temporal_positions: Sequence[Sequence[int]] | None = None,
@@ -479,7 +472,9 @@ class HierarchicalEncoder(Module):
         temporal stack reads, in order (see ``ReorderPlan.permutation``).
         With ``temporal_positions``, ``v_temp`` keeps only the temporal rows
         at those positions of each clip (after its frame order), clip by clip."""
-        batch = self.fuse_clip(clips, token_ids_overrides, frame_features_overrides, train_rng)
+        batch = self.fuse_clip(
+            clips, frame_features_overrides=frame_features_overrides, train_rng=train_rng
+        )
         bounds = batch.frame_bounds
         order = None if frame_orders is None else batch.frame_rows(frame_orders)
         rows = None if temporal_positions is None else batch.frame_rows(temporal_positions)

@@ -104,10 +104,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
@@ -125,9 +121,6 @@ class Tensor:
     def __sub__(self, other):
         return add(self, neg(_as_tensor(other)))
 
-    def __rsub__(self, other):
-        return add(_as_tensor(other), neg(self))
-
     def __neg__(self):
         return neg(self)
 
@@ -136,26 +129,8 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, scalar):
-        if isinstance(scalar, Tensor):
-            raise UsageError("tensor/tensor division is not supported; use mul with a reciprocal")
-        return mul(self, _as_tensor(1.0 / float(scalar)))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def sum(self, axis=None, keepdims: bool = False):
         return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 else shape[0])
-
-    @property
-    def T(self):
-        return transpose(self)
 
 
 def _as_tensor(x) -> Tensor:
@@ -451,11 +426,6 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _make(data, (a,), bw)
 
 
-def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    n = a.data.size if axis is None else a.data.shape[axis]
-    return mul(tsum(a, axis=axis, keepdims=keepdims), _as_tensor(1.0 / n))
-
-
 def vmax(a: Tensor, axis: int) -> Tensor:
     """Maximum along ``axis``; the gradient routes to the first argmax."""
     if a.data.ndim == 0 or a.data.shape[axis] == 0:
@@ -518,11 +488,6 @@ def take_rows(a: Tensor, idx) -> Tensor:
         _accum(a, acc)
 
     return _make(data, (a,), bw)
-
-
-def embedding(table: Tensor, ids) -> Tensor:
-    """Row lookup into an embedding table (out-of-range ids raise IndexError)."""
-    return take_rows(table, ids)
 
 
 # -- nonlinearities ---------------------------------------------------------

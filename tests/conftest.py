@@ -360,13 +360,13 @@ def ref_encode_query(model, query_token_ids, train_rng=None):
     )
     qe = model.query_encoder
     alpha = T.softmax(T.matmul(w_cross, qe.pool) * (1.0 / np.sqrt(w_cross.shape[1])), axis=0)
-    pooled = T.matmul(alpha.T, w_cross)  # (1, d)
+    pooled = T.matmul(T.transpose(alpha), w_cross)  # (1, d)
     return qe.ln(qe.lin2(T.gelu(qe.lin1(pooled))))
 
 
 def ref_global_alignment_score(v_temp, q):
     """Max over one clip's frames of cosine(frame row, query)."""
-    dots = T.reshape(T.matmul(v_temp, q.T), (-1,))
+    dots = T.reshape(T.matmul(v_temp, T.transpose(q)), (-1,))
     row_norms = T.sqrt((v_temp * v_temp).sum(axis=1) + 1e-24)
     q_norm = T.sqrt((q * q).sum() + 1e-24)
     return T.vmax(dots * T.reciprocal(row_norms * q_norm), axis=0)
@@ -374,7 +374,7 @@ def ref_global_alignment_score(v_temp, q):
 
 def ref_vsm_scores(model, v_temp, q):
     """One clip's (N_v, d) rows against one query: (s_global, log_p_st, log_p_ed)."""
-    s_local = T.reshape(T.matmul(v_temp, q.T), (-1,))
+    s_local = T.reshape(T.matmul(v_temp, T.transpose(q)), (-1,))
     log_p_st = T.log_softmax(loop_conv1d(s_local, model.span_st_filter), axis=-1)
     log_p_ed = T.log_softmax(loop_conv1d(s_local, model.span_ed_filter), axis=-1)
     return ref_global_alignment_score(v_temp, q), log_p_st, log_p_ed

@@ -78,8 +78,8 @@ def check_gradients(
     errs: dict[str, float] = {}
     for name, t in targets.items():
         coords = None
-        if max_coords_per_tensor is not None and t.size > max_coords_per_tensor:
-            coords = rng.choice(t.size, size=max_coords_per_tensor, replace=False)
+        if max_coords_per_tensor is not None and t.data.size > max_coords_per_tensor:
+            coords = rng.choice(t.data.size, size=max_coords_per_tensor, replace=False)
         num = numeric_grad(fn, t, h=h, coords=coords)
         ana = t.grad if t.grad is not None else np.zeros_like(t.data)
         errs[name] = max_rel_err(ana, num)

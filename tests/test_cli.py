@@ -774,6 +774,27 @@ class TestMalformedOptionValues:
         assert "margin must be nonnegative and finite, got nan" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, shown", [
+        (["--lambda", "nan"], "nan"), (["--lambda", "inf"], "inf"), (["--lambda", "-1"], "-1.0"),
+        ("qa_lambda = Infinity", "inf"),
+    ])
+    def test_qa_lambda_outside_its_range_exits_one(self, corpus, tmp_path, capsys, flags, shown):
+        if isinstance(flags, str):
+            cfg = tmp_path / "opts.cfg"
+            cfg.write_text(flags + "\n")
+            flags = ["--config", str(cfg)]
+        out = tmp_path / "x"
+        rc = main([
+            "finetune", "--task", "qa", "--data", str(write_toy_tasks(corpus, tmp_path)["qa"]),
+            "--corpus", str(corpus), "--out-dir", str(out), "--from-scratch", "--steps", "1",
+            *flags,
+        ])
+        err = capsys.readouterr().err
+        assert rc == EXIT_USAGE
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert f"(qa_lambda, --lambda) must be nonnegative and finite, got {shown}" in err
+        assert not out.exists()
+
     def test_negative_pretrain_steps_exits_one(self, corpus, tmp_path, capsys):
         out = tmp_path / "x"
         rc = main([
@@ -924,6 +945,20 @@ class TestMalformedInputFiles:
         ("retrieval", _not_utf8, "retrieval.jsonl"),
         ("qa", _edit_line(0, "label", "Infinity"), "qa.jsonl"),
         ("nli", _edit_line(0, "label", "1e400"), "nli.jsonl"),
+        ("nli", _edit_line(1, "label", "7"), "nli.jsonl:2"),
+        ("nli", _edit_line(0, "label", "true"), "nli.jsonl:1"),
+        ("qa", _edit_line(1, "answers", '"yes"'), "qa.jsonl:2"),
+        ("qa", _edit_line(0, "label", "1.7"), "qa.jsonl:1"),
+        ("qa", _edit_line(2, "label", "true"), "qa.jsonl:3"),
+        ("qa", _edit_line(0, "span", '["1", "2"]'), "qa.jsonl:1"),
+        ("retrieval", _edit_line(2, "span", '["1", "2"]'), "retrieval.jsonl:3"),
+        ("caption", _edit_line(0, "moment", "[true, 2]"), "caption.jsonl:1"),
+        ("retrieval", _edit_line(0, "query", "12"), "retrieval.jsonl:1"),
+        ("qa", _edit_line(1, "q", '["w001"]'), "qa.jsonl:2"),
+        ("qa", _edit_line(3, ("answers", 1), "7"), "qa.jsonl:4"),
+        ("nli", _edit_line(2, "hypothesis", "null"), "nli.jsonl:3"),
+        ("caption", _edit_line(1, "caption", "3"), "caption.jsonl:2"),
+        ("retrieval", _edit_line(3, "clip_id", "7"), "retrieval.jsonl:4"),
         ("checkpoint", _deep_checkpoint_header, "final.ckpt"),
     ], ids=[
         "corpus-deep-header", "corpus-deep-record", "corpus-infinite-feature-dim",
@@ -934,6 +969,10 @@ class TestMalformedInputFiles:
         "corpus-numeric-subtitle-text", "corpus-list-subtitle-text",
         "corpus-missing-vocab", "vocab-not-utf8",
         "task-deep-record", "task-not-utf8", "qa-infinite-label", "nli-1e400-label",
+        "nli-label-7", "nli-true-label", "qa-string-answers", "qa-fractional-label",
+        "qa-true-label", "qa-string-span", "retrieval-string-span", "caption-true-moment",
+        "retrieval-numeric-query", "qa-list-question", "qa-numeric-answer", "nli-null-hypothesis",
+        "caption-numeric-caption", "retrieval-numeric-clip-id",
         "checkpoint-deep-header",
     ])
     def test_exits_two_naming_the_file(
@@ -957,6 +996,19 @@ class TestMalformedInputFiles:
         assert rc == EXIT_DATA
         assert len(err) == 1 and err[0].startswith("error: ") and named in err[0], err
 
+
+    def test_finetune_on_an_nli_label_out_of_range_exits_two(self, corpus, tmp_path, capsys):
+        tasks = write_toy_tasks(corpus, tmp_path)
+        tasks["nli"].write_bytes(_edit_line(1, "label", "7")(tasks["nli"].read_bytes()))
+        out = tmp_path / "ft"
+        rc = main([
+            "finetune", "--task", "nli", "--data", str(tasks["nli"]), "--corpus", str(corpus),
+            "--out-dir", str(out), "--from-scratch", "--steps", "2",
+        ])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == EXIT_DATA
+        assert len(err) == 1 and "nli.jsonl:2" in err[0] and "nli label 7" in err[0], err
+        assert not out.exists()
 
     def test_duplicate_clip_id_exits_two_naming_both_lines(self, corpus, pretrained, tmp_path, capsys):
         for path in corpus.parent.iterdir():

@@ -291,7 +291,7 @@ def _ref_encode_with_appended_text(encoder, clip, extra_ids):
 
 def _ref_pool(rows, query, d):
     alpha = T.softmax(T.matmul(rows, query) * (1.0 / math.sqrt(d)), axis=0)
-    return T.matmul(alpha.T, rows)  # (1, d)
+    return T.matmul(T.transpose(alpha), rows)  # (1, d)
 
 
 def _ref_qa_forward(model, clip, question_ids, answer_ids):
@@ -305,7 +305,7 @@ def _ref_qa_forward(model, clip, question_ids, answer_ids):
         logits.append(head.ans_out(T.gelu(head.ans_hidden(pooled))))
         pooled_list.append(pooled)
         rows_list.append(rows)
-    ans_logits = T.concat_rows(logits).T  # (1, C)
+    ans_logits = T.transpose(T.concat_rows(logits))  # (1, C)
     log_p_ans = T.reshape(T.log_softmax(ans_logits, axis=-1), (-1,))
     beta = T.softmax(
         T.matmul(T.concat_rows(pooled_list), head.answer_attn_query) * (1.0 / math.sqrt(d)), axis=0

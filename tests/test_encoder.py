@@ -268,14 +268,14 @@ def _ref_attention(mha, x, key_mask=None, capture=None, kv=None):
     outs, dh = [], q.shape[1] // mha.heads
     for h in range(mha.heads):
         lo, hi = h * dh, (h + 1) * dh
-        scores = T.matmul(slice_cols(q, lo, hi), slice_cols(k, lo, hi).T) * (1.0 / np.sqrt(dh))
+        scores = T.matmul(slice_cols(q, lo, hi), T.transpose(slice_cols(k, lo, hi))) * (1.0 / np.sqrt(dh))
         if key_mask is not None:
             scores = scores + T.Tensor(np.where(key_mask, 0.0, T.ATTENTION_MASK_BIAS))
         attn = T.softmax(scores, axis=-1)
         if capture is not None:
             capture.append(attn.data)
         outs.append(T.matmul(attn, slice_cols(v, lo, hi)))
-    return mha.wo(T.concat_rows([out.T for out in outs]).T)  # heads side by side
+    return mha.wo(T.transpose(T.concat_rows([T.transpose(out) for out in outs])))  # heads side by side
 
 
 def _ref_stack(stack, x, capture=None):

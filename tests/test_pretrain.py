@@ -290,9 +290,9 @@ def _ref_mnce_loss(model, encoded, plan, rng, num_negatives, positive_targets):
         anchor = model.mnce_proj(T.take_rows(encoded.v_temp, [pos]))  # (1, d)
         neg_idx = rng.choice(unmasked, size=num_negatives, replace=replace)
         negs = model.mnce_proj(T.take_rows(encoded.v_temp, neg_idx))  # (K, d)
-        pos_score = T.matmul(anchor, T.Tensor(positive_targets[i : i + 1]).T)  # (1, 1)
-        neg_scores = T.matmul(anchor, negs.T)  # (1, K)
-        logits = T.concat_rows([pos_score, neg_scores.T])  # (1+K, 1), the positive first
+        pos_score = T.matmul(anchor, T.transpose(T.Tensor(positive_targets[i : i + 1])))  # (1, 1)
+        neg_scores = T.matmul(anchor, T.transpose(negs))  # (1, K)
+        logits = T.concat_rows([pos_score, T.transpose(neg_scores)])  # (1+K, 1), the positive first
         nll = -T.take_rows(T.log_softmax(logits, axis=0), [0]).sum()
         total = nll if total is None else total + nll
     return total * (1.0 / len(plan.positions))

@@ -180,8 +180,8 @@ class TestLayerNorm:
             if fused:
                 y = T.layer_norm(x, g, b)
             else:
-                xc = x - x.mean(axis=-1, keepdims=True)
-                var = (xc * xc).mean(axis=-1, keepdims=True)
+                xc = x - T.tsum(x, axis=-1, keepdims=True) * (1.0 / 8)
+                var = T.tsum(xc * xc, axis=-1, keepdims=True) * (1.0 / 8)
                 y = xc * T.reciprocal(T.sqrt(var + 1e-5)) * g + b
             T.backward((y * upstream).sum())
             return [y.data, x.grad, g.grad, b.grad]
@@ -727,7 +727,7 @@ class TestTapeInvariants:
         u = rng.standard_normal((2, 3))
         x = rand(rng, 2, 3)
         y = x + x
-        z = x.reshape(3, 2).reshape(2, 3) + x
+        z = T.reshape(T.reshape(x, (3, 2)), (2, 3)) + x
         T.backward((y * T.Tensor(u)).sum() + (z * T.Tensor(u)).sum())
         np.testing.assert_array_equal(y.grad, u)
         np.testing.assert_array_equal(z.grad, u)
@@ -809,7 +809,7 @@ class TestElementwiseGradients:
     def test_embedding_lookup(self):
         rng = np.random.default_rng(14)
         table = rand(rng, 6, 4)
-        errs = check_gradients(lambda: T.embedding(table, [0, 2, 2, 5]).sum(), {"t": table})
+        errs = check_gradients(lambda: T.take_rows(table, [0, 2, 2, 5]).sum(), {"t": table})
         assert errs["t"] < FD_TOL
 
     def test_vmax_routes_to_argmax(self):
@@ -833,10 +833,11 @@ class TestElementwiseGradients:
         with pytest.raises(ShapeError):
             T.vmax(T.Tensor(np.zeros((2, 0))), axis=1)
 
-    def test_mean_and_reshape(self):
+    def test_reshape_gradient(self):
         rng = np.random.default_rng(15)
         x = rand(rng, 2, 6)
-        errs = check_gradients(lambda: (x.reshape(3, 4).mean(axis=1) * 2.0).sum(), {"x": x})
+        w = T.Tensor(rng.standard_normal((3, 4)))
+        errs = check_gradients(lambda: (T.reshape(x, (3, 4)) * w).sum(), {"x": x})
         assert errs["x"] < FD_TOL
 
 
