@@ -35,7 +35,6 @@ from .downstream import (
     load_params_into,
     rank_moments,
     read_task_file,
-    retrieval_finetune_step,
     retrieval_targets,
     seconds_to_frame_span,
 )
@@ -385,6 +384,14 @@ def cmd_finetune(args) -> int:
     examples = read_task_file(args.data, args.task)
     by_id = _clips_by_id(clips)
     grouped = _examples_by_clip(examples, by_id, args.task)
+    # every span and moment must overlap a frame of its clip before any file is written
+    if args.task == "retrieval":
+        targets = {cid: retrieval_targets(by_id[cid], exs, vocab) for cid, exs in grouped.items()}
+    elif args.task in ("qa", "caption"):
+        for ex in examples:
+            interval = ex.moment if args.task == "caption" else ex.span
+            if interval is not None:
+                seconds_to_frame_span(by_id[ex.clip_id], *interval)
 
     model = finetune_model_for(args.task, config, seed)
     if arrays is not None:
@@ -411,9 +418,11 @@ def cmd_finetune(args) -> int:
             picked = rng.choice(len(clip_ids), size=min(batch_size, len(clip_ids)), replace=False)
             if len(picked) < 2:
                 picked = rng.choice(len(clip_ids), size=2, replace=False)
-            clips_picked = [by_id[clip_ids[i]] for i in sorted(int(x) for x in picked)]
-            batch = [(c, retrieval_targets(c, grouped[c.clip_id], vocab)) for c in clips_picked]
-            return retrieval_finetune_step(model, batch, optimizer, hypers, train_rng=train_rng)
+            ids = [clip_ids[i] for i in sorted(int(x) for x in picked)]
+            return T.train_step(optimizer, lambda: model.vsm_loss(
+                model.encoder.encode_clips([by_id[i] for i in ids], train_rng=train_rng),
+                [targets[i] for i in ids], hypers, train_rng=train_rng,
+            ))
         picked = rng.choice(len(examples), size=min(batch_size, len(examples)), replace=False)
         batch = [examples[i] for i in sorted(int(x) for x in picked)]
         return T.train_step(optimizer, lambda: _mean_terms([

@@ -33,9 +33,7 @@ from .encoder import (
 )
 from .errors import ConfigError, DataError, UsageError, read_input
 from .metrics import Ranking
-from .pretrain import (
-    ClipSide, PretrainHypers, PretrainModel, VsmTarget, attention_pool, span_nll,
-)
+from .pretrain import ClipSide, PretrainModel, VsmTarget, attention_pool, span_nll
 
 QA_LAMBDA_DEFAULT = 0.5
 NLI_LABELS = {"contradict": 0, "entail": 1}
@@ -60,6 +58,8 @@ class QaExample:
     span: tuple[float, float] | None = None
 
     def __post_init__(self):
+        if len(self.answers) < 2:
+            raise DataError(f"multiple choice needs at least 2 answers, got {len(self.answers)}")
         if not 0 <= self.label < len(self.answers):
             raise DataError(f"qa label {self.label} outside [0, {len(self.answers)})")
 
@@ -281,25 +281,6 @@ def retrieval_targets(
     return out
 
 
-def retrieval_finetune_step(
-    model: PretrainModel,
-    batch: Sequence[tuple[AlignedClip, Sequence[VsmTarget]]],
-    optimizer: T.AdamW,
-    hypers: PretrainHypers,
-    train_rng: np.random.Generator | None = None,
-) -> float:
-    """Same loss contract as pre-training span matching, with annotation
-    queries instead of sampled subtitles."""
-    if len(batch) < 2:
-        raise UsageError("retrieval finetuning needs a batch of at least 2 clips")
-
-    def loss() -> T.Tensor:
-        encoded = model.encoder.encode_clips([clip for clip, _ in batch], train_rng=train_rng)
-        return model.vsm_loss(encoded, [targets for _, targets in batch], hypers, train_rng=train_rng)
-
-    return T.train_step(optimizer, loss)
-
-
 def best_spans(
     p_st: np.ndarray, p_ed: np.ndarray, lengths: Sequence[int], top_n: int = 5
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -457,7 +438,7 @@ class QaModel(Module):
         frame_rows = encode_with_appended_text(self.encoder, clip, candidates, train_rng=train_rng)
         pooled = attention_pool(frame_rows, head.pool_query)  # (n_answers, d)
         ans_logits = T.reshape(head.ans_out(T.gelu(head.ans_hidden(pooled))), (1, n_c))
-        log_p_ans = T.reshape(T.log_softmax(ans_logits, axis=-1), (-1,))
+        log_p_ans = T.reshape(T.log_softmax(ans_logits), (-1,))
 
         # beta-weighted sum across answers -> one span-scoring sequence
         beta = T.softmax(T.matmul(pooled, head.answer_attn_query) * (1.0 / math.sqrt(d)), axis=0)
@@ -467,7 +448,7 @@ class QaModel(Module):
         )
         st_logits = T.reshape(head.st_out(T.gelu(head.st_hidden(fused))), (-1,))
         ed_logits = T.reshape(head.ed_out(T.gelu(head.ed_hidden(fused))), (-1,))
-        return log_p_ans, T.log_softmax(st_logits, axis=-1), T.log_softmax(ed_logits, axis=-1)
+        return log_p_ans, T.log_softmax(st_logits), T.log_softmax(ed_logits)
 
     def loss(
         self,
@@ -619,10 +600,7 @@ class CaptionModel(Module):
         self.decoder = Decoder(rng, config, DECODER_LAYERS, max_len)
 
     def _moment_mask(self, clip: AlignedClip, moment: tuple[float, float]) -> np.ndarray:
-        try:
-            st, ed = seconds_to_frame_span(clip, *moment)
-        except DataError as exc:
-            raise UsageError(str(exc)) from exc
+        st, ed = seconds_to_frame_span(clip, *moment)
         mask = np.zeros(clip.n_frames, dtype=bool)
         mask[st : ed + 1] = True
         return mask

@@ -115,13 +115,12 @@ class Linear(Module):
 
 
 class LayerNorm(Module):
-    def __init__(self, d: int, eps: float = 1e-5):
+    def __init__(self, d: int):
         self.gain = T.Tensor(np.ones(d), requires_grad=True)
         self.bias = T.Tensor(np.zeros(d), requires_grad=True)
-        self.eps = eps
 
     def __call__(self, x: T.Tensor) -> T.Tensor:
-        return T.layer_norm(x, self.gain, self.bias, eps=self.eps)
+        return T.layer_norm(x, self.gain, self.bias)
 
 
 

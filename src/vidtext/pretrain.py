@@ -353,7 +353,6 @@ class PretrainModel(Module):
         plans: Sequence[FrameMaskPlan],
         rng: np.random.Generator,
         num_negatives: int = 15,
-        positive_targets: np.ndarray | None = None,
     ) -> T.Tensor:
         """Contrastive softmax (InfoNCE): each masked frame's projection must
         score its own clean-pass projection above projections of sampled
@@ -363,8 +362,7 @@ class PretrainModel(Module):
         clip by clip in plan order."""
         if any(not plan.positions for plan in plans):
             raise UsageError("mnce_loss needs at least one masked frame in every clip")
-        if positive_targets is None:
-            positive_targets = self.mnce_positive_targets(encoded.clips, plans)
+        positive_targets = self.mnce_positive_targets(encoded.clips, plans)
         anchors = encoded.frame_rows([plan.positions for plan in plans])
         n_rows, n_pos = encoded.v_temp.shape[0], len(anchors)
         # rows 0..n_rows-1 project v_temp; row n_rows + i is masked frame i's target
@@ -407,7 +405,7 @@ class PretrainModel(Module):
         pad = np.where(clips.real, 0.0, T.ATTENTION_MASK_BIAS)
         s_local = T.transpose(dots * clips.real[..., None])  # (B, Q, L), zeros past each clip's end
         log_p_st, log_p_ed = (
-            T.log_softmax(T.conv1d(s_local, f) + pad[:, None], axis=-1)
+            T.log_softmax(T.conv1d(s_local, f) + pad[:, None])
             for f in (self.span_st_filter, self.span_ed_filter)
         )
         return VsmScores(s_local, T.vmax(cos + pad[..., None], axis=1), log_p_st, log_p_ed)

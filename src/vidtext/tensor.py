@@ -129,8 +129,8 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def sum(self, axis=None, keepdims: bool = False):
-        return tsum(self, axis=axis, keepdims=keepdims)
+    def sum(self, axis=None):
+        return tsum(self, axis=axis)
 
 
 def _as_tensor(x) -> Tensor:
@@ -413,15 +413,14 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _make(a.data.reshape(shape), (a,), bw)
 
 
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    data = a.data.sum(axis=axis, keepdims=keepdims)
+def tsum(a: Tensor, axis=None) -> Tensor:
+    data = a.data.sum(axis=axis)
 
     def bw(g):
         if axis is None:
             _accum(a, np.broadcast_to(g, a.data.shape))
         else:
-            gg = g if keepdims else np.expand_dims(g, axis)
-            _accum(a, np.broadcast_to(gg, a.data.shape))
+            _accum(a, np.broadcast_to(np.expand_dims(g, axis), a.data.shape))
 
     return _make(data, (a,), bw)
 
@@ -571,21 +570,25 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _make(p, (a,), bw)
 
 
-def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    if a.data.shape == () or a.data.shape[axis] == 0:
+def log_softmax(a: Tensor) -> Tensor:
+    """Numerically stable log-softmax along the last axis."""
+    if a.data.shape == () or a.data.shape[-1] == 0:
         raise ShapeError(f"log_softmax over an empty axis: shape {a.shape}")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    shifted = a.data - a.data.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     data = shifted - lse
 
     def bw(g):
         p = np.exp(data)
-        _accum(a, g - p * g.sum(axis=axis, keepdims=True))
+        _accum(a, g - p * g.sum(axis=-1, keepdims=True))
 
     return _make(data, (a,), bw)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+LAYER_NORM_EPS = 1e-5  # added to each slice's variance
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize each slice along the last axis to zero mean/unit variance,
     then apply the affine (gain, bias)."""
     d = x.data.shape[-1]
@@ -597,7 +600,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     # np.var (a sum, then a division by d) minus their Python overhead
     xhat = x.data - x.data.sum(axis=-1, keepdims=True) / d
     var = (xhat * xhat).sum(axis=-1, keepdims=True) / d
-    var += eps
+    var += LAYER_NORM_EPS
     inv = 1.0 / np.sqrt(var)
     xhat *= inv
     data = xhat * gain.data
@@ -719,6 +722,8 @@ def dropout(
 
 
 _ADAMW_CHUNK = 16_384  # elements per pass of the update: 128 KB per scratch array, within L2
+_ADAMW_BETAS = (0.9, 0.999)  # decay rates of the first and second moments
+_ADAMW_EPS = 1e-8
 
 
 class AdamW:
@@ -745,8 +750,6 @@ class AdamW:
         params: dict[str, Tensor],
         lr: float = 3e-5,
         weight_decay: float = 0.01,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
     ):
         if not (math.isfinite(lr) and lr > 0):
             raise ConfigError(f"learning rate (lr) must be positive and finite, got {lr}")
@@ -757,8 +760,6 @@ class AdamW:
         self.params = dict(params)
         self.lr = lr
         self.weight_decay = weight_decay
-        self.betas = betas
-        self.eps = eps
         self.step_count = 0
         self._slots = []  # (name, flat slice, shape) of each parameter
         end = 0
@@ -787,10 +788,10 @@ class AdamW:
             else:
                 self._grads[name][...] = p.grad
         self.step_count += 1
-        b1, b2 = self.betas
+        b1, b2 = _ADAMW_BETAS
         bc1 = 1.0 - b1**self.step_count
         bc2 = 1.0 - b2**self.step_count
-        lr, wd, eps = self.lr, self.weight_decay, self.eps
+        lr, wd, eps = self.lr, self.weight_decay, _ADAMW_EPS
         m, v, g = self._m, self._v, self._g
         for lo in range(0, m.size, _ADAMW_CHUNK):
             hi = min(lo + _ADAMW_CHUNK, m.size)

@@ -375,8 +375,8 @@ def ref_global_alignment_score(v_temp, q):
 def ref_vsm_scores(model, v_temp, q):
     """One clip's (N_v, d) rows against one query: (s_global, log_p_st, log_p_ed)."""
     s_local = T.reshape(T.matmul(v_temp, T.transpose(q)), (-1,))
-    log_p_st = T.log_softmax(loop_conv1d(s_local, model.span_st_filter), axis=-1)
-    log_p_ed = T.log_softmax(loop_conv1d(s_local, model.span_ed_filter), axis=-1)
+    log_p_st = T.log_softmax(loop_conv1d(s_local, model.span_st_filter))
+    log_p_ed = T.log_softmax(loop_conv1d(s_local, model.span_ed_filter))
     return ref_global_alignment_score(v_temp, q), log_p_st, log_p_ed
 
 

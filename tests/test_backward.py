@@ -19,7 +19,6 @@ from vidtext.downstream import (
     QaExample,
     QaModel,
     RetrievalExample,
-    retrieval_finetune_step,
     retrieval_targets,
 )
 from vidtext.encoder import ModelConfig
@@ -92,8 +91,9 @@ class TestGradientsMatchTheLinkedWalk:
                  for i, c in enumerate(clips)]
         _assert_bit_identical(_step_both_ways(
             monkeypatch, lambda: P.PretrainModel(config, seed=2),
-            lambda model, opt, rng: retrieval_finetune_step(
-                model, batch, opt, P.PretrainHypers(), train_rng=rng),
+            lambda model, opt, rng: T.train_step(opt, lambda: model.vsm_loss(
+                model.encoder.encode_clips([c for c, _ in batch], train_rng=rng),
+                [targets for _, targets in batch], P.PretrainHypers(), train_rng=rng)),
         ))
 
     @pytest.mark.parametrize("task", ["qa", "nli", "caption"])

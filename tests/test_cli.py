@@ -1010,6 +1010,42 @@ class TestMalformedInputFiles:
         assert len(err) == 1 and "nli.jsonl:2" in err[0] and "nli label 7" in err[0], err
         assert not out.exists()
 
+    @pytest.mark.parametrize("task, edit, message", [
+        ("retrieval", _edit_line(1, "span", "[500.0, 600.0]"), "overlaps no frame"),
+        ("qa", _edit_line(1, "span", "[500.0, 600.0]"), "overlaps no frame"),
+        ("caption", _edit_line(1, "moment", "[500.0, 600.0]"), "overlaps no frame"),
+        ("qa", _edit_line(0, "answers", '["w000"]'), "qa.jsonl:1"),
+    ], ids=["retrieval-span", "qa-span", "caption-moment", "qa-one-answer"])
+    def test_finetune_refuses_a_bad_record_before_writing(
+        self, corpus, tmp_path, capsys, task, edit, message
+    ):
+        tasks = write_toy_tasks(corpus, tmp_path)
+        tasks[task].write_bytes(edit(tasks[task].read_bytes()))
+        out = tmp_path / "ft"
+        rc = main([
+            "finetune", "--task", task, "--data", str(tasks[task]), "--corpus", str(corpus),
+            "--out-dir", str(out), "--from-scratch", "--steps", "2",
+        ])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == EXIT_DATA
+        assert len(err) == 1 and message in err[0], err
+        assert not out.exists()
+
+    def test_eval_of_a_caption_moment_outside_its_clip_exits_two(self, corpus, tmp_path, capsys):
+        tasks = write_toy_tasks(corpus, tmp_path)
+        out = tmp_path / "ft"
+        args = ["--task", "caption", "--data", str(tasks["caption"]), "--corpus", str(corpus)]
+        rc = main(["finetune", *args, "--out-dir", str(out), "--from-scratch", "--steps", "1"])
+        assert rc == EXIT_OK
+        tasks["caption"].write_bytes(
+            _edit_line(1, "moment", "[500.0, 600.0]")(tasks["caption"].read_bytes())
+        )
+        capsys.readouterr()
+        rc = main(["eval", *args, "--checkpoint", str(out / "final.ckpt")])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == EXIT_DATA
+        assert len(err) == 1 and "overlaps no frame" in err[0], err
+
     def test_duplicate_clip_id_exits_two_naming_both_lines(self, corpus, pretrained, tmp_path, capsys):
         for path in corpus.parent.iterdir():
             shutil.copy(path, tmp_path / path.name)

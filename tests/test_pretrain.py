@@ -243,20 +243,15 @@ class TestMnce:
 
     def test_loss_invariant_to_negative_ordering(self, model, toy_clip):
         plan = P.FrameMaskPlan([2])
-        pos = model.mnce_positive_targets([toy_clip], [plan])
         encoded = model.encode_mfm([toy_clip], [plan])
-        a = model.mnce_loss(
-            encoded, [plan], _FixedChoiceRng([0, 1, 3]), num_negatives=3, positive_targets=pos
-        ).item()
+        a = model.mnce_loss(encoded, [plan], _FixedChoiceRng([0, 1, 3]), num_negatives=3).item()
         T.reset_tape()
         encoded = model.encode_mfm([toy_clip], [plan])
-        b = model.mnce_loss(
-            encoded, [plan], _FixedChoiceRng([3, 0, 1]), num_negatives=3, positive_targets=pos
-        ).item()
+        b = model.mnce_loss(encoded, [plan], _FixedChoiceRng([3, 0, 1]), num_negatives=3).item()
         T.reset_tape()
         assert a == pytest.approx(b, abs=1e-12)
 
-    def test_positive_50_above_negatives_saturates(self, model, toy_clip):
+    def test_positive_50_above_negatives_saturates(self, model, toy_clip, monkeypatch):
         plan = P.FrameMaskPlan([2])
         encoded = model.encode_mfm([toy_clip], [plan])
         anchor = model.mnce_proj(T.take_rows(encoded.v_temp, [2])).data
@@ -264,9 +259,8 @@ class TestMnce:
         max_neg = float(np.max(others @ anchor[0]))
         # positive target scaled so its score sits exactly 50 above any negative
         pos = anchor * ((max_neg + 50.0) / (np.linalg.norm(anchor) ** 2))
-        loss = model.mnce_loss(
-            encoded, [plan], np.random.default_rng(1), num_negatives=7, positive_targets=pos
-        )
+        monkeypatch.setattr(model, "mnce_positive_targets", lambda clips, plans: pos)
+        loss = model.mnce_loss(encoded, [plan], np.random.default_rng(1), num_negatives=7)
         assert loss.item() < 1e-20
         T.reset_tape()
 
@@ -293,7 +287,7 @@ def _ref_mnce_loss(model, encoded, plan, rng, num_negatives, positive_targets):
         pos_score = T.matmul(anchor, T.transpose(T.Tensor(positive_targets[i : i + 1])))  # (1, 1)
         neg_scores = T.matmul(anchor, T.transpose(negs))  # (1, K)
         logits = T.concat_rows([pos_score, T.transpose(neg_scores)])  # (1+K, 1), the positive first
-        nll = -T.take_rows(T.log_softmax(logits, axis=0), [0]).sum()
+        nll = -T.take_rows(T.reshape(T.log_softmax(T.transpose(logits)), (-1,)), [0]).sum()
         total = nll if total is None else total + nll
     return total * (1.0 / len(plan.positions))
 
@@ -304,7 +298,7 @@ def _ref_fom_loss(model, v_temp, plan):
     total = None
     for pos, src in zip(plan.positions, plan.sources):
         logits = slice_cols(model.fom_head(T.take_rows(v_temp, [pos])), 0, n)
-        nll = -T.take_rows(T.reshape(T.log_softmax(logits, axis=-1), (-1,)), [src]).sum()
+        nll = -T.take_rows(T.reshape(T.log_softmax(logits), (-1,)), [src]).sum()
         total = nll if total is None else total + nll
     return total
 
@@ -343,7 +337,6 @@ class TestHeadsMatchPerPositionReference:
         rngs = [np.random.default_rng([5, 13, 2]) for _ in range(2)]
         batched = _loss_and_grads(model, lambda: model.mnce_loss(
             model.encode_mfm([clip], [plan]), [plan], rngs[0], num_negatives=k,
-            positive_targets=targets,
         ))
         ref = _loss_and_grads(model, lambda: _ref_mnce_loss(
             model, clip_views(model.encode_mfm([clip], [plan]))[0], plan, rngs[1], k, targets
@@ -370,10 +363,9 @@ class TestHeadsMatchPerPositionReference:
         counts = []
         for positions in ([3], [0, 2, 5, 7, 8, 11]):
             plan = P.FrameMaskPlan(positions)
-            targets = model.mnce_positive_targets([clip], [plan])
             encoded = model.encode_mfm([clip], [plan])
             before = T.tape_size()
-            model.mnce_loss(encoded, [plan], np.random.default_rng(0), positive_targets=targets)
+            model.mnce_loss(encoded, [plan], np.random.default_rng(0))
             counts.append(T.tape_size() - before)
             T.reset_tape()
         assert counts[0] == counts[1]
@@ -620,7 +612,7 @@ def inline_norms_vsm_scores(model, clips, q):
     pad = np.where(real, 0.0, T.ATTENTION_MASK_BIAS)
     s_local = T.transpose(dots * real[..., None])
     log_p_st, log_p_ed = (
-        T.log_softmax(T.conv1d(s_local, f) + pad[:, None], axis=-1)
+        T.log_softmax(T.conv1d(s_local, f) + pad[:, None])
         for f in (model.span_st_filter, model.span_ed_filter)
     )
     return P.VsmScores(s_local, T.vmax(cos + pad[..., None], axis=1), log_p_st, log_p_ed)

@@ -1,26 +1,44 @@
 """Every function and method that ``src/vidtext`` defines is reached by the
-program: one small scenario of ``vidtext`` commands runs in-process under
-``sys.setprofile``, and the check fails on any definition the trace never
-enters, unless the benchmark names it (it calls the program too) or it is
-on the short exempt list below.  Code that only tests reach belongs in
+program, and every default it gives a parameter is one that some call
+changes.  One small scenario of ``vidtext`` commands, and the benchmark's
+three workloads at their tiny sizes, run in-process under
+``sys.setprofile``.  The check fails on any definition the trace never
+enters, and on any parameter with a default that no entered call binds to
+another value, unless it is on the short exempt lists below.  A value is the
+default when it is the same object, or of the same type and equal; an array
+is always another value.  Code and knobs that only tests reach belong in
 ``tests/``."""
 
 import ast
+import importlib
+import inspect
 import json
 import sys
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 import vidtext
 from vidtext.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 
 SRC = Path(vidtext.__file__).resolve().parent
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+BENCHMARK_SEED = 3
 
 # definitions kept although no command enters them, each with its reason
 EXEMPT = {
     "encoder.ModelConfig.full_scale": "it records the paper's model size",
     "metrics.Ranking.__len__": "an abstract method of Sequence: Ranking cannot be built without it",
     "tensor.Tensor.__repr__": "display in debuggers and tracebacks",
+}
+
+# parameter defaults kept although no call changes them, each with its reason
+EXEMPT_PARAMETERS = {
+    "downstream.CaptionModel.__init__(max_len)": (
+        "it sizes decoder.pos_emb, which is drawn from the model's rng before the other "
+        "decoder weights: a constant would re-draw the acceptance test's caption model"
+    ),
 }
 
 SMALL_MODEL = [
@@ -32,14 +50,14 @@ DOWNSTREAM_TASKS = ("retrieval", "qa", "nli", "caption")
 
 
 def _definitions():
-    """(module, qualname, line) of every function and method in ``SRC``; a
+    """(module, qualname, node) of every function and method in ``SRC``; a
     qualname is Python's ``__qualname__`` (``f.<locals>.g`` for a nested one)."""
     out = []
 
     def visit(node, module, prefix):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                out.append((module, prefix + child.name, child.lineno))
+                out.append((module, prefix + child.name, child))
                 visit(child, module, f"{prefix}{child.name}.<locals>.")
             elif isinstance(child, ast.ClassDef):
                 visit(child, module, f"{prefix}{child.name}.")
@@ -51,37 +69,92 @@ def _definitions():
     return out
 
 
-def _benchmark_names():
-    """The ``module.name`` of every program function the benchmark names: an
-    attribute of an imported ``vidtext`` module, a name imported from one, or
-    a ``(module, "name", ...)`` entry of the traced run's wrapper list."""
-    names = set()
-    for path in sorted(BENCHMARKS.glob("*.py")):
-        tree = ast.parse(path.read_text(), str(path))
-        imported = {}  # local name -> "module" or "module.name" in vidtext
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("vidtext"):
-                module = node.module.partition(".")[2]
-                for a in node.names:
-                    imported[a.asname or a.name] = f"{module}.{a.name}" if module else a.name
-        names.update(v for v in imported.values() if "." in v)
+def _defaulted(node) -> dict:
+    """Parameter name -> line of each parameter of a ``def`` that has a default."""
+    a = node.args
+    positional = a.posonlyargs + a.args
+    with_default = positional[len(positional) - len(a.defaults):]
+    with_default += [arg for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+    return {arg.arg: arg.lineno for arg in with_default}
 
-        def dotted(node):
-            if isinstance(node, ast.Name):
-                return imported.get(node.id)
-            if isinstance(node, ast.Attribute):
-                owner = dotted(node.value)
-                return owner and f"{owner}.{node.attr}"
-            return None
 
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute):
-                names.add(dotted(node))
-            elif isinstance(node, ast.Tuple) and len(node.elts) >= 2:
-                owner, attr = dotted(node.elts[0]), node.elts[1]
-                if owner and isinstance(attr, ast.Constant):
-                    names.add(f"{owner}.{attr.value}")
-    return names
+def _functions() -> dict:
+    """(module, qualname) -> function of everything ``SRC`` defines with
+    ``def`` at module or class level, properties and decorated ones included."""
+    out = {}
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(f"vidtext.{path.stem}")
+        members = list(vars(module).values())
+        members += [m for c in members if inspect.isclass(c) for m in vars(c).values()]
+        for member in members:
+            parts = (member.fget, member.fset) if isinstance(member, property) else (member,)
+            for f in parts:
+                f = inspect.unwrap(getattr(f, "__func__", f))
+                if inspect.isfunction(f) and Path(f.__code__.co_filename).resolve() == path:
+                    out[(path.stem, f.__qualname__)] = f
+    return out
+
+
+def _defaults() -> dict:
+    """The code object of every function of ``SRC`` that gives a parameter a
+    default -> {parameter: (default, "module.qualname(parameter)", "file.py:line")},
+    the defaults read from the function objects."""
+    functions, out, unread = _functions(), {}, []
+    for module, qualname, node in _definitions():
+        lines = _defaulted(node)
+        f = functions.get((module, qualname))
+        if lines and f is None:
+            unread.append(f"{module}.{qualname}")
+        elif lines:
+            params = inspect.signature(f).parameters
+            out[f.__code__] = {
+                name: (params[name].default, f"{module}.{qualname}({name})", f"{module}.py:{line}")
+                for name, line in lines.items()
+            }
+    assert not unread, f"defaults of nested functions, which this check cannot read: {unread}"
+    return out
+
+
+def _is_default(value, default) -> bool:
+    if value is default:
+        return True
+    if type(value) is not type(default) or isinstance(value, np.ndarray):
+        return False
+    return bool(value == default)
+
+
+class _Trace:
+    """Collects the code object of every Python frame entered while active,
+    and strikes a parameter of ``_defaults()`` off once a call binds it to
+    another value than its default."""
+
+    def __init__(self):
+        self.codes = set()
+        self.unchanged = _defaults()
+
+    def _hook(self, frame, event, arg):
+        if event != "call":
+            return
+        self.codes.add(frame.f_code)
+        left = self.unchanged.get(frame.f_code)
+        if left:
+            bound = frame.f_locals  # only the arguments, at a call
+            for name in [n for n, (d, *_) in left.items() if not _is_default(bound[n], d)]:
+                del left[name]
+
+    def __enter__(self):
+        self._outer = sys.getprofile()
+        sys.setprofile(self._hook)
+
+    def __exit__(self, *exc):
+        sys.setprofile(self._outer)
+
+    def run(self, argv) -> int:
+        with self:
+            try:
+                return main(argv)
+            except SystemExit as exc:
+                return exc.code
 
 
 def _write_tasks(corpus: Path, root: Path) -> dict:
@@ -105,27 +178,6 @@ def _write_tasks(corpus: Path, root: Path) -> dict:
     return paths
 
 
-class _Trace:
-    """Collects the code object of every Python frame entered while active."""
-
-    def __init__(self):
-        self.codes = set()
-
-    def _hook(self, frame, event, arg):
-        if event == "call":
-            self.codes.add(frame.f_code)
-
-    def run(self, argv) -> int:
-        outer = sys.getprofile()
-        sys.setprofile(self._hook)
-        try:
-            return main(argv)
-        except SystemExit as exc:
-            return exc.code
-        finally:
-            sys.setprofile(outer)
-
-
 def _run_scenario(root: Path, trace: _Trace) -> None:
     def run(*argv, code=EXIT_OK):
         got = trace.run([str(a) for a in argv])
@@ -134,9 +186,16 @@ def _run_scenario(root: Path, trace: _Trace) -> None:
     corpus = root / "data" / "corpus.jsonl"
     run("gen-data", "--out", corpus, "--clips", 4, "--seconds", 21, "--fps", 0.6667,
         "--feature-dim", 8, "--vocab-size", 30, "--seed", 1)
+    run("gen-data", "--out", root / "data" / "flat.jsonl", "--clips", 2, "--seconds", 9,
+        "--topics", 3, "--no-planted")
     tasks = _write_tasks(corpus, root)
+    # every option the runs below would leave at its default, set to another value
     config = root / "opts.cfg"
-    config.write_text("# a comment\n\nlr = 0.001\nbatch_size = 2\n")
+    config.write_text(
+        "# a comment\n\nlr = 0.001\nbatch_size = 2\nweight_decay = 0.02\ndropout = 0.2\n"
+        "cross_layers = 1\ntemporal_layers = 2\nmargin = 0.2\nlambda_local = 0.02\n"
+        "lambda_global = 4.0\nnum_negatives = 4\n"
+    )
 
     pre = root / "pretrain"
     common = ["--corpus", corpus, "--tasks", ",".join(PRETRAIN_TASKS), "--config", config,
@@ -145,17 +204,20 @@ def _run_scenario(root: Path, trace: _Trace) -> None:
     run("pretrain", "--out-dir", pre, "--steps", 8, "--resume", pre / "step000003.ckpt", *common)
     # the 8 steps above never draw mffr at seed 0
     run("pretrain", "--corpus", corpus, "--out-dir", root / "mffr", "--tasks", "mffr",
-        "--steps", 1, "--batch-size", 2, *SMALL_MODEL)
+        "--steps", 1, "--batch-size", 2, "--seed", 5, *SMALL_MODEL)
     logs = (pre / "train.log").read_text() + (root / "mffr" / "train.log").read_text()
     drawn = {line.split(", ")[1] for line in logs.splitlines() if not line.startswith("#")}
     assert drawn == set(PRETRAIN_TASKS), f"the scenario's pretrain runs drew only {sorted(drawn)}"
 
+    tuned = ["--seed", 1, "--batch-size", 3, "--weight-decay", 0.02, "--lambda", 0.3,
+             "--margin", 0.2, "--lambda-local", 0.02, "--lambda-global", 4.0]
     for task in DOWNSTREAM_TASKS:
         out = root / f"ft-{task}"
         run("finetune", "--task", task, "--data", tasks[task], "--corpus", corpus,
-            "--out-dir", out, "--init", pre / "final.ckpt", "--steps", 2, "--lr", 0.001)
+            "--out-dir", out, "--init", pre / "final.ckpt", "--steps", 2, "--lr", 0.001, *tuned)
         run("eval", "--task", task, "--data", tasks[task], "--corpus", corpus,
-            "--checkpoint", out / "final.ckpt", "--out", root / f"report-{task}.json", "--k", "1,2")
+            "--checkpoint", out / "final.ckpt", "--out", root / f"report-{task}.json", "--k", "1,2",
+            "--tiou", 0.5, "--nms", 0.3, "--spans-per-clip", 3)
     run("finetune", "--task", "nli", "--data", tasks["nli"], "--corpus", corpus,
         "--out-dir", root / "scratch-nli", "--from-scratch", "--steps", 1)
     run("inspect-attention", "--checkpoint", pre / "final.ckpt", "--corpus", corpus,
@@ -172,26 +234,69 @@ def _run_scenario(root: Path, trace: _Trace) -> None:
     run("pretrain", "--corpus", bad, "--out-dir", root / "bad", "--steps", 1, code=EXIT_DATA)
 
 
-def test_every_src_function_is_reached_by_the_program(tmp_path):
+def _run_benchmark(root: Path, trace: _Trace) -> None:
+    """Each benchmark workload at its tiny size, input generation included, as
+    the benchmark runs it untraced: set-up, ops, report.  The benchmark calls
+    the program too, and counts as a caller by what it runs.  ``Workload.run``
+    catches what an op raises, so an op that records an error fails here."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(BENCHMARKS))  # its modules import each other by name
+        inputs, tracing, workloads = map(importlib.import_module, ("inputs", "tracing", "workloads"))
+    failed = []
+    for name, workload_type in workloads.WORKLOADS.items():
+        sizes, work = inputs.TINY[name], root / name
+        work.mkdir()
+        with trace:
+            files = inputs.generate(name, BENCHMARK_SEED, work, sizes)
+            workload = workload_type(files, work)
+            state = workload.setup()
+            ops = workload.run(state, workloads.Budget(ops=sizes.trace_ops), tracing.NoTrace())
+            workload.report(state, ops)
+        failed += [f"{name} {op.kind}: {op.error}" for op in ops if op.error]
+    assert not failed, "benchmark ops failed:\n  " + "\n  ".join(failed)
+
+
+@pytest.fixture(scope="module")
+def trace(tmp_path_factory):
     trace = _Trace()
-    _run_scenario(tmp_path, trace)
-    reached = {
-        (Path(code.co_filename).resolve(), code.co_qualname) for code in trace.codes
-    }
-    benchmark = _benchmark_names()
+    _run_scenario(tmp_path_factory.mktemp("scenario"), trace)
+    _run_benchmark(tmp_path_factory.mktemp("benchmark"), trace)
+    return trace
+
+
+def test_every_src_function_is_reached_by_the_program(trace):
+    reached = {(Path(code.co_filename).resolve(), code.co_qualname) for code in trace.codes}
     unreached = [
-        f"{module}.{qualname} ({module}.py:{line})"
-        for module, qualname, line in _definitions()
+        f"{module}.{qualname} ({module}.py:{node.lineno})"
+        for module, qualname, node in _definitions()
         if (SRC / f"{module}.py", qualname) not in reached
-        and f"{module}.{qualname}" not in benchmark
         and f"{module}.{qualname}" not in EXEMPT
     ]
     assert not unreached, (
-        f"{len(unreached)} functions of src/vidtext that no command of the scenario enters "
-        "and the benchmark does not name:\n  " + "\n  ".join(unreached)
+        f"{len(unreached)} functions of src/vidtext that neither the scenario nor the "
+        "benchmark enters:\n  " + "\n  ".join(unreached)
+    )
+
+
+def test_every_src_default_is_changed_by_a_call(trace):
+    found = [
+        f"{key} ({where})"
+        for code, left in trace.unchanged.items()
+        if code in trace.codes  # an unreached function fails the test above
+        for _, key, where in left.values()
+        if key not in EXEMPT_PARAMETERS
+    ]
+    assert not found, (
+        f"{len(found)} parameters of src/vidtext whose default no call of the scenario "
+        "or the benchmark changes:\n  " + "\n  ".join(sorted(found))
     )
 
 
 def test_every_exempt_name_is_defined():
-    defined = {f"{module}.{qualname}" for module, qualname, _ in _definitions()}
-    assert sorted(set(EXEMPT) - defined) == []
+    defined = {f"{module}.{qualname}": node for module, qualname, node in _definitions()}
+    assert sorted(set(EXEMPT) - set(defined)) == []
+    for key in EXEMPT_PARAMETERS:
+        function, _, param = key[:-1].partition("(")
+        assert function in defined and param in _defaulted(defined[function]), (
+            f"{key} names no parameter with a default"
+        )

@@ -180,8 +180,8 @@ class TestLayerNorm:
             if fused:
                 y = T.layer_norm(x, g, b)
             else:
-                xc = x - T.tsum(x, axis=-1, keepdims=True) * (1.0 / 8)
-                var = T.tsum(xc * xc, axis=-1, keepdims=True) * (1.0 / 8)
+                xc = x - T.reshape(T.tsum(x, axis=-1), (3, 4, 1)) * (1.0 / 8)
+                var = T.reshape(T.tsum(xc * xc, axis=-1), (3, 4, 1)) * (1.0 / 8)
                 y = xc * T.reciprocal(T.sqrt(var + 1e-5)) * g + b
             T.backward((y * upstream).sum())
             return [y.data, x.grad, g.grad, b.grad]
@@ -741,7 +741,7 @@ class TestElementwiseGradients:
             ("relu", T.relu),
             ("gelu", T.gelu),
             ("neg", T.neg),
-            ("log_softmax", lambda t: T.log_softmax(t, axis=-1)),
+            ("log_softmax", T.log_softmax),
         ],
     )
     def test_unary_ops(self, name, fn):
@@ -787,7 +787,7 @@ class TestElementwiseGradients:
     def test_exp_of_log_softmax_is_softmax(self):
         x = T.Tensor(np.random.default_rng(17).standard_normal((3, 6)) * 20)
         np.testing.assert_allclose(
-            np.exp(T.log_softmax(x, axis=-1).data), T.softmax(x, axis=-1).data, rtol=0, atol=1e-15
+            np.exp(T.log_softmax(x).data), T.softmax(x, axis=-1).data, rtol=0, atol=1e-15
         )
 
     @pytest.mark.parametrize("idx", [
@@ -894,7 +894,7 @@ class TestAdamW:
         lr, wd, b1, b2, eps = 0.01, 0.1, 0.9, 0.999, 1e-8
         grad = 0.3
         params = self._param([1.5])
-        opt = T.AdamW(params, lr=lr, weight_decay=wd, betas=(b1, b2), eps=eps)
+        opt = T.AdamW(params, lr=lr, weight_decay=wd)
 
         # independent scalar unroll of the decoupled-decay recurrence
         p, m, v = 1.5, 0.0, 0.0
@@ -969,19 +969,18 @@ def _grad(rng, kind, shape):
     steps=st.lists(st.lists(_GRAD_KINDS, min_size=5, max_size=5), min_size=1, max_size=3),
     lr=st.floats(1e-4, 1.0),
     weight_decay=st.floats(0.0, 0.5),
-    betas=st.tuples(st.floats(0.0, 0.99), st.floats(0.5, 0.9999)),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_flat_adamw_is_bytes_equal_to_the_per_array_loop(shapes, steps, lr, weight_decay, betas, seed):
+def test_flat_adamw_is_bytes_equal_to_the_per_array_loop(shapes, steps, lr, weight_decay, seed):
     rng = np.random.default_rng(seed)
     params = {f"p{i}": T.Tensor(rng.standard_normal(s), requires_grad=True) for i, s in enumerate(shapes)}
-    opt = T.AdamW(params, lr=lr, weight_decay=weight_decay, betas=betas)
+    opt = T.AdamW(params, lr=lr, weight_decay=weight_decay)
     ref, m, v = _copies(params)
     for t, kinds in enumerate(steps, start=1):
         for (name, p), kind in zip(params.items(), kinds):
             p.grad = ref[name].grad = _grad(rng, kind, p.data.shape)
         opt.step()
-        loop_adamw_step(ref, m, v, t, lr, weight_decay, betas)
+        loop_adamw_step(ref, m, v, t, lr, weight_decay)
     _assert_bytes_equal(opt, params, ref, m, v)
 
 
