@@ -348,15 +348,6 @@ def _clips_by_id(clips) -> dict:
     return {c.clip_id: c for c in clips}
 
 
-def _examples_by_clip(examples, by_id, task: str) -> dict:
-    grouped: dict = {}
-    for ex in examples:
-        if ex.clip_id not in by_id:
-            raise DataError(f"{task} example references unknown clip {ex.clip_id!r}")
-        grouped.setdefault(ex.clip_id, []).append(ex)
-    return grouped
-
-
 def cmd_finetune(args) -> int:
     eff = _effective_options(
         FINETUNE_DEFAULTS,
@@ -381,17 +372,13 @@ def cmd_finetune(args) -> int:
         arrays = None
         header, vocab, clips = _load_aligned_corpus(args.corpus, PRETRAIN_DEFAULTS["max_frames"])
         config = _model_config(PRETRAIN_DEFAULTS, vocab.size, header.feature_dim)
-    examples = read_task_file(args.data, args.task)
     by_id = _clips_by_id(clips)
-    grouped = _examples_by_clip(examples, by_id, args.task)
-    # every span and moment must overlap a frame of its clip before any file is written
+    examples = read_task_file(args.data, args.task, by_id)
+    grouped: dict = {}
+    for ex in examples:
+        grouped.setdefault(ex.clip_id, []).append(ex)
     if args.task == "retrieval":
         targets = {cid: retrieval_targets(by_id[cid], exs, vocab) for cid, exs in grouped.items()}
-    elif args.task in ("qa", "caption"):
-        for ex in examples:
-            interval = ex.moment if args.task == "caption" else ex.span
-            if interval is not None:
-                seconds_to_frame_span(by_id[ex.clip_id], *interval)
 
     model = finetune_model_for(args.task, config, seed)
     if arrays is not None:
@@ -584,8 +571,7 @@ def cmd_eval(args) -> int:
     model, config, vocab, meta = _restore_model(args.checkpoint)
     _, clips = _load_corpus_for(args.corpus, config, vocab.tokens)
     by_id = _clips_by_id(clips)
-    examples = read_task_file(args.data, args.task)
-    _examples_by_clip(examples, by_id, args.task)
+    examples = read_task_file(args.data, args.task, by_id)
     settings = {
         "tiou_threshold": tiou_threshold,
         "nms": nms_threshold if nms_threshold is not None else "off",

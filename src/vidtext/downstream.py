@@ -111,14 +111,16 @@ def _typed(rec: dict, field: str, kind: type):
     return value
 
 
-def read_task_file(path: str | Path, task: str):
-    """Parse one task's examples, naming the offending record on mismatch."""
+def read_task_file(path: str | Path, task: str, clips: dict[str, AlignedClip] | None = None):
+    """Parse one task's examples, naming the offending record on mismatch.
+    With ``clips`` (by id), each record's clip must be among them and its
+    span or moment must overlap a frame of that clip."""
     if task not in _TASK_FIELDS:
         raise ConfigError(f"unknown task {task!r}")
-    return read_input(path, "task file", functools.partial(_parse_task_file, task))
+    return read_input(path, "task file", functools.partial(_parse_task_file, task, clips))
 
 
-def _parse_task_file(task: str, path: Path, text: str) -> list:
+def _parse_task_file(task: str, clips: dict[str, AlignedClip] | None, path: Path, text: str) -> list:
     out = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -151,9 +153,24 @@ def _parse_task_file(task: str, path: Path, text: str) -> list:
                 f"{task} record at {path}:{lineno} does not match schema "
                 f"{_TASK_FIELDS[task]}: {exc}"
             ) from exc
+        if clips is not None:
+            _check_clip(out[-1], clips, task, f"{path}:{lineno}")
     if not out:
         raise DataError(f"task file {path} holds no records")
     return out
+
+
+def _check_clip(example, clips: dict[str, AlignedClip], task: str, where: str) -> None:
+    """The example's clip exists and its span or moment overlaps a frame of it."""
+    clip = clips.get(example.clip_id)
+    if clip is None:
+        raise DataError(f"{task} example references unknown clip {example.clip_id!r} at {where}")
+    interval = example.moment if task == "caption" else getattr(example, "span", None)
+    if interval is not None:
+        try:
+            seconds_to_frame_span(clip, *interval)
+        except DataError as exc:
+            raise DataError(f"{task} record at {where}: {exc}") from exc
 
 
 def write_task_file(path: str | Path, task: str, examples) -> None:
@@ -295,7 +312,9 @@ def best_spans(
     the product of a real pair, so tau, the ``top_n``-th largest of these,
     is at most the clip's ``top_n``-th best product.  A clip of fewer than
     ``top_n`` frames gets tau = -inf, or the least of its starts' bests when
-    ``top_n`` exceeds L: every start.
+    ``top_n`` exceeds L: every start.  When tau keeps every start of every
+    clip, the (start, end) grid would hold L * L pairs, so the decode scores
+    the L(L+1)/2 pairs of the start <= end triangle instead.
     """
     lengths = np.asarray(lengths)
     n_clips, width = p_st.shape
@@ -307,23 +326,35 @@ def best_spans(
     k = min(top_n, width)
     tau = np.partition(best, -k, axis=1)[:, -k, None]
     starts = real & (best >= tau)
-    # each clip's (slot, end) grid: slot r is the clip's r-th start at or above tau
     n_starts = starts.sum(axis=1)
+    if (n_starts == lengths).all():  # tau keeps every start of every clip
+        st, ed = np.triu_indices(width)  # every pair with start <= end, in (start, end) order
+        ok = ed < lengths[:, None]
+        clip, pair, p = _top_pairs(np.where(ok, p_st[:, st] * p_ed[:, ed], -np.inf), ok, top_n)
+        return clip, st[pair], ed[pair], p
+    # each clip's (slot, end) grid: slot r is the clip's r-th start at or above tau
     used = np.arange(n_starts.max(initial=0)) < n_starts[:, None]
     st = np.zeros(used.shape, dtype=np.intp)
     st[used] = np.nonzero(starts)[1]
-    p = np.take_along_axis(p_st, st, axis=1)[:, :, None] * p_ed[:, None, :]
     ok = used[:, :, None] & (frame >= st[:, :, None]) & real[:, None, :]
-    p = np.where(ok, p, -np.inf).reshape(n_clips, -1)
-    # every span at or above each clip's top_n-th probability, in (clip, start, end) order
+    # the product is a temporary, so the partition can reuse its memory
+    p = np.where(ok, np.take_along_axis(p_st, st, axis=1)[:, :, None] * p_ed[:, None, :], -np.inf)
+    clip, pair, p = _top_pairs(p.reshape(n_clips, -1), ok.reshape(n_clips, -1), top_n)
+    return clip, st[clip, pair // width], pair % width, p
+
+
+def _top_pairs(p: np.ndarray, ok: np.ndarray, top_n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(clip, pair, p) of at most ``top_n`` best pairs of each row of a
+    (clips, pairs) grid of products, -inf where not ``ok``: clip by clip,
+    ordered by (-p, pair)."""
+    # every pair at or above each clip's top_n-th probability, in (clip, pair) order
     k = min(top_n, p.shape[1])
-    clip, pair = np.nonzero((p >= np.partition(p, -k, axis=1)[:, -k, None]) & ok.reshape(n_clips, -1))
+    clip, pair = np.nonzero((p >= np.partition(p, -k, axis=1)[:, -k, None]) & ok)
     p = p[clip, pair]
-    order = np.lexsort((-p, clip))  # stable: ties stay in (start, end) order
+    order = np.lexsort((-p, clip))  # stable: ties stay in pair order
     clip, pair, p = clip[order], pair[order], p[order]
     keep = np.arange(len(clip)) - np.searchsorted(clip, clip) < top_n
-    clip, pair = clip[keep], pair[keep]
-    return clip, st[clip, pair // width], pair % width, p[keep]
+    return clip[keep], pair[keep], p[keep]
 
 
 class _ClipCorpus:

@@ -2,11 +2,12 @@
 each subtitle sentence with its frame group, and a temporal transformer over
 the whole clip with a positional residual.
 
-Each stage is read only in part, so each caller names the rows it reads
-and the stack's last feed-forward sublayer runs on those alone (see
-``TransformerStack``): a clip pass keeps the fused frame rows, masked token
-modeling keeps its masked token rows and runs no temporal stage, and the
-frame objectives keep the temporal rows their heads read.
+Each stage is read only in part, so each caller names the rows it reads,
+and in the stack's last block only those rows query and go on through the
+feed-forward sublayer (see ``TransformerBlock``): a clip pass keeps the
+fused frame rows, masked token modeling keeps its masked token rows and
+runs no temporal stage, and the frame objectives keep the temporal rows
+their heads read.
 """
 
 from __future__ import annotations
@@ -140,7 +141,9 @@ class MultiHeadAttention(Module):
     against each head's (..., n_queries, n_keys) score grid: (n_keys,), a
     full (n_queries, n_keys) grid (e.g. causal), or (batch, 1, n_keys).
     With a row ``grid`` (see ``tensor.attention``), ``x`` is packed (N, d)
-    rows of several sequences and only the attention op sees padding."""
+    rows of several sequences and only the attention op sees padding; then
+    ``rows`` names the rows that query (all by default), and the output
+    holds those rows alone, in that order."""
 
     def __init__(self, rng: np.random.Generator, d: int, heads: int):
         self.heads = heads
@@ -155,12 +158,12 @@ class MultiHeadAttention(Module):
         key_mask: np.ndarray | None = None,
         kv: T.Tensor | None = None,
         grid: np.ndarray | None = None,
+        rows: np.ndarray | None = None,
     ) -> T.Tensor:
         source = x if kv is None else kv
         bias = None if key_mask is None else np.where(key_mask, 0.0, T.ATTENTION_MASK_BIAS)
-        out, _ = T.attention(
-            self.wq(x), self.wk(source), self.wv(source), self.heads, bias, grid=grid
-        )
+        q = self.wq(x if rows is None else T.take_rows(x, rows))
+        out, _ = T.attention(q, self.wk(source), self.wv(source), self.heads, bias, grid=grid, rows=rows)
         return self.wo(out)
 
 
@@ -168,11 +171,14 @@ class MultiHeadAttention(Module):
 class TransformerBlock(Module):
     """Pre-LN block: x += attn(LN(x)); x += ffn(LN(x)).
 
-    With ``rows``, the attention sublayer still runs on every row, since
-    keys and values need them all; then one ``take_rows`` keeps those rows,
-    in that order, and only they go through the feed-forward sublayer.
-    Its dropout mask is drawn for every row (see ``tensor.dropout``), so the
-    kept rows and the generator's next draw are those of a full-row pass."""
+    With ``rows``, only those rows, in that order, query in the attention
+    sublayer; keys and values still come from every row.  The output
+    projection, both residuals and the feed-forward sublayer run on those
+    rows alone.  Each dropout mask is drawn for every row (see
+    ``tensor.dropout``), so the kept rows and the generator's next draw are
+    those of a full-row pass.  Inside ``tensor.record_attention`` every row
+    queries and ``take_rows`` keeps the rows after attention, so the
+    recorded grids stay square."""
 
     def __init__(self, rng: np.random.Generator, d: int, heads: int, ffn_multiplier: int):
         self.ln1 = LayerNorm(d)
@@ -182,11 +188,14 @@ class TransformerBlock(Module):
         self.ffn2 = Linear(rng, d * ffn_multiplier, d)
 
     def __call__(self, x, dropout=0.0, train_rng=None, grid=None, rows=None):
-        a = self.attn(self.ln1(x), grid=grid)
-        x = x + T.dropout(a, dropout, train_rng)
+        queries = None if T.recording_attention() else rows
+        a = self.attn(self.ln1(x), grid=grid, rows=queries)
         n_rows = x.shape[0]
         if rows is not None:
             x = T.take_rows(x, rows)
+            if queries is None:
+                a = T.take_rows(a, rows)
+        x = x + T.dropout(a, dropout, train_rng, rows=rows, n_rows=n_rows)
         f = self.ffn2(T.gelu(self.ffn1(self.ln2(x))))
         return x + T.dropout(f, dropout, train_rng, rows=rows, n_rows=n_rows)
 
@@ -194,9 +203,9 @@ class TransformerBlock(Module):
 
 class TransformerStack(Module):
     """Transformer blocks and a final layer norm.  ``rows`` lists the rows,
-    in order, that the caller reads: the last block's feed-forward sublayer
-    and ``ln_out`` run on those alone and the output holds just them
-    (every row when None)."""
+    in order, that the caller reads: only they query in the last block's
+    attention, its later sublayers and ``ln_out`` run on them alone, and the
+    output holds just them (every row when None)."""
 
     def __init__(self, rng, d: int, layers: int, heads: int, ffn_multiplier: int):
         self.blocks = [TransformerBlock(rng, d, heads, ffn_multiplier) for _ in range(layers)]

@@ -15,11 +15,13 @@ The transformer's hot paths are fused ops with hand-written adjoints:
 softmax and value product for all heads) and the single-pass ``layer_norm``
 and ``gelu``.  ``attention`` also takes packed rows with a row grid, so
 every other op of a transformer runs on real rows only and only attention
-sees padding.  A stack's last feed-forward sublayer may run on just the
-rows its caller reads, gathered by ``take_rows``; ``dropout`` then draws
-its mask for every row and indexes it by those rows, so the kept rows and
-the random stream are those of the full-row pass.  An op computes no
-adjoint for an operand that is off the tape (constants, input features).
+sees padding.  A stack's last block may run on just the rows its caller
+reads: ``attention`` then takes those rows as its only queries, while keys
+and values still come from every row, and the sublayers after it run on
+rows gathered by ``take_rows``.  ``dropout`` then draws its mask for every
+row and indexes it by those rows, so the kept rows and the random stream
+are those of the full-row pass.  An op computes no adjoint for an operand
+that is off the tape (constants, input features).
 
 Gradients are never written in place.  ``.grad`` adopts the first adjoint
 array it receives, which may be a read-only view shared with another
@@ -73,6 +75,11 @@ class record_attention:
         global _ATTENTION_RECORD
         _ATTENTION_RECORD = self._prev
         return False
+
+
+def recording_attention() -> bool:
+    """Whether an ``attention`` op run now records its weights."""
+    return _ATTENTION_RECORD is not None
 
 
 def tape_size() -> int:
@@ -295,7 +302,7 @@ ATTENTION_MASK_BIAS = -1e30  # score bias of a masked key: exp() of it is exactl
 
 def attention(
     q: Tensor, k: Tensor, v: Tensor, heads: int, bias: np.ndarray | None = None,
-    grid: np.ndarray | None = None,
+    grid: np.ndarray | None = None, rows: np.ndarray | None = None,
 ):
     """Scaled dot-product attention for all heads in one op.
 
@@ -314,16 +321,30 @@ def attention(
     the output is scattered back to (N, d); the adjoint does the reverse.
     The weights are the (B, heads, L, L) grids.  ``bias`` must then be None.
 
+    ``rows`` (grid only) lists the distinct packed rows that query, in the
+    caller's order, and ``q`` holds those rows alone; keys and values still hold every
+    row.  Each sequence's query rows are packed, in grid order, to the left
+    of a (B, Lq) query grid of at least 2 slots (at one row BLAS runs its
+    matrix-vector product, which sums in another order), so each output row
+    and the query gradient are bit-identical to those rows of a pass with
+    every row querying, and the key and value gradients sum over the query
+    rows alone.  The output holds the query rows in ``rows`` order and the
+    weights are the (B, heads, Lq, L) grids.
+
     Inside ``record_attention`` the op records its weights: the array, or
-    with a grid a list of each sequence's (heads, n_b, n_b) grid cut to its
-    real length.
+    with a grid a list of each sequence's (heads, queries, keys) grid cut to
+    its real rows.
     """
     qd, kd, vd = q.data, k.data, v.data
     if grid is not None:
         grid = np.asarray(grid, dtype=np.intp)
-        n_rows = qd.shape[0]
-        if qd.ndim != 2 or kd.shape != qd.shape or vd.shape != qd.shape or bias is not None:
-            raise ShapeError(f"packed attention needs (N, d) q, k, v and no bias, got {q.shape}")
+        n_rows = kd.shape[0]
+        n_q = n_rows if rows is None else len(rows)
+        if kd.ndim != 2 or vd.shape != kd.shape or qd.shape != (n_q,) + kd.shape[1:] or bias is not None:
+            raise ShapeError(
+                f"packed attention needs (N, d) k, v, a q row per query row and no bias, "
+                f"got q {q.shape}, k {k.shape}, v {v.shape}"
+            )
         if grid.ndim != 2 or grid.min(initial=0) < 0 or grid.max(initial=0) > n_rows:
             raise ShapeError(f"attention grid of shape {grid.shape} does not index {n_rows} rows")
         real = grid < n_rows
@@ -332,19 +353,21 @@ def attention(
         where[grid[real]] = np.flatnonzero(real)
         if np.count_nonzero(real) != n_rows or (where < 0).any():
             raise ShapeError("attention grid must hold every packed row exactly once")
-
-        def gather(a):  # (N, d) -> (B, L, d), zero rows at the padding
-            out = np.zeros((grid.size, a.shape[-1]))
-            out[where] = a
-            return out.reshape(grid.shape + a.shape[-1:])
-
-        def scatter(a):  # (B, L, d) -> (N, d)
-            return a.reshape(-1, a.shape[-1])[where]
-
-        qd, kd, vd = gather(qd), gather(kd), gather(vd)
+        gather, scatter = _packing(where, grid.shape)
+        if rows is None:
+            gather_q, scatter_q, q_real = gather, scatter, real
+        else:
+            rows = np.asarray(rows, dtype=np.intp)
+            if rows.ndim != 1 or rows.min(initial=0) < 0 or rows.max(initial=0) >= n_rows:
+                raise ShapeError(f"attention query rows do not index {n_rows} rows")
+            q_where, q_real = _query_slots(where[rows], grid.shape)
+            gather_q, scatter_q = _packing(q_where, q_real.shape)
+        qd, kd, vd = gather_q(qd), gather(kd), gather(vd)
         bias = np.where(real, 0.0, ATTENTION_MASK_BIAS)[:, None, :]
+    elif rows is not None:
+        raise UsageError("attention query rows need a row grid")
     else:
-        gather = scatter = lambda a: a
+        gather = scatter = gather_q = scatter_q = lambda a: a
     lead, (n, d), m = qd.shape[:-2], qd.shape[-2:], kd.shape[-2]
     if kd.shape != lead + (m, d) or vd.shape != kd.shape:
         raise ShapeError(f"attention got q {q.shape}, k {k.shape}, v {v.shape}")
@@ -367,7 +390,7 @@ def attention(
     out = (p @ v_h).swapaxes(-2, -3).reshape(lead + (n, d))
 
     def bw(g):
-        g_h = split(gather(g))
+        g_h = split(gather_q(g))
         if v._track:
             _accum(v, scatter((p.swapaxes(-1, -2) @ g_h).swapaxes(-2, -3).reshape(vd.shape)))
         ds = g_h @ v_h.swapaxes(-1, -2)  # softmax adjoint, in place: p * (ds - <ds, p>)
@@ -376,14 +399,46 @@ def attention(
         if q._track:
             dq = (ds @ k_h).swapaxes(-2, -3).reshape(q_shape)
             dq *= scale
-            _accum(q, scatter(dq))
+            _accum(q, scatter_q(dq))
         if k._track:
             _accum(k, scatter((ds.swapaxes(-1, -2) @ split(qs)).swapaxes(-2, -3).reshape(kd.shape)))
 
     p.flags.writeable = False
     if _ATTENTION_RECORD is not None:
-        _ATTENTION_RECORD.append(p if grid is None else [w[:, r][:, :, r] for w, r in zip(p, real)])
-    return _make(scatter(out), (q, k, v), bw), p
+        _ATTENTION_RECORD.append(
+            p if grid is None else [w[:, qr][:, :, r] for w, qr, r in zip(p, q_real, real)]
+        )
+    return _make(scatter_q(out), (q, k, v), bw), p
+
+
+def _packing(where: np.ndarray, shape: tuple[int, int]):
+    """The gather (N, d) -> shape + (d,), zero rows at the padding, that puts
+    packed row r at flat slot ``where[r]``, and the scatter that undoes it."""
+
+    def gather(a):
+        out = np.zeros((shape[0] * shape[1], a.shape[-1]))
+        out[where] = a
+        return out.reshape(shape + a.shape[-1:])
+
+    def scatter(a):
+        return a.reshape(-1, a.shape[-1])[where]
+
+    return gather, scatter
+
+
+def _query_slots(slots: np.ndarray, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """For query rows at distinct flat ``slots`` of a (B, L) grid: the flat
+    slot of each in a (B, Lq) query grid that holds each sequence's query
+    rows in grid order from the left, and that grid's mask of real slots."""
+    mask = np.zeros(shape[0] * shape[1], dtype=bool)
+    mask[slots] = True
+    mask = mask.reshape(shape)
+    counts = mask.sum(axis=1)
+    if counts.sum() != len(slots):
+        raise ShapeError("attention query rows must be distinct")
+    width = max(2, counts.max(initial=0))  # one query slot would run a matrix-vector product
+    rank = mask.cumsum(axis=1) + (width * np.arange(shape[0]) - 1)[:, None]
+    return rank.reshape(-1)[slots], np.arange(width) < counts[:, None]
 
 
 def row_grid(sequences: Sequence[np.ndarray], n_rows: int) -> np.ndarray:

@@ -135,6 +135,17 @@ def test_criterion_1_gradient_suite(monkeypatch):
     worst["op.embedding"] = check_gradients(
         lambda: T.take_rows(em, [0, 2, 2, 5]).sum(), {"t": em}
     )["t"]
+    # query rows out of grid order; the last sequence has none, the first one
+    at_q, at_k, at_v = leaf(3, 4), leaf(7, 4), leaf(7, 4)
+    at_grid, at_w = np.array([[0, 4, 7], [1, 2, 6], [3, 5, 7]]), rng.standard_normal((3, 4))
+    worst["op.attention_rows"] = max(
+        check_gradients(
+            lambda: (
+                T.attention(at_q, at_k, at_v, 2, grid=at_grid, rows=[6, 0, 2])[0] * T.Tensor(at_w)
+            ).sum(),
+            {"q": at_q, "k": at_k, "v": at_v},
+        ).values()
+    )
 
     # full encoder composed with each pre-training loss at d=8
     config = ModelConfig(

@@ -1031,6 +1031,32 @@ class TestMalformedInputFiles:
         assert len(err) == 1 and message in err[0], err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["finetune", "eval"])
+    @pytest.mark.parametrize("task, field", [("retrieval", "span"), ("qa", "span"), ("caption", "moment")])
+    def test_an_interval_outside_its_clip_names_the_line_before_any_encoding(
+        self, corpus, pretrained, tmp_path, capsys, monkeypatch, command, task, field
+    ):
+        from vidtext.encoder import HierarchicalEncoder
+
+        tasks = write_toy_tasks(corpus, tmp_path)
+        last = len(tasks[task].read_text().splitlines())  # the last record: every other is fine
+        tasks[task].write_bytes(_edit_line(last - 1, field, "[500.0, 600.0]")(tasks[task].read_bytes()))
+        encoded = []
+        for name in ("encode_clip", "encode_clips"):
+            monkeypatch.setattr(HierarchicalEncoder, name, lambda self, *a, **kw: encoded.append(a))
+        out = tmp_path / "ft"
+        args = ["--task", task, "--data", str(tasks[task]), "--corpus", str(corpus)]
+        if command == "finetune":
+            args += ["--out-dir", str(out), "--from-scratch", "--steps", "1"]
+        else:  # the task file is read before the checkpoint's kind is checked
+            args += ["--checkpoint", str(pretrained)]
+        rc = main([command, *args])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == EXIT_DATA
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert f"{task}.jsonl:{last}" in err[0] and "overlaps no frame" in err[0], err
+        assert encoded == [] and not out.exists()
+
     def test_eval_of_a_caption_moment_outside_its_clip_exits_two(self, corpus, tmp_path, capsys):
         tasks = write_toy_tasks(corpus, tmp_path)
         out = tmp_path / "ft"

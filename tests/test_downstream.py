@@ -645,6 +645,18 @@ class TestBatchedBestSpans:
         p = np.where(np.arange(9) < np.array(lengths)[:, None], 0.25, 0.0)
         self.check(p, p, lengths, top_n)
 
+    @pytest.mark.parametrize("top_n, triangle", [(5, False), (40, True), (41, True), (820, True)])
+    def test_a_bound_that_keeps_every_start_decodes_the_triangle(self, monkeypatch, top_n, triangle):
+        """Once ``top_n`` reaches the clip length, tau keeps every start, and
+        the decode scores the L(L+1)/2 start <= end pairs, not L * L."""
+        widths, top_pairs = [], downstream._top_pairs
+        monkeypatch.setattr(
+            downstream, "_top_pairs", lambda p, ok, n: widths.append(p.shape[1]) or top_pairs(p, ok, n)
+        )
+        lengths = [40, 33, 40]
+        self.check(*self.grids(np.random.default_rng(22), lengths), lengths, top_n)
+        assert (widths == [40 * 41 // 2]) == triangle and len(widths) == 1
+
     def test_tied_products_across_the_cut(self):
         # p_st * p_ed takes few distinct values, so many spans tie at the top_n-th
         rng = np.random.default_rng(21)

@@ -615,6 +615,28 @@ class TestRowPruning:
         assert_kept_rows_equal(got, full_rows[rows], n)
         assert rngs[0].random() == rngs[1].random()
 
+    @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_recording_keeps_every_query_row(self, data, seed):
+        """Inside ``record_attention`` every row queries, so each recorded
+        grid is square and equals the full-row pass's; the kept rows and the
+        generator still match a pass outside the recorder (up to the
+        single-row exception of ``assert_kept_rows_equal``)."""
+        enc = HierarchicalEncoder(_PRUNING, np.random.default_rng(0))
+        n, grid, rows = _packed(data.draw)
+        x = T.Tensor(np.random.default_rng(seed).standard_normal((n, 16)))
+        rngs = [np.random.default_rng(seed) for _ in range(3)]
+        with T.record_attention() as ops:
+            recorded = enc.temporal_apply(x, train_rng=rngs[0], grid=grid, rows=rows)
+        with T.record_attention() as full_ops:
+            enc.temporal_apply(x, train_rng=rngs[1], grid=grid)
+        kept = enc.temporal_apply(x, train_rng=rngs[2], grid=grid, rows=rows)
+        assert_kept_rows_equal(recorded.data, kept.data, n)
+        assert len(ops) == len(full_ops) == _PRUNING.temporal_layers
+        for op, full_op in zip(ops, full_ops):
+            for w, full_w in zip(op, full_op):
+                assert w.shape[-1] == w.shape[-2] and w.tobytes() == full_w.tobytes()
+        assert rngs[0].random() == rngs[1].random() == rngs[2].random()
+
     def test_cross_rows_list_frames_first(self, tiny_encoder):
         v, w = T.Tensor(np.zeros((2, 16))), T.Tensor(np.zeros((2, 16)))
         with pytest.raises(UsageError):

@@ -430,6 +430,75 @@ class TestPackedAttention:
             T.attention(y, y, y, 2, grid=np.array([[0, 1, 2]]))
 
 
+def _query_rows_match_every_row(lengths, perm, rows, seed):
+    """``attention`` with query ``rows`` equals ``take_rows`` of the op with
+    every row querying, bit for bit: the output, dk, dv and the kept rows of
+    dq.  ``perm`` splits into sequences of ``lengths`` packed rows."""
+    n, d = sum(lengths), 8
+    grid = T.row_grid(np.split(np.asarray(perm), np.cumsum(lengths)[:-1]), n)
+    rows = np.asarray(rows, dtype=np.intp)
+    rng = np.random.default_rng(seed)
+    q, k, v = (rng.standard_normal((n, d)) for _ in range(3))
+    upstream = T.Tensor(rng.standard_normal((len(rows), d)))
+
+    def run(query_rows):
+        qt = T.Tensor(q if query_rows is None else q[rows], requires_grad=True)
+        kt, vt = T.Tensor(k, requires_grad=True), T.Tensor(v, requires_grad=True)
+        out, _ = T.attention(qt, kt, vt, 2, grid=grid, rows=query_rows)
+        if query_rows is None:
+            out = T.take_rows(out, rows)
+        T.backward((out * upstream).sum())
+        dq = qt.grad if query_rows is not None or qt.grad is None else qt.grad[rows]
+        return out.data, kt.grad, vt.grad, dq
+
+    for name, got, want in zip(["out", "dk", "dv", "dq"], run(rows), run(None)):
+        if name == "dq" and not len(rows):
+            continue  # nothing queries, so nothing reaches q
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+
+
+class TestQueryRows:
+    """``attention`` with ``rows``: only those rows query, keys and values
+    come from every row."""
+
+    @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_equals_the_kept_rows_of_every_row_querying(self, data, seed):
+        lengths = data.draw(st.lists(st.integers(1, 9), min_size=1, max_size=4))
+        perm = data.draw(st.permutations(range(sum(lengths))))
+        rows = data.draw(st.lists(st.integers(0, sum(lengths) - 1), unique=True))
+        _query_rows_match_every_row(lengths, perm, rows, seed)
+
+    @pytest.mark.parametrize("lengths, perm, rows", [
+        ([3, 4], range(7), [4, 5]),  # the first sequence has no query row
+        ([3, 4], range(7), [1, 5, 6]),  # the first has one: a query grid of 2 slots
+        ([2, 3], range(5), [3]),  # one query row in all
+        ([3, 4, 2], [8, 2, 5, 0, 7, 1, 3, 6, 4], [6, 0, 3, 8, 1]),  # out of grid order
+        ([3, 4], range(7), []),  # nothing queries
+    ], ids=["sequence-without-queries", "one-query-row", "one-row-in-all", "out-of-order", "none"])
+    def test_edge_cases(self, lengths, perm, rows):
+        _query_rows_match_every_row(lengths, list(perm), rows, seed=48)
+
+    def test_output_and_weights_cover_the_query_rows(self):
+        rng = np.random.default_rng(49)
+        q, kv = T.Tensor(rng.standard_normal((3, 8))), T.Tensor(rng.standard_normal((7, 8)))
+        out, weights = T.attention(q, kv, kv, 2, grid=_GRID, rows=[6, 0, 2])
+        # query grid: sequence 0 queries with row 0, sequence 1 with rows 2 and 6
+        assert out.shape == (3, 8) and weights.shape == (2, 2, 2, 4)
+        np.testing.assert_allclose(weights[0, :, 1, :3], 1 / 3)  # a padding query: even scores
+        assert (weights[0, ..., 3] == 0.0).all()  # the padding key
+
+    def test_malformed_rows_rejected(self):
+        x = T.Tensor(np.zeros((3, 4)))
+        grid = np.array([[0, 1, 2]])
+        for rows in ([0, 3], [-1, 0], [[0, 1]], [1, 1]):
+            with pytest.raises(ShapeError):
+                T.attention(T.Tensor(np.zeros((2, 4))), x, x, 2, grid=grid, rows=rows)
+        with pytest.raises(ShapeError):  # one q row per query row
+            T.attention(x, x, x, 2, grid=grid, rows=[0, 1])
+        with pytest.raises(UsageError):  # query rows index a grid
+            T.attention(x, x, x, 2, rows=[0, 1, 2])
+
+
 class TestRecordAttention:
     """``record_attention`` keeps the weights of each attention op run
     inside it, one entry per op."""
@@ -444,6 +513,14 @@ class TestRecordAttention:
         assert [g.shape for g in ops[1]] == [(2, 3, 3), (2, 4, 4)]
         np.testing.assert_array_equal(ops[1][0], packed[0, :, :3, :3])
         np.testing.assert_array_equal(ops[1][1], packed[1])
+
+    def test_query_rows_record_each_sequence_cut_to_its_real_rows(self):
+        rng = np.random.default_rng(51)
+        q, kv = T.Tensor(rng.standard_normal((3, 8))), T.Tensor(rng.standard_normal((7, 8)))
+        with T.record_attention() as ops:
+            _, weights = T.attention(q, kv, kv, 2, grid=_GRID, rows=[6, 0, 2])
+        assert [g.shape for g in ops[0]] == [(2, 1, 3), (2, 2, 4)]
+        np.testing.assert_array_equal(ops[0][0], weights[0, :, :1, :3])
 
     def test_nested_recorder_restores_the_outer_one(self):
         x = T.Tensor(np.random.default_rng(46).standard_normal((3, 4)))
