@@ -312,9 +312,7 @@ def best_spans(
     the product of a real pair, so tau, the ``top_n``-th largest of these,
     is at most the clip's ``top_n``-th best product.  A clip of fewer than
     ``top_n`` frames gets tau = -inf, or the least of its starts' bests when
-    ``top_n`` exceeds L: every start.  When tau keeps every start of every
-    clip, the (start, end) grid would hold L * L pairs, so the decode scores
-    the L(L+1)/2 pairs of the start <= end triangle instead.
+    ``top_n`` exceeds L: every start.
     """
     lengths = np.asarray(lengths)
     n_clips, width = p_st.shape
@@ -326,35 +324,23 @@ def best_spans(
     k = min(top_n, width)
     tau = np.partition(best, -k, axis=1)[:, -k, None]
     starts = real & (best >= tau)
-    n_starts = starts.sum(axis=1)
-    if (n_starts == lengths).all():  # tau keeps every start of every clip
-        st, ed = np.triu_indices(width)  # every pair with start <= end, in (start, end) order
-        ok = ed < lengths[:, None]
-        clip, pair, p = _top_pairs(np.where(ok, p_st[:, st] * p_ed[:, ed], -np.inf), ok, top_n)
-        return clip, st[pair], ed[pair], p
     # each clip's (slot, end) grid: slot r is the clip's r-th start at or above tau
+    n_starts = starts.sum(axis=1)
     used = np.arange(n_starts.max(initial=0)) < n_starts[:, None]
     st = np.zeros(used.shape, dtype=np.intp)
     st[used] = np.nonzero(starts)[1]
+    p = np.take_along_axis(p_st, st, axis=1)[:, :, None] * p_ed[:, None, :]
     ok = used[:, :, None] & (frame >= st[:, :, None]) & real[:, None, :]
-    # the product is a temporary, so the partition can reuse its memory
-    p = np.where(ok, np.take_along_axis(p_st, st, axis=1)[:, :, None] * p_ed[:, None, :], -np.inf)
-    clip, pair, p = _top_pairs(p.reshape(n_clips, -1), ok.reshape(n_clips, -1), top_n)
-    return clip, st[clip, pair // width], pair % width, p
-
-
-def _top_pairs(p: np.ndarray, ok: np.ndarray, top_n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(clip, pair, p) of at most ``top_n`` best pairs of each row of a
-    (clips, pairs) grid of products, -inf where not ``ok``: clip by clip,
-    ordered by (-p, pair)."""
-    # every pair at or above each clip's top_n-th probability, in (clip, pair) order
+    p = np.where(ok, p, -np.inf).reshape(n_clips, -1)
+    # every span at or above each clip's top_n-th probability, in (clip, start, end) order
     k = min(top_n, p.shape[1])
-    clip, pair = np.nonzero((p >= np.partition(p, -k, axis=1)[:, -k, None]) & ok)
+    clip, pair = np.nonzero((p >= np.partition(p, -k, axis=1)[:, -k, None]) & ok.reshape(n_clips, -1))
     p = p[clip, pair]
-    order = np.lexsort((-p, clip))  # stable: ties stay in pair order
+    order = np.lexsort((-p, clip))  # stable: ties stay in (start, end) order
     clip, pair, p = clip[order], pair[order], p[order]
     keep = np.arange(len(clip)) - np.searchsorted(clip, clip) < top_n
-    return clip[keep], pair[keep], p[keep]
+    clip, pair = clip[keep], pair[keep]
+    return clip, st[clip, pair // width], pair % width, p[keep]
 
 
 class _ClipCorpus:

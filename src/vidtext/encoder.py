@@ -178,7 +178,9 @@ class TransformerBlock(Module):
     ``tensor.dropout``), so the kept rows and the generator's next draw are
     those of a full-row pass.  Inside ``tensor.record_attention`` every row
     queries and ``take_rows`` keeps the rows after attention, so the
-    recorded grids stay square."""
+    recorded grids stay square; the outputs are the same, but the key and
+    value gradients then also sum the zero gradients of the other rows, in
+    another order, so training steps there may differ in the last bits."""
 
     def __init__(self, rng: np.random.Generator, d: int, heads: int, ffn_multiplier: int):
         self.ln1 = LayerNorm(d)
