@@ -18,6 +18,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import fields
 from functools import partial
 from pathlib import Path
@@ -226,6 +227,17 @@ def _check_counts(eff: dict) -> None:
             raise ConfigError(f"{key} must be {bound}, got {eff[key]}")
 
 
+@contextmanager
+def _writing(path):
+    """Runs the writes of the output at ``path``: an OSError there (the path
+    names a directory, or a file where a directory belongs) is a UsageError
+    (exit 1) naming the path.  Input files go through ``read_input``."""
+    try:
+        yield
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _echo_config(log_fh, eff: dict) -> None:
     for key in sorted(eff):
         log_fh.write(f"# config {key} = {eff[key]}\n")
@@ -245,26 +257,29 @@ def _train_loop(
 ) -> Path:
     """The training loop of both `pretrain` and `finetune`.
 
-    ``work`` yields ``(step, kind, take_step)``; ``take_step(train_rng)`` runs
-    one optimization step and returns its loss.  Each step appends one record
-    to ``train.log``; a non-finite loss stops the run (exit 3).  Checkpoints
-    go out every ``checkpoint_every`` steps and at the end, as ``final.ckpt``.
+    It makes ``out_dir`` if needed.  ``work`` yields ``(step, kind,
+    take_step)``; ``take_step(train_rng)`` runs one optimization step and
+    returns its loss.  Each step appends one record to ``train.log``; a
+    non-finite loss stops the run (exit 3).  Checkpoints go out every
+    ``checkpoint_every`` steps and at the end, as ``final.ckpt``.
     """
     seed = meta["seed"]
-    with (out_dir / "train.log").open("a") as log_fh:
-        _echo_config(log_fh, echo)
-        for step, kind, take_step in work:
-            loss = take_step(dropout_rng(seed, step) if model.config.dropout > 0 else None)
-            if not math.isfinite(loss):
-                raise NumericError(f"non-finite loss at step {step}")
-            log_fh.write(f"{step}, {kind}, {loss:.10f}, {echo['lr']}, {seed}\n")
-            done = step + 1
-            if checkpoint_every and done % checkpoint_every == 0:
-                _save_model_checkpoint(
-                    out_dir / f"step{done:06d}.ckpt", model, optimizer, {**meta, "step": done}
-                )
-    final = out_dir / "final.ckpt"
-    _save_model_checkpoint(final, model, optimizer, {**meta, "step": final_step})
+    with _writing(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
+        with (out_dir / "train.log").open("a") as log_fh:
+            _echo_config(log_fh, echo)
+            for step, kind, take_step in work:
+                loss = take_step(dropout_rng(seed, step) if model.config.dropout > 0 else None)
+                if not math.isfinite(loss):
+                    raise NumericError(f"non-finite loss at step {step}")
+                log_fh.write(f"{step}, {kind}, {loss:.10f}, {echo['lr']}, {seed}\n")
+                done = step + 1
+                if checkpoint_every and done % checkpoint_every == 0:
+                    _save_model_checkpoint(
+                        out_dir / f"step{done:06d}.ckpt", model, optimizer, {**meta, "step": done}
+                    )
+        final = out_dir / "final.ckpt"
+        _save_model_checkpoint(final, model, optimizer, {**meta, "step": final_step})
     return final
 
 
@@ -273,17 +288,18 @@ def _train_loop(
 
 def cmd_gen_data(args) -> int:
     fps = args.fps if args.fps is not None else 2.0 / 3.0
-    path, vocab = synth_corpus(
-        args.out,
-        num_clips=args.clips,
-        fps=fps,
-        clip_seconds=args.seconds,
-        vocab_size=args.vocab_size,
-        feature_dim=args.feature_dim,
-        planted_structure=args.planted,
-        seed=args.seed,
-        num_topics=args.topics,
-    )
+    with _writing(args.out):
+        path, vocab = synth_corpus(
+            args.out,
+            num_clips=args.clips,
+            fps=fps,
+            clip_seconds=args.seconds,
+            vocab_size=args.vocab_size,
+            feature_dim=args.feature_dim,
+            planted_structure=args.planted,
+            seed=args.seed,
+            num_topics=args.topics,
+        )
     print(
         f"wrote {args.clips} clips to {path} "
         f"(frames per clip: {[synth_frame_count(fps, args.seconds)]}, vocab size: {vocab.size})"
@@ -321,8 +337,6 @@ def cmd_pretrain(args) -> int:
             )
         optimizer.load_state_arrays(arrays, start_step)
 
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     meta = {
         "model_kind": "pretrain",
         "config": config.to_dict(),
@@ -338,7 +352,7 @@ def cmd_pretrain(args) -> int:
         (b.step, b.kind, partial(pretrain_step, model, b, optimizer, hypers)) for b in batches
     )
     final = _train_loop(
-        out_dir, eff, model, optimizer, meta, work, steps, eff["checkpoint_every"]
+        Path(args.out_dir), eff, model, optimizer, meta, work, steps, eff["checkpoint_every"]
     )
     print(f"pre-training finished at step {steps}; checkpoint: {final}")
     return EXIT_OK
@@ -417,8 +431,6 @@ def cmd_finetune(args) -> int:
             for ex in batch
         ]))
 
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     meta = {
         "model_kind": args.task,
         "config": config.to_dict(),
@@ -429,7 +441,7 @@ def cmd_finetune(args) -> int:
     }
     echo = {**eff, "task": args.task, "init": args.init or "scratch"}
     work = ((step, args.task, partial(take_step, step)) for step in range(steps))
-    final = _train_loop(out_dir, echo, model, optimizer, meta, work, steps)
+    final = _train_loop(Path(args.out_dir), echo, model, optimizer, meta, work, steps)
     print(f"finetuning ({args.task}) finished; checkpoint: {final}")
     return EXIT_OK
 
@@ -565,6 +577,8 @@ def cmd_eval(args) -> int:
         k_values = [int(x) for x in eff["k"].split(",") if x.strip()]
     except ValueError:
         raise UsageError(f"--k must be comma-separated integers, got {eff['k']!r}") from None
+    if not k_values:
+        raise UsageError(f"--k must be a list of at least one cutoff, got {eff['k']!r}")
     if any(k < 1 for k in k_values):
         raise UsageError("every K must be at least 1")
 
@@ -595,7 +609,7 @@ def cmd_eval(args) -> int:
             ranked = rank_moments(model, encoded, ids, spans_per_clip=eff["spans_per_clip"])
             if nms_threshold is not None:
                 ranked = temporal_nms(ranked, nms_threshold)
-            predictions.append(ranked[: max(k_values, default=0)])  # recall_at_k reads no further
+            predictions.append(ranked[: max(k_values)])  # recall_at_k reads no further
             gt_clip = by_id[ex.clip_id]
             st, ed = seconds_to_frame_span(gt_clip, *ex.span)
             ground_truth.append((ex.clip_id, gt_clip.frame_seconds((st, ed))))
@@ -628,7 +642,8 @@ def cmd_eval(args) -> int:
         raise UsageError(f"unknown eval task {args.task!r}")
 
     if args.out:
-        write_metrics_report(args.out, args.task, metrics, settings)
+        with _writing(args.out):
+            write_metrics_report(args.out, args.task, metrics, settings)
     print(json.dumps({"task": args.task, "settings": settings, "metrics": metrics}, sort_keys=True))
     return EXIT_OK
 
@@ -642,17 +657,18 @@ def cmd_inspect_attention(args) -> int:
     with T.no_grad(), T.record_attention() as ops:
         model.encoder.encode_clip(by_id[args.clip_id])
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     cross = config.cross_layers  # the cross-modal layers' ops come first, one grid per sentence
     written = []
-    for i, op in enumerate(ops):
-        for j, heads in enumerate(op):
-            tag = f"cross_sentence{j}_layer{i}" if i < cross else f"temporal_layer{i - cross}"
-            for head, grid in enumerate(heads):
-                name = f"{tag}_head{head}.txt"
-                lines = [" ".join(f"{x:.8f}" for x in row) for row in grid]
-                (out_dir / name).write_text("\n".join(lines) + "\n")
-                written.append(name)
+    with _writing(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for i, op in enumerate(ops):
+            for j, heads in enumerate(op):
+                tag = f"cross_sentence{j}_layer{i}" if i < cross else f"temporal_layer{i - cross}"
+                for head, grid in enumerate(heads):
+                    name = f"{tag}_head{head}.txt"
+                    lines = [" ".join(f"{x:.8f}" for x in row) for row in grid]
+                    (out_dir / name).write_text("\n".join(lines) + "\n")
+                    written.append(name)
     print(f"wrote {len(written)} attention grids to {out_dir}")
     return EXIT_OK
 

@@ -30,6 +30,7 @@ from .encoder import (
     ModelConfig,
     Module,
     MultiHeadAttention,
+    Projection,
 )
 from .errors import ConfigError, DataError, UsageError, read_input
 from .metrics import Ranking
@@ -414,17 +415,19 @@ def rank_moments(
 
 class QaHead(Module):
     """Answer scoring over a pooled clip vector per candidate, plus start and
-    end scoring over the answer-weighted frame rows."""
+    end scoring over the answer-weighted frame rows.  The three output
+    layers have no bias: each would add one scalar to every logit of its
+    softmax, which cancels it."""
 
     def __init__(self, rng: np.random.Generator, d: int):
         self.pool_query = T.Tensor(rng.normal(0.0, 0.02, size=(d, 1)), requires_grad=True)
         self.ans_hidden = Linear(rng, d, d)
-        self.ans_out = Linear(rng, d, 1, init="small")
+        self.ans_out = Projection(rng, d, 1, init="small")
         self.answer_attn_query = T.Tensor(rng.normal(0.0, 0.02, size=(d, 1)), requires_grad=True)
         self.st_hidden = Linear(rng, d, d)
-        self.st_out = Linear(rng, d, 1, init="small")
+        self.st_out = Projection(rng, d, 1, init="small")
         self.ed_hidden = Linear(rng, d, d)
-        self.ed_out = Linear(rng, d, 1, init="small")
+        self.ed_out = Projection(rng, d, 1, init="small")
 
 
 class QaModel(Module):

@@ -97,7 +97,10 @@ class Module:
         return out
 
 
-class Linear(Module):
+class Projection(Module):
+    """``x @ w`` with no bias: for a layer whose output feeds a softmax that
+    cancels any bias, so that a bias there would get no gradient."""
+
     def __init__(self, rng: np.random.Generator, fan_in: int, fan_out: int, init: str = "xavier"):
         if init == "xavier":
             bound = np.sqrt(6.0 / (fan_in + fan_out))
@@ -108,6 +111,16 @@ class Linear(Module):
         else:
             raise ConfigError(f"unknown init {init!r}")
         self.w = T.Tensor(w, requires_grad=True)
+
+    def __call__(self, x: T.Tensor) -> T.Tensor:
+        return T.matmul(x, self.w)
+
+
+class Linear(Projection):
+    """``x @ w + b``; the bias starts at zeros and draws nothing from ``rng``."""
+
+    def __init__(self, rng: np.random.Generator, fan_in: int, fan_out: int, init: str = "xavier"):
+        super().__init__(rng, fan_in, fan_out, init)
         self.b = T.Tensor(np.zeros(fan_out), requires_grad=True)
 
     def __call__(self, x: T.Tensor) -> T.Tensor:
@@ -143,12 +156,17 @@ class MultiHeadAttention(Module):
     With a row ``grid`` (see ``tensor.attention``), ``x`` is packed (N, d)
     rows of several sequences and only the attention op sees padding; then
     ``rows`` names the rows that query (all by default), and the output
-    holds those rows alone, in that order."""
+    holds those rows alone, in that order.
+
+    The key projection ``wk`` has no bias: a key bias b adds q·b to every
+    score of query q, a shift that the softmax over keys cancels, so it
+    would get no gradient.  The query, value and output projections keep
+    theirs."""
 
     def __init__(self, rng: np.random.Generator, d: int, heads: int):
         self.heads = heads
         self.wq = Linear(rng, d, d)
-        self.wk = Linear(rng, d, d)
+        self.wk = Projection(rng, d, d)
         self.wv = Linear(rng, d, d)
         self.wo = Linear(rng, d, d)
 

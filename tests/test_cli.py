@@ -554,6 +554,70 @@ class TestCheckpointArrays:
         assert ", ".join(head) in err
 
 
+# the arrays that checkpoints written before the key projections and the QA
+# output layers lost their biases still hold: name -> shape, at d = 16
+DROPPED_BIASES = {
+    **{f"encoder.{stack}.attn.wk.b": (16,) for stack in ("cross.0", "cross.1", "temporal.0")},
+    **{f"decoder.{i}.{attn}.wk.b": (16,) for i in (0, 1) for attn in ("self_attn", "cross_attn")},
+    **{f"qa.{head}_out.b": (1,) for head in ("ans", "st", "ed")},
+}
+
+
+def _with_dropped_biases(src, dst):
+    """``src`` saved to ``dst`` with the ten ``DROPPED_BIASES`` arrays and their
+    AdamW moments added, all nonzero, as an older checkpoint holds them."""
+    arrays, meta = load_checkpoint(src)
+    rng = np.random.default_rng(0)
+    for name, shape in DROPPED_BIASES.items():
+        arrays[name] = rng.normal(0.0, 0.1, size=shape)
+        arrays[f"adam.m.{name}"] = rng.normal(0.0, 1e-3, size=shape)
+        arrays[f"adam.v.{name}"] = rng.uniform(1e-8, 1e-6, size=shape)
+    save_checkpoint(dst, arrays, meta)
+    return dst
+
+
+class TestCheckpointsWithDroppedBiases:
+    """Checkpoints written while the key projections and the QA output layers
+    had biases still load: their biases and moments are ignored."""
+
+    def test_eval_gives_the_same_metrics(self, corpus, pretrained, tmp_path, capsys):
+        tasks = write_toy_tasks(corpus, tmp_path)
+        checkpoints = {"retrieval": pretrained}
+        for task in ("qa", "nli", "caption"):
+            rc = main([
+                "finetune", "--task", task, "--data", str(tasks[task]), "--corpus", str(corpus),
+                "--init", str(pretrained), "--out-dir", str(tmp_path / task), "--steps", "2",
+            ])
+            assert rc == EXIT_OK
+            checkpoints[task] = tmp_path / task / "final.ckpt"
+        capsys.readouterr()
+        for task, checkpoint in checkpoints.items():
+            metrics = []
+            for ckpt in (checkpoint, _with_dropped_biases(checkpoint, tmp_path / f"{task}-old.ckpt")):
+                rc = main([
+                    "eval", "--task", task, "--data", str(tasks[task]), "--corpus", str(corpus),
+                    "--checkpoint", str(ckpt),
+                ])
+                assert rc == EXIT_OK
+                metrics.append(json.loads(capsys.readouterr().out)["metrics"])
+            assert metrics[0] == metrics[1], task
+
+    def test_finetune_init_and_resume_run(self, corpus, pretrained, tmp_path):
+        old = _with_dropped_biases(pretrained, tmp_path / "old.ckpt")
+        tasks = write_toy_tasks(corpus, tmp_path)
+        rc = main([
+            "finetune", "--task", "qa", "--data", str(tasks["qa"]), "--corpus", str(corpus),
+            "--init", str(old), "--out-dir", str(tmp_path / "ft"), "--steps", "1",
+        ])
+        assert rc == EXIT_OK
+        rc = main([
+            "pretrain", "--corpus", str(corpus), "--out-dir", str(tmp_path / "run"),
+            *TestCheckpointArrays.RESUME, "--lr", "0.001", "--resume", str(old),
+        ])
+        assert rc == EXIT_OK
+        assert (tmp_path / "run" / "final.ckpt").exists()
+
+
 class TestInspectAttention:
     def test_grids_are_stochastic_and_deterministic(self, corpus, pretrained, tmp_path):
         out1, out2 = tmp_path / "a1", tmp_path / "a2"
@@ -617,6 +681,40 @@ class TestInspectAttention:
         assert len(temporal) == config.temporal_heads * config.temporal_layers
         for path in temporal:
             assert np.loadtxt(path).shape == (clip.n_frames, clip.n_frames)
+
+
+def _unwritable_output_argv(command, corpus, pretrained, tmp_path):
+    """``command``'s argv whose output path cannot be written: an existing
+    file for an output directory, a directory for an output file."""
+    tasks = write_toy_tasks(corpus, tmp_path)
+    a_file, a_dir = tmp_path / "a-file", tmp_path / "a-dir"
+    a_file.write_text("")
+    a_dir.mkdir()
+    argv = {
+        "gen-data": ["gen-data", "--out", str(a_dir), "--clips", "2", "--seconds", "9"],
+        "pretrain": ["pretrain", "--corpus", str(corpus), "--out-dir", str(a_file),
+                     "--steps", "1", *SMALL_MODEL],
+        "finetune": ["finetune", "--task", "nli", "--data", str(tasks["nli"]),
+                     "--corpus", str(corpus), "--from-scratch",
+                     "--out-dir", str(a_file), "--steps", "1"],
+        "eval": ["eval", "--task", "retrieval", "--data", str(tasks["retrieval"]),
+                 "--corpus", str(corpus), "--checkpoint", str(pretrained), "--out", str(a_dir)],
+        "inspect-attention": ["inspect-attention", "--checkpoint", str(pretrained),
+                              "--corpus", str(corpus), "--clip-id", "clip0000",
+                              "--out", str(a_file)],
+    }[command]
+    return argv, a_dir if command in ("gen-data", "eval") else a_file
+
+
+@pytest.mark.parametrize("command", ["gen-data", "pretrain", "finetune", "eval", "inspect-attention"])
+def test_an_output_path_that_cannot_be_written_exits_one(
+    corpus, pretrained, tmp_path, capsys, command
+):
+    argv, path = _unwritable_output_argv(command, corpus, pretrained, tmp_path)
+    capsys.readouterr()
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
 
 
 @pytest.fixture(scope="module")
@@ -726,6 +824,7 @@ class TestMalformedOptionValues:
     @pytest.mark.parametrize("flag, value", [
         ("--nms", "abc"), ("--k", "a,b"), ("--nms", "nan"), ("--nms", "2"), ("--tiou", "nan"),
         ("--tiou", "-3"), ("--tiou", "2"), ("--spans-per-clip", "-1"), ("--spans-per-clip", "0"),
+        ("--k", ","), ("--k", ""),
     ])
     def test_eval_flag_value(self, corpus, pretrained, tmp_path, capsys, flag, value):
         tasks = write_toy_tasks(corpus, tmp_path)

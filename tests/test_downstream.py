@@ -222,7 +222,6 @@ class TestQa:
         qa_model.qa.ans_hidden.w.data[:] = 0.0
         qa_model.qa.ans_hidden.b.data[:] = 0.0
         qa_model.qa.ans_out.w.data[:] = 0.0
-        qa_model.qa.ans_out.b.data[:] = 0.0
         ex = qa_example(toy_clip, small_vocab, label=3, n_answers=5)
         loss = qa_model.loss(toy_clip, ex, small_vocab, lam=QA_LAMBDA_DEFAULT)
         assert loss.item() == pytest.approx(math.log(5), abs=1e-12)

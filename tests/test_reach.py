@@ -1,13 +1,15 @@
 """Every function and method that ``src/vidtext`` defines is reached by the
-program, and every default it gives a parameter is one that some call
-changes.  One small scenario of ``vidtext`` commands, and the benchmark's
-three workloads at their tiny sizes, run in-process under
-``sys.setprofile``.  The check fails on any definition the trace never
-enters, and on any parameter with a default that no entered call binds to
-another value, unless it is on the short exempt lists below.  A value is the
-default when it is the same object, or of the same type and equal; an array
-is always another value.  Code and knobs that only tests reach belong in
-``tests/``."""
+program, every default it gives a parameter is one that some call changes,
+and every model weight gets a gradient above rounding noise.  One small
+scenario of ``vidtext`` commands, and the benchmark's three workloads at
+their tiny sizes, run in-process under ``sys.setprofile``.  The check fails
+on any definition the trace never enters, on any parameter with a default
+that no entered call binds to another value, and on any weight whose largest
+|gradient| at every ``AdamW.step`` stays at or below ``WEIGHT_FLOOR`` times
+the largest of its model, unless it is on the short exempt lists below.  A
+value is the default when it is the same object, or of the same type and
+equal; an array is always another value.  Code, knobs and weights that only
+tests reach belong in ``tests/``."""
 
 import ast
 import importlib
@@ -21,6 +23,7 @@ import pytest
 
 import vidtext
 from vidtext.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from vidtext.tensor import AdamW
 
 SRC = Path(vidtext.__file__).resolve().parent
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
@@ -40,6 +43,14 @@ EXEMPT_PARAMETERS = {
         "decoder weights: a constant would re-draw the acceptance test's caption model"
     ),
 }
+
+# weights kept although no training step gives them a gradient above the floor,
+# each with its reason
+EXEMPT_WEIGHTS: dict[str, str] = {}
+
+# a weight's largest |gradient| over its model's largest, at or below which it
+# is rounding noise: softmax cancels a bias that shifts all its logits alike
+WEIGHT_FLOOR = 1e-12
 
 SMALL_MODEL = [
     "--d", "16", "--cross-heads", "2", "--temporal-heads", "2",
@@ -126,21 +137,35 @@ def _is_default(value, default) -> bool:
 class _Trace:
     """Collects the code object of every Python frame entered while active,
     and strikes a parameter of ``_defaults()`` off once a call binds it to
-    another value than its default."""
+    another value than its default.  At each ``AdamW.step`` it records each
+    weight's largest |gradient| over the largest of the step's model, and
+    keeps each weight name's best ratio in ``reach``."""
 
     def __init__(self):
         self.codes = set()
         self.unchanged = _defaults()
+        self.reach: dict[str, float] = {}
 
     def _hook(self, frame, event, arg):
         if event != "call":
             return
         self.codes.add(frame.f_code)
+        if frame.f_code is AdamW.step.__code__:
+            self._weigh(frame.f_locals["self"].params)
         left = self.unchanged.get(frame.f_code)
         if left:
             bound = frame.f_locals  # only the arguments, at a call
             for name in [n for n, (d, *_) in left.items() if not _is_default(bound[n], d)]:
                 del left[name]
+
+    def _weigh(self, params) -> None:
+        peaks = {
+            name: 0.0 if p.grad is None else float(np.abs(p.grad).max(initial=0.0))
+            for name, p in params.items()
+        }
+        top = max(peaks.values(), default=0.0)
+        for name, peak in peaks.items():
+            self.reach[name] = max(self.reach.get(name, 0.0), peak / top if top > 0 else 0.0)
 
     def __enter__(self):
         self._outer = sys.getprofile()
@@ -289,6 +314,21 @@ def test_every_src_default_is_changed_by_a_call(trace):
     assert not found, (
         f"{len(found)} parameters of src/vidtext whose default no call of the scenario "
         "or the benchmark changes:\n  " + "\n  ".join(sorted(found))
+    )
+
+
+def test_every_weight_gets_a_gradient_above_rounding(trace):
+    assert trace.reach, "no AdamW step ran"
+    assert sorted(set(EXEMPT_WEIGHTS) - set(trace.reach)) == []
+    dead = [
+        f"{name} (best {ratio:.2g})"
+        for name, ratio in trace.reach.items()
+        if ratio <= WEIGHT_FLOOR and name not in EXEMPT_WEIGHTS
+    ]
+    assert not dead, (
+        f"{len(dead)} weights whose largest gradient at every AdamW step of the scenario "
+        f"or the benchmark is at most {WEIGHT_FLOOR:g} of their model's largest:\n  "
+        + "\n  ".join(dead)
     )
 
 
