@@ -227,6 +227,16 @@ def _check_counts(eff: dict) -> None:
             raise ConfigError(f"{key} must be {bound}, got {eff[key]}")
 
 
+def _check_output(path: str, directory: bool) -> None:
+    """An output ``directory`` path that names an existing non-directory, or
+    an output file path that names a directory or whose parent is not one,
+    is a UsageError (exit 1), raised before any input is read."""
+    out = Path(path)
+    if out.exists() and out.is_dir() != directory or not (directory or out.parent.is_dir()):
+        reason = "is a directory" if out.is_dir() else "its parent is not a directory"
+        raise UsageError(f"cannot write {path}: {'not a directory' if directory else reason}")
+
+
 @contextmanager
 def _writing(path):
     """Runs the writes of the output at ``path``: an OSError there (the path
@@ -308,6 +318,7 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_pretrain(args) -> int:
+    _check_output(args.out_dir, directory=True)
     eff = _effective_options(
         PRETRAIN_DEFAULTS,
         args.config,
@@ -358,11 +369,8 @@ def cmd_pretrain(args) -> int:
     return EXIT_OK
 
 
-def _clips_by_id(clips) -> dict:
-    return {c.clip_id: c for c in clips}
-
-
 def cmd_finetune(args) -> int:
+    _check_output(args.out_dir, directory=True)
     eff = _effective_options(
         FINETUNE_DEFAULTS,
         args.config,
@@ -386,7 +394,7 @@ def cmd_finetune(args) -> int:
         arrays = None
         header, vocab, clips = _load_aligned_corpus(args.corpus, PRETRAIN_DEFAULTS["max_frames"])
         config = _model_config(PRETRAIN_DEFAULTS, vocab.size, header.feature_dim)
-    by_id = _clips_by_id(clips)
+    by_id = {c.clip_id: c for c in clips}
     examples = read_task_file(args.data, args.task, by_id)
     grouped: dict = {}
     for ex in examples:
@@ -558,6 +566,8 @@ def _restore_model(checkpoint_path: str):
 
 
 def cmd_eval(args) -> int:
+    if args.out:
+        _check_output(args.out, directory=False)
     eff = _effective_options(EVAL_DEFAULTS, None, {
         "tiou": args.tiou, "nms": args.nms, "k": args.k, "spans_per_clip": args.spans_per_clip,
     })
@@ -584,8 +594,11 @@ def cmd_eval(args) -> int:
 
     model, config, vocab, meta = _restore_model(args.checkpoint)
     _, clips = _load_corpus_for(args.corpus, config, vocab.tokens)
-    by_id = _clips_by_id(clips)
+    by_id = {c.clip_id: c for c in clips}
     examples = read_task_file(args.data, args.task, by_id)
+    kinds = ("pretrain", "retrieval") if args.task == "retrieval" else (args.task,)
+    if meta["model_kind"] not in kinds:
+        raise DataError(f"{args.task} evaluation needs a {'/'.join(kinds)} checkpoint")
     settings = {
         "tiou_threshold": tiou_threshold,
         "nms": nms_threshold if nms_threshold is not None else "off",
@@ -596,8 +609,6 @@ def cmd_eval(args) -> int:
     metrics: dict = {}
 
     if args.task == "retrieval":
-        if not isinstance(model, PretrainModel):
-            raise DataError("retrieval evaluation needs a pretrain/retrieval checkpoint")
         queries = [tokenize(ex.query, vocab) for ex in examples]
         for ex, ids in zip(examples, queries):
             if not ids:
@@ -621,25 +632,18 @@ def cmd_eval(args) -> int:
                 predictions, ground_truth, k=k, tiou_threshold=tiou_threshold, mode="video"
             )
     elif args.task in ("qa", "nli"):
-        expected_kind = args.task
-        if meta["model_kind"] != expected_kind:
-            raise DataError(f"{args.task} evaluation needs a {expected_kind} checkpoint")
         preds, golds = [], []
         for ex in examples:
             preds.append(model.predict(by_id[ex.clip_id], ex, vocab))
             golds.append(ex.label)
         metrics["accuracy"] = accuracy(preds, golds)
-    elif args.task == "caption":
-        if meta["model_kind"] != "caption":
-            raise DataError("caption evaluation needs a caption checkpoint")
+    else:  # caption; argparse's choices admit no other task
         scores = []
         for ex in examples:
             hyp = model.greedy_decode(by_id[ex.clip_id], ex.moment)
             ref = tokenize(ex.caption, vocab)
             scores.append(bleu4(hyp, ref))
         metrics["bleu4"] = sum(scores) / len(scores)
-    else:
-        raise UsageError(f"unknown eval task {args.task!r}")
 
     if args.out:
         with _writing(args.out):
@@ -649,9 +653,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_inspect_attention(args) -> int:
+    _check_output(args.out, directory=True)
     model, config, vocab, meta = _restore_model(args.checkpoint)
     _, clips = _load_corpus_for(args.corpus, config, vocab.tokens)
-    by_id = _clips_by_id(clips)
+    by_id = {c.clip_id: c for c in clips}
     if args.clip_id not in by_id:
         raise DataError(f"clip {args.clip_id!r} not found in {args.corpus}")
     with T.no_grad(), T.record_attention() as ops:

@@ -34,7 +34,7 @@ from .encoder import (
 )
 from .errors import ConfigError, DataError, UsageError, read_input
 from .metrics import Ranking
-from .pretrain import ClipSide, PretrainModel, VsmTarget, attention_pool, span_nll
+from .pretrain import PretrainModel, VsmTarget, attention_pool, span_nll
 
 QA_LAMBDA_DEFAULT = 0.5
 NLI_LABELS = {"contradict": 0, "entail": 1}
@@ -253,11 +253,11 @@ def encode_with_appended_text(
     ] + [np.arange(0)] * n_c
     segments = [(f, np.arange(lo, hi)) for f, lo, hi in zip(frames, bounds[:-1], bounds[1:])]
     first_q = bounds[-n_c - 1]
-    v_cross, w_cross = encoder.cross_modal_forward(
+    cross = encoder.cross_modal_forward(
         v_rows, w_emb, segments, train_rng=train_rng,
         rows=np.r_[: n_c * n_f, n_c * n_f + first_q : n_c * n_f + bounds[-1]],
     )
-    x = T.concat_rows([v_rows + v_cross, T.slice_rows(w_emb, first_q, bounds[-1]) + w_cross])
+    x = T.concat_rows([v_rows, T.slice_rows(w_emb, first_q, bounds[-1])]) + cross
     # candidate c's temporal sequence: its frame rows, then its pseudo-sentence's
     q_rows = bounds[-n_c - 1 :] - first_q + n_c * n_f
     grid = T.row_grid(
@@ -344,40 +344,24 @@ def best_spans(
     return clip, st[clip, pair // width], pair % width, p[keep]
 
 
-class _ClipCorpus:
-    """The query-independent part of ranking over a sequence of
-    ``EncodedBatch``es: the no-grad span-matching clip side, each clip's
-    length and first row, the (N, 2) frame times and the clip ids.  It
-    holds the batches only by weak reference."""
-
-    def __init__(self, encoded: Sequence[EncodedBatch]):
-        clips = [clip for enc in encoded for clip in enc.clips]
-        self.lengths = np.array([clip.n_frames for clip in clips])
-        bounds = np.cumsum(np.r_[0, self.lengths])
-        self.first_row = bounds[:-1]
-        self.side = ClipSide(T.Tensor(np.concatenate([enc.v_temp.data for enc in encoded])), bounds)
-        self.frame_times = np.concatenate([enc.frame_times for enc in encoded])
-        self.clip_ids = tuple(clip.clip_id for clip in clips)
-        self.batches = tuple(weakref.ref(enc, _forget_corpus) for enc in encoded)
-        # the slot drops a corpus when any of its batches dies, so while it holds
-        # one, no other live object has one of these ids
-        self.batch_ids = tuple(map(id, encoded))
-
-
-_corpus: _ClipCorpus | None = None  # of the batches ranked last; emptied when any of them dies
+# (ids, weak references, join) of the batches ranked last; emptied when any of
+# them dies, so while it holds a join, no other live object has one of these ids
+_corpus: tuple[tuple[int, ...], tuple[weakref.ref, ...], EncodedBatch] | None = None
 
 
 def _forget_corpus(dead: weakref.ref) -> None:
     global _corpus
-    if _corpus is not None and any(ref is dead for ref in _corpus.batches):
+    if _corpus is not None and any(ref is dead for ref in _corpus[1]):
         _corpus = None
 
 
-def _clip_corpus(encoded: Sequence[EncodedBatch]) -> _ClipCorpus:
+def _joined(encoded: Sequence[EncodedBatch]) -> EncodedBatch:
     global _corpus
-    if _corpus is None or _corpus.batch_ids != tuple(map(id, encoded)):
-        _corpus = _ClipCorpus(encoded)
-    return _corpus
+    ids = tuple(map(id, encoded))
+    if _corpus is None or _corpus[0] != ids:
+        refs = tuple(weakref.ref(enc, _forget_corpus) for enc in encoded)
+        _corpus = ids, refs, EncodedBatch.join(encoded)
+    return _corpus[2]
 
 
 def rank_moments(
@@ -393,17 +377,17 @@ def rank_moments(
     A moment's score blends the clip-level cosine (shifted to [0, 1]) with
     the span probability, so both levels must agree for a high rank.
 
-    The clip side is prepared once per sequence of batches and reused while
-    every later call passes the same batch objects in the same order, so
-    the batches are read as immutable.
+    The batches are joined once (``EncodedBatch.join``) and the join is
+    reused while every later call passes the same batch objects in the same
+    order, so the batches are read as immutable.
     """
-    corpus = _clip_corpus(encoded)
+    corpus = _joined(encoded)
     with T.no_grad():
-        scores = model.vsm_scores_for_query(corpus.side, model.encode_query([query_token_ids]))
+        scores = model.vsm_scores_for_query(corpus, model.encode_query([query_token_ids]))
     s_global = scores.s_global.data[:, 0]
     p_st, p_ed = (np.exp(x.data)[:, 0] for x in (scores.log_p_st, scores.log_p_ed))
-    clip, st, ed, p = best_spans(p_st, p_ed, corpus.lengths, spans_per_clip)
-    first_row = corpus.first_row[clip]
+    clip, st, ed, p = best_spans(p_st, p_ed, np.diff(corpus.frame_bounds), spans_per_clip)
+    first_row = corpus.frame_bounds[clip]
     start, end = corpus.frame_times[first_row + st, 0], corpus.frame_times[first_row + ed, 1]
     score = ((1.0 + s_global) / 2.0)[clip] * p
     order = np.argsort(-score, kind="stable")

@@ -12,6 +12,7 @@ their heads read.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import asdict, dataclass, fields
 from typing import Sequence
@@ -251,21 +252,50 @@ class EncodedBatch:
     of ``v_temp``.  Frame rows are in timestamp order, except that
     ``v_temp`` follows the frame orders ``encode_clips`` was given.  Fused
     token rows are kept only when ``fuse_clip`` was given token positions:
-    ``w_cross`` then holds those rows alone and ``v_cross`` is None.
+    ``w_cross`` then holds those rows alone and ``v_cross`` is None.  The
+    cached properties read the batch as immutable once it is encoded.
     """
 
     clips: list[AlignedClip]
-    v_emb: T.Tensor
-    v_cross: T.Tensor | None  # None when the cross stack kept token rows
+    v_emb: T.Tensor | None  # None in a ``join``
+    v_cross: T.Tensor | None  # None when the cross stack kept token rows, or in a ``join``
     w_cross: T.Tensor | None  # the kept token rows; None when it kept none
     frame_bounds: np.ndarray  # (B + 1,)
     v_temp: T.Tensor | None = None  # None until the temporal stage ran
 
-    @property
+    @classmethod
+    def join(cls, batches: Sequence["EncodedBatch"]) -> "EncodedBatch":
+        """The clips and ``v_temp`` rows of ``batches``, in order, as one
+        batch off the tape: what ranking reads of an encoded corpus."""
+        clips = [clip for batch in batches for clip in batch.clips]
+        v_temp = T.Tensor(np.concatenate([batch.v_temp.data for batch in batches]))
+        bounds = np.cumsum([0] + [clip.n_frames for clip in clips])
+        return cls(clips, None, None, None, bounds, v_temp)
+
+    @functools.cached_property
     def frame_times(self) -> np.ndarray:
         """The clips' ``frame_times`` as one (N, 2) array: the start and end
         seconds of each packed frame row, clip by clip."""
         return np.concatenate([clip.frame_times for clip in self.clips])
+
+    @functools.cached_property
+    def clip_ids(self) -> tuple[str, ...]:
+        return tuple(clip.clip_id for clip in self.clips)
+
+    @functools.cached_property
+    def slot_grid(self) -> tuple[np.ndarray, np.ndarray]:
+        """The clips' (B, longest clip) ``tensor.padded_slots`` and real mask."""
+        if (np.diff(self.frame_bounds) < 1).any():
+            raise UsageError("vsm scoring needs at least one frame in every clip")
+        return T.padded_slots(self.frame_bounds)
+
+    @functools.cached_property
+    def row_norms(self) -> T.Tensor:
+        """(N, 1) norms of the ``v_temp`` rows as N (1, d) @ (d, 1) products,
+        no (N, d) temporary; on the tape they follow their first reader."""
+        n, d = self.v_temp.shape
+        squares = T.matmul(T.reshape(self.v_temp, (n, 1, d)), T.reshape(self.v_temp, (n, d, 1)))
+        return T.sqrt(T.reshape(squares, (n, 1)) + 1e-24)
 
     def frame_rows(self, positions: Sequence[Sequence[int]]) -> np.ndarray:
         """Packed row indices of each clip's frame ``positions``, clip by clip."""
@@ -343,9 +373,9 @@ class HierarchicalEncoder(Module):
         segments: Sequence[tuple[np.ndarray, np.ndarray]],
         train_rng: np.random.Generator | None = None,
         rows: np.ndarray | None = None,
-    ) -> tuple[T.Tensor | None, T.Tensor | None]:
+    ) -> T.Tensor:
         """Self-attention within each segment's joint [frames | tokens]
-        sequence, returning the fused frame rows and the fused token rows.
+        sequence, returning the fused rows the caller reads.
 
         ``segments`` lists each segment's frame rows (into ``v_emb``) and
         token rows (into ``w_emb``) and must use every row exactly once.  The
@@ -353,10 +383,9 @@ class HierarchicalEncoder(Module):
         the segments, as an (S, L) row grid padded to the longest segment.
         Either side may be absent (the query path passes no frames).
 
-        ``rows`` lists the packed rows the caller reads, frame rows before
-        token rows; the stack keeps only those (see ``TransformerStack``).
-        Each returned side holds its kept rows in order, or is None when it
-        has none.  By default every row is kept.
+        ``rows`` lists the packed rows the caller reads, in any order; the
+        stack keeps only those (see ``TransformerStack``) and returns them in
+        that order.  By default it returns every row.
         """
         if v_emb is None and w_emb is None:
             raise UsageError("cross_modal_forward needs at least one modality")
@@ -371,22 +400,13 @@ class HierarchicalEncoder(Module):
             raise UsageError("cross_modal_forward needs at least one row in every segment")
         if not np.array_equal(np.sort(np.concatenate(joint)), np.arange(n_rows)):
             raise ShapeError("cross_modal_forward segments must use every frame and token row once")
-        kept = np.arange(n_rows) if rows is None else np.asarray(rows, dtype=np.intp)
-        n_kept_v = np.count_nonzero(kept < n_v)
-        if (kept[n_kept_v:] < n_v).any():
-            raise UsageError("cross_modal_forward rows must list frame rows before token rows")
-        out = self.cross(
+        return self.cross(
             parts[0] if len(parts) == 1 else T.concat_rows(parts),
             dropout=self.config.dropout,
             train_rng=train_rng,
             grid=T.row_grid(joint, n_rows),
             rows=rows,
         )
-        if n_kept_v == len(kept):
-            return out, None
-        if n_kept_v == 0:
-            return None, out
-        return T.slice_rows(out, 0, n_kept_v), T.slice_rows(out, n_kept_v, len(kept))
 
     def temporal_apply(
         self,
@@ -475,14 +495,12 @@ class HierarchicalEncoder(Module):
             rows = frame_bounds[-1] + np.concatenate([
                 lo + np.asarray(p, dtype=np.intp) for lo, p in zip(token_lo, per_sentence)
             ])
-        v_cross, w_cross = self.cross_modal_forward(
-            v_emb, w_emb, segments, train_rng=train_rng, rows=rows
-        )
+        fused = self.cross_modal_forward(v_emb, w_emb, segments, train_rng=train_rng, rows=rows)
         return EncodedBatch(
             clips=list(clips),
             v_emb=v_emb,
-            v_cross=v_cross,
-            w_cross=w_cross,
+            v_cross=fused if token_positions is None else None,
+            w_cross=None if token_positions is None else fused,
             frame_bounds=frame_bounds,
         )
 

@@ -9,7 +9,6 @@ mini-batch carries exactly one task so tasks never corrupt each other's inputs.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -19,7 +18,7 @@ import numpy as np
 from . import tensor as T
 from .data import MASK_ID, AlignedClip, Vocab, epoch_order
 from .encoder import EncodedBatch, HierarchicalEncoder, LayerNorm, Linear, ModelConfig, Module
-from .errors import ConfigError, UsageError
+from .errors import ConfigError, DataError, UsageError
 
 TASK_NAMES = ("mlm", "mffr", "mnce", "vsm", "fom")
 
@@ -185,15 +184,6 @@ def attention_pool(rows: T.Tensor, query: T.Tensor, bias=None) -> T.Tensor:
     return T.reshape(T.matmul(T.transpose(alpha), rows), (rows.shape[0], d))
 
 
-def padded_slots(bounds) -> tuple[np.ndarray, np.ndarray]:
-    """The packed row of each slot of a (B, longest) grid, sequence b owning rows
-    ``bounds[b]:bounds[b + 1]`` (padding repeats row 0), and the mask of real slots."""
-    lengths = np.diff(bounds)
-    slots = np.arange(lengths.max())
-    real = slots < lengths[:, None]
-    return np.where(real, np.asarray(bounds)[:-1, None] + slots, 0), real
-
-
 class QueryEncoder(Module):
     """Pools fused query-token rows into one vector: attention pooling with a
     learned query, then two linear layers and a layer norm."""
@@ -206,31 +196,10 @@ class QueryEncoder(Module):
 
     def __call__(self, w_cross: T.Tensor, bounds: np.ndarray) -> T.Tensor:
         """(Q, d) from packed token rows, query q owning ``bounds[q]:bounds[q + 1]``."""
-        slots, real = padded_slots(bounds)
+        slots, real = T.padded_slots(bounds)
         rows = T.take_rows(w_cross, slots)
         bias = np.where(real, 0.0, T.ATTENTION_MASK_BIAS)[..., None]
         return self.ln(self.lin2(T.gelu(self.lin1(attention_pool(rows, self.pool, bias)))))
-
-
-class ClipSide:
-    """The clip side of span matching: packed rows ``v_temp``, clip b owning
-    ``bounds[b]:bounds[b + 1]``, their per-clip grid (``padded_slots``) and
-    their norms.  The norms are computed on first use, so on the tape they
-    follow the first query's dot products, and every later query against the
-    same clips reads them."""
-
-    def __init__(self, v_temp: T.Tensor, bounds):
-        if (np.diff(bounds) < 1).any():
-            raise UsageError("vsm scoring needs at least one frame in every clip")
-        self.v_temp = v_temp
-        self.slots, self.real = padded_slots(bounds)
-
-    @functools.cached_property
-    def row_norms(self) -> T.Tensor:
-        """(N, 1): squared norms as N (1, d) @ (d, 1) products, no (N, d) temporary."""
-        n, d = self.v_temp.shape
-        squares = T.matmul(T.reshape(self.v_temp, (n, 1, d)), T.reshape(self.v_temp, (n, d, 1)))
-        return T.sqrt(T.reshape(squares, (n, 1)) + 1e-24)
 
 
 @dataclass
@@ -392,18 +361,19 @@ class PretrainModel(Module):
         positions = np.concatenate([np.arange(len(q)) for q in ids])
         w_emb = self.encoder.embed_text([i for q in ids for i in q], positions)
         segments = [(np.arange(0), np.arange(lo, hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
-        _, w_cross = self.encoder.cross_modal_forward(None, w_emb, segments, train_rng=train_rng)
+        w_cross = self.encoder.cross_modal_forward(None, w_emb, segments, train_rng=train_rng)
         return self.query_encoder(w_cross, bounds)
 
-    def vsm_scores_for_query(self, clips: ClipSide, q: T.Tensor) -> VsmScores:
-        """All (clip, query) scores: Q query vectors ``q`` (Q, d) against the B
-        clips of ``clips``.  Dot products and cosines are (N, Q) matrices
-        gathered into per-clip grids."""
+    def vsm_scores_for_query(self, clips: EncodedBatch, q: T.Tensor) -> VsmScores:
+        """All (clip, query) scores: Q query vectors ``q`` (Q, d) against the
+        ``v_temp`` rows of the B clips of ``clips``.  Dot products and cosines
+        are (N, Q) matrices gathered into per-clip grids."""
         dots = T.matmul(clips.v_temp, T.transpose(q))  # (N, Q)
         cos = dots * T.reciprocal(clips.row_norms * T.sqrt((q * q).sum(axis=1) + 1e-24))
-        dots, cos = T.take_rows(dots, clips.slots), T.take_rows(cos, clips.slots)  # (B, L, Q)
-        pad = np.where(clips.real, 0.0, T.ATTENTION_MASK_BIAS)
-        s_local = T.transpose(dots * clips.real[..., None])  # (B, Q, L), zeros past each clip's end
+        slots, real = clips.slot_grid
+        dots, cos = T.take_rows(dots, slots), T.take_rows(cos, slots)  # (B, L, Q)
+        pad = np.where(real, 0.0, T.ATTENTION_MASK_BIAS)
+        s_local = T.transpose(dots * real[..., None])  # (B, Q, L), zeros past each clip's end
         log_p_st, log_p_ed = (
             T.log_softmax(T.conv1d(s_local, f) + pad[:, None])
             for f in (self.span_st_filter, self.span_ed_filter)
@@ -426,7 +396,7 @@ class PretrainModel(Module):
             raise UsageError("vsm_loss needs at least 2 clips for negatives, each with a target")
         targets = [t for clip_targets in targets_per_clip for t in clip_targets]
         q = self.encode_query([t.query_token_ids for t in targets], train_rng=train_rng)
-        scores = self.vsm_scores_for_query(ClipSide(encoded.v_temp, encoded.frame_bounds), q)
+        scores = self.vsm_scores_for_query(encoded, q)
 
         n_q, query = len(targets), np.arange(len(targets))
         own = np.repeat(np.arange(len(counts)), counts)  # each query's clip
@@ -539,11 +509,13 @@ def make_batches(
     num_steps: int,
     start_step: int = 0,
 ) -> Iterator[TaskBatch]:
-    """Yield deterministic task batches for steps [start_step, num_steps).
+    """Deterministic task batches for steps [start_step, num_steps).
 
     Every clip appears exactly once per epoch; the epoch order, the task
     draw, and all mask/shuffle/query plans are pure functions of
     (seed, step), so resuming at any step regenerates the same stream.
+    The call, not the first draw, raises a ConfigError for a schedule that
+    cannot run and a DataError for a clip that cannot serve an enabled task.
     """
     if batch_size < 1:
         raise ConfigError("batch_size must be at least 1")
@@ -560,20 +532,31 @@ def make_batches(
             "a span-matching-only schedule leaves a trailing single-clip batch "
             "with no in-batch negatives; adjust batch_size or the corpus size"
         )
+    for clip in clips:
+        tokenized = any(s.token_ids for s in clip.sentences)
+        for task, ok, need in (
+            ("mlm", tokenized, "a sentence with a token to mask"),
+            ("vsm", tokenized, "a sentence with a token to query"),
+            ("mnce", clip.n_frames > 1, "a frame left unmasked as a negative, so 2 frames"),
+        ):
+            if weights.get(task, 0.0) > 0 and not ok:
+                raise DataError(f"clip {clip.clip_id!r} cannot serve task {task}: it needs {need}")
     batches_per_epoch = (n + batch_size - 1) // batch_size
 
-    for step in range(start_step, num_steps):
-        epoch = step // batches_per_epoch
-        slot = step % batches_per_epoch
-        order = epoch_order(n, seed, epoch)
-        batch_clips = [clips[i] for i in order[slot * batch_size : (slot + 1) * batch_size]]
+    def stream() -> Iterator[TaskBatch]:
+        for step in range(start_step, num_steps):
+            epoch, slot = divmod(step, batches_per_epoch)
+            order = epoch_order(n, seed, epoch)
+            batch_clips = [clips[i] for i in order[slot * batch_size : (slot + 1) * batch_size]]
 
-        effective = dict(weights)
-        if len(batch_clips) < 2:
-            effective.pop("vsm", None)  # a trailing singleton batch has no negatives
-        kind = sample_task(step, seed, effective)
-        rng = np.random.default_rng([seed, _SEED_PLAN, step])
-        yield build_task_batch(kind, batch_clips, vocab, config, rng, step=step, seed=seed)
+            effective = dict(weights)
+            if len(batch_clips) < 2:
+                effective.pop("vsm", None)  # a trailing singleton batch has no negatives
+            kind = sample_task(step, seed, effective)
+            rng = np.random.default_rng([seed, _SEED_PLAN, step])
+            yield build_task_batch(kind, batch_clips, vocab, config, rng, step=step, seed=seed)
+
+    return stream()
 
 
 def build_task_batch(

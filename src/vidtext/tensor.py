@@ -450,6 +450,15 @@ def row_grid(sequences: Sequence[np.ndarray], n_rows: int) -> np.ndarray:
     return grid
 
 
+def padded_slots(bounds) -> tuple[np.ndarray, np.ndarray]:
+    """The packed row of each slot of a (B, longest) grid, sequence b owning rows
+    ``bounds[b]:bounds[b + 1]`` (padding repeats row 0), and the mask of real slots."""
+    lengths = np.diff(bounds)
+    slots = np.arange(lengths.max())
+    real = slots < lengths[:, None]
+    return np.where(real, np.asarray(bounds)[:-1, None] + slots, 0), real
+
+
 def transpose(a: Tensor) -> Tensor:
     """Swap the last two axes (a contiguous copy)."""
     if a.data.ndim < 2:

@@ -14,9 +14,9 @@ from hypothesis import settings
 from vidtext import tensor as T
 from vidtext.data import AlignedClip, Sentence, Vocab, tokenize
 from vidtext.downstream import best_spans
-from vidtext.encoder import HierarchicalEncoder, ModelConfig, TransformerStack
+from vidtext.encoder import EncodedBatch, HierarchicalEncoder, ModelConfig, TransformerStack
 from vidtext.metrics import Moment, Ranking, temporal_nms, tiou
-from vidtext.pretrain import ClipSide, _mean_terms, hinge_loss, span_nll
+from vidtext.pretrain import _mean_terms, hinge_loss, span_nll
 
 
 # property tests draw the same examples on every run and keep no example database
@@ -355,7 +355,7 @@ def window_conv1d(x, kernel):
 def ref_encode_query(model, query_token_ids, train_rng=None):
     """One query's (1, d) vector from its own frameless cross-modal pass."""
     w_emb = embed_sentence(model.encoder, query_token_ids)
-    _, w_cross = model.encoder.cross_modal_forward(
+    w_cross = model.encoder.cross_modal_forward(
         None, w_emb, one_segment(None, w_emb), train_rng=train_rng
     )
     qe = model.query_encoder
@@ -486,19 +486,26 @@ def ref_rank_moments(model, encoded_clips, query_token_ids, spans_per_clip=5):
         return out
 
 
+def rows_batch(v_temp, bounds):
+    """An ``EncodedBatch`` of ``v_temp`` rows alone, clip b owning rows
+    ``bounds[b]:bounds[b + 1]``: what span matching reads."""
+    return EncodedBatch([], None, None, None, np.asarray(bounds), v_temp)
+
+
 def stacked_vsm_scores(model, encoded, query_token_ids):
-    """One query against every clip of ``encoded``, the clip side built for
+    """One query against every clip of ``encoded``, the clip rows joined for
     this query alone: ``v_temp`` stacked and its row norms computed again."""
     with T.no_grad():
         v_temp = T.Tensor(np.concatenate([enc.v_temp.data for enc in encoded]))
         bounds = np.cumsum([0] + [clip.n_frames for enc in encoded for clip in enc.clips])
-        return model.vsm_scores_for_query(ClipSide(v_temp, bounds), model.encode_query([query_token_ids]))
+        q = model.encode_query([query_token_ids])
+        return model.vsm_scores_for_query(rows_batch(v_temp, bounds), q)
 
 
 def stacked_rank_moments(model, encoded, query_token_ids, spans_per_clip=5):
     """``rank_moments`` preparing nothing ahead: every call stacks the clips'
     rows, recomputes their norms and rebuilds the frame times and the clip
-    ids.  The reference that the prepared clip side must equal byte for byte."""
+    ids.  The reference that ranking over a cached join must equal byte for byte."""
     clips = [clip for enc in encoded for clip in enc.clips]
     scores = stacked_vsm_scores(model, encoded, query_token_ids)
     s_global = scores.s_global.data[:, 0]

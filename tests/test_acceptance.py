@@ -72,14 +72,13 @@ def vsm_retrieval_accuracy(model, eval_clips) -> tuple[float, int]:
     """Top-1 own-clip rate of clip-level matching over every sentence query."""
     with T.no_grad():
         encoded = [model.encoder.encode_clip(c) for c in eval_clips]
-        sides = [P.ClipSide(e.v_temp, [0, e.v_temp.shape[0]]) for e in encoded]
         hits = total = 0
         for i, clip in enumerate(eval_clips):
             for sent in clip.sentences:
                 if not sent.token_ids:
                     continue
                 q = model.encode_query([sent.token_ids])
-                scores = [model.vsm_scores_for_query(side, q).s_global.item() for side in sides]
+                scores = [model.vsm_scores_for_query(e, q).s_global.item() for e in encoded]
                 hits += int(np.argmax(scores) == i)
                 total += 1
     return hits / total, total

@@ -717,6 +717,28 @@ def test_an_output_path_that_cannot_be_written_exits_one(
     assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["pretrain", "finetune", "eval", "eval-nested", "inspect-attention"])
+def test_an_unwritable_output_path_exits_one_before_any_input_is_read(tmp_path, capsys, command):
+    missing = str(tmp_path / "missing")
+    a_file, a_dir = tmp_path / "a-file", tmp_path / "a-dir"
+    a_file.write_text("")
+    a_dir.mkdir()
+    inputs = ["--corpus", missing, "--checkpoint", missing]
+    argv, path = {
+        "pretrain": (["pretrain", "--corpus", missing, "--out-dir", str(a_file)], a_file),
+        "finetune": (["finetune", "--task", "nli", "--data", missing, "--corpus", missing,
+                      "--from-scratch", "--out-dir", str(a_file)], a_file),
+        "eval": (["eval", "--task", "qa", "--data", missing, *inputs, "--out", str(a_dir)], a_dir),
+        "eval-nested": (["eval", "--task", "qa", "--data", missing, *inputs,
+                         "--out", str(a_file / "m.json")], a_file / "m.json"),
+        "inspect-attention": (["inspect-attention", *inputs, "--clip-id", "clip0000",
+                               "--out", str(a_file)], a_file),
+    }[command]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+
+
 @pytest.fixture(scope="module")
 def misfit_corpora(tmp_path_factory):
     """The ``corpus`` fixture's corpus with 16-dim frame features, and with a
@@ -796,6 +818,8 @@ _OUT_OF_RANGE = [
     ("pretrain", ["--temporal-layers", "-1"], EXIT_USAGE),
     ("pretrain", ["--checkpoint-every", "-1"], EXIT_USAGE),
     ("pretrain", "featureless corpus", EXIT_DATA),
+    ("pretrain", ["--tasks", "vsm", "--batch-size", "1"], EXIT_USAGE),
+    ("pretrain", ["--tasks", "vsm", "--batch-size", "3"], EXIT_USAGE),  # 4 clips: a 1-clip batch
     ("finetune qa", ["--seed", "-1"], EXIT_USAGE),
     ("finetune qa", ["--batch-size", "0"], EXIT_USAGE),
     ("finetune nli", ["--batch-size", "0"], EXIT_USAGE),
@@ -1014,6 +1038,33 @@ def _not_utf8(data: bytes) -> bytes:
 
 def _deep_checkpoint_header(data: bytes) -> bytes:
     return data[:8] + struct.pack("<Q", len(DEEP)) + DEEP.encode()
+
+
+@pytest.mark.parametrize("task, edit", [("mlm", "no token"), ("vsm", "no token"), ("mnce", "one frame")])
+def test_a_clip_that_cannot_serve_a_task_exits_two_before_writing(
+    corpus, tmp_path, capsys, task, edit
+):
+    for path in corpus.parent.iterdir():  # the corpus and its vocab file
+        shutil.copy(path, tmp_path / path.name)
+    copy = tmp_path / corpus.name
+    lines = copy.read_text().splitlines(keepends=True)
+    record = json.loads(lines[2])
+    if edit == "one frame":
+        record["frames"] = record["frames"][:1]
+    else:
+        record["subs"] = [{**sub, "text": "..."} for sub in record["subs"]]
+    lines[2] = json.dumps(record) + "\n"
+    copy.write_text("".join(lines))
+    out = tmp_path / "run"
+    rc = main([
+        "pretrain", "--corpus", str(copy), "--out-dir", str(out), "--tasks", f"fom,{task}",
+        "--steps", "1", *SMALL_MODEL,
+    ])
+    err = capsys.readouterr().err
+    assert rc == EXIT_DATA
+    assert err.startswith(f"error: clip {record['id']!r} cannot serve task {task}: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 class TestMalformedInputFiles:

@@ -283,7 +283,7 @@ def _ref_encode_with_appended_text(encoder, clip, extra_ids):
     fused = encoder.fuse_clip([clip], [override])
     v_emb, v_cross = fused.v_emb, fused.v_cross
     w_emb = embed_sentence(encoder, extra_ids)
-    _, w_cross = encoder.cross_modal_forward(None, w_emb, one_segment(None, w_emb))
+    w_cross = encoder.cross_modal_forward(None, w_emb, one_segment(None, w_emb))
     h = encoder.temporal_apply(T.concat_rows([v_emb + v_cross, w_emb + w_cross]))
     return T.take_rows(h, np.arange(clip.n_frames))
 
@@ -757,14 +757,18 @@ def assert_same_bytes(got: Ranking, want: Ranking):
 
 
 class TestPreparedClipSide:
-    """``rank_moments`` prepares the clip side once per sequence of batches;
-    every ranking equals, byte for byte, the reference that stacks the rows
-    and recomputes their norms for each query."""
+    """``rank_moments`` joins a sequence of batches once; every ranking
+    equals, byte for byte, the reference that stacks the rows and recomputes
+    their norms for each query."""
 
     QUERIES = ([5, 6, 7], [9], [12, 13, 29, 8], [5, 6, 7], [9])  # repeated queries
 
     @pytest.fixture
     def setup(self, small_vocab):
+        return self.model_and_clips(small_vocab)
+
+    @staticmethod
+    def model_and_clips(small_vocab):
         config = ModelConfig(
             d=16, cross_layers=1, cross_heads=2, temporal_layers=1, temporal_heads=2,
             vocab_size=30, frame_feature_dim=8, max_frames=48, max_tokens=12,
@@ -803,10 +807,21 @@ class TestPreparedClipSide:
         model, clips = setup
         self.check(model, self.mixed_batches(model.encoder, clips), spans_per_clip, nms)
 
+    @given(
+        cuts=st.lists(st.booleans(), min_size=6, max_size=6),  # after each clip but the last
+        spans_per_clip=st.sampled_from([1, 5, 40]),
+    )
+    def test_any_split_of_the_clips_into_batches(self, cuts, spans_per_clip):
+        model, clips = self.model_and_clips(Vocab.synthetic(30))
+        bounds = [0] + [i + 1 for i, cut in enumerate(cuts) if cut] + [len(clips)]
+        with T.no_grad():
+            encoded = [model.encoder.encode_clips(clips[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+        self.check(model, encoded, spans_per_clip)
+
     def test_a_re_encoded_copy_of_the_clips(self, setup):
         model, clips = setup
         self.check(model, self.mixed_batches(model.encoder, clips))
-        # new objects under the same clip ids, with other rows: a stale clip side would show
+        # new objects under the same clip ids, with other rows: a stale join would show
         other = PretrainModel(model.config, seed=6).encoder
         self.check(model, self.mixed_batches(other, clips))
 

@@ -80,14 +80,11 @@ class TestCrossModalForward:
         rng = np.random.default_rng(1)
         v = tiny_encoder.embed_video(rng.standard_normal((3, 8)), np.arange(3))
         w = embed_sentence(tiny_encoder, [5, 6, 7, 8, 9])
-        v_cross, w_cross = tiny_encoder.cross_modal_forward(v, w, one_segment(v, w))
-        assert v_cross.shape == (3, 16) and w_cross.shape == (5, 16)
+        assert tiny_encoder.cross_modal_forward(v, w, one_segment(v, w)).shape == (8, 16)
 
     def test_query_path_with_no_frames(self, tiny_encoder):
         w = embed_sentence(tiny_encoder, [5, 6, 7])
-        v_cross, w_cross = tiny_encoder.cross_modal_forward(None, w, one_segment(None, w))
-        assert v_cross is None
-        assert w_cross.shape == (3, 16)
+        assert tiny_encoder.cross_modal_forward(None, w, one_segment(None, w)).shape == (3, 16)
 
     def test_both_empty_rejected(self, tiny_encoder):
         with pytest.raises(UsageError):
@@ -98,8 +95,8 @@ class TestCrossModalForward:
         ids = [5, 9, 13, 21]
         perm = [2, 0, 3, 1]
         segments = [(np.arange(0), np.arange(len(ids)))]
-        _, w1 = tiny_encoder.cross_modal_forward(None, embed_sentence(tiny_encoder, ids), segments)
-        _, w2 = tiny_encoder.cross_modal_forward(
+        w1 = tiny_encoder.cross_modal_forward(None, embed_sentence(tiny_encoder, ids), segments)
+        w2 = tiny_encoder.cross_modal_forward(
             None, embed_sentence(tiny_encoder, [ids[p] for p in perm]), segments
         )
         np.testing.assert_allclose(w2.data, w1.data[perm], atol=1e-12)
@@ -179,7 +176,9 @@ class TestEncodeClip:
 
         w_emb = embed_sentence(tiny_encoder, clip.sentences[0].token_ids)
         v_emb = tiny_encoder.embed_video(clip.frame_features, np.arange(clip.n_frames))
-        v_cross, _ = tiny_encoder.cross_modal_forward(v_emb, w_emb, one_segment(v_emb, w_emb))
+        v_cross = tiny_encoder.cross_modal_forward(
+            v_emb, w_emb, one_segment(v_emb, w_emb), rows=np.arange(clip.n_frames)
+        )
         direct = tiny_encoder.temporal_forward(v_emb, v_cross)
         np.testing.assert_array_equal(enc.v_temp.data, direct.data)
 
@@ -366,7 +365,7 @@ class TestPaddedFusionMatchesPerSentence:
                 tokens = enc.fuse_clip([clip], token_positions=every_token([clip]))
                 w_cross = clip_views(tokens)[0].w_cross
                 outs = [e.v_emb, e.v_cross, w_cross, e.v_temp, attention]
-                _, q_cross = enc.cross_modal_forward(None, q_emb, one_segment(None, q_emb))
+                q_cross = enc.cross_modal_forward(None, q_emb, one_segment(None, q_emb))
             else:
                 outs = list(_ref_encode_clip(enc, clip))
                 _, q_cross = _ref_cross(enc, None, q_emb)
@@ -600,19 +599,13 @@ class TestRowPruning:
         n, grid, rows = _packed(data.draw)
         n_v = data.draw(st.integers(0, n - 1))  # the first n_v packed rows are frames
         segments = [(r[r < n_v], r[r >= n_v] - n_v) for r in (g[g < n] for g in grid)]
-        rows = np.concatenate([rows[rows < n_v], rows[rows >= n_v]])  # frames first
         x = np.random.default_rng(seed).standard_normal((n, 16))
         v, w = (T.Tensor(x[:n_v]) if n_v else None), T.Tensor(x[n_v:])
         rngs = [np.random.default_rng(seed) for _ in range(2)]
         kept = enc.cross_modal_forward(v, w, segments, train_rng=rngs[0], rows=rows)
         with full_row_stacks():
             full = enc.cross_modal_forward(v, w, segments, train_rng=rngs[1])
-        n_kept_v = np.count_nonzero(rows < n_v)
-        assert (kept[0] is None) == (n_kept_v == 0 < len(rows))
-        assert (kept[1] is None) == (n_kept_v == len(rows))
-        full_rows = np.concatenate([t.data for t in full if t is not None])
-        got = np.concatenate([t.data for t in kept if t is not None])
-        assert_kept_rows_equal(got, full_rows[rows], n)
+        assert_kept_rows_equal(kept.data, full.data[rows], n)
         assert rngs[0].random() == rngs[1].random()
 
     @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
@@ -636,8 +629,3 @@ class TestRowPruning:
             for w, full_w in zip(op, full_op):
                 assert w.shape[-1] == w.shape[-2] and w.tobytes() == full_w.tobytes()
         assert rngs[0].random() == rngs[1].random() == rngs[2].random()
-
-    def test_cross_rows_list_frames_first(self, tiny_encoder):
-        v, w = T.Tensor(np.zeros((2, 16))), T.Tensor(np.zeros((2, 16)))
-        with pytest.raises(UsageError):
-            tiny_encoder.cross_modal_forward(v, w, one_segment(v, w), rows=np.array([2, 0]))

@@ -10,11 +10,11 @@ from vidtext import pretrain as P
 from vidtext import tensor as T
 from vidtext.data import MASK_ID, Vocab
 from vidtext.encoder import HierarchicalEncoder, ModelConfig
-from vidtext.errors import ConfigError, UsageError
+from vidtext.errors import ConfigError, DataError, UsageError
 
 from conftest import (
     assert_step_matches_full_rows, clip_views, every_token, full_row_stacks, make_clip,
-    ref_encode_query, ref_vsm_loss, slice_cols,
+    ref_encode_query, ref_vsm_loss, rows_batch, slice_cols,
 )
 
 UNIFORM = {"mlm": 1.0, "mffr": 1.0, "mnce": 1.0, "vsm": 1.0, "fom": 1.0}
@@ -600,14 +600,15 @@ class TestBatchedVsmMatchesPerTarget:
 
 def inline_norms_vsm_scores(model, clips, q):
     """The span-matching scorer with the row norms computed inline on every
-    call, right after the dot products: the reference of ``ClipSide``."""
+    call, right after the dot products: the reference of the norms that
+    ``EncodedBatch.row_norms`` caches."""
     v_temp = clips.v_temp
     dots = T.matmul(v_temp, T.transpose(q))
     n, d = v_temp.shape
     squares = T.matmul(T.reshape(v_temp, (n, 1, d)), T.reshape(v_temp, (n, d, 1)))
     row_norms = T.sqrt(T.reshape(squares, (n, 1)) + 1e-24)
     cos = dots * T.reciprocal(row_norms * T.sqrt((q * q).sum(axis=1) + 1e-24))
-    slots, real = clips.slots, clips.real
+    slots, real = clips.slot_grid
     dots, cos = T.take_rows(dots, slots), T.take_rows(cos, slots)
     pad = np.where(real, 0.0, T.ATTENTION_MASK_BIAS)
     s_local = T.transpose(dots * real[..., None])
@@ -653,7 +654,7 @@ class TestVsmScores:
     def test_probability_vectors_sum_to_one(self, model, toy_clip):
         encoded = model.encoder.encode_clip(toy_clip)
         q = model.encode_query([toy_clip.sentences[0].token_ids])
-        scores = model.vsm_scores_for_query(P.ClipSide(encoded.v_temp, [0, toy_clip.n_frames]), q)
+        scores = model.vsm_scores_for_query(encoded, q)
         assert abs(np.exp(scores.log_p_st.data).sum() - 1.0) < 1e-12
         assert abs(np.exp(scores.log_p_ed.data).sum() - 1.0) < 1e-12
         assert -1.0 <= scores.s_global.item() <= 1.0
@@ -667,7 +668,7 @@ class TestVsmScores:
         rows[3] = 3.0 * q[0]  # positive multiple of the query
         for i, other_axis in zip((0, 1, 2, 4), (1, 2, 3, 4)):
             rows[i, other_axis] = 1.0  # orthogonal to q
-        scores = model.vsm_scores_for_query(P.ClipSide(T.Tensor(rows), [0, 5]), T.Tensor(q))
+        scores = model.vsm_scores_for_query(rows_batch(T.Tensor(rows), [0, 5]), T.Tensor(q))
         assert scores.s_global.item() == pytest.approx(1.0, abs=1e-9)
         cos = rows @ q[0] / (np.linalg.norm(rows, axis=1) * np.linalg.norm(q))
         assert int(np.argmax(cos)) == 3
@@ -676,9 +677,8 @@ class TestVsmScores:
     def test_positive_query_scaling_leaves_argmaxes(self, model, toy_clip):
         encoded = model.encoder.encode_clip(toy_clip)
         q = model.encode_query([toy_clip.sentences[0].token_ids])
-        clips = P.ClipSide(encoded.v_temp, [0, toy_clip.n_frames])
-        a = model.vsm_scores_for_query(clips, q)
-        b = model.vsm_scores_for_query(clips, q * 3.0)
+        a = model.vsm_scores_for_query(encoded, q)
+        b = model.vsm_scores_for_query(encoded, q * 3.0)
         assert int(np.argmax(a.s_local.data)) == int(np.argmax(b.s_local.data))
         assert int(np.argmax(np.exp(a.log_p_st.data))) == int(np.argmax(np.exp(b.log_p_st.data)))
         assert int(np.argmax(np.exp(a.log_p_ed.data))) == int(np.argmax(np.exp(b.log_p_ed.data)))
@@ -846,18 +846,33 @@ class TestBatching:
     def test_vsm_with_batch_size_one_rejected(self, small_vocab, tiny_config):
         clips = self._corpus(small_vocab)
         with pytest.raises(ConfigError):
-            next(
-                P.make_batches(clips, small_vocab, tiny_config, batch_size=1, seed=0,
-                               weights=UNIFORM, num_steps=1)
-            )
+            P.make_batches(clips, small_vocab, tiny_config, batch_size=1, seed=0,
+                           weights=UNIFORM, num_steps=1)
 
     def test_vsm_only_with_ragged_final_batch_rejected(self, small_vocab, tiny_config):
         clips = self._corpus(small_vocab, n=5)
         with pytest.raises(ConfigError):
-            next(
-                P.make_batches(clips, small_vocab, tiny_config, batch_size=2, seed=0,
-                               weights={"vsm": 1.0}, num_steps=1)
-            )
+            P.make_batches(clips, small_vocab, tiny_config, batch_size=2, seed=0,
+                           weights={"vsm": 1.0}, num_steps=1)
+
+    @pytest.mark.parametrize("task", ["mlm", "vsm", "mnce"])
+    def test_a_clip_that_cannot_serve_an_enabled_task_rejected_at_the_call(
+        self, small_vocab, tiny_config, task
+    ):
+        clips = self._corpus(small_vocab)
+        rng = np.random.default_rng(3)
+        if task == "mnce":
+            clips[2] = make_clip(rng, small_vocab, groups=(1,), tokens=(3,), clip_id="clip2")
+        else:
+            clips[2] = make_clip(rng, small_vocab, groups=(2, 3), tokens=(0, 0), clip_id="clip2")
+        with pytest.raises(DataError, match=f"clip 'clip2' cannot serve task {task}"):
+            P.make_batches(clips, small_vocab, tiny_config, batch_size=2, seed=0,
+                           weights={"fom": 1.0, task: 1.0}, num_steps=1)
+        # the tasks the clip can serve run
+        servable = ("mffr", "fom", "mlm", "vsm") if task == "mnce" else ("mffr", "mnce", "fom")
+        batches = P.make_batches(clips, small_vocab, tiny_config, batch_size=2, seed=0,
+                                 weights=dict.fromkeys(servable, 1.0), num_steps=6)
+        assert len(list(batches)) == 6
 
     def test_mixed_schedule_routes_singleton_batch_away_from_vsm(self, small_vocab, tiny_config):
         clips = self._corpus(small_vocab, n=5)
