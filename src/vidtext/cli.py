@@ -227,14 +227,21 @@ def _check_counts(eff: dict) -> None:
             raise ConfigError(f"{key} must be {bound}, got {eff[key]}")
 
 
-def _check_output(path: str, directory: bool) -> None:
-    """An output ``directory`` path that names an existing non-directory, or
-    an output file path that names a directory or whose parent is not one,
-    is a UsageError (exit 1), raised before any input is read."""
+def _check_out_dir(path: str) -> None:
+    """An output directory path that names an existing non-directory is a
+    UsageError (exit 1), raised before any input is read."""
+    if Path(path).exists() and not Path(path).is_dir():
+        raise UsageError(f"cannot write {path}: not a directory")
+
+
+def _check_out_file(path: str) -> None:
+    """An output file path that names a directory, or whose parent is not
+    one, is a UsageError (exit 1), raised before any input is read."""
     out = Path(path)
-    if out.exists() and out.is_dir() != directory or not (directory or out.parent.is_dir()):
-        reason = "is a directory" if out.is_dir() else "its parent is not a directory"
-        raise UsageError(f"cannot write {path}: {'not a directory' if directory else reason}")
+    if out.is_dir():
+        raise UsageError(f"cannot write {path}: is a directory")
+    if not out.parent.is_dir():
+        raise UsageError(f"cannot write {path}: its parent is not a directory")
 
 
 @contextmanager
@@ -246,12 +253,6 @@ def _writing(path):
         yield
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
-
-
-def _echo_config(log_fh, eff: dict) -> None:
-    for key in sorted(eff):
-        log_fh.write(f"# config {key} = {eff[key]}\n")
-    log_fh.flush()
 
 
 def _save_model_checkpoint(path, model, optimizer, meta: dict) -> None:
@@ -277,7 +278,9 @@ def _train_loop(
     with _writing(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
         with (out_dir / "train.log").open("a") as log_fh:
-            _echo_config(log_fh, echo)
+            for key in sorted(echo):
+                log_fh.write(f"# config {key} = {echo[key]}\n")
+            log_fh.flush()
             for step, kind, take_step in work:
                 loss = take_step(dropout_rng(seed, step) if model.config.dropout > 0 else None)
                 if not math.isfinite(loss):
@@ -318,7 +321,7 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_pretrain(args) -> int:
-    _check_output(args.out_dir, directory=True)
+    _check_out_dir(args.out_dir)
     eff = _effective_options(
         PRETRAIN_DEFAULTS,
         args.config,
@@ -329,9 +332,7 @@ def cmd_pretrain(args) -> int:
     header, vocab, clips = _load_aligned_corpus(args.corpus, eff["max_frames"])
     config = _model_config(eff, vocab.size, header.feature_dim)
     hypers = _hypers(eff)
-    seed = eff["seed"]
-    steps = eff["steps"]
-    batch_size = eff["batch_size"]
+    seed, steps, batch_size = eff["seed"], eff["steps"], eff["batch_size"]
 
     model = PretrainModel(config, seed=seed)
     optimizer = T.AdamW(model.params(), lr=eff["lr"], weight_decay=eff["weight_decay"])
@@ -356,9 +357,7 @@ def cmd_pretrain(args) -> int:
         "tasks": sorted(weights),
         "batch_size": batch_size,
     }
-    batches = make_batches(
-        clips, vocab, config, batch_size, seed, weights, steps, start_step=start_step
-    )
+    batches = make_batches(clips, vocab, config, batch_size, seed, weights, steps, start_step)
     work = (
         (b.step, b.kind, partial(pretrain_step, model, b, optimizer, hypers)) for b in batches
     )
@@ -370,7 +369,7 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_finetune(args) -> int:
-    _check_output(args.out_dir, directory=True)
+    _check_out_dir(args.out_dir)
     eff = _effective_options(
         FINETUNE_DEFAULTS,
         args.config,
@@ -567,7 +566,7 @@ def _restore_model(checkpoint_path: str):
 
 def cmd_eval(args) -> int:
     if args.out:
-        _check_output(args.out, directory=False)
+        _check_out_file(args.out)
     eff = _effective_options(EVAL_DEFAULTS, None, {
         "tiou": args.tiou, "nms": args.nms, "k": args.k, "spans_per_clip": args.spans_per_clip,
     })
@@ -653,7 +652,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_inspect_attention(args) -> int:
-    _check_output(args.out, directory=True)
+    _check_out_dir(args.out)
     model, config, vocab, meta = _restore_model(args.checkpoint)
     _, clips = _load_corpus_for(args.corpus, config, vocab.tokens)
     by_id = {c.clip_id: c for c in clips}

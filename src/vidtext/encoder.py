@@ -252,8 +252,9 @@ class EncodedBatch:
     of ``v_temp``.  Frame rows are in timestamp order, except that
     ``v_temp`` follows the frame orders ``encode_clips`` was given.  Fused
     token rows are kept only when ``fuse_clip`` was given token positions:
-    ``w_cross`` then holds those rows alone and ``v_cross`` is None.  The
-    cached properties read the batch as immutable once it is encoded.
+    ``w_cross`` then holds those rows alone and ``v_cross`` is None.  A
+    ``join`` holds only clips and ``v_temp``, for span matching and ranking.
+    Cached properties read a batch as immutable once it is encoded.
     """
 
     clips: list[AlignedClip]

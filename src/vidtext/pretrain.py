@@ -423,9 +423,8 @@ class PretrainModel(Module):
         the temporal rows that ``encode_reordered`` kept; a clip's
         timestamps past its last frame get no probability."""
         for plan in plans:
-            if sorted(plan.positions) != sorted(set(plan.positions)) or sorted(
-                plan.sources
-            ) != sorted(plan.positions):
+            positions = sorted(plan.positions)
+            if positions != sorted(set(positions)) or sorted(plan.sources) != positions:
                 raise UsageError("reorder plan is not a permutation of its positions")
         _check_kept_rows("fom_loss", encoded, plans)
         logits = self.fom_head(encoded.v_temp)

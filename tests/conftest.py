@@ -488,7 +488,9 @@ def ref_rank_moments(model, encoded_clips, query_token_ids, spans_per_clip=5):
 
 def rows_batch(v_temp, bounds):
     """An ``EncodedBatch`` of ``v_temp`` rows alone, clip b owning rows
-    ``bounds[b]:bounds[b + 1]``: what span matching reads."""
+    ``bounds[b]:bounds[b + 1]``.  Span matching reads only ``v_temp`` and
+    ``frame_bounds``; the batch has no clips, so its ``frame_times`` and
+    ``clip_ids`` are empty and must not be read."""
     return EncodedBatch([], None, None, None, np.asarray(bounds), v_temp)
 
 
