@@ -330,18 +330,26 @@ def best_spans(
     used = np.arange(n_starts.max(initial=0)) < n_starts[:, None]
     st = np.zeros(used.shape, dtype=np.intp)
     st[used] = np.nonzero(starts)[1]
-    p = np.take_along_axis(p_st, st, axis=1)[:, :, None] * p_ed[:, None, :]
-    ok = used[:, :, None] & (frame >= st[:, :, None]) & real[:, None, :]
-    p = np.where(ok, p, -np.inf).reshape(n_clips, -1)
-    # every span at or above each clip's top_n-th probability, in (clip, start, end) order
-    k = min(top_n, p.shape[1])
-    clip, pair = np.nonzero((p >= np.partition(p, -k, axis=1)[:, -k, None]) & ok.reshape(n_clips, -1))
-    p = p[clip, pair]
-    order = np.lexsort((-p, clip))  # stable: ties stay in (start, end) order
-    clip, pair, p = clip[order], pair[order], p[order]
-    keep = np.arange(len(clip)) - np.searchsorted(clip, clip) < top_n
-    clip, pair = clip[keep], pair[keep]
-    return clip, st[clip, pair // width], pair % width, p[keep]
+    # row s: the ends of a span from frame s; row width, for an unused slot: none
+    ends = frame >= np.arange(width + 1)[:, None]
+    rows = np.arange(n_clips)
+    p = np.full(used.shape + (width,), -np.inf)
+    np.multiply(
+        p_st[rows[:, None], st][:, :, None], p_ed[:, None, :], out=p,
+        where=ends[np.where(used, st, width)] & real[:, None, :],
+    )
+    p = p.reshape(n_clips, -1)
+    # round r takes each clip's r-th best pair; argmax returns the first
+    # maximum, so ties stay in (start, end) order
+    pick = np.empty((n_clips, min(top_n, p.shape[1])), dtype=np.intp)
+    top = np.empty(pick.shape)
+    for r in range(pick.shape[1]):
+        pick[:, r] = j = p.argmax(axis=1)
+        top[:, r] = p[rows, j]
+        p[rows, j] = -np.inf
+    clip, r = np.nonzero(top > -np.inf)  # a clip with fewer pairs runs out at -inf
+    pair = pick[clip, r]
+    return clip, st[clip, pair // width], pair % width, top[clip, r]
 
 
 # (ids, weak references, join) of the batches ranked last; emptied when any of

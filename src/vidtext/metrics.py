@@ -94,10 +94,15 @@ def temporal_nms(moments: Ranking, threshold: float) -> Ranking:
     if len(inverted):
         m = moments[int(inverted[0])]
         raise UsageError(f"inverted interval {m.span} of clip {m.clip_id!r}")
-    # suppression is within a clip id, which may sit under several clip indices
-    ids, group_of_index = np.unique(np.array(moments.clip_ids, dtype=str), return_inverse=True)
-    group = group_of_index[moments.clip]
-    order = np.argsort(group, kind="stable")  # group by group, ranked order within each
+    ids, group = moments.clip_ids, moments.clip
+    if len(set(ids)) < len(ids):
+        # suppression is within a clip id, which sits under several clip
+        # indices here: group each candidate under the first index of its id
+        first = dict(zip(reversed(ids), range(len(ids) - 1, -1, -1)))
+        group = np.fromiter(map(first.__getitem__, ids), group.dtype, len(ids))[group]
+    # group by group, ranked order within each; a stable sort of 8- or 16-bit
+    # integers is a radix sort
+    order = np.argsort(group, kind="stable")
     g = group[order]
     rnd = np.arange(len(g)) - np.searchsorted(g, g)  # the round of each candidate
     n_groups, n_rounds = len(ids), int(rnd.max(initial=-1)) + 1

@@ -107,15 +107,9 @@ def _select_at_least_one(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def sample_task(batch_index: int, seed: int, weights: dict[str, float]) -> str:
-    """Deterministic weighted draw of the single task for this mini-batch."""
+    """Deterministic weighted draw of the single task for this mini-batch,
+    among the tasks of positive weight (``make_batches`` checks the weights)."""
     names = [t for t in TASK_NAMES if weights.get(t, 0.0) > 0]
-    for t, w in weights.items():
-        if t not in TASK_NAMES:
-            raise ConfigError(f"unknown task {t!r}; expected one of {TASK_NAMES}")
-        if w < 0:
-            raise ConfigError(f"task weight for {t!r} must be nonnegative")
-    if not names:
-        raise ConfigError("at least one task weight must be positive")
     w = np.array([weights[t] for t in names])
     rng = np.random.default_rng([seed, _SEED_TASK, batch_index])
     return names[int(rng.choice(len(names), p=w / w.sum()))]
@@ -516,6 +510,13 @@ def make_batches(
     The call, not the first draw, raises a ConfigError for a schedule that
     cannot run and a DataError for a clip that cannot serve an enabled task.
     """
+    for t, w in weights.items():
+        if t not in TASK_NAMES:
+            raise ConfigError(f"unknown task {t!r}; expected one of {TASK_NAMES}")
+        if w < 0:
+            raise ConfigError(f"task weight for {t!r} must be nonnegative")
+    if not any(w > 0 for w in weights.values()):
+        raise ConfigError("at least one task weight must be positive")
     if batch_size < 1:
         raise ConfigError("batch_size must be at least 1")
     if weights.get("vsm", 0.0) > 0 and batch_size < 2:
@@ -583,7 +584,14 @@ def build_task_batch(
             batch.masked_token_ids.append(ids_per_sentence)
             batch.token_plans.append(plans)
     elif kind in ("mffr", "mnce"):
-        batch.frame_plans = [make_frame_mask(c.n_frames, rng) for c in batch_clips]
+        batch.frame_plans = []
+        for clip in batch_clips:
+            plan = make_frame_mask(clip.n_frames, rng)
+            # mnce draws its negatives from the unmasked frames, so it redraws
+            # a plan that masks them all (a one-frame clip cannot have one)
+            while kind == "mnce" and 1 < clip.n_frames == len(plan.positions):
+                plan = make_frame_mask(clip.n_frames, rng)
+            batch.frame_plans.append(plan)
     elif kind == "fom":
         batch.reorder_plans = [make_reorder_plan(c.n_frames, rng) for c in batch_clips]
     elif kind == "vsm":

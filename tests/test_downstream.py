@@ -671,6 +671,12 @@ class TestBatchedBestSpans:
         p = np.where(np.arange(9) < np.array(lengths)[:, None], 0.25, 0.0)
         self.check(p, p, lengths, top_n)
 
+    @pytest.mark.parametrize("top_n", [1, 5])
+    def test_300_clips_of_1_to_40_frames(self, top_n):
+        rng = np.random.default_rng(22)
+        lengths = rng.integers(1, 41, size=300).tolist()
+        self.check(*self.grids(rng, lengths), lengths, top_n)
+
     def test_tied_products_across_the_cut(self):
         # p_st * p_ed takes few distinct values, so many spans tie at the top_n-th
         rng = np.random.default_rng(21)

@@ -148,6 +148,25 @@ class TestTemporalNms:
             assert list(got) == want
             assert all(a.base is None for a in (got.clip, got.start, got.end, got.score))
 
+    @pytest.mark.parametrize("threshold", [0.0, 0.5, 1.0])
+    def test_300_clip_indices_with_ids_repeated_across_255(self, threshold):
+        """Index i holds id c{i % 200}, so indices 56-99 share their ids with
+        256-299: a uint16 clip column, and groups that span both bytes."""
+        rng = np.random.default_rng(6)
+        n = 900
+        starts = rng.integers(0, 10, size=n).astype(float)
+        ranked = Ranking(
+            tuple(f"c{i % 200}" for i in range(300)),
+            rng.integers(0, 300, size=n),
+            starts,
+            starts + rng.integers(0, 6, size=n),
+            np.sort(rng.integers(0, 8, size=n) / 8.0)[::-1],
+        )
+        assert ranked.clip.dtype == np.uint16
+        got = temporal_nms(ranked, threshold)
+        assert list(got) == list(loop_temporal_nms(ranked, threshold))
+        assert list(got) == ref_temporal_nms(list(ranked), threshold)
+
     def test_unsorted_ranking_rejected(self):
         ranked = Ranking(["c"], [0, 0], [0.0, 5.0], [2.0, 6.0], [0.1, 0.9])
         with pytest.raises(UsageError):

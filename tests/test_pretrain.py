@@ -44,14 +44,6 @@ class TestSampleTask:
         b = P.sample_task(7, seed=3, weights=UNIFORM)
         assert a == b
 
-    def test_all_zero_weights_rejected(self):
-        with pytest.raises(ConfigError):
-            P.sample_task(0, seed=0, weights={"mlm": 0.0, "vsm": 0.0})
-
-    def test_unknown_task_rejected(self):
-        with pytest.raises(ConfigError):
-            P.sample_task(0, seed=0, weights={"nope": 1.0})
-
 
 class TestMlmMask:
     def test_mask_rate_and_action_split(self, small_vocab):
@@ -873,6 +865,31 @@ class TestBatching:
         batches = P.make_batches(clips, small_vocab, tiny_config, batch_size=2, seed=0,
                                  weights=dict.fromkeys(servable, 1.0), num_steps=6)
         assert len(list(batches)) == 6
+
+    @pytest.mark.parametrize(
+        "weights", [{"nope": 1.0}, {"mlm": -1.0, "fom": 1.0}, {"mlm": 0.0, "vsm": 0.0}, {}]
+    )
+    def test_bad_task_weights_rejected_at_the_call(self, small_vocab, tiny_config, weights):
+        clips = self._corpus(small_vocab)
+        with pytest.raises(ConfigError):
+            P.make_batches(clips, small_vocab, tiny_config, batch_size=2, seed=0,
+                           weights=weights, num_steps=1)
+
+    def test_mnce_on_two_frame_clips_leaves_a_frame_unmasked(self, small_vocab, tiny_config):
+        # at seed 0 about one step in seven drew a plan masking both frames of a clip
+        rng = np.random.default_rng(5)
+        clips = [
+            make_clip(rng, small_vocab, groups=(2,), tokens=(3,), clip_id=f"c{i}",
+                      feat_dim=tiny_config.frame_feature_dim)
+            for i in range(4)
+        ]
+        model = P.PretrainModel(tiny_config, seed=0)
+        opt = T.AdamW(model.params(), lr=1e-3, weight_decay=0.01)
+        hypers = P.PretrainHypers()
+        for b in P.make_batches(clips, small_vocab, tiny_config, batch_size=2, seed=0,
+                                weights={"mnce": 1.0}, num_steps=40):
+            assert all(len(plan.positions) == 1 for plan in b.frame_plans)
+            assert np.isfinite(P.pretrain_step(model, b, opt, hypers))
 
     def test_mixed_schedule_routes_singleton_batch_away_from_vsm(self, small_vocab, tiny_config):
         clips = self._corpus(small_vocab, n=5)
