@@ -23,31 +23,26 @@ from dataclasses import fields
 from functools import partial
 from pathlib import Path
 
-import numpy as np
-
 from . import tensor as T
 from .checkpoint import load_checkpoint, save_checkpoint
-from .data import (
-    Vocab, align, load_corpus_vocab, read_corpus, synth_corpus, synth_frame_count, tokenize,
-)
+from .data import Vocab, align, load_corpus_vocab, read_corpus, synth_corpus, synth_frame_count
 from .downstream import (
     QA_LAMBDA_DEFAULT,
     finetune_model_for,
+    finetune_steps,
     load_params_into,
     rank_moments,
     read_task_file,
-    retrieval_targets,
     seconds_to_frame_span,
+    text_token_ids,
 )
 from .encoder import ModelConfig
 from .errors import ConfigError, DataError, NumericError, UsageError, read_input
 from .metrics import accuracy, bleu4, recall_at_k, temporal_nms, write_metrics_report
 from .pretrain import (
-    _SEED_FINETUNE,
     PretrainHypers,
     PretrainModel,
     TASK_NAMES,
-    _mean_terms,
     dropout_rng,
     make_batches,
     pretrain_step,
@@ -395,11 +390,7 @@ def cmd_finetune(args) -> int:
         config = _model_config(PRETRAIN_DEFAULTS, vocab.size, header.feature_dim)
     by_id = {c.clip_id: c for c in clips}
     examples = read_task_file(args.data, args.task, by_id)
-    grouped: dict = {}
-    for ex in examples:
-        grouped.setdefault(ex.clip_id, []).append(ex)
-    if args.task == "retrieval":
-        targets = {cid: retrieval_targets(by_id[cid], exs, vocab) for cid, exs in grouped.items()}
+    text_token_ids(args.data, args.task, examples, vocab)
 
     model = finetune_model_for(args.task, config, seed)
     if arrays is not None:
@@ -411,32 +402,11 @@ def cmd_finetune(args) -> int:
                 file=sys.stderr,
             )
     optimizer = T.AdamW(model.params(), lr=eff["lr"], weight_decay=eff["weight_decay"])
-    hypers = _hypers(eff)
     steps = eff["steps"]
-    batch_size = eff["batch_size"]
-
-    clip_ids = sorted(grouped)
-    if args.task == "retrieval" and len(clip_ids) < 2:
-        raise DataError("retrieval finetuning needs examples on at least 2 clips")
-    loss_options = {"lam": qa_lambda} if args.task == "qa" else {}
-
-    def take_step(step: int, train_rng) -> float:
-        rng = np.random.default_rng([seed, _SEED_FINETUNE, step])
-        if args.task == "retrieval":
-            picked = rng.choice(len(clip_ids), size=min(batch_size, len(clip_ids)), replace=False)
-            if len(picked) < 2:
-                picked = rng.choice(len(clip_ids), size=2, replace=False)
-            ids = [clip_ids[i] for i in sorted(int(x) for x in picked)]
-            return T.train_step(optimizer, lambda: model.vsm_loss(
-                model.encoder.encode_clips([by_id[i] for i in ids], train_rng=train_rng),
-                [targets[i] for i in ids], hypers, train_rng=train_rng,
-            ))
-        picked = rng.choice(len(examples), size=min(batch_size, len(examples)), replace=False)
-        batch = [examples[i] for i in sorted(int(x) for x in picked)]
-        return T.train_step(optimizer, lambda: _mean_terms([
-            model.loss(by_id[ex.clip_id], ex, vocab, train_rng=train_rng, **loss_options)
-            for ex in batch
-        ]))
+    schedule = finetune_steps(
+        model, args.task, optimizer, _hypers(eff), qa_lambda, examples, by_id, vocab, seed,
+        eff["batch_size"], steps,
+    )
 
     meta = {
         "model_kind": args.task,
@@ -447,7 +417,7 @@ def cmd_finetune(args) -> int:
         "qa_lambda": qa_lambda,
     }
     echo = {**eff, "task": args.task, "init": args.init or "scratch"}
-    work = ((step, args.task, partial(take_step, step)) for step in range(steps))
+    work = ((step, args.task, take_step) for step, take_step in schedule)
     final = _train_loop(Path(args.out_dir), echo, model, optimizer, meta, work, steps)
     print(f"finetuning ({args.task}) finished; checkpoint: {final}")
     return EXIT_OK
@@ -595,6 +565,7 @@ def cmd_eval(args) -> int:
     _, clips = _load_corpus_for(args.corpus, config, vocab.tokens)
     by_id = {c.clip_id: c for c in clips}
     examples = read_task_file(args.data, args.task, by_id)
+    texts = text_token_ids(args.data, args.task, examples, vocab)
     kinds = ("pretrain", "retrieval") if args.task == "retrieval" else (args.task,)
     if meta["model_kind"] not in kinds:
         raise DataError(f"{args.task} evaluation needs a {'/'.join(kinds)} checkpoint")
@@ -608,14 +579,10 @@ def cmd_eval(args) -> int:
     metrics: dict = {}
 
     if args.task == "retrieval":
-        queries = [tokenize(ex.query, vocab) for ex in examples]
-        for ex, ids in zip(examples, queries):
-            if not ids:
-                raise DataError(f"task file {args.data}: query {ex.query!r} tokenizes to nothing")
         with T.no_grad():
             encoded = [model.encoder.encode_clip(c) for c in clips]
         predictions, ground_truth = [], []
-        for ex, ids in zip(examples, queries):
+        for ex, ids in zip(examples, texts):
             ranked = rank_moments(model, encoded, ids, spans_per_clip=eff["spans_per_clip"])
             if nms_threshold is not None:
                 ranked = temporal_nms(ranked, nms_threshold)
@@ -638,10 +605,8 @@ def cmd_eval(args) -> int:
         metrics["accuracy"] = accuracy(preds, golds)
     else:  # caption; argparse's choices admit no other task
         scores = []
-        for ex in examples:
-            hyp = model.greedy_decode(by_id[ex.clip_id], ex.moment)
-            ref = tokenize(ex.caption, vocab)
-            scores.append(bleu4(hyp, ref))
+        for ex, ref in zip(examples, texts):
+            scores.append(bleu4(model.greedy_decode(by_id[ex.clip_id], ex.moment), ref))
         metrics["bleu4"] = sum(scores) / len(scores)
 
     if args.out:

@@ -16,7 +16,7 @@ import math
 import weakref
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -34,7 +34,10 @@ from .encoder import (
 )
 from .errors import ConfigError, DataError, UsageError, read_input
 from .metrics import Ranking
-from .pretrain import PretrainModel, VsmTarget, attention_pool, span_nll
+from .pretrain import (
+    _SEED_FINETUNE, PretrainHypers, PretrainModel, TaskBatch, VsmTarget, _mean_terms,
+    attention_pool, pretrain_step, span_nll,
+)
 
 QA_LAMBDA_DEFAULT = 0.5
 NLI_LABELS = {"contradict": 0, "entail": 1}
@@ -172,6 +175,22 @@ def _check_clip(example, clips: dict[str, AlignedClip], task: str, where: str) -
             seconds_to_frame_span(clip, *interval)
         except DataError as exc:
             raise DataError(f"{task} record at {where}: {exc}") from exc
+
+
+_TEXT_FIELDS = {"retrieval": "query", "nli": "hypothesis", "caption": "caption"}
+
+
+def text_token_ids(path: str | Path, task: str, examples, vocab: Vocab) -> list[list[int]]:
+    """The token ids of each example's retrieval query, nli hypothesis or
+    caption (none for qa).  One that tokenizes to nothing is a DataError
+    (exit 2) naming the task file, whether or not a run would pick it."""
+    field = _TEXT_FIELDS.get(task)
+    texts = [getattr(ex, field) for ex in examples] if field else []
+    ids = [tokenize(text, vocab) for text in texts]
+    for text, text_ids in zip(texts, ids):
+        if not text_ids:
+            raise DataError(f"task file {path}: {field} {text!r} tokenizes to nothing")
+    return ids
 
 
 def write_task_file(path: str | Path, task: str, examples) -> None:
@@ -645,6 +664,52 @@ class CaptionModel(Module):
                     break
                 ids.append(nxt)
             return ids[1:]
+
+
+def finetune_steps(
+    model, task: str, optimizer: T.AdamW, hypers: PretrainHypers, qa_lambda: float,
+    examples: Sequence, clips: dict[str, AlignedClip], vocab: Vocab, seed: int,
+    batch_size: int, num_steps: int,
+) -> Iterator[tuple[int, Callable]]:
+    """The finetune schedule: ``(step, take_step)`` for steps [0, num_steps);
+    ``take_step(train_rng)`` runs one optimization step and returns its loss.
+
+    A step's picks are a pure function of (seed, step).  A retrieval step
+    runs pretrain's vsm step on ``batch_size`` (at least 2) of the clips
+    with examples; a qa, nli or caption step takes the mean loss of
+    ``batch_size`` examples.  ``clips`` holds the examples' clips by id.
+    The call, not the first draw, raises a DataError for retrieval examples
+    on fewer than 2 clips or a query that tokenizes to nothing.
+    """
+    if task == "retrieval":
+        grouped: dict = {}
+        for ex in examples:
+            grouped.setdefault(ex.clip_id, []).append(ex)
+        clip_ids = sorted(grouped)
+        if len(clip_ids) < 2:
+            raise DataError("retrieval finetuning needs examples on at least 2 clips")
+        targets = {cid: retrieval_targets(clips[cid], exs, vocab) for cid, exs in grouped.items()}
+    loss_options = {"lam": qa_lambda} if task == "qa" else {}
+
+    def take_step(step: int, train_rng) -> float:
+        rng = np.random.default_rng([seed, _SEED_FINETUNE, step])
+        if task == "retrieval":
+            picked = rng.choice(len(clip_ids), size=min(batch_size, len(clip_ids)), replace=False)
+            if len(picked) < 2:
+                picked = rng.choice(len(clip_ids), size=2, replace=False)
+            ids = [clip_ids[i] for i in sorted(int(x) for x in picked)]
+            batch = TaskBatch(
+                "vsm", step, seed, [clips[i] for i in ids], vsm_targets=[targets[i] for i in ids]
+            )
+            return pretrain_step(model, batch, optimizer, hypers, train_rng=train_rng)
+        picked = rng.choice(len(examples), size=min(batch_size, len(examples)), replace=False)
+        batch = [examples[i] for i in sorted(int(x) for x in picked)]
+        return T.train_step(optimizer, lambda: _mean_terms([
+            model.loss(clips[ex.clip_id], ex, vocab, train_rng=train_rng, **loss_options)
+            for ex in batch
+        ]))
+
+    return ((step, functools.partial(take_step, step)) for step in range(num_steps))
 
 
 def finetune_model_for(task: str, config: ModelConfig, seed: int):

@@ -279,6 +279,66 @@ class TestFinetuneAndEval:
         assert rc == EXIT_DATA
         assert f"hypothesis {hypothesis!r} tokenizes to nothing" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("steps", ["1", "2"])
+    @pytest.mark.parametrize("task,field", [("nli", "hypothesis"), ("caption", "caption")])
+    def test_text_that_tokenizes_to_nothing_exits_two_before_any_output(
+        self, corpus, tmp_path, capsys, task, field, steps
+    ):
+        import dataclasses
+
+        from vidtext.downstream import read_task_file, write_task_file
+        from vidtext.pretrain import _SEED_FINETUNE
+
+        # 12 records at batch 1; the empty text is the record step 1 draws and
+        # step 0 does not, so a check made at the draw would pass --steps 1
+        toy = read_task_file(write_toy_tasks(corpus, tmp_path)[task], task)
+        examples = [dataclasses.replace(ex) for ex in toy * 3]
+        first, second = (
+            int(np.random.default_rng([0, _SEED_FINETUNE, step]).choice(12, size=1)[0])
+            for step in (0, 1)
+        )
+        assert first != second
+        setattr(examples[second], field, "???")
+        path = tmp_path / f"empty-{task}.jsonl"
+        write_task_file(path, task, examples)
+        out = tmp_path / "ft"
+        rc = main([
+            "finetune", "--task", task, "--data", str(path), "--corpus", str(corpus),
+            "--out-dir", str(out), "--from-scratch", "--batch-size", "1", "--steps", steps,
+        ])
+        assert rc == EXIT_DATA
+        assert f"task file {path}: {field} '???' tokenizes to nothing" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_eval_caption_that_tokenizes_to_nothing_exits_two(
+        self, corpus, pretrained, tmp_path, capsys, monkeypatch
+    ):
+        from vidtext.downstream import CaptionModel, read_task_file, write_task_file
+
+        tasks = write_toy_tasks(corpus, tmp_path)
+        out = tmp_path / "ft"
+        rc = main([
+            "finetune", "--task", "caption", "--data", str(tasks["caption"]), "--corpus",
+            str(corpus), "--out-dir", str(out), "--init", str(pretrained), "--steps", "1",
+        ])
+        assert rc == EXIT_OK
+        examples = read_task_file(tasks["caption"], "caption")
+        examples[1].caption = "!!!"
+        path = tmp_path / "empty-caption.jsonl"
+        write_task_file(path, "caption", examples)
+        decoded = []
+        monkeypatch.setattr(
+            CaptionModel, "greedy_decode", lambda self, clip, moment: decoded.append(clip) or [1]
+        )
+        capsys.readouterr()
+        rc = main([
+            "eval", "--task", "caption", "--data", str(path), "--corpus", str(corpus),
+            "--checkpoint", str(out / "final.ckpt"),
+        ])
+        assert rc == EXIT_DATA
+        assert f"task file {path}: caption '!!!' tokenizes to nothing" in capsys.readouterr().err
+        assert decoded == []  # refused before any record is decoded
+
     def test_eval_defaults_match_reporting_contract(self):
         assert EVAL_DEFAULTS["tiou"] == 0.7
         assert EVAL_DEFAULTS["nms"] == "0.5"

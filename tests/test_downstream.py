@@ -23,6 +23,7 @@ from vidtext.downstream import (
     RetrievalExample,
     best_spans,
     finetune_model_for,
+    finetune_steps,
     load_params_into,
     qa_augmented_token_ids,
     rank_moments,
@@ -926,6 +927,22 @@ class TestRetrievalAdaptation:
             for _ in range(25)
         ]
         assert losses[-1] < losses[0]
+
+    @pytest.mark.parametrize("clip_ids,query,message", [
+        (("c0", "c0"), "w001", "needs examples on at least 2 clips"),
+        (("c0", "c1"), "!!!", "query '!!!' tokenizes to nothing"),
+    ])
+    def test_schedule_refuses_at_the_call(self, tiny_config, small_vocab, clip_ids, query, message):
+        rng = np.random.default_rng(8)
+        clips = {cid: make_clip(rng, small_vocab, clip_id=cid) for cid in sorted(set(clip_ids))}
+        examples = [RetrievalExample(cid, query, (0.0, 2.0)) for cid in clip_ids]
+        model = PretrainModel(tiny_config, seed=0)
+        opt = T.AdamW(model.params(), lr=1e-3)
+        with pytest.raises(DataError, match=message):  # before any step is drawn
+            finetune_steps(
+                model, "retrieval", opt, PretrainHypers(), QA_LAMBDA_DEFAULT, examples, clips,
+                small_vocab, 0, 2, 3,
+            )
 
     def test_finetune_model_factory(self, tiny_config):
         assert isinstance(finetune_model_for("retrieval", tiny_config, 0), PretrainModel)
