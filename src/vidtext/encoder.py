@@ -7,7 +7,8 @@ and in the stack's last block only those rows query and go on through the
 feed-forward sublayer (see ``TransformerBlock``): a clip pass keeps the
 fused frame rows, masked token modeling keeps its masked token rows and
 runs no temporal stage, and the frame objectives keep the temporal rows
-their heads read.
+their heads read.  An encoded clip keeps only its temporal rows (an
+``EncodedBatch``); the embedder and fused rows it came from are not kept.
 """
 
 from __future__ import annotations
@@ -243,35 +244,35 @@ class TransformerStack(Module):
 # -- the encoder --------------------------------------------------------------
 
 
-@dataclass
-class EncodedBatch:
-    """Encoder outputs of a batch of clips as packed rows.
+def frame_rows(bounds: np.ndarray, positions: Sequence[Sequence[int]]) -> np.ndarray:
+    """Packed row indices of each clip's frame ``positions``, clip by clip,
+    clip b's rows starting at ``bounds[b]``."""
+    return np.concatenate([lo + np.asarray(p, dtype=np.intp) for lo, p in zip(bounds, positions)])
 
-    Clip b owns rows ``frame_bounds[b]:frame_bounds[b + 1]`` of ``v_emb``,
-    ``v_cross`` and, unless ``encode_clips`` was given temporal positions,
-    of ``v_temp``.  Frame rows are in timestamp order, except that
-    ``v_temp`` follows the frame orders ``encode_clips`` was given.  Fused
-    token rows are kept only when ``fuse_clip`` was given token positions:
-    ``w_cross`` then holds those rows alone and ``v_cross`` is None.  A
-    ``join`` holds only clips and ``v_temp``, for span matching and ranking.
-    Cached properties read a batch as immutable once it is encoded.
+
+@dataclass(frozen=True)
+class EncodedBatch:
+    """The temporal rows (global context) of a batch of clips, packed: clip
+    b owns rows ``frame_bounds[b]:frame_bounds[b + 1]`` of ``v_temp``, for
+    every producer.  A clip pass keeps every frame row, in timestamp order;
+    ``encode_clips`` given frame orders keeps them in those orders, and
+    given temporal positions keeps those rows alone, so ``frame_times``
+    names the rows of a clip pass only.  The fields are set once, and the
+    cached properties read their arrays as immutable too.
     """
 
     clips: list[AlignedClip]
-    v_emb: T.Tensor | None  # None in a ``join``
-    v_cross: T.Tensor | None  # None when the cross stack kept token rows, or in a ``join``
-    w_cross: T.Tensor | None  # the kept token rows; None when it kept none
     frame_bounds: np.ndarray  # (B + 1,)
-    v_temp: T.Tensor | None = None  # None until the temporal stage ran
+    v_temp: T.Tensor
 
     @classmethod
     def join(cls, batches: Sequence["EncodedBatch"]) -> "EncodedBatch":
         """The clips and ``v_temp`` rows of ``batches``, in order, as one
         batch off the tape: what ranking reads of an encoded corpus."""
         clips = [clip for batch in batches for clip in batch.clips]
+        bounds = np.cumsum([0] + [n for batch in batches for n in np.diff(batch.frame_bounds)])
         v_temp = T.Tensor(np.concatenate([batch.v_temp.data for batch in batches]))
-        bounds = np.cumsum([0] + [clip.n_frames for clip in clips])
-        return cls(clips, None, None, None, bounds, v_temp)
+        return cls(clips, bounds, v_temp)
 
     @functools.cached_property
     def frame_times(self) -> np.ndarray:
@@ -297,12 +298,6 @@ class EncodedBatch:
         n, d = self.v_temp.shape
         squares = T.matmul(T.reshape(self.v_temp, (n, 1, d)), T.reshape(self.v_temp, (n, d, 1)))
         return T.sqrt(T.reshape(squares, (n, 1)) + 1e-24)
-
-    def frame_rows(self, positions: Sequence[Sequence[int]]) -> np.ndarray:
-        """Packed row indices of each clip's frame ``positions``, clip by clip."""
-        return np.concatenate([
-            lo + np.asarray(p, dtype=np.intp) for lo, p in zip(self.frame_bounds, positions)
-        ])
 
 
 class HierarchicalEncoder(Module):
@@ -452,18 +447,19 @@ class HierarchicalEncoder(Module):
         frame_features_overrides: Sequence[np.ndarray] | None = None,
         train_rng: np.random.Generator | None = None,
         token_positions: Sequence[Sequence[Sequence[int]]] | None = None,
-    ) -> EncodedBatch:
+    ) -> tuple[T.Tensor, T.Tensor]:
         """The cross-modal stage of ``encode_clips``: embed every frame (in
         timestamp order) and every token of every clip once, then fuse every
         sentence with its frame group in one cross-modal pass.  Overrides,
         one entry per clip (its sentences' token ids, or its frame
         features), substitute masked inputs without touching the clips.
-        The result has no ``v_temp`` yet.
 
-        The cross stack keeps the frame rows, all that the temporal stage
-        reads.  With ``token_positions`` (``token_positions[b][j]`` lists
-        positions into sentence j of clip b) it keeps those token rows
-        instead, clip by clip and sentence by sentence, as ``w_cross``."""
+        Returns ``(v_emb, fused)``: the embedded frame rows, clip by clip,
+        and the rows the cross stack kept.  It keeps the fused frame rows,
+        all that the temporal stage reads, in ``v_emb``'s order.  With
+        ``token_positions`` (``token_positions[b][j]`` lists positions into
+        sentence j of clip b) it keeps those token rows instead, clip by
+        clip and sentence by sentence."""
         for clip in clips:
             if clip.n_frames > self.config.max_frames:
                 raise ShapeError(
@@ -493,17 +489,9 @@ class HierarchicalEncoder(Module):
             rows = np.arange(frame_bounds[-1])
         else:
             per_sentence = [p for clip_positions in token_positions for p in clip_positions]
-            rows = frame_bounds[-1] + np.concatenate([
-                lo + np.asarray(p, dtype=np.intp) for lo, p in zip(token_lo, per_sentence)
-            ])
+            rows = frame_bounds[-1] + frame_rows(token_lo, per_sentence)
         fused = self.cross_modal_forward(v_emb, w_emb, segments, train_rng=train_rng, rows=rows)
-        return EncodedBatch(
-            clips=list(clips),
-            v_emb=v_emb,
-            v_cross=fused if token_positions is None else None,
-            w_cross=None if token_positions is None else fused,
-            frame_bounds=frame_bounds,
-        )
+        return v_emb, fused
 
     def encode_clips(
         self,
@@ -518,19 +506,22 @@ class HierarchicalEncoder(Module):
         grid.  ``frame_orders[b]`` lists the fused frame rows clip b's
         temporal stack reads, in order (see ``ReorderPlan.permutation``).
         With ``temporal_positions``, ``v_temp`` keeps only the temporal rows
-        at those positions of each clip (after its frame order), clip by clip."""
-        batch = self.fuse_clip(
+        at those positions of each clip (after its frame order), clip by
+        clip, and ``frame_bounds`` bounds those rows."""
+        v_emb, v_cross = self.fuse_clip(
             clips, frame_features_overrides=frame_features_overrides, train_rng=train_rng
         )
-        bounds = batch.frame_bounds
-        order = None if frame_orders is None else batch.frame_rows(frame_orders)
-        rows = None if temporal_positions is None else batch.frame_rows(temporal_positions)
+        bounds = np.cumsum([0] + [clip.n_frames for clip in clips])
+        order = None if frame_orders is None else frame_rows(bounds, frame_orders)
+        rows = None if temporal_positions is None else frame_rows(bounds, temporal_positions)
         frames = [np.arange(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
         grid = T.row_grid(frames, bounds[-1])
-        batch.v_temp = self.temporal_forward(
-            batch.v_emb, batch.v_cross, train_rng=train_rng, grid=grid, order=order, rows=rows
+        v_temp = self.temporal_forward(
+            v_emb, v_cross, train_rng=train_rng, grid=grid, order=order, rows=rows
         )
-        return batch
+        if temporal_positions is not None:
+            bounds = np.cumsum([0] + [len(p) for p in temporal_positions])
+        return EncodedBatch(list(clips), bounds, v_temp)
 
     def encode_clip(
         self, clip: AlignedClip, train_rng: np.random.Generator | None = None

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import MASK_ID, AlignedClip, Vocab, epoch_order
-from .encoder import EncodedBatch, HierarchicalEncoder, LayerNorm, Linear, ModelConfig, Module
+from .encoder import EncodedBatch, HierarchicalEncoder, LayerNorm, Linear, ModelConfig, Module, frame_rows
 from .errors import ConfigError, DataError, UsageError
 
 TASK_NAMES = ("mlm", "mffr", "mnce", "vsm", "fom")
@@ -200,7 +200,6 @@ class QueryEncoder(Module):
 class VsmScores:
     """Q queries against B clips; clip b fills the first n_b of L frame slots."""
 
-    s_local: T.Tensor  # (B, Q, L) dot-product frame scores, 0 at the padding
     s_global: T.Tensor  # (B, Q) max cosine over each clip's frames
     log_p_st: T.Tensor  # (B, Q, L) span start log-probabilities; exp() is 0 at the padding
     log_p_ed: T.Tensor
@@ -229,15 +228,16 @@ class PretrainModel(Module):
 
     def encode_mlm(
         self, clips, masked_ids, plans: Sequence[Sequence[TokenMaskPlan | None]], train_rng=None
-    ) -> EncodedBatch:
+    ) -> T.Tensor:
         """The cross-modal pass over the masked sentences.  Its stack keeps
-        only the masked token rows (``w_cross``, clip by clip in plan order),
-        and no temporal pass runs: masked token modeling reads local context
-        alone."""
+        only the masked token rows, which it returns clip by clip in plan
+        order, and no temporal pass runs: masked token modeling reads local
+        context alone."""
         positions = [[[] if p is None else p.positions for p in clip_plans] for clip_plans in plans]
-        return self.encoder.fuse_clip(
+        _, w_cross = self.encoder.fuse_clip(
             clips, token_ids_overrides=masked_ids, train_rng=train_rng, token_positions=positions
         )
+        return w_cross
 
     def encode_mfm(
         self, clips, plans: Sequence[FrameMaskPlan], train_rng=None, masked_only: bool = False
@@ -268,13 +268,13 @@ class PretrainModel(Module):
     # -- losses: each is the mean over the batch's clips --------------------------
 
     def mlm_loss(
-        self, encoded: EncodedBatch, plans: Sequence[Sequence[TokenMaskPlan | None]]
+        self, w_cross: T.Tensor, plans: Sequence[Sequence[TokenMaskPlan | None]]
     ) -> T.Tensor:
         """Cross-entropy of the original ids at masked positions, read from
-        the fused token rows (local context) that ``encode_mlm`` kept.  One
-        ``lm_head`` pass over every clip's masked rows; row weights 1 /
-        (clips x the clip's masked positions) make it the mean over clips of
-        each clip's mean."""
+        the fused token rows (local context) ``w_cross`` that ``encode_mlm``
+        kept.  One ``lm_head`` pass over every clip's masked rows; row
+        weights 1 / (clips x the clip's masked positions) make it the mean
+        over clips of each clip's mean."""
         labels, counts = [], []
         for clip_plans in plans:
             clip_labels = [i for plan in clip_plans if plan is not None for i in plan.originals]
@@ -282,9 +282,9 @@ class PretrainModel(Module):
                 raise UsageError("mlm_loss needs at least one masked position in every clip")
             labels.extend(clip_labels)
             counts.append(len(clip_labels))
-        if encoded.w_cross is None or encoded.w_cross.shape[0] != len(labels):
+        if w_cross.shape[0] != len(labels):
             raise UsageError("mlm_loss reads the masked token rows that encode_mlm keeps")
-        logits = self.lm_head(encoded.w_cross)
+        logits = self.lm_head(w_cross)
         return T.cross_entropy(logits, labels, _mean_of_clip_means(counts))
 
     def mffr_loss(self, encoded: EncodedBatch, plans: Sequence[FrameMaskPlan]) -> T.Tensor:
@@ -326,7 +326,7 @@ class PretrainModel(Module):
         if any(not plan.positions for plan in plans):
             raise UsageError("mnce_loss needs at least one masked frame in every clip")
         positive_targets = self.mnce_positive_targets(encoded.clips, plans)
-        anchors = encoded.frame_rows([plan.positions for plan in plans])
+        anchors = frame_rows(encoded.frame_bounds, [plan.positions for plan in plans])
         n_rows, n_pos = encoded.v_temp.shape[0], len(anchors)
         # rows 0..n_rows-1 project v_temp; row n_rows + i is masked frame i's target
         candidates = np.empty((n_pos, 1 + num_negatives), dtype=np.intp)
@@ -372,7 +372,7 @@ class PretrainModel(Module):
             T.log_softmax(T.conv1d(s_local, f) + pad[:, None])
             for f in (self.span_st_filter, self.span_ed_filter)
         )
-        return VsmScores(s_local, T.vmax(cos + pad[..., None], axis=1), log_p_st, log_p_ed)
+        return VsmScores(T.vmax(cos + pad[..., None], axis=1), log_p_st, log_p_ed)
 
     def vsm_loss(
         self,
@@ -455,9 +455,10 @@ def timestamp_nll(logits: T.Tensor, labels: Sequence[int]) -> T.Tensor:
 
 
 def _check_kept_rows(head: str, encoded: EncodedBatch, plans) -> None:
-    """A frame head reads ``v_temp`` as the rows of its plans' positions alone."""
-    if encoded.v_temp.shape[0] != sum(len(plan.positions) for plan in plans):
-        raise UsageError(f"{head} reads a v_temp that keeps only its plans' frame rows")
+    """A frame head reads clip b's ``v_temp`` rows as the rows of plan b's
+    positions alone."""
+    if not np.array_equal(np.diff(encoded.frame_bounds), [len(plan.positions) for plan in plans]):
+        raise UsageError(f"{head} reads the v_temp rows of its plans' positions, clip by clip")
 
 
 def _mean_of_clip_means(counts: Sequence[int]) -> np.ndarray:
@@ -610,10 +611,10 @@ def task_loss(
     """Forward pass and loss for the batch's single task (mean over clips):
     one packed encoder pass over the batch's clips, then the task's head."""
     if batch.kind == "mlm":
-        encoded = model.encode_mlm(
+        w_cross = model.encode_mlm(
             batch.clips, batch.masked_token_ids, batch.token_plans, train_rng=train_rng
         )
-        return model.mlm_loss(encoded, batch.token_plans)
+        return model.mlm_loss(w_cross, batch.token_plans)
     if batch.kind == "mffr":
         encoded = model.encode_mfm(
             batch.clips, batch.frame_plans, train_rng=train_rng, masked_only=True

@@ -118,29 +118,36 @@ def every_token(clips):
     return [[np.arange(len(s.token_ids)) for s in clip.sentences] for clip in clips]
 
 
+def clip_rows(bounds, t):
+    """Clip b's rows ``bounds[b]:bounds[b + 1]`` of the packed rows ``t``,
+    clip by clip (``t`` itself when one clip owns every row)."""
+    return [_rows(t, lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
 def clip_views(batch):
-    """Each clip of an ``EncodedBatch`` on its own: row slices of the packed
-    ``v_emb``, ``v_cross`` and ``v_temp`` (the tensors themselves when the
-    batch is that clip alone; None where the pass kept none) and, for a
-    pass that kept every token row (``every_token``) of sentences within
-    ``max_tokens``, ``w_cross`` per sentence (None for a sentence of no
-    token, or for every sentence when the pass kept no token row)."""
-    lengths = [[len(s.token_ids) for s in clip.sentences] for clip in batch.clips]
-    clip_lo = np.cumsum([0] + [sum(n) for n in lengths])
-    views = []
-    for b, (lo, hi) in enumerate(zip(batch.frame_bounds[:-1], batch.frame_bounds[1:])):
-        starts = clip_lo[b] + np.cumsum([0] + lengths[b])
-        views.append(SimpleNamespace(
-            clip=batch.clips[b],
-            w_cross=[
-                _rows(batch.w_cross, s, e) if e > s and batch.w_cross is not None else None
-                for s, e in zip(starts[:-1], starts[1:])
-            ],
-            v_emb=_rows(batch.v_emb, lo, hi),
-            v_cross=None if batch.v_cross is None else _rows(batch.v_cross, lo, hi),
-            v_temp=None if batch.v_temp is None else _rows(batch.v_temp, lo, hi),
-        ))
-    return views
+    """Each clip of an ``EncodedBatch`` on its own: the clip and its rows of
+    ``v_temp``."""
+    v_temp = clip_rows(batch.frame_bounds, batch.v_temp)
+    return [SimpleNamespace(clip=clip, v_temp=rows) for clip, rows in zip(batch.clips, v_temp)]
+
+
+def fused_frames(encoder, clips, **kwargs):
+    """``fuse_clip`` of ``clips``, keeping the frame rows, per clip: its
+    embedded frame rows ``v_emb`` and its fused frame rows ``v_cross``."""
+    bounds = np.cumsum([0] + [clip.n_frames for clip in clips])
+    v_emb, v_cross = (clip_rows(bounds, t) for t in encoder.fuse_clip(clips, **kwargs))
+    return [SimpleNamespace(v_emb=e, v_cross=c) for e, c in zip(v_emb, v_cross)]
+
+
+def fused_tokens(encoder, clips, token_ids_overrides=None):
+    """``fuse_clip`` of ``clips`` keeping every token row (``every_token``)
+    of sentences within ``max_tokens``: per clip, each sentence's fused
+    token rows (None for a sentence of no token)."""
+    _, w_cross = encoder.fuse_clip(clips, token_ids_overrides, token_positions=every_token(clips))
+    lo = np.cumsum([0] + [len(s.token_ids) for clip in clips for s in clip.sentences])
+    rows = [_rows(w_cross, s, e) if e > s else None for s, e in zip(lo[:-1], lo[1:])]
+    first = np.cumsum([0] + [len(clip.sentences) for clip in clips])
+    return [rows[a:b] for a, b in zip(first[:-1], first[1:])]
 
 
 # -- the full-row stack, kept as the reference of row pruning --
@@ -487,11 +494,15 @@ def ref_rank_moments(model, encoded_clips, query_token_ids, spans_per_clip=5):
 
 
 def rows_batch(v_temp, bounds):
-    """An ``EncodedBatch`` of ``v_temp`` rows alone, clip b owning rows
-    ``bounds[b]:bounds[b + 1]``.  Span matching reads only ``v_temp`` and
-    ``frame_bounds``; the batch has no clips, so its ``frame_times`` and
-    ``clip_ids`` are empty and must not be read."""
-    return EncodedBatch([], None, None, None, np.asarray(bounds), v_temp)
+    """An ``EncodedBatch`` of ``v_temp`` rows, clip b owning rows
+    ``bounds[b]:bounds[b + 1]``.  Its clips are placeholders of as many
+    frames, with no sentence and one-second frames: span matching reads
+    only ``v_temp`` and ``frame_bounds``."""
+    clips = []
+    for b, n in enumerate(np.diff(bounds)):
+        t = np.arange(n + 1.0)
+        clips.append(AlignedClip(f"rows{b}", [], np.zeros((n, 1)), np.stack([t[:-1], t[1:]], 1)))
+    return EncodedBatch(clips, np.asarray(bounds), v_temp)
 
 
 def stacked_vsm_scores(model, encoded, query_token_ids):

@@ -281,8 +281,7 @@ def _ref_encode_with_appended_text(encoder, clip, extra_ids):
     override = [
         qa_augmented_token_ids(s.token_ids, extra_ids, max_tokens) for s in clip.sentences
     ]
-    fused = encoder.fuse_clip([clip], [override])
-    v_emb, v_cross = fused.v_emb, fused.v_cross
+    v_emb, v_cross = encoder.fuse_clip([clip], [override])
     w_emb = embed_sentence(encoder, extra_ids)
     w_cross = encoder.cross_modal_forward(None, w_emb, one_segment(None, w_emb))
     h = encoder.temporal_apply(T.concat_rows([v_emb + v_cross, w_emb + w_cross]))

@@ -1,5 +1,8 @@
 """Hierarchy tests: embedders, fusion, reassembly, masking, gradients."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,11 +10,11 @@ from hypothesis import strategies as st
 
 from vidtext import tensor as T
 from vidtext.data import AlignedClip, Sentence
-from vidtext.encoder import HierarchicalEncoder, ModelConfig, TransformerBlock
+from vidtext.encoder import EncodedBatch, HierarchicalEncoder, ModelConfig, TransformerBlock
 from vidtext.errors import ConfigError, ShapeError, UsageError
 from conftest import (
-    assert_kept_rows_equal, clip_views, embed_sentence, every_token, full_row_stacks, make_clip,
-    one_segment, slice_cols,
+    assert_kept_rows_equal, clip_views, embed_sentence, every_token, full_row_stacks, fused_frames,
+    fused_tokens, make_clip, one_segment, slice_cols,
 )
 from gradcheck import check_gradients
 
@@ -141,13 +144,12 @@ class TestTemporalForward:
 class TestEncodeClip:
     def test_reassembly_row_counts(self, tiny_encoder, toy_clip):
         batch = tiny_encoder.encode_clip(toy_clip)
-        enc = clip_views(batch)[0]
-        assert enc.v_cross.shape == (7, 16)
-        assert enc.v_temp.shape == (7, 16)
-        assert batch.w_cross is None  # a clip pass keeps the frame rows alone
-        tokens = tiny_encoder.fuse_clip([toy_clip], token_positions=every_token([toy_clip]))
-        assert tokens.v_cross is None
-        assert [w.shape[0] for w in clip_views(tokens)[0].w_cross] == [4, 5]
+        v_emb, v_cross = tiny_encoder.fuse_clip([toy_clip])
+        assert v_emb.shape == v_cross.shape == (7, 16)  # a clip pass keeps the frame rows alone
+        assert batch.v_temp.shape == (7, 16)
+        _, w_cross = tiny_encoder.fuse_clip([toy_clip], token_positions=every_token([toy_clip]))
+        assert w_cross.shape == (9, 16)  # and a token pass the token rows alone
+        assert [w.shape[0] for w in fused_tokens(tiny_encoder, [toy_clip])[0]] == [4, 5]
 
     def test_reassembly_preserves_every_frame_once(self, tiny_config, small_vocab):
         rng = np.random.default_rng(5)
@@ -165,9 +167,8 @@ class TestEncodeClip:
         flipped = AlignedClip(
             clip.clip_id, list(reversed(clip.sentences)), clip.frame_features, clip.frame_times
         )
-        a = tiny_encoder.encode_clip(clip)
-        b = tiny_encoder.encode_clip(flipped)
-        np.testing.assert_allclose(a.v_cross.data, b.v_cross.data, atol=1e-12)
+        (_, a), (_, b) = tiny_encoder.fuse_clip([clip]), tiny_encoder.fuse_clip([flipped])
+        np.testing.assert_allclose(a.data, b.data, atol=1e-12)
 
     def test_single_sentence_equals_direct_composition(self, tiny_encoder, tiny_config, small_vocab):
         rng = np.random.default_rng(7)
@@ -181,6 +182,9 @@ class TestEncodeClip:
         )
         direct = tiny_encoder.temporal_forward(v_emb, v_cross)
         np.testing.assert_array_equal(enc.v_temp.data, direct.data)
+        fused = tiny_encoder.fuse_clip([clip])
+        for got, want in zip(fused, (v_emb, v_cross)):
+            np.testing.assert_array_equal(got.data, want.data)
 
     def test_empty_string_subtitle_single_channel_path(self, tiny_encoder, small_vocab):
         from vidtext.data import CLS_ID, SEP_ID
@@ -361,10 +365,10 @@ class TestPaddedFusionMatchesPerSentence:
                 attention = {
                     ("cross", j): [list(op[j]) for op in cross] for j in range(len(clip.sentences))
                 }
-                # the token rows come from a pass that keeps them in place of the frames
-                tokens = enc.fuse_clip([clip], token_positions=every_token([clip]))
-                w_cross = clip_views(tokens)[0].w_cross
-                outs = [e.v_emb, e.v_cross, w_cross, e.v_temp, attention]
+                # the frame rows come from a pass of their own, and the token
+                # rows from a pass that keeps them in place of the frames
+                f = fused_frames(enc, [clip])[0]
+                outs = [f.v_emb, f.v_cross, fused_tokens(enc, [clip])[0], e.v_temp, attention]
                 q_cross = enc.cross_modal_forward(None, q_emb, one_segment(None, q_emb))
             else:
                 outs = list(_ref_encode_clip(enc, clip))
@@ -460,15 +464,15 @@ class TestEncodeClipsPacksTheBatch:
         with T.record_attention() as ops:
             batch = enc.encode_clip(clips[0]) if one else enc.encode_clips(clips)
         cross, temporal = ops[: enc.config.cross_layers], ops[enc.config.cross_layers :]
-        tokens = enc.fuse_clip(clips, token_positions=every_token(clips))
+        views = zip(clip_views(batch), fused_frames(enc, clips), fused_tokens(enc, clips))
         sentence_lo = np.cumsum([0] + [len(c.sentences) for c in clips])
         out = []
-        for b, (e, tok) in enumerate(zip(clip_views(batch), clip_views(tokens))):
-            rows = [e.v_emb, e.v_cross, e.v_temp] + [w for w in tok.w_cross if w is not None]
+        for b, (e, f, tok) in enumerate(views):
+            rows = [f.v_emb, f.v_cross, e.v_temp] + [w for w in tok if w is not None]
             lo, hi = sentence_lo[b], sentence_lo[b + 1]
             grids = [g for op in cross for heads in op[lo:hi] for g in heads]
             grids += [g for op in temporal for g in op[b]]
-            out.append(([t.data for t in rows] + grids, [w is None for w in tok.w_cross]))
+            out.append(([t.data for t in rows] + grids, [w is None for w in tok]))
         return out
 
     def test_encode_clip_is_the_batch_of_one(self, setup):
@@ -505,9 +509,52 @@ class TestEncodeClipsPacksTheBatch:
         enc, clips = setup
         orders = [np.random.default_rng(i).permutation(c.n_frames) for i, c in enumerate(clips)]
         packed = enc.encode_clips(clips, frame_orders=orders)
-        for e, order in zip(clip_views(packed), orders):
-            alone = enc.temporal_forward(T.take_rows(e.v_emb, order), T.take_rows(e.v_cross, order))
+        for e, f, order in zip(clip_views(packed), fused_frames(enc, clips), orders):
+            alone = enc.temporal_forward(T.take_rows(f.v_emb, order), T.take_rows(f.v_cross, order))
             np.testing.assert_allclose(e.v_temp.data, alone.data, rtol=0, atol=1e-12)
+
+
+    def test_every_producer_keeps_one_invariant(self, setup):
+        """Clip b owns rows ``frame_bounds[b]:frame_bounds[b + 1]`` of
+        ``v_temp`` in a plain pass, a reordered pass, a pruned pass and a
+        join; a pruned clip's rows are its positions' rows of the full pass."""
+        enc, clips = setup
+        orders = [np.random.default_rng(i).permutation(c.n_frames) for i, c in enumerate(clips)]
+        positions = [[1, 4, 9], [2], [0, 5, 3, 1]]
+        plain = enc.encode_clips(clips)
+        reordered = enc.encode_clips(clips, frame_orders=orders)
+        pruned = enc.encode_clips(clips, frame_orders=orders, temporal_positions=positions)
+        joined = EncodedBatch.join([plain, pruned, enc.encode_clip(clips[1])])
+        for batch in (plain, reordered, pruned, joined):
+            assert len(batch.clips) + 1 == len(batch.frame_bounds)
+            assert batch.frame_bounds[0] == 0
+            assert batch.frame_bounds[-1] == batch.v_temp.shape[0]
+        for batch in (plain, reordered):
+            assert np.diff(batch.frame_bounds).tolist() == [c.n_frames for c in clips]
+        assert np.diff(pruned.frame_bounds).tolist() == [len(p) for p in positions]
+        assert np.diff(joined.frame_bounds).tolist() == [11, 3, 6, 3, 1, 4, 3]
+        for kept, full, p in zip(clip_views(pruned), clip_views(reordered), positions):
+            np.testing.assert_allclose(kept.v_temp.data, full.v_temp.data[p], rtol=0, atol=1e-12)
+        assert pruned.slot_grid[1].sum(axis=1).tolist() == [len(p) for p in positions]
+        lo, hi = joined.frame_bounds[[3, 6]]
+        np.testing.assert_array_equal(joined.v_temp.data[lo:hi], pruned.v_temp.data)
+
+    def test_an_encoded_clip_keeps_no_embedding_or_fused_rows(self, setup, monkeypatch):
+        """The temporal stage's inputs die with the pass: the batch holds
+        its temporal rows alone."""
+        enc, clips = setup
+        refs, forward = [], HierarchicalEncoder.temporal_forward
+
+        def recording(self, v_emb, v_cross, *args, **kwargs):
+            refs.extend(weakref.ref(t.data) for t in (v_emb, v_cross))
+            return forward(self, v_emb, v_cross, *args, **kwargs)
+
+        monkeypatch.setattr(HierarchicalEncoder, "temporal_forward", recording)
+        with T.no_grad():
+            batch = enc.encode_clip(clips[0])
+        gc.collect()
+        assert len(refs) == 2 and all(ref() is None for ref in refs)
+        assert batch.v_temp.shape == (clips[0].n_frames, enc.config.d)
 
 
 class TestFusedAttention:

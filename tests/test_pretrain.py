@@ -13,7 +13,7 @@ from vidtext.encoder import HierarchicalEncoder, ModelConfig
 from vidtext.errors import ConfigError, DataError, UsageError
 
 from conftest import (
-    assert_step_matches_full_rows, clip_views, every_token, full_row_stacks, make_clip,
+    assert_step_matches_full_rows, clip_views, full_row_stacks, fused_tokens, make_clip,
     ref_encode_query, ref_vsm_loss, rows_batch, slice_cols,
 )
 
@@ -95,6 +95,10 @@ class TestMlmMask:
             P.apply_mlm_mask([], np.random.default_rng(0), small_vocab)
 
 
+def _no_temporal_stage(*args, **kwargs):
+    raise AssertionError("masked token modeling runs no temporal stage")
+
+
 class TestMlmLoss:
     def test_untrained_loss_near_log_vocab(self, small_vocab):
         config = ModelConfig(
@@ -126,7 +130,7 @@ class TestMlmLoss:
         loss = model.mlm_loss(model.encode_mlm([toy_clip], [masked], [[plan, None]]), [[plan, None]])
         assert loss.item() < 1e-6
 
-    def test_loss_reads_only_masked_rows(self, model, toy_clip):
+    def test_loss_reads_only_masked_rows(self, model, toy_clip, monkeypatch):
         """The pass keeps the masked token rows alone, equal to those rows
         of every token's fused rows, and runs no temporal stage."""
         masked = [list(s.token_ids) for s in toy_clip.sentences]
@@ -135,12 +139,12 @@ class TestMlmLoss:
             P.TokenMaskPlan([1], [P.ACTION_MASK], [toy_clip.sentences[0].token_ids[1]]),
             P.TokenMaskPlan([0, 3], [P.ACTION_MASK] * 2, toy_clip.sentences[1].token_ids[:4:3]),
         ]
-        encoded = model.encode_mlm([toy_clip], [masked], [plans])
-        assert encoded.v_cross is None and encoded.v_temp is None
-        every = model.encoder.fuse_clip([toy_clip], [masked], token_positions=every_token([toy_clip]))
-        w = clip_views(every)[0].w_cross
+        with monkeypatch.context() as m:
+            m.setattr(HierarchicalEncoder, "temporal_apply", _no_temporal_stage)
+            w_cross = model.encode_mlm([toy_clip], [masked], [plans])
+        w = fused_tokens(model.encoder, [toy_clip], [masked])[0]
         want = np.concatenate([w[0].data[[1]], w[1].data[[0, 3]]])
-        assert encoded.w_cross.data.tobytes() == want.tobytes()
+        assert w_cross.data.tobytes() == want.tobytes()
         T.reset_tape()
 
     def test_empty_plan_rejected(self, model, toy_clip):
@@ -173,6 +177,11 @@ class TestMaskingNeverLeaks:
         for pos, action in zip(plan.positions, plan.actions):
             if action != P.ACTION_KEEP:
                 assert masked[pos] == masked2[pos]
+
+
+def _clips_of_6_and_4_frames(vocab):
+    rng = np.random.default_rng(17)
+    return [make_clip(rng, vocab, groups=g, tokens=(3,) * len(g)) for g in ((3, 3), (4,))]
 
 
 class TestMffr:
@@ -210,6 +219,17 @@ class TestMffr:
         encoded = model.encode_mfm([toy_clip], [P.FrameMaskPlan([0])])
         with pytest.raises(UsageError):
             model.mffr_loss(encoded, [P.FrameMaskPlan([])])
+
+    def test_rejects_rows_split_differently_over_the_clips(self, model, small_vocab):
+        """Plans of the batch's total row count but another split over the
+        clips do not name its rows."""
+        clips = _clips_of_6_and_4_frames(small_vocab)
+        encoded = model.encode_mfm(
+            clips, [P.FrameMaskPlan([0, 2]), P.FrameMaskPlan([1, 2, 3])], masked_only=True
+        )
+        with pytest.raises(UsageError, match="clip by clip"):
+            model.mffr_loss(encoded, [P.FrameMaskPlan([0, 1, 4]), P.FrameMaskPlan([0, 3])])
+        T.reset_tape()
 
 
 class _FixedChoiceRng:
@@ -381,8 +401,8 @@ def _ref_task_loss(model, batch, hypers, neg_rng):
     enc, terms = model.encoder, []
     if batch.kind == "mlm":
         for clip, masked, plans in zip(batch.clips, batch.masked_token_ids, batch.token_plans):
-            e = clip_views(enc.fuse_clip([clip], [masked], token_positions=every_token([clip])))[0]
-            rows = [T.take_rows(w, p.positions) for w, p in zip(e.w_cross, plans) if p is not None]
+            w_cross = fused_tokens(enc, [clip], [masked])[0]
+            rows = [T.take_rows(w, p.positions) for w, p in zip(w_cross, plans) if p is not None]
             labels = [i for p in plans if p is not None for i in p.originals]
             terms.append(T.cross_entropy(model.lm_head(T.concat_rows(rows)), labels))
     elif batch.kind in ("mffr", "mnce"):
@@ -400,9 +420,9 @@ def _ref_task_loss(model, batch, hypers, neg_rng):
             terms.append(_ref_mnce_loss(model, e, plan, neg_rng, hypers.num_negatives, targets))
     elif batch.kind == "fom":
         for clip, plan in zip(batch.clips, batch.reorder_plans):
-            e = enc.encode_clip(clip)
+            v_emb, v_cross = enc.fuse_clip([clip])
             perm = plan.permutation(clip.n_frames)
-            v_temp = enc.temporal_forward(T.take_rows(e.v_emb, perm), T.take_rows(e.v_cross, perm))
+            v_temp = enc.temporal_forward(T.take_rows(v_emb, perm), T.take_rows(v_cross, perm))
             terms.append(_ref_fom_loss(model, v_temp, plan))
     else:
         encoded = [enc.encode_clip(c) for c in batch.clips]
@@ -608,7 +628,7 @@ def inline_norms_vsm_scores(model, clips, q):
         T.log_softmax(T.conv1d(s_local, f) + pad[:, None])
         for f in (model.span_st_filter, model.span_ed_filter)
     )
-    return P.VsmScores(s_local, T.vmax(cos + pad[..., None], axis=1), log_p_st, log_p_ed)
+    return P.VsmScores(T.vmax(cos + pad[..., None], axis=1), log_p_st, log_p_ed)
 
 
 class TestVsmStepBitIdentical:
@@ -671,7 +691,6 @@ class TestVsmScores:
         q = model.encode_query([toy_clip.sentences[0].token_ids])
         a = model.vsm_scores_for_query(encoded, q)
         b = model.vsm_scores_for_query(encoded, q * 3.0)
-        assert int(np.argmax(a.s_local.data)) == int(np.argmax(b.s_local.data))
         assert int(np.argmax(np.exp(a.log_p_st.data))) == int(np.argmax(np.exp(b.log_p_st.data)))
         assert int(np.argmax(np.exp(a.log_p_ed.data))) == int(np.argmax(np.exp(b.log_p_ed.data)))
         assert a.s_global.item() == pytest.approx(b.s_global.item(), abs=1e-9)
@@ -767,6 +786,16 @@ class TestFom:
         with full_row_stacks():
             base = model.fom_loss(model.encode_reordered([clip], [plan]), [plan]).item()
         assert model.fom_loss(encoded, [plan]).item() == base
+        T.reset_tape()
+
+    def test_rejects_rows_split_differently_over_the_clips(self, model, small_vocab):
+        clips = _clips_of_6_and_4_frames(small_vocab)
+        encoded = model.encode_reordered(
+            clips, [P.ReorderPlan([0, 2], [2, 0]), P.ReorderPlan([1, 2, 3], [2, 3, 1])]
+        )
+        plans = [P.ReorderPlan([0, 1, 2], [1, 2, 0]), P.ReorderPlan([0, 3], [3, 0])]
+        with pytest.raises(UsageError, match="clip by clip"):
+            model.fom_loss(encoded, plans)
         T.reset_tape()
 
     def test_non_permutation_plan_rejected(self, model, small_vocab):
