@@ -698,9 +698,7 @@ def finetune_steps(
             if len(picked) < 2:
                 picked = rng.choice(len(clip_ids), size=2, replace=False)
             ids = [clip_ids[i] for i in sorted(int(x) for x in picked)]
-            batch = TaskBatch(
-                "vsm", step, seed, [clips[i] for i in ids], vsm_targets=[targets[i] for i in ids]
-            )
+            batch = TaskBatch("vsm", step, seed, [clips[i] for i in ids], [targets[i] for i in ids])
             return pretrain_step(model, batch, optimizer, hypers, train_rng=train_rng)
         picked = rng.choice(len(examples), size=min(batch_size, len(examples)), replace=False)
         batch = [examples[i] for i in sorted(int(x) for x in picked)]

@@ -61,12 +61,15 @@ class PretrainHypers:
 
 @dataclass
 class TokenMaskPlan:
-    """Masked positions within one sentence, with their replacement action
-    and the original ids kept for supervision."""
+    """Masked positions within one sentence, with their replacement action,
+    the original ids kept for supervision, and ``masked``, the sentence's
+    ids after masking, as the encoder reads them.  A sentence with no token
+    has the empty plan ``TokenMaskPlan([], [], [], [])``."""
 
     positions: list[int]
     actions: list[str]
     originals: list[int]
+    masked: list[int]
 
 
 @dataclass
@@ -117,7 +120,7 @@ def sample_task(batch_index: int, seed: int, weights: dict[str, float]) -> str:
 
 def apply_mlm_mask(
     token_ids: Sequence[int], rng: np.random.Generator, vocab: Vocab
-) -> tuple[list[int], TokenMaskPlan]:
+) -> TokenMaskPlan:
     """Select ~15% of the tokens and replace them 80/10/10 with [MASK], a
     random non-special token, or the original."""
     ids = list(token_ids)
@@ -137,13 +140,22 @@ def apply_mlm_mask(
             masked[pos] = vocab.random_regular_id(rng)
         else:
             actions.append(ACTION_KEEP)
-    return masked, TokenMaskPlan(list(map(int, positions)), actions, originals)
+    return TokenMaskPlan(list(map(int, positions)), actions, originals, masked)
 
 
 def make_frame_mask(n_frames: int, rng: np.random.Generator) -> FrameMaskPlan:
     if n_frames < 1:
         raise UsageError("cannot mask a clip with no frames")
     return FrameMaskPlan(list(map(int, _select_at_least_one(n_frames, rng))))
+
+
+def _mnce_frame_mask(n_frames: int, rng: np.random.Generator) -> FrameMaskPlan:
+    """mnce draws its negatives from the unmasked frames, so it redraws a
+    plan that masks them all (a one-frame clip cannot have one)."""
+    plan = make_frame_mask(n_frames, rng)
+    while 1 < n_frames == len(plan.positions):
+        plan = make_frame_mask(n_frames, rng)
+    return plan
 
 
 def make_reorder_plan(n_frames: int, rng: np.random.Generator) -> ReorderPlan:
@@ -227,15 +239,16 @@ class PretrainModel(Module):
     # -- masked-input encoding: one packed pass per batch -----------------------
 
     def encode_mlm(
-        self, clips, masked_ids, plans: Sequence[Sequence[TokenMaskPlan | None]], train_rng=None
+        self, clips, plans: Sequence[Sequence[TokenMaskPlan]], train_rng=None
     ) -> T.Tensor:
-        """The cross-modal pass over the masked sentences.  Its stack keeps
-        only the masked token rows, which it returns clip by clip in plan
-        order, and no temporal pass runs: masked token modeling reads local
-        context alone."""
-        positions = [[[] if p is None else p.positions for p in clip_plans] for clip_plans in plans]
+        """The cross-modal pass over the masked sentences (``plans[b][j]``
+        masks sentence j of clip b).  Its stack keeps only the masked token
+        rows, which it returns clip by clip in plan order, and no temporal
+        pass runs: masked token modeling reads local context alone."""
+        masked = [[p.masked for p in clip_plans] for clip_plans in plans]
+        positions = [[p.positions for p in clip_plans] for clip_plans in plans]
         _, w_cross = self.encoder.fuse_clip(
-            clips, token_ids_overrides=masked_ids, train_rng=train_rng, token_positions=positions
+            clips, token_ids_overrides=masked, train_rng=train_rng, token_positions=positions
         )
         return w_cross
 
@@ -267,9 +280,7 @@ class PretrainModel(Module):
 
     # -- losses: each is the mean over the batch's clips --------------------------
 
-    def mlm_loss(
-        self, w_cross: T.Tensor, plans: Sequence[Sequence[TokenMaskPlan | None]]
-    ) -> T.Tensor:
+    def mlm_loss(self, w_cross: T.Tensor, plans: Sequence[Sequence[TokenMaskPlan]]) -> T.Tensor:
         """Cross-entropy of the original ids at masked positions, read from
         the fused token rows (local context) ``w_cross`` that ``encode_mlm``
         kept.  One ``lm_head`` pass over every clip's masked rows; row
@@ -277,7 +288,7 @@ class PretrainModel(Module):
         over clips of each clip's mean."""
         labels, counts = [], []
         for clip_plans in plans:
-            clip_labels = [i for plan in clip_plans if plan is not None for i in plan.originals]
+            clip_labels = [i for plan in clip_plans for i in plan.originals]
             if not clip_labels:
                 raise UsageError("mlm_loss needs at least one masked position in every clip")
             labels.extend(clip_labels)
@@ -478,19 +489,18 @@ def _mean_terms(terms: list[T.Tensor]) -> T.Tensor:
 # -- batching and the training step ------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class TaskBatch:
-    """One mini-batch specialized to exactly one task."""
+    """One mini-batch of exactly one task: ``plans[b]`` is clip b's plan for
+    it.  For mlm that is one ``TokenMaskPlan`` per sentence; for mffr and
+    mnce a ``FrameMaskPlan``; for fom a ``ReorderPlan``; for vsm the clip's
+    list of ``VsmTarget``s."""
 
     kind: str
     step: int
     seed: int
     clips: list[AlignedClip]
-    masked_token_ids: list[list[list[int]]] | None = None
-    token_plans: list[list[TokenMaskPlan | None]] | None = None
-    frame_plans: list[FrameMaskPlan] | None = None
-    reorder_plans: list[ReorderPlan] | None = None
-    vsm_targets: list[list[VsmTarget]] | None = None
+    plans: list
 
 
 def make_batches(
@@ -569,37 +579,22 @@ def build_task_batch(
     step: int = 0,
     seed: int = 0,
 ) -> TaskBatch:
-    batch = TaskBatch(kind=kind, step=step, seed=seed, clips=list(batch_clips))
-    if kind == "mlm":
-        batch.masked_token_ids, batch.token_plans = [], []
-        for clip in batch_clips:
-            ids_per_sentence, plans = [], []
-            for sent in clip.sentences:
-                ids = sent.token_ids[: config.max_tokens]
-                if ids:
-                    masked, plan = apply_mlm_mask(ids, rng, vocab)
-                else:
-                    masked, plan = ids, None
-                ids_per_sentence.append(masked)
-                plans.append(plan)
-            batch.masked_token_ids.append(ids_per_sentence)
-            batch.token_plans.append(plans)
-    elif kind in ("mffr", "mnce"):
-        batch.frame_plans = []
-        for clip in batch_clips:
-            plan = make_frame_mask(clip.n_frames, rng)
-            # mnce draws its negatives from the unmasked frames, so it redraws
-            # a plan that masks them all (a one-frame clip cannot have one)
-            while kind == "mnce" and 1 < clip.n_frames == len(plan.positions):
-                plan = make_frame_mask(clip.n_frames, rng)
-            batch.frame_plans.append(plan)
-    elif kind == "fom":
-        batch.reorder_plans = [make_reorder_plan(c.n_frames, rng) for c in batch_clips]
-    elif kind == "vsm":
-        batch.vsm_targets = [sample_vsm_targets(c, rng) for c in batch_clips]
-    else:
+    """The ``kind`` batch of ``batch_clips``, its plans drawn from ``rng``
+    clip by clip.  A sentence with no token gets the empty plan and draws
+    nothing."""
+    planners = {
+        "mlm": lambda clip: [
+            apply_mlm_mask(ids, rng, vocab) if ids else TokenMaskPlan([], [], [], [])
+            for ids in (s.token_ids[: config.max_tokens] for s in clip.sentences)
+        ],
+        "mffr": lambda clip: make_frame_mask(clip.n_frames, rng),
+        "mnce": lambda clip: _mnce_frame_mask(clip.n_frames, rng),
+        "fom": lambda clip: make_reorder_plan(clip.n_frames, rng),
+        "vsm": lambda clip: sample_vsm_targets(clip, rng),
+    }
+    if kind not in planners:
         raise ConfigError(f"unknown task {kind!r}")
-    return batch
+    return TaskBatch(kind, step, seed, list(batch_clips), [planners[kind](c) for c in batch_clips])
 
 
 def task_loss(
@@ -610,28 +605,22 @@ def task_loss(
 ) -> T.Tensor:
     """Forward pass and loss for the batch's single task (mean over clips):
     one packed encoder pass over the batch's clips, then the task's head."""
+    plans = batch.plans
     if batch.kind == "mlm":
-        w_cross = model.encode_mlm(
-            batch.clips, batch.masked_token_ids, batch.token_plans, train_rng=train_rng
-        )
-        return model.mlm_loss(w_cross, batch.token_plans)
+        return model.mlm_loss(model.encode_mlm(batch.clips, plans, train_rng=train_rng), plans)
     if batch.kind == "mffr":
-        encoded = model.encode_mfm(
-            batch.clips, batch.frame_plans, train_rng=train_rng, masked_only=True
-        )
-        return model.mffr_loss(encoded, batch.frame_plans)
+        encoded = model.encode_mfm(batch.clips, plans, train_rng=train_rng, masked_only=True)
+        return model.mffr_loss(encoded, plans)
     if batch.kind == "mnce":
         neg_rng = np.random.default_rng([batch.seed, _SEED_NEGATIVES, batch.step])
-        encoded = model.encode_mfm(batch.clips, batch.frame_plans, train_rng=train_rng)
-        return model.mnce_loss(
-            encoded, batch.frame_plans, neg_rng, num_negatives=hypers.num_negatives
-        )
+        encoded = model.encode_mfm(batch.clips, plans, train_rng=train_rng)
+        return model.mnce_loss(encoded, plans, neg_rng, num_negatives=hypers.num_negatives)
     if batch.kind == "fom":
-        encoded = model.encode_reordered(batch.clips, batch.reorder_plans, train_rng=train_rng)
-        return model.fom_loss(encoded, batch.reorder_plans)
+        encoded = model.encode_reordered(batch.clips, plans, train_rng=train_rng)
+        return model.fom_loss(encoded, plans)
     if batch.kind == "vsm":
         encoded = model.encoder.encode_clips(batch.clips, train_rng=train_rng)
-        return model.vsm_loss(encoded, batch.vsm_targets, hypers, train_rng=train_rng)
+        return model.vsm_loss(encoded, plans, hypers, train_rng=train_rng)
     raise ConfigError(f"unknown task {batch.kind!r}")
 
 

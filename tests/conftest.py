@@ -16,12 +16,35 @@ from vidtext.data import AlignedClip, Sentence, Vocab, tokenize
 from vidtext.downstream import best_spans
 from vidtext.encoder import EncodedBatch, HierarchicalEncoder, ModelConfig, TransformerStack
 from vidtext.metrics import Moment, Ranking, temporal_nms, tiou
-from vidtext.pretrain import _mean_terms, hinge_loss, span_nll
+from vidtext.pretrain import (
+    FrameMaskPlan, ReorderPlan, TokenMaskPlan, VsmTarget, _mean_terms, hinge_loss, span_nll,
+)
 
 
 # property tests draw the same examples on every run and keep no example database
 settings.register_profile("vidtext", derandomize=True, database=None, deadline=None)
 settings.load_profile("vidtext")
+
+
+def plans_fit_task(batch) -> bool:
+    """A ``TaskBatch`` holds one plan per clip, each of its task's type: for
+    mlm a list of one ``TokenMaskPlan`` per sentence, for mffr and mnce a
+    ``FrameMaskPlan``, for fom a ``ReorderPlan`` and for vsm a nonempty list
+    of ``VsmTarget``s."""
+    if len(batch.plans) != len(batch.clips):
+        return False
+    for clip, plan in zip(batch.clips, batch.plans):
+        if batch.kind == "mlm":
+            ok = isinstance(plan, list) and len(plan) == len(clip.sentences) and all(
+                isinstance(p, TokenMaskPlan) for p in plan
+            )
+        elif batch.kind == "vsm":
+            ok = isinstance(plan, list) and bool(plan) and all(isinstance(t, VsmTarget) for t in plan)
+        else:
+            ok = isinstance(plan, ReorderPlan if batch.kind == "fom" else FrameMaskPlan)
+        if not ok:
+            return False
+    return True
 
 
 def detokenize(ids, vocab):

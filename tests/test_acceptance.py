@@ -32,7 +32,7 @@ from vidtext.downstream import (
 from vidtext.encoder import ModelConfig
 from vidtext.metrics import Moment, accuracy, bleu4, recall_at_k, temporal_nms, tiou
 
-from conftest import make_clip, nms_moments
+from conftest import make_clip, nms_moments, plans_fit_task
 from gradcheck import check_gradients
 
 
@@ -161,11 +161,7 @@ def test_criterion_1_gradient_suite(monkeypatch):
     hypers = P.PretrainHypers(num_negatives=3)
 
     mask_rng = np.random.default_rng(2)
-    masked_ids, plans = [], []
-    for s in clip_a.sentences:
-        m, plan = P.apply_mlm_mask(s.token_ids, mask_rng, vocab)
-        masked_ids.append(m)
-        plans.append(plan)
+    plans = [P.apply_mlm_mask(s.token_ids, mask_rng, vocab) for s in clip_a.sentences]
     frame_plan = P.FrameMaskPlan([1, 3])
     reorder_plan = P.ReorderPlan([0, 4], [4, 0])
     vsm_targets = [P.sample_vsm_targets(c, np.random.default_rng(3)) for c in (clip_a, clip_b)]
@@ -175,9 +171,7 @@ def test_criterion_1_gradient_suite(monkeypatch):
     monkeypatch.setattr(model, "mnce_positive_targets", lambda clips, plans: frozen_pos)
 
     compositions = {
-        "loss.mlm": lambda: model.mlm_loss(
-            model.encode_mlm([clip_a], [masked_ids], [plans]), [plans]
-        ),
+        "loss.mlm": lambda: model.mlm_loss(model.encode_mlm([clip_a], [plans]), [plans]),
         "loss.mffr": lambda: model.mffr_loss(
             model.encode_mfm([clip_a], [frame_plan], masked_only=True), [frame_plan]
         ),
@@ -215,12 +209,8 @@ def test_criterion_2_closed_form_losses():
     rng = np.random.default_rng(0)
     clip = make_clip(rng, vocab, groups=(4, 4), tokens=(8, 8), feat_dim=16)
     mask_rng = np.random.default_rng(1)
-    masked, plans = [], []
-    for s in clip.sentences:
-        m, plan = P.apply_mlm_mask(s.token_ids, mask_rng, vocab)
-        masked.append(m)
-        plans.append(plan)
-    mlm = model.mlm_loss(model.encode_mlm([clip], [masked], [plans]), [plans]).item()
+    plans = [P.apply_mlm_mask(s.token_ids, mask_rng, vocab) for s in clip.sentences]
+    mlm = model.mlm_loss(model.encode_mlm([clip], [plans]), [plans]).item()
     T.reset_tape()
     checks.append(("mlm~ln(100)", abs(mlm - math.log(100)) < 0.3))
 
@@ -263,7 +253,7 @@ def test_criterion_3_masking_statistics():
     actions = {P.ACTION_MASK: 0, P.ACTION_RANDOM: 0, P.ACTION_KEEP: 0}
     while n_tokens < 100_000:
         ids = [int(rng.integers(5, 60)) for _ in range(30)]
-        _, plan = P.apply_mlm_mask(ids, rng, vocab)
+        plan = P.apply_mlm_mask(ids, rng, vocab)
         n_tokens += len(ids)
         n_masked += len(plan.positions)
         for a in plan.actions:
@@ -285,18 +275,13 @@ def test_criterion_3_masking_statistics():
     ok_frames = abs(frame_masked / frame_total - 0.15) < 0.01
     ok_reorder = abs(reordered / reorder_total - 0.15) < 0.01
 
-    # one modality masked per batch, on every batch
+    # one modality masked per batch, on every batch: one plan per clip, of its task's type
     clips = [make_clip(np.random.default_rng(i), vocab, clip_id=f"c{i}") for i in range(4)]
     config = small_config(frame_feature_dim=8, d=16, max_tokens=12)
     weights = {t: 1.0 for t in P.TASK_NAMES}
     ok_exclusive = True
     for batch in P.make_batches(clips, vocab, config, 2, seed=1, weights=weights, num_steps=200):
-        payloads = [batch.token_plans, batch.frame_plans, batch.reorder_plans, batch.vsm_targets]
-        ok_exclusive &= sum(p is not None for p in payloads) == 1
-        if batch.kind == "mlm":
-            ok_exclusive &= batch.frame_plans is None
-        if batch.kind in ("mffr", "mnce"):
-            ok_exclusive &= batch.token_plans is None
+        ok_exclusive &= plans_fit_task(batch)
 
     ok = ok_rate and ok_split and ok_frames and ok_reorder and ok_exclusive
     report(
@@ -750,8 +735,7 @@ def test_criterion_9_default_wiring(tmp_path):
     for batch in P.make_batches(
         clips, vocab, config, 2, seed=0, weights={t: 1.0 for t in P.TASK_NAMES}, num_steps=50
     ):
-        payloads = [batch.token_plans, batch.frame_plans, batch.reorder_plans, batch.vsm_targets]
-        one_task &= batch.kind in P.TASK_NAMES and sum(p is not None for p in payloads) == 1
+        one_task &= batch.kind in P.TASK_NAMES and plans_fit_task(batch)
     checks["one task per batch"] = one_task
 
     failed = [name for name, ok in checks.items() if not ok]

@@ -14,7 +14,7 @@ from vidtext.errors import ConfigError, DataError, UsageError
 
 from conftest import (
     assert_step_matches_full_rows, clip_views, full_row_stacks, fused_tokens, make_clip,
-    ref_encode_query, ref_vsm_loss, rows_batch, slice_cols,
+    plans_fit_task, ref_encode_query, ref_vsm_loss, rows_batch, slice_cols,
 )
 
 UNIFORM = {"mlm": 1.0, "mffr": 1.0, "mnce": 1.0, "vsm": 1.0, "fom": 1.0}
@@ -52,7 +52,7 @@ class TestMlmMask:
         actions = {P.ACTION_MASK: 0, P.ACTION_RANDOM: 0, P.ACTION_KEEP: 0}
         for _ in range(1200):
             ids = [int(rng.integers(5, 30)) for _ in range(30)]
-            masked, plan = P.apply_mlm_mask(ids, rng, small_vocab)
+            plan = P.apply_mlm_mask(ids, rng, small_vocab)
             n_tokens += len(ids)
             n_masked += len(plan.positions)
             for a in plan.actions:
@@ -66,13 +66,16 @@ class TestMlmMask:
 
     def test_single_token_sentence_is_always_masked(self, small_vocab):
         rng = np.random.default_rng(1)
-        _, plan = P.apply_mlm_mask([9], rng, small_vocab)
+        plan = P.apply_mlm_mask([9], rng, small_vocab)
         assert plan.positions == [0]
 
     def test_mask_action_writes_mask_id_and_keeps_original(self, small_vocab):
         rng = np.random.default_rng(2)
         ids = [7] * 40
-        masked, plan = P.apply_mlm_mask(ids, rng, small_vocab)
+        plan = P.apply_mlm_mask(ids, rng, small_vocab)
+        masked = plan.masked
+        assert len(masked) == len(ids)
+        assert all(masked[i] == 7 for i in set(range(len(ids))) - set(plan.positions))
         for pos, action, orig in zip(plan.positions, plan.actions, plan.originals):
             assert orig == 7
             if action == P.ACTION_MASK:
@@ -85,10 +88,10 @@ class TestMlmMask:
     def test_random_replacement_never_special(self, small_vocab):
         rng = np.random.default_rng(3)
         for _ in range(300):
-            masked, plan = P.apply_mlm_mask([6] * 20, rng, small_vocab)
+            plan = P.apply_mlm_mask([6] * 20, rng, small_vocab)
             for pos, action in zip(plan.positions, plan.actions):
                 if action == P.ACTION_RANDOM:
-                    assert masked[pos] >= small_vocab.num_specials
+                    assert plan.masked[pos] >= small_vocab.num_specials
 
     def test_empty_sentence_rejected(self, small_vocab):
         with pytest.raises(UsageError):
@@ -111,23 +114,22 @@ class TestMlmLoss:
         rng = np.random.default_rng(4)
         clip = make_clip(rng, vocab, groups=(4, 4), tokens=(8, 8))
         rng_mask = np.random.default_rng(5)
-        masked, plans = [], []
-        for s in clip.sentences:
-            m, plan = P.apply_mlm_mask(s.token_ids, rng_mask, vocab)
-            masked.append(m)
-            plans.append(plan)
-        loss = model.mlm_loss(model.encode_mlm([clip], [masked], [plans]), [plans])
+        plans = [P.apply_mlm_mask(s.token_ids, rng_mask, vocab) for s in clip.sentences]
+        loss = model.mlm_loss(model.encode_mlm([clip], [plans]), [plans])
         assert abs(loss.item() - math.log(100)) < 0.3
 
     def test_rigged_one_hot_logits_drive_loss_to_zero(self, model, small_vocab, toy_clip):
         masked = [list(s.token_ids) for s in toy_clip.sentences]
         masked[0][2] = MASK_ID
-        plan = P.TokenMaskPlan([2], [P.ACTION_MASK], [toy_clip.sentences[0].token_ids[2]])
+        plans = [
+            P.TokenMaskPlan([2], [P.ACTION_MASK], [toy_clip.sentences[0].token_ids[2]], masked[0]),
+            P.TokenMaskPlan([], [], [], masked[1]),
+        ]
         # single masked position, so a bias-only head can one-hot the answer
         model.lm_head.w.data[:] = 0.0
         model.lm_head.b.data[:] = 0.0
-        model.lm_head.b.data[plan.originals[0]] = 60.0
-        loss = model.mlm_loss(model.encode_mlm([toy_clip], [masked], [[plan, None]]), [[plan, None]])
+        model.lm_head.b.data[plans[0].originals[0]] = 60.0
+        loss = model.mlm_loss(model.encode_mlm([toy_clip], [plans]), [plans])
         assert loss.item() < 1e-6
 
     def test_loss_reads_only_masked_rows(self, model, toy_clip, monkeypatch):
@@ -136,23 +138,25 @@ class TestMlmLoss:
         masked = [list(s.token_ids) for s in toy_clip.sentences]
         masked[0][1] = masked[1][0] = masked[1][3] = MASK_ID
         plans = [
-            P.TokenMaskPlan([1], [P.ACTION_MASK], [toy_clip.sentences[0].token_ids[1]]),
-            P.TokenMaskPlan([0, 3], [P.ACTION_MASK] * 2, toy_clip.sentences[1].token_ids[:4:3]),
+            P.TokenMaskPlan([1], [P.ACTION_MASK], [toy_clip.sentences[0].token_ids[1]], masked[0]),
+            P.TokenMaskPlan(
+                [0, 3], [P.ACTION_MASK] * 2, toy_clip.sentences[1].token_ids[:4:3], masked[1]
+            ),
         ]
         with monkeypatch.context() as m:
             m.setattr(HierarchicalEncoder, "temporal_apply", _no_temporal_stage)
-            w_cross = model.encode_mlm([toy_clip], [masked], [plans])
+            w_cross = model.encode_mlm([toy_clip], [plans])
         w = fused_tokens(model.encoder, [toy_clip], [masked])[0]
         want = np.concatenate([w[0].data[[1]], w[1].data[[0, 3]]])
         assert w_cross.data.tobytes() == want.tobytes()
         T.reset_tape()
 
     def test_empty_plan_rejected(self, model, toy_clip):
-        plan = P.TokenMaskPlan([0], [P.ACTION_KEEP], [toy_clip.sentences[0].token_ids[0]])
         ids = [list(s.token_ids) for s in toy_clip.sentences]
-        encoded = model.encode_mlm([toy_clip], [ids], [[plan, None]])
+        plan = P.TokenMaskPlan([0], [P.ACTION_KEEP], [ids[0][0]], ids[0])
+        encoded = model.encode_mlm([toy_clip], [[plan, P.TokenMaskPlan([], [], [], ids[1])]])
         with pytest.raises(UsageError):
-            model.mlm_loss(encoded, [[None, None]])
+            model.mlm_loss(encoded, [[P.TokenMaskPlan([], [], [], ids[0])] * 2])
         T.reset_tape()
 
 
@@ -168,10 +172,11 @@ class TestMaskingNeverLeaks:
     def test_mlm_replaced_positions_carry_no_original_signal(self, small_vocab):
         rng = np.random.default_rng(6)
         ids = [7] * 30
-        masked, plan = P.apply_mlm_mask(ids, rng, small_vocab)
+        plan = P.apply_mlm_mask(ids, rng, small_vocab)
         changed = [9] * 30
         rng2 = np.random.default_rng(6)  # same draws, different originals
-        masked2, plan2 = P.apply_mlm_mask(changed, rng2, small_vocab)
+        plan2 = P.apply_mlm_mask(changed, rng2, small_vocab)
+        masked, masked2 = plan.masked, plan2.masked
         assert plan.positions == plan2.positions
         assert plan.actions == plan2.actions
         for pos, action in zip(plan.positions, plan.actions):
@@ -400,13 +405,13 @@ def _ref_task_loss(model, batch, hypers, neg_rng):
     one head per clip, then the mean over clips."""
     enc, terms = model.encoder, []
     if batch.kind == "mlm":
-        for clip, masked, plans in zip(batch.clips, batch.masked_token_ids, batch.token_plans):
-            w_cross = fused_tokens(enc, [clip], [masked])[0]
-            rows = [T.take_rows(w, p.positions) for w, p in zip(w_cross, plans) if p is not None]
-            labels = [i for p in plans if p is not None for i in p.originals]
+        for clip, plans in zip(batch.clips, batch.plans):
+            w_cross = fused_tokens(enc, [clip], [[p.masked for p in plans]])[0]
+            rows = [T.take_rows(w, p.positions) for w, p in zip(w_cross, plans) if p.positions]
+            labels = [i for p in plans for i in p.originals]
             terms.append(T.cross_entropy(model.lm_head(T.concat_rows(rows)), labels))
     elif batch.kind in ("mffr", "mnce"):
-        for clip, plan in zip(batch.clips, batch.frame_plans):
+        for clip, plan in zip(batch.clips, batch.plans):
             feats = clip.frame_features.copy()
             feats[plan.positions] = 0.0
             e = clip_views(enc.encode_clips([clip], frame_features_overrides=[feats]))[0]
@@ -419,14 +424,14 @@ def _ref_task_loss(model, batch, hypers, neg_rng):
                 targets = model.mnce_proj(T.take_rows(clean.v_temp, plan.positions)).data
             terms.append(_ref_mnce_loss(model, e, plan, neg_rng, hypers.num_negatives, targets))
     elif batch.kind == "fom":
-        for clip, plan in zip(batch.clips, batch.reorder_plans):
+        for clip, plan in zip(batch.clips, batch.plans):
             v_emb, v_cross = enc.fuse_clip([clip])
             perm = plan.permutation(clip.n_frames)
             v_temp = enc.temporal_forward(T.take_rows(v_emb, perm), T.take_rows(v_cross, perm))
             terms.append(_ref_fom_loss(model, v_temp, plan))
     else:
         encoded = [enc.encode_clip(c) for c in batch.clips]
-        return ref_vsm_loss(model, encoded, batch.vsm_targets, hypers)
+        return ref_vsm_loss(model, encoded, batch.plans, hypers)
     return P._mean_terms(terms)
 
 
@@ -458,7 +463,7 @@ class TestPackedBatchMatchesPerClip:
         batch = self._batch("mnce", clips, small_vocab, tiny_config)
         rngs = [np.random.default_rng(42) for _ in range(2)]
         packed = _loss_and_grads(model, lambda: model.mnce_loss(
-            model.encode_mfm(clips, batch.frame_plans), batch.frame_plans, rngs[0],
+            model.encode_mfm(clips, batch.plans), batch.plans, rngs[0],
             num_negatives=hypers.num_negatives,
         ))
         ref = _loss_and_grads(model, lambda: _ref_task_loss(model, batch, hypers, rngs[1]))
@@ -824,22 +829,18 @@ class TestBatching:
         )
         for b in batches:
             assert b.kind in P.TASK_NAMES
-            payloads = [
-                b.token_plans is not None,
-                b.frame_plans is not None,
-                b.reorder_plans is not None,
-                b.vsm_targets is not None,
-            ]
-            assert sum(payloads) == 1
+            assert plans_fit_task(b)
 
     def test_modality_exclusivity(self, small_vocab, tiny_config):
+        """An mlm batch carries token plans alone, and an mffr or mnce batch
+        frame plans alone, one per clip."""
         clips = self._corpus(small_vocab)
+        kinds = set()
         for b in P.make_batches(clips, small_vocab, tiny_config, batch_size=2, seed=1,
                                 weights=UNIFORM, num_steps=40):
-            if b.kind == "mlm":
-                assert b.frame_plans is None
-            if b.kind in ("mffr", "mnce"):
-                assert b.token_plans is None
+            assert plans_fit_task(b)
+            kinds.add(b.kind)
+        assert kinds == set(P.TASK_NAMES)
 
     def test_epoch_covers_every_clip_exactly_once(self, small_vocab, tiny_config):
         clips = self._corpus(small_vocab, n=4)
@@ -917,7 +918,7 @@ class TestBatching:
         hypers = P.PretrainHypers()
         for b in P.make_batches(clips, small_vocab, tiny_config, batch_size=2, seed=0,
                                 weights={"mnce": 1.0}, num_steps=40):
-            assert all(len(plan.positions) == 1 for plan in b.frame_plans)
+            assert all(len(plan.positions) == 1 for plan in b.plans)
             assert np.isfinite(P.pretrain_step(model, b, opt, hypers))
 
     def test_mixed_schedule_routes_singleton_batch_away_from_vsm(self, small_vocab, tiny_config):
@@ -926,6 +927,69 @@ class TestBatching:
                                 weights=UNIFORM, num_steps=30):
             if len(b.clips) == 1:
                 assert b.kind != "vsm"
+
+    def test_plan_stream_is_pinned(self, small_vocab):
+        """The first 10 batches of a fixed corpus, plan for plan, as an
+        earlier version drew them: a change to the generator's draw order
+        changes every later run and resume."""
+        shapes = [((4, 5), (4, 6)), ((3, 1, 4), (5, 0, 3)), ((8,), (7,)), ((2, 6), (2, 3))]
+        clips = [
+            make_clip(np.random.default_rng(40 + i), small_vocab, groups=g, tokens=t,
+                      clip_id=f"pin{i}")
+            for i, (g, t) in enumerate(shapes)
+        ]
+        batches = P.make_batches(clips, small_vocab, ModelConfig(max_tokens=5), 2, 0,
+                                 dict.fromkeys(P.TASK_NAMES, 1.0), 10)
+        got = [(b.step, b.kind, tuple(c.clip_id for c in b.clips), _plan_values(b)) for b in batches]
+        assert got == _PINNED_STREAM
+
+
+def _plan_values(batch):
+    """A batch's plans as nested tuples of ints and strings."""
+    if batch.kind == "mlm":
+        return tuple(
+            tuple((tuple(p.positions), tuple(p.actions), tuple(p.originals), tuple(p.masked))
+                  for p in plans)
+            for plans in batch.plans
+        )
+    if batch.kind == "fom":
+        return tuple((tuple(p.positions), tuple(p.sources)) for p in batch.plans)
+    if batch.kind == "vsm":
+        return tuple(
+            tuple((tuple(t.query_token_ids), tuple(t.span)) for t in targets)
+            for targets in batch.plans
+        )
+    return tuple(tuple(p.positions) for p in batch.plans)
+
+
+_PINNED_STREAM = [
+    (0, "mnce", ("pin3", "pin0"), ((3, 7), (0, 6))),
+    (1, "fom", ("pin1", "pin2"), (((0,), (0,)), ((2,), (2,)))),
+    (2, "vsm", ("pin3", "pin1"), ((((11, 14), (0, 1)),), (((24, 20, 7, 18, 26), (0, 2)),))),
+    (3, "mnce", ("pin2", "pin0"), ((0,), (5,))),
+    (4, "fom", ("pin1", "pin2"), (((0,), (0,)), ((2, 7), (7, 2)))),
+    (5, "fom", ("pin0", "pin3"), (((1,), (1,)), ((3, 6, 7), (7, 6, 3)))),
+    (
+        6, "vsm", ("pin2", "pin0"),
+        ((((7, 18, 24, 12, 20, 5, 13), (0, 7)),), (((6, 11, 12, 15, 25, 12), (4, 8)),)),
+    ),
+    (
+        7, "mlm", ("pin1", "pin3"),
+        (
+            (
+                ((2,), ("mask",), (7,), (24, 20, 1, 18, 26)),
+                ((), (), (), ()),
+                ((1,), ("mask",), (27,), (7, 1, 29)),
+            ),
+            (((0,), ("mask",), (11,), (1, 14)), ((1,), ("mask",), (20,), (28, 1, 24))),
+        ),
+    ),
+    (
+        8, "vsm", ("pin2", "pin1"),
+        ((((7, 18, 24, 12, 20, 5, 13), (0, 7)),), (((24, 20, 7, 18, 26), (0, 2)),)),
+    ),
+    (9, "mffr", ("pin3", "pin0"), ((2,), (5, 6))),
+]
 
 
 class TestPretrainStep:
