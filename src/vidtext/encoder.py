@@ -256,8 +256,8 @@ class EncodedBatch:
     b owns rows ``frame_bounds[b]:frame_bounds[b + 1]`` of ``v_temp``, for
     every producer.  A clip pass keeps every frame row, in timestamp order;
     ``encode_clips`` given frame orders keeps them in those orders, and
-    given temporal positions keeps those rows alone, so ``frame_times``
-    names the rows of a clip pass only.  The fields are set once, and the
+    given temporal positions keeps those rows alone, and then has no
+    ``frame_times``.  The fields are set once, and the
     cached properties read their arrays as immutable too.
     """
 
@@ -277,7 +277,13 @@ class EncodedBatch:
     @functools.cached_property
     def frame_times(self) -> np.ndarray:
         """The clips' ``frame_times`` as one (N, 2) array: the start and end
-        seconds of each packed frame row, clip by clip."""
+        seconds of each packed frame row, clip by clip.  A batch in which a
+        clip does not own one row per frame (one that ``temporal_positions``
+        pruned) has no such times: reading them is a UsageError.  A batch
+        whose rows ``frame_orders`` reordered keeps its row counts, so not
+        to read its times is the caller's precondition."""
+        if not np.array_equal(np.diff(self.frame_bounds), [clip.n_frames for clip in self.clips]):
+            raise UsageError("frame_times needs a batch that keeps every frame row of its clips")
         return np.concatenate([clip.frame_times for clip in self.clips])
 
     @functools.cached_property

@@ -848,6 +848,19 @@ class TestPreparedClipSide:
         encoded.append(tail)
         self.check(model, encoded)
 
+    def test_a_pruned_batch_is_refused(self, setup):
+        """A batch that ``temporal_positions`` pruned owns fewer rows than
+        its clips have frames, so no frame times name its rows: ranking it
+        would label moments with another frame's, or another clip's, seconds."""
+        model, clips = setup
+        with T.no_grad():
+            pruned = model.encoder.encode_clips(clips[:2], temporal_positions=[[0, 2], [0]])
+            whole = model.encoder.encode_clip(clips[2])
+        for encoded in ([pruned], [whole, pruned]):
+            with pytest.raises(UsageError, match="frame_times needs a batch that keeps every"):
+                rank_moments(model, encoded, [5, 6, 7])
+        self.check(model, [whole])
+
     def test_the_slot_keeps_no_batch_alive(self, setup):
         model, clips = setup
         encoded = self.mixed_batches(model.encoder, clips)
