@@ -15,6 +15,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import argparse
+import hashlib
 import json
 import math
 import sys
@@ -329,21 +330,6 @@ def cmd_pretrain(args) -> int:
     hypers = _hypers(eff)
     seed, steps, batch_size = eff["seed"], eff["steps"], eff["batch_size"]
 
-    model = PretrainModel(config, seed=seed)
-    optimizer = T.AdamW(model.params(), lr=eff["lr"], weight_decay=eff["weight_decay"])
-    start_step = 0
-    if args.resume:
-        arrays, meta = load_checkpoint(args.resume)
-        (start_step,) = _meta_fields(meta, args.resume, "step")
-        _check_resume_meta(meta, args.resume, arrays, seed, sorted(weights), batch_size, config)
-        _check_corpus_tokens(args.corpus, vocab, meta["vocab_tokens"])
-        _load_model_arrays(model, arrays, args.resume)
-        if start_step > steps:
-            raise ConfigError(
-                f"checkpoint {args.resume} is at step {start_step}, past --steps {steps}"
-            )
-        optimizer.load_state_arrays(arrays, start_step)
-
     meta = {
         "model_kind": "pretrain",
         "config": config.to_dict(),
@@ -351,7 +337,26 @@ def cmd_pretrain(args) -> int:
         "vocab_tokens": vocab.tokens,
         "tasks": sorted(weights),
         "batch_size": batch_size,
+        **{key: eff[key] for key in ("lr", "weight_decay", *_LOSS_WEIGHTS)},
+        "corpus_sha256": read_input(
+            args.corpus, "corpus file", lambda _, raw: hashlib.sha256(raw).hexdigest(), binary=True
+        ),
     }
+    model = PretrainModel(config, seed=seed)
+    optimizer = T.AdamW(model.params(), lr=eff["lr"], weight_decay=eff["weight_decay"])
+    start_step = 0
+    if args.resume:
+        arrays, saved = load_checkpoint(args.resume)
+        (start_step,) = _meta_fields(saved, args.resume, "step")
+        _check_resume_meta(saved, args.resume, arrays, meta)
+        _check_corpus_tokens(args.corpus, vocab, saved["vocab_tokens"])
+        _load_model_arrays(model, arrays, args.resume)
+        if start_step > steps:
+            raise ConfigError(
+                f"checkpoint {args.resume} is at step {start_step}, past --steps {steps}"
+            )
+        optimizer.load_state_arrays(arrays, start_step)
+
     batches = make_batches(clips, vocab, config, batch_size, seed, weights, steps, start_step)
     work = (
         (b.step, b.kind, partial(pretrain_step, model, b, optimizer, hypers)) for b in batches
@@ -500,22 +505,24 @@ def _load_model_arrays(model, arrays: dict, path, required_prefix: str = "") -> 
     return fresh
 
 
-def _check_resume_meta(
-    meta: dict, path, arrays: dict, seed: int, tasks: list, batch_size: int, config: ModelConfig
-) -> None:
-    """A resumed run must have the seed, tasks, batch size and model config
-    that wrote its checkpoint; a mismatch is a ConfigError (exit 1) naming
-    each one."""
-    saved_seed, saved_tasks, saved_batch = _meta_fields(meta, path, "seed", "tasks", "batch_size")
+# the pretrain meta keys a resumed run must match, besides the model config
+_RESUME_KEYS = (
+    "seed", "tasks", "batch_size", "lr", "weight_decay", *_LOSS_WEIGHTS, "corpus_sha256"
+)
+
+
+def _check_resume_meta(meta: dict, path, arrays: dict, run: dict) -> None:
+    """A resumed run must have the seed, tasks, batch size, optimizer
+    settings, loss weights, corpus file bytes and model config in the meta
+    ``run`` that wrote its checkpoint; a mismatch is a ConfigError (exit 1)
+    naming each one.  A checkpoint that lacks one of these keys is a
+    DataError (exit 2) naming it."""
+    saved = dict(zip(_RESUME_KEYS, _meta_fields(meta, path, *_RESUME_KEYS)))
     saved_config = _meta_config(meta, path, arrays).to_dict()
-    diffs = [f"seed {saved_seed} != {seed}"] if saved_seed != seed else []
-    if saved_tasks != tasks:
-        diffs.append(f"tasks {saved_tasks} != {tasks}")
-    if saved_batch != batch_size:
-        diffs.append(f"batch_size {saved_batch} != {batch_size}")
+    diffs = [f"{key} {saved[key]} != {run[key]}" for key in _RESUME_KEYS if saved[key] != run[key]]
     diffs += [
         f"{key} {saved_config[key]} != {value}"
-        for key, value in config.to_dict().items()
+        for key, value in run["config"].items()
         if saved_config[key] != value
     ]
     if diffs:

@@ -461,11 +461,27 @@ class TestIncompleteCheckpoints:
         assert rc == EXIT_DATA
         assert "'batch_size'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", [
+        "lr", "weight_decay", "margin", "lambda_local", "lambda_global", "num_negatives",
+        "corpus_sha256",
+    ])
+    def test_resume_without_a_run_setting_exits_two(self, corpus, pretrained, tmp_path, capsys, key):
+        """A checkpoint from before these keys were written cannot be resumed."""
+        bad = self._resave(pretrained, tmp_path / "bad.ckpt", drop_meta=(key,))
+        rc = main([
+            "pretrain", "--corpus", str(corpus), "--out-dir", str(tmp_path / "run"),
+            "--steps", "8", "--batch-size", "2", "--lr", "0.001", "--dropout", "0.0", *SMALL_MODEL,
+            "--resume", str(bad),
+        ])
+        assert rc == EXIT_DATA
+        assert repr(key) in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_resume_without_optimizer_state_exits_two(self, corpus, pretrained, tmp_path, capsys):
         bad = self._resave(pretrained, tmp_path / "bad.ckpt", drop_arrays="adam.")
         rc = main([
             "pretrain", "--corpus", str(corpus), "--out-dir", str(tmp_path / "run"),
-            "--steps", "8", "--batch-size", "2", "--dropout", "0.0", *SMALL_MODEL,
+            "--steps", "8", "--batch-size", "2", "--lr", "0.001", "--dropout", "0.0", *SMALL_MODEL,
             "--resume", str(bad),
         ])
         assert rc == EXIT_DATA
@@ -532,7 +548,7 @@ class TestCheckpointArrays:
     encoder's and says which head arrays start fresh."""
 
     _resave = staticmethod(TestIncompleteCheckpoints._resave)
-    RESUME = ["--steps", "8", "--batch-size", "2", "--dropout", "0.0", *SMALL_MODEL]
+    RESUME = ["--steps", "8", "--batch-size", "2", "--lr", "0.001", "--dropout", "0.0", *SMALL_MODEL]
 
     @pytest.mark.parametrize("drop,first", [
         ("lm_head.b", "lm_head.b"),
@@ -575,6 +591,12 @@ class TestCheckpointArrays:
         (["--tasks", "mlm,fom"], "tasks ['fom', 'mlm', 'mnce', 'vsm'] != ['fom', 'mlm']"),
         (["--dropout", "0.1"], "dropout 0.0 != 0.1"),
         (["--batch-size", "3"], "batch_size 2 != 3"),
+        (["--lr", "0.5"], "lr 0.001 != 0.5"),
+        (["--weight-decay", "0.3"], "weight_decay 0.01 != 0.3"),
+        (["--margin", "0.9"], "margin 0.1 != 0.9"),
+        (["--lambda-local", "0.5"], "lambda_local 0.01 != 0.5"),
+        (["--lambda-global", "2"], "lambda_global 8.0 != 2.0"),
+        (["--num-negatives", "3"], "num_negatives 15 != 3"),
     ])
     def test_resume_refuses_other_options(self, corpus, pretrained, tmp_path, capsys, flags, named):
         run = tmp_path / "run"
@@ -583,6 +605,32 @@ class TestCheckpointArrays:
         assert rc == EXIT_USAGE
         assert named in capsys.readouterr().err
         assert not (run / "final.ckpt").exists()
+
+    def test_resume_refuses_another_corpus_of_the_same_vocabulary(
+        self, corpus, pretrained, tmp_path, capsys
+    ):
+        other = tmp_path / "other.jsonl"
+        assert main([
+            "gen-data", "--out", str(other), "--clips", "4", "--seconds", "21",
+            "--fps", "0.6667", "--feature-dim", "8", "--vocab-size", "30", "--seed", "2",
+        ]) == EXIT_OK
+        capsys.readouterr()
+        vocab = corpus.with_suffix(".vocab.txt")
+        assert other.with_suffix(".vocab.txt").read_text() == vocab.read_text()
+        run = tmp_path / "run"
+        rc = main(["pretrain", "--corpus", str(other), "--out-dir", str(run), *self.RESUME,
+                   "--resume", str(pretrained)])
+        assert rc == EXIT_USAGE
+        assert "corpus_sha256" in capsys.readouterr().err
+        assert not (run / "final.ckpt").exists()
+        # the same bytes under another name resume
+        copy = tmp_path / "copy"
+        copy.mkdir()
+        shutil.copy(vocab, copy)
+        shutil.copy(corpus, copy)
+        rc = main(["pretrain", "--corpus", str(copy / "corpus.jsonl"), "--out-dir", str(run),
+                   *self.RESUME, "--resume", str(pretrained)])
+        assert rc == EXIT_OK
 
     def test_finetune_init_needs_the_encoder_arrays(self, corpus, pretrained, tmp_path, capsys):
         tasks = write_toy_tasks(corpus, tmp_path)
@@ -672,7 +720,7 @@ class TestCheckpointsWithDroppedBiases:
         assert rc == EXIT_OK
         rc = main([
             "pretrain", "--corpus", str(corpus), "--out-dir", str(tmp_path / "run"),
-            *TestCheckpointArrays.RESUME, "--lr", "0.001", "--resume", str(old),
+            *TestCheckpointArrays.RESUME, "--resume", str(old),
         ])
         assert rc == EXIT_OK
         assert (tmp_path / "run" / "final.ckpt").exists()
@@ -1422,9 +1470,10 @@ _JSON_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
     max_leaves=5,
 )
-_META_KEYS = ["model_kind", "config", "seed", "vocab_tokens", "step", "tasks", "batch_size"] + [
-    f"config.{key}" for key in ModelConfig().to_dict()
-]
+_META_KEYS = [
+    "model_kind", "config", "seed", "vocab_tokens", "step", "tasks", "batch_size", "lr",
+    "weight_decay", "margin", "lambda_local", "lambda_global", "num_negatives", "corpus_sha256",
+] + [f"config.{key}" for key in ModelConfig().to_dict()]
 
 
 @settings(max_examples=40)
