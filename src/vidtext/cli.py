@@ -512,10 +512,10 @@ _RESUME_KEYS = (
 
 
 def _check_resume_meta(meta: dict, path, arrays: dict, run: dict) -> None:
-    """A resumed run must have the seed, tasks, batch size, optimizer
-    settings, loss weights, corpus file bytes and model config in the meta
-    ``run`` that wrote its checkpoint; a mismatch is a ConfigError (exit 1)
-    naming each one.  A checkpoint that lacks one of these keys is a
+    """A resumed run's meta ``run`` must match the checkpoint's ``meta`` in
+    its seed, tasks, batch size, optimizer settings, loss weights, corpus
+    file digest and model config; a mismatch is a ConfigError (exit 1)
+    naming each one, and a checkpoint that lacks one of these keys is a
     DataError (exit 2) naming it."""
     saved = dict(zip(_RESUME_KEYS, _meta_fields(meta, path, *_RESUME_KEYS)))
     saved_config = _meta_config(meta, path, arrays).to_dict()

@@ -280,8 +280,9 @@ class EncodedBatch:
         seconds of each packed frame row, clip by clip.  A batch in which a
         clip does not own one row per frame (one that ``temporal_positions``
         pruned) has no such times: reading them is a UsageError.  A batch
-        whose rows ``frame_orders`` reordered keeps its row counts, so not
-        to read its times is the caller's precondition."""
+        that ``frame_orders`` reordered still owns one row per frame, so the
+        check passes it: not ranking such a batch remains the caller's
+        precondition."""
         if not np.array_equal(np.diff(self.frame_bounds), [clip.n_frames for clip in self.clips]):
             raise UsageError("frame_times needs a batch that keeps every frame row of its clips")
         return np.concatenate([clip.frame_times for clip in self.clips])
