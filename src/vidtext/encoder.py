@@ -381,7 +381,8 @@ class HierarchicalEncoder(Module):
         sequence, returning the fused rows the caller reads.
 
         ``segments`` lists each segment's frame rows (into ``v_emb``) and
-        token rows (into ``w_emb``) and must use every row exactly once.  The
+        token rows (into ``w_emb``) and must use every row exactly once (the
+        first block's attention raises a ShapeError otherwise).  The
         stack runs on the packed rows ``[v_emb; w_emb]``; only attention sees
         the segments, as an (S, L) row grid padded to the longest segment.
         Either side may be absent (the query path passes no frames).
@@ -401,8 +402,6 @@ class HierarchicalEncoder(Module):
         ]
         if min(len(rows) for rows in joint) == 0:
             raise UsageError("cross_modal_forward needs at least one row in every segment")
-        if not np.array_equal(np.sort(np.concatenate(joint)), np.arange(n_rows)):
-            raise ShapeError("cross_modal_forward segments must use every frame and token row once")
         return self.cross(
             parts[0] if len(parts) == 1 else T.concat_rows(parts),
             dropout=self.config.dropout,
