@@ -117,8 +117,6 @@ class Sentence:
 
     text: str
     token_ids: list[int]
-    t0: float
-    t1: float
     frame_indices: list[int] = field(default_factory=list)
 
     def span(self) -> tuple[int, int]:
@@ -178,7 +176,6 @@ def align(raw: RawClip, vocab: Vocab) -> AlignedClip:
             if sentences:
                 prev = sentences[-1]
                 prev.text = (prev.text + " " + s.text).strip()
-                prev.t1 = max(prev.t1, s.t1)
             else:
                 pending_text.append(s.text)
             continue
@@ -186,7 +183,7 @@ def align(raw: RawClip, vocab: Vocab) -> AlignedClip:
         if pending_text:
             text = " ".join(pending_text + [text]).strip()
             pending_text.clear()
-        sentences.append(Sentence(text=text, token_ids=[], t0=s.t0, t1=s.t1, frame_indices=group))
+        sentences.append(Sentence(text=text, token_ids=[], frame_indices=group))
 
     for sent in sentences:
         sent.token_ids = tokenize(sent.text, vocab)

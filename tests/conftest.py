@@ -95,8 +95,6 @@ def make_clip(
             Sentence(
                 text=detokenize(ids, vocab),
                 token_ids=ids,
-                t0=times[start][0],
-                t1=times[start + k - 1][1],
                 frame_indices=list(range(start, start + k)),
             )
         )
@@ -311,7 +309,6 @@ def loop_align(raw, vocab):
             if sentences:
                 prev = sentences[-1]
                 prev.text = (prev.text + " " + s.text).strip()
-                prev.t1 = max(prev.t1, s.t1)
             else:
                 pending_text.append(s.text)
             continue
@@ -319,7 +316,7 @@ def loop_align(raw, vocab):
         if pending_text:
             text = " ".join(pending_text + [text]).strip()
             pending_text.clear()
-        sentences.append(Sentence(text=text, token_ids=[], t0=s.t0, t1=s.t1, frame_indices=group))
+        sentences.append(Sentence(text=text, token_ids=[], frame_indices=group))
 
     for sent in sentences:
         sent.token_ids = tokenize(sent.text, vocab)

@@ -65,8 +65,6 @@ def single_channel_wrap(
     sent = Sentence(
         text="",
         token_ids=[CLS_ID, SEP_ID],
-        t0=frame_times[0][0],
-        t1=frame_times[-1][1],
         frame_indices=list(range(n)),
     )
     return AlignedClip(

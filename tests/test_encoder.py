@@ -197,8 +197,6 @@ class TestEncodeClip:
                 Sentence(
                     text="",
                     token_ids=[CLS_ID, SEP_ID],
-                    t0=0.0,
-                    t1=float(n),
                     frame_indices=list(range(n)),
                 )
             ],
