@@ -224,13 +224,6 @@ def seconds_to_frame_span(clip: AlignedClip, t0: float, t1: float) -> tuple[int,
     return (int(hits[0]), int(hits[-1]))
 
 
-def qa_augmented_token_ids(
-    sentence_ids: Sequence[int], query_ids: Sequence[int], max_tokens: int
-) -> list[int]:
-    """Append [SEP] query to a sentence's tokens."""
-    return (list(sentence_ids) + [SEP_ID] + list(query_ids))[:max_tokens]
-
-
 def encode_with_appended_text(
     encoder: HierarchicalEncoder,
     clip: AlignedClip,
@@ -250,19 +243,12 @@ def encode_with_appended_text(
     grid.  Linear, LayerNorm, GELU and dropout see only real rows.  The
     cross stack keeps the frame and pseudo-sentence rows, which the
     temporal stage reads, and the temporal stack keeps the frame rows.
+    ``embed_text`` cuts each text (a sentence, [SEP] and the candidate, or
+    the candidate alone) to ``max_tokens``.
     """
-    max_tokens = encoder.config.max_tokens
     n_f, n_c = clip.n_frames, len(candidates)
-    texts = [
-        qa_augmented_token_ids(s.token_ids, cand, max_tokens)
-        for cand in candidates
-        for s in clip.sentences
-    ]
-    texts += [list(cand)[:max_tokens] for cand in candidates]  # the pseudo-sentences, last
-    bounds = np.cumsum([0] + [len(ids) for ids in texts])
-    w_emb = encoder.embed_text(
-        [i for ids in texts for i in ids], np.concatenate([np.arange(len(ids)) for ids in texts])
-    )
+    texts = [[*s.token_ids, SEP_ID, *cand] for cand in candidates for s in clip.sentences]
+    w_emb, bounds = encoder.embed_text(texts + list(candidates))  # the pseudo-sentences, last
     v_emb = encoder.embed_video(clip.frame_features, np.arange(n_f))
     v_rows = T.take_rows(v_emb, np.tile(np.arange(n_f), n_c))  # candidate c's frames at c * n_f
     frames = [

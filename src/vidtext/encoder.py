@@ -328,26 +328,27 @@ class HierarchicalEncoder(Module):
 
     # -- embedders -----------------------------------------------------------
 
-    def _truncated(self, token_ids: Sequence[int]) -> list[int]:
-        ids = list(token_ids)
-        if len(ids) > self.config.max_tokens:
-            log.warning(
-                "sentence of %d tokens truncated to max_tokens=%d", len(ids), self.config.max_tokens
-            )
-            ids = ids[: self.config.max_tokens]
-        return ids
-
-    def embed_text(self, token_ids: Sequence[int], positions) -> T.Tensor:
-        """LN(token embedding + position embedding) at the given per-id
-        ``positions``, so one call embeds several sentences."""
-        ids = list(token_ids)
+    def embed_text(
+        self, sentences: Sequence[Sequence[int]]
+    ) -> tuple[T.Tensor | None, np.ndarray]:
+        """LN(token embedding + position embedding) of every sentence, each
+        cut to ``max_tokens`` ids and embedded at positions 0, 1, ..., packed
+        sentence by sentence: sentence j owns rows ``bounds[j]:bounds[j + 1]``.
+        Returns ``(rows, bounds)``; ``rows`` is None when no sentence has a
+        token.  Logs one warning per call when it cuts a sentence."""
+        cap = self.config.max_tokens
+        n_cut = sum(len(ids) > cap for ids in sentences)
+        if n_cut:
+            log.warning("%d of %d sentences truncated to max_tokens=%d", n_cut, len(sentences), cap)
+        kept = [list(ids)[:cap] for ids in sentences]
+        bounds = np.cumsum([0] + [len(ids) for ids in kept])
+        ids = [i for sentence in kept for i in sentence]
         if not ids:
-            raise UsageError("embed_text needs at least one token")
+            return None, bounds
         if max(ids) >= self.config.vocab_size or min(ids) < 0:
             raise IndexError(f"token id out of range [0, {self.config.vocab_size})")
-        tok = self.token_emb(ids)
-        pos = self.text_pos(positions)
-        return self.text_ln(tok + pos)
+        positions = np.concatenate([np.arange(len(sentence)) for sentence in kept])
+        return self.text_ln(self.token_emb(ids) + self.text_pos(positions)), bounds
 
     def embed_video(self, features: np.ndarray, positions) -> T.Tensor:
         """LN(FC(features) + position embedding) at the given per-row frame
@@ -455,17 +456,18 @@ class HierarchicalEncoder(Module):
         token_positions: Sequence[Sequence[Sequence[int]]] | None = None,
     ) -> tuple[T.Tensor, T.Tensor]:
         """The cross-modal stage of ``encode_clips``: embed every frame (in
-        timestamp order) and every token of every clip once, then fuse every
-        sentence with its frame group in one cross-modal pass.  Overrides,
-        one entry per clip (its sentences' token ids, or its frame
+        timestamp order) once, every sentence of every clip in one
+        ``embed_text`` call (which cuts each to ``max_tokens``), then fuse
+        every sentence with its frame group in one cross-modal pass.
+        Overrides, one entry per clip (its sentences' token ids, or its frame
         features), substitute masked inputs without touching the clips.
 
         Returns ``(v_emb, fused)``: the embedded frame rows, clip by clip,
         and the rows the cross stack kept.  It keeps the fused frame rows,
         all that the temporal stage reads, in ``v_emb``'s order.  With
         ``token_positions`` (``token_positions[b][j]`` lists positions into
-        sentence j of clip b) it keeps those token rows instead, clip by
-        clip and sentence by sentence."""
+        sentence j of clip b, as cut) it keeps those token rows instead, clip
+        by clip and sentence by sentence."""
         for clip in clips:
             if clip.n_frames > self.config.max_frames:
                 raise ShapeError(
@@ -474,23 +476,17 @@ class HierarchicalEncoder(Module):
                 )
         features = frame_features_overrides or [clip.frame_features for clip in clips]
         per_clip = token_ids_overrides or [[s.token_ids for s in clip.sentences] for clip in clips]
-        token_ids = [self._truncated(ids) for clip_ids in per_clip for ids in clip_ids]
-        lengths = [len(ids) for ids in token_ids]
-        token_lo = np.cumsum([0] + lengths)  # packed token rows, sentence by sentence
         frame_bounds = np.cumsum([0] + [clip.n_frames for clip in clips])
+        v_emb = self.embed_video(
+            np.concatenate(features), np.concatenate([np.arange(clip.n_frames) for clip in clips])
+        )
+        w_emb, token_lo = self.embed_text([ids for clip_ids in per_clip for ids in clip_ids])
         sentence_lo = np.cumsum([0] + [len(clip.sentences) for clip in clips])
         segments = [
             (lo + np.asarray(sent.frame_indices, dtype=np.intp), np.arange(*token_lo[k : k + 2]))
             for clip, lo, k0 in zip(clips, frame_bounds, sentence_lo)
             for k, sent in enumerate(clip.sentences, start=k0)
         ]
-        v_emb = self.embed_video(
-            np.concatenate(features), np.concatenate([np.arange(clip.n_frames) for clip in clips])
-        )
-        w_emb = None
-        if token_lo[-1]:
-            positions = np.concatenate([np.arange(n) for n in lengths])
-            w_emb = self.embed_text([i for ids in token_ids for i in ids], positions)
         if token_positions is None:
             rows = np.arange(frame_bounds[-1])
         else:

@@ -361,10 +361,7 @@ class PretrainModel(Module):
     def encode_query(self, queries: Sequence[Sequence[int]], train_rng=None) -> T.Tensor:
         """(Q, d) vectors of Q token-id lists: one ``embed_text`` call, one frameless
         cross-modal pass whose segments are the queries, then the query encoder."""
-        ids = [self.encoder._truncated(q) for q in queries]
-        bounds = np.cumsum([0] + [len(q) for q in ids])
-        positions = np.concatenate([np.arange(len(q)) for q in ids])
-        w_emb = self.encoder.embed_text([i for q in ids for i in q], positions)
+        w_emb, bounds = self.encoder.embed_text(queries)
         segments = [(np.arange(0), np.arange(lo, hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
         w_cross = self.encoder.cross_modal_forward(None, w_emb, segments, train_rng=train_rng)
         return self.query_encoder(w_cross, bounds)
@@ -583,6 +580,8 @@ def build_task_batch(
     clip by clip.  A sentence with no token gets the empty plan and draws
     nothing."""
     planners = {
+        # mlm cuts each sentence as embed_text will, so that its mask
+        # positions index token rows the encoder keeps
         "mlm": lambda clip: [
             apply_mlm_mask(ids, rng, vocab) if ids else TokenMaskPlan([], [], [], [])
             for ids in (s.token_ids[: config.max_tokens] for s in clip.sentences)

@@ -124,9 +124,8 @@ def _rows(t, lo, hi):
 
 
 def embed_sentence(encoder, token_ids):
-    """``embed_text`` of one sentence at positions 0, 1, ..., cut to max_tokens."""
-    ids = list(token_ids)[: encoder.config.max_tokens]
-    return encoder.embed_text(ids, np.arange(len(ids)))
+    """The rows of ``embed_text`` of one sentence."""
+    return encoder.embed_text([token_ids])[0]
 
 
 def one_segment(v_emb, w_emb):

@@ -22,10 +22,10 @@ from vidtext.downstream import (
     CaptionModel,
     RetrievalExample,
     best_spans,
+    encode_with_appended_text,
     finetune_model_for,
     finetune_steps,
     load_params_into,
-    qa_augmented_token_ids,
     rank_moments,
     read_task_file,
     retrieval_targets,
@@ -263,11 +263,6 @@ class TestQa:
         )
         assert loss.item() == 0.0
 
-    def test_augmented_ids_truncate(self):
-        ids = qa_augmented_token_ids([5, 6], [7, 8, 9], max_tokens=5)
-        assert len(ids) == 5
-        assert ids[:3] == [5, 6, SEP_ID]
-
 
 # -- reference path: one encoder pass per candidate ------------------------------
 
@@ -275,10 +270,7 @@ class TestQa:
 def _ref_encode_with_appended_text(encoder, clip, extra_ids):
     """One candidate: its own fuse_clip over the augmented sentences, its own
     cross-modal pass of the pseudo-sentence and its own temporal pass."""
-    max_tokens = encoder.config.max_tokens
-    override = [
-        qa_augmented_token_ids(s.token_ids, extra_ids, max_tokens) for s in clip.sentences
-    ]
+    override = [list(s.token_ids) + [SEP_ID] + list(extra_ids) for s in clip.sentences]
     v_emb, v_cross = encoder.fuse_clip([clip], [override])
     w_emb = embed_sentence(encoder, extra_ids)
     w_cross = encoder.cross_modal_forward(None, w_emb, one_segment(None, w_emb))
@@ -402,6 +394,19 @@ class TestBatchedCandidatesMatchPerCandidate:
         model.forward(clip, question, answers)
         T.reset_tape()
         assert sorted(calls) == ["cross_modal_forward", "embed_text", "embed_video", "temporal_apply"]
+
+    def test_one_truncation_warning_per_call(self, setup, caplog):
+        """The setup's 9-token sentence, [SEP] and question [SEP] answer is
+        longer than max_tokens for every candidate: one warning in all."""
+        config, clip, question, answers = setup
+        encoder = HierarchicalEncoder(config, np.random.default_rng(0))
+        candidates = [question + [SEP_ID] + ans for ans in answers]
+        assert len(clip.sentences[2].token_ids) + 1 + len(candidates[0]) > config.max_tokens
+        with caplog.at_level("WARNING"):
+            encode_with_appended_text(encoder, clip, candidates)
+        T.reset_tape()
+        assert [r.levelname for r in caplog.records] == ["WARNING"]
+        assert "truncated" in caplog.records[0].message
 
 
 class TestQaRowPruning:

@@ -52,6 +52,20 @@ class TestEmbedText:
         with pytest.raises(IndexError):
             embed_sentence(tiny_encoder, [tiny_encoder.config.vocab_size])
 
+    def test_overlong_sentence_cut_with_one_warning(self, tiny_encoder, caplog):
+        max_tokens = tiny_encoder.config.max_tokens
+        long, short = list(range(5, 5 + max_tokens + 3)), [9, 8, 7]
+        with caplog.at_level("WARNING"):
+            rows, bounds = tiny_encoder.embed_text([long, short])
+        assert [r.levelname for r in caplog.records] == ["WARNING"]
+        want, want_bounds = tiny_encoder.embed_text([long[:max_tokens], short])
+        np.testing.assert_array_equal(rows.data, want.data)
+        assert bounds.tolist() == want_bounds.tolist() == [0, max_tokens, max_tokens + len(short)]
+
+    def test_no_token_gives_no_rows(self, tiny_encoder):
+        rows, bounds = tiny_encoder.embed_text([[], []])
+        assert rows is None and bounds.tolist() == [0, 0, 0]
+
 
 class TestEmbedVideo:
     def test_shape_contract(self, tiny_encoder):
